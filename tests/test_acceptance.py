@@ -5,6 +5,7 @@ The two experiment presets run once (module-scoped fixtures) on the shipped
 default configuration and are shared by the criteria that inspect them.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -20,9 +21,18 @@ from hetsim.power_control import (
     sample_feasible_instance,
     sample_instance,
 )
+from hetsim.report import emit_report
 from hetsim.scheduling import greedy_access_prob_mc
 
 JOBS = 2
+
+# sha256 of the default-config fig2 and fig3 reports (every emitted file,
+# see _report_digest). A change that moves any reported byte must update
+# these digests on purpose and say why.
+GOLDEN_DIGESTS = {
+    "fig2": "ac540c8d1f05139b91790d180870dfa20b77bd6b29009568da1f694ce2f6f545",
+    "fig3": "b3474e8e5462e8c67e9dcea1f7ed1cdbad00c92767c05a5d61046088945e6c2e",
+}
 
 
 def _report(number, name, ok, detail=""):
@@ -56,6 +66,21 @@ def fig3_run():
     report = experiment_fig3(cfg, jobs=JOBS, keep_snapshots=True)
     elapsed = time.perf_counter() - t0
     return report, elapsed
+
+
+def _report_digest(out_dir):
+    """sha256 over ``name\\0bytes\\0`` of every report file, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3"])
+def test_default_reports_match_golden_digest(preset, request, tmp_path):
+    report, _ = request.getfixturevalue(f"{preset}_run")
+    emit_report(report, tmp_path)
+    assert _report_digest(tmp_path) == GOLDEN_DIGESTS[preset]
 
 
 def test_criterion_1_oracle_equivalence():
