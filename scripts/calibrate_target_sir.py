@@ -64,7 +64,7 @@ def worst_hp_subsystem_rho():
             gains = build_gain_matrix(snap, cfg)
             amap = associate(snap, gains, "home", "uplink")
             a, _ = cochannel_system(gains, amap)
-            hp = np.flatnonzero(~snap.lpue_mask())
+            hp = np.flatnonzero(~snap.lpue_mask)
             f = interference_matrix(a[np.ix_(hp, hp)], np.ones(len(hp)))
             worst = max(worst, float(np.abs(np.linalg.eigvals(f)).max()))
     return worst

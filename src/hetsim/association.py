@@ -1,11 +1,10 @@
-"""Cell-association metrics and serving-set construction.
+"""Cell-association metrics and serving-cell selection.
 
 Every scheme produces a per-user score over candidate base stations (higher
 is better) and reduces to an argmax with ties broken toward the lowest BS id.
 Interference-dependent metrics (rsrq, mei) need a transmit-power context
-before powers have settled; by default they are evaluated at reference
-powers, i.e. full user budgets on the uplink and full BS budgets on the
-downlink. Joint association/power-control rounds pass live powers instead.
+before powers have settled; they are evaluated at reference powers, i.e.
+full user budgets on the uplink and full BS budgets on the downlink.
 
 Schemes
 -------
@@ -17,7 +16,6 @@ distance  largest distance-based channel gain (nearest cell)
 resource  largest channel-access probability
 hybrid    largest product of channel gain and access probability
 home      the cell the user was generated in (fixed assignment)
-mei_multi mei with a relative window admitting several serving cells
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import SMALL, UPLINK
+from .network import UPLINK
 from .scheduling import cell_loads
 
 SCHEMES = (
@@ -37,31 +35,25 @@ SCHEMES = (
     "distance",
     "resource",
     "hybrid",
-    "mei_multi",
     "home",
 )
 
 
 @dataclass(frozen=True)
 class AssociationMap:
-    """Per-user serving sets for one link direction.
-
-    ``serving[i]`` holds the BS ids user i connects to (singleton for every
-    scheme except mei_multi); ``primary[i]`` is the best-link member used as
-    the serving receiver/transmitter in SIR computations.
-    """
+    """Serving base station per user for one link direction: ``primary[i]``
+    is user i's serving receiver (uplink) or transmitter (downlink)."""
 
     direction: str
     scheme: str
-    serving: tuple[tuple[int, ...], ...]
     primary: tuple[int, ...]
 
 
 def reference_powers(snapshot, direction):
     """Transmit powers assumed when scoring interference-aware metrics."""
     if direction == UPLINK:
-        return snapshot.user_p_max()
-    return snapshot.bs_tx_power()
+        return snapshot.p_max
+    return snapshot.bs_tx_power
 
 
 def pairwise_gain(snapshot, gains):
@@ -72,27 +64,23 @@ def pairwise_gain(snapshot, gains):
     return gains.gains
 
 
-def received_power(snapshot, gains, powers=None):
-    """(n_users, n_bs) received power of each candidate link at reference (or
-    given) transmit powers. Uplink entry [i, b]: user i heard at BS b;
-    downlink entry [i, b]: BS b heard at user i."""
+def received_power(snapshot, gains):
+    """(n_users, n_bs) received power of each candidate link at reference
+    transmit powers. Uplink entry [i, b]: user i heard at BS b; downlink
+    entry [i, b]: BS b heard at user i."""
     g = pairwise_gain(snapshot, gains)
-    if powers is None:
-        powers = reference_powers(snapshot, snapshot.direction)
-    powers = np.asarray(powers, dtype=float)
+    powers = reference_powers(snapshot, snapshot.direction)
     if snapshot.direction == UPLINK:
         return g * powers[:, None]
     return g * powers[None, :]
 
 
-def candidate_effective_interference(snapshot, gains, powers=None):
+def candidate_effective_interference(snapshot, gains):
     """(n_users, n_bs) effective interference R[i, b] the user would see if
-    served by candidate b, at reference (or given) transmit powers."""
+    served by candidate b, at reference transmit powers."""
     g = pairwise_gain(snapshot, gains)
-    rp = received_power(snapshot, gains, powers)
-    if powers is None:
-        powers = reference_powers(snapshot, snapshot.direction)
-    powers = np.asarray(powers, dtype=float)
+    rp = received_power(snapshot, gains)
+    powers = reference_powers(snapshot, snapshot.direction)
     if snapshot.direction == UPLINK:
         total = gains.gains @ powers            # per-BS received sum
         interference = total[None, :] - rp
@@ -113,37 +101,25 @@ def _access_matrix(snapshot, access_prob):
         access_prob = np.asarray(access_prob, dtype=float)
         return np.broadcast_to(access_prob, (snapshot.n_users, n_bs))
     counts = cell_loads(snapshot)
-    home = snapshot.home_index()
-    others = counts[None, :] - (home[:, None] == np.arange(n_bs)[None, :])
+    at_home = snapshot.home[:, None] == np.arange(n_bs)[None, :]
+    others = counts[None, :] - at_home
     return 1.0 / (others + 1.0)
 
 
-def score_matrix(
-    snapshot,
-    gains,
-    scheme,
-    *,
-    access_prob=None,
-    bias_db=0.0,
-    powers=None,
-):
+def score_matrix(snapshot, gains, scheme, *, access_prob=None, bias_db=0.0):
     """(n_users, n_bs) association scores, higher is better."""
     if scheme == "rsrp":
-        return received_power(snapshot, gains, powers)
+        return received_power(snapshot, gains)
     if scheme == "rsrq":
-        rp = received_power(snapshot, gains, powers)
-        r = candidate_effective_interference(snapshot, gains, powers)
+        rp = received_power(snapshot, gains)
+        r = candidate_effective_interference(snapshot, gains)
         g = pairwise_gain(snapshot, gains)
         return rp / (r * g)
     if scheme == "cre":
-        rp = received_power(snapshot, gains, powers)
-        small = np.array(
-            [b.tier == SMALL for b in snapshot.base_stations], dtype=bool
-        )
-        bias = np.where(small, 10.0 ** (bias_db / 10.0), 1.0)
-        return rp * bias[None, :]
-    if scheme in ("mei", "mei_multi"):
-        return -candidate_effective_interference(snapshot, gains, powers)
+        bias = np.where(snapshot.bs_small, 10.0 ** (bias_db / 10.0), 1.0)
+        return received_power(snapshot, gains) * bias[None, :]
+    if scheme == "mei":
+        return -candidate_effective_interference(snapshot, gains)
     if scheme == "distance":
         return pairwise_gain(snapshot, gains)
     if scheme == "resource":
@@ -155,30 +131,14 @@ def score_matrix(
     raise ValueError(f"unknown association scheme {scheme!r}")
 
 
-def score(i, b, snapshot, gains, access_prob, scheme, *, bias_db=0.0):
-    """Score of one candidate link; see :func:`score_matrix`."""
-    m = score_matrix(
-        snapshot, gains, scheme, access_prob=access_prob, bias_db=bias_db
-    )
-    return float(m[i, b])
-
-
 def select_serving(scores):
     """Argmax per row; np.argmax returns the first maximum, which is the
     lowest BS id since ids equal column indices."""
-    return tuple(int(b) for b in np.argmax(np.asarray(scores), axis=1))
+    return tuple(np.argmax(np.asarray(scores), axis=1).tolist())
 
 
 def associate(
-    snapshot,
-    gains,
-    scheme,
-    direction,
-    *,
-    access_prob=None,
-    bias_db=0.0,
-    epsilon=0.0,
-    powers=None,
+    snapshot, gains, scheme, direction, *, access_prob=None, bias_db=0.0
 ):
     """Build the serving map for one direction.
 
@@ -191,56 +151,11 @@ def associate(
             f"direction {snapshot.direction!r}"
         )
     if scheme == "home":
-        primary = tuple(int(b) for b in snapshot.home_index())
-        serving = tuple((b,) for b in primary)
-        return AssociationMap(
-            direction=direction, scheme=scheme, serving=serving, primary=primary
+        primary = tuple(snapshot.home.tolist())
+    else:
+        primary = select_serving(
+            score_matrix(
+                snapshot, gains, scheme, access_prob=access_prob, bias_db=bias_db
+            )
         )
-    if scheme == "mei_multi":
-        return multi_associate(
-            snapshot, gains, epsilon, direction, powers=powers
-        )
-    scores = score_matrix(
-        snapshot,
-        gains,
-        scheme,
-        access_prob=access_prob,
-        bias_db=bias_db,
-        powers=powers,
-    )
-    primary = select_serving(scores)
-    serving = tuple((b,) for b in primary)
-    return AssociationMap(
-        direction=direction, scheme=scheme, serving=serving, primary=primary
-    )
-
-
-def multi_associate(snapshot, gains, epsilon, direction, *, powers=None):
-    """Serve every base station whose effective interference is within a
-    relative window of the per-user minimum:
-
-        serving(i) = { b : R[i, b] <= (1 + epsilon) * min_b' R[i, b'] }
-
-    epsilon = 0 collapses to singleton mei association. The primary member is
-    the minimum-R base station (lowest id on ties).
-    """
-    if direction != snapshot.direction:
-        raise ValueError(
-            f"direction {direction!r} does not match snapshot "
-            f"direction {snapshot.direction!r}"
-        )
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    r = candidate_effective_interference(snapshot, gains, powers)
-    rmin = r.min(axis=1)
-    window = r <= (1.0 + epsilon) * rmin[:, None]
-    serving = tuple(
-        tuple(int(b) for b in np.flatnonzero(row)) for row in window
-    )
-    primary = tuple(int(b) for b in np.argmin(r, axis=1))
-    return AssociationMap(
-        direction=direction,
-        scheme="mei_multi",
-        serving=serving,
-        primary=primary,
-    )
+    return AssociationMap(direction=direction, scheme=scheme, primary=primary)

@@ -150,6 +150,10 @@ def _load_config(args, base):
                 f"--seed must fit in u64, got {args.seed}", key="mc.base_seed"
             )
         cfg.base_seed = args.seed
+    if args.jobs < 1:
+        raise ConfigError(
+            f"--jobs must be at least 1, got {args.jobs}", key="--jobs"
+        )
     return cfg.validate()
 
 

@@ -36,7 +36,7 @@ class SimConfig:
     grid_rows: int = 3
     macro_side_m: float = 1000.0
     small_side_m: float = 200.0
-    small_per_macro: int = 3
+    small_per_macro: int = 3  # inert: the grid sweeps mc.sweep instead
     disc_radius_m: float = 500.0
     lambda_lo: float = 1.0
     lambda_hi: float = 10.0
@@ -48,7 +48,7 @@ class SimConfig:
     opc_eta: float = 1e-6
     ith_w: float = 1e-12
     bias_db: float = 6.0
-    epsilon: float = 0.1
+    epsilon: float = 0.1  # inert: kept so existing configs stay valid
     scheduler: str = "round_robin"
     assoc_uplink: str = "home"
     assoc_downlink: str = "rsrp"
@@ -77,6 +77,12 @@ class SimConfig:
             raise ConfigError(
                 "disc.lambda_hi must be >= disc.lambda_lo",
                 key="disc.lambda_hi",
+            )
+        grid_ok = all(1 <= v <= 64 for v in self.sweep)
+        if self.geometry == "grid" and not grid_ok:
+            raise ConfigError(
+                "grid sweep entries (small cells per macro) must be in [1, 64]",
+                key="mc.sweep",
             )
         return self
 
@@ -131,6 +137,11 @@ def _non_negative(value, key):
 def _finite(value, key):
     if not (value == value and abs(value) != float("inf")):
         raise ConfigError(f"value must be finite, got {value!r}", key=key)
+
+
+def _positive_finite(value, key):
+    _positive(value, key)
+    _finite(value, key)
 
 
 def _u64(value, key):
@@ -219,7 +230,7 @@ _VALIDATORS = {
     "power.macro_w": _positive,
     "power.small_w": _positive,
     "power.pmax_w": _positive,
-    "noise_w": _positive,
+    "noise_w": _positive_finite,
     "target_sir_db": _finite,
     "opc_eta": _positive,
     "ith_w": _positive,

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import (
-    AssociationMap,
-    associate,
-    candidate_effective_interference,
-    score_matrix,
-)
+from .association import associate, score_matrix
 from .config import SimConfig
 from .errors import NumericError
 from .network import (
@@ -102,7 +97,7 @@ def outage_ratio(state, snapshot, tier):
     for an empty tier (absent, not zero)."""
     if tier not in (HPUE, LPUE):
         raise ValueError(f"unknown tier {tier!r}")
-    mask = np.array([u.priority == tier for u in snapshot.users], dtype=bool)
+    mask = snapshot.lpue_mask if tier == LPUE else ~snapshot.lpue_mask
     if not mask.any():
         return None
     return float((~state.supported[mask]).sum() / mask.sum())
@@ -123,14 +118,6 @@ def throughput_metrics(state, access_probs=None, users=None):
     return aggregate, float(np.mean(access[idx] * rates[idx]))
 
 
-def lpue_interference(snapshot, gains, p):
-    """Aggregate low-priority interference at each protected receiver."""
-    protected = snapshot.protected_bs_indices()
-    lp = np.flatnonzero(snapshot.lpue_mask())
-    block = gains.gains[np.ix_(protected, lp)]
-    return protected, block @ np.asarray(p, dtype=float)[lp]
-
-
 def _check_safety(caps, state, seed):
     """Embedded prioritized-safety assertion; returns the worst margin."""
     agg = caps.gain_block @ state.p[caps.lpue_index]
@@ -149,21 +136,13 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
     snapshot = generate_fig2_snapshot(cfg, n_small, seed)
     gains = build_gain_matrix(snapshot, cfg)
     assoc = associate(
-        snapshot,
-        gains,
-        cfg.assoc_uplink,
-        UPLINK,
-        bias_db=cfg.bias_db,
-        epsilon=cfg.epsilon,
+        snapshot, gains, cfg.assoc_uplink, UPLINK, bias_db=cfg.bias_db
     )
     caps = None
     if any(alg in PRIORITIZED_BASE for alg in algorithms):
         caps = prioritized_caps(snapshot, gains, cfg.ith_w)
     a, noise = cochannel_system(gains, assoc)
-    targets = snapshot.user_targets()
-    p_max = snapshot.user_p_max()
-    eta = snapshot.user_eta()
-    lpue_mask = snapshot.lpue_mask()
+    lpue_mask = snapshot.lpue_mask
 
     results = {}
     for alg in algorithms:
@@ -171,10 +150,10 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
         state = iterate_power_control(
             a,
             noise,
-            targets,
-            p_max,
+            snapshot.target_sir,
+            snapshot.p_max,
             algorithm=alg,
-            eta=eta,
+            eta=snapshot.opc_eta,
             lpue_mask=lpue_mask,
             caps=caps if prioritized else None,
             hpue_algorithm=hpue_algorithm,
@@ -214,14 +193,14 @@ def _disc_snapshot_results(cfg, n_small, seed, schemes):
             for b, n in enumerate(counts)
         ]
     )
-    bs_powers = snapshot.bs_tx_power()
+    bs_powers = snapshot.bs_tx_power
     g0 = gains.gains[0]
     total = float(g0 @ bs_powers)
 
     results = {}
     for scheme in schemes:
         if scheme == "home":
-            chosen = int(snapshot.users[0].home_bs)
+            chosen = int(snapshot.home[0])
         else:
             scores = score_matrix(
                 snapshot, gains, scheme, access_prob=p_access, bias_db=cfg.bias_db
@@ -433,75 +412,3 @@ def run_monte_carlo(cfg, jobs=1, keep_snapshots=False):
         )
     return run_disc_experiment(cfg, jobs=jobs, keep_snapshots=keep_snapshots)
 
-
-def run_joint_capc(
-    snapshot,
-    gains,
-    *,
-    algorithm="tpc",
-    reassoc_every=5,
-    max_rounds=400,
-    tol=1e-9,
-    tol_support=1e-6,
-):
-    """Alternate minimum-effective-interference association with power
-    control: re-associate from live powers every ``reassoc_every`` sweeps and
-    stop once both the map and the power vector are stable. ``dtpc`` is the
-    hybrid tracking/opportunistic map."""
-    if snapshot.direction != UPLINK:
-        raise ValueError("joint association/power control runs on the uplink")
-    if algorithm not in ("tpc", "dtpc"):
-        raise ValueError(f"joint mode supports tpc or dtpc, got {algorithm!r}")
-    n = snapshot.n_users
-    p = np.zeros(n)
-    targets = snapshot.user_targets()
-    p_max = snapshot.user_p_max()
-    eta = snapshot.user_eta()
-    assoc_prev = None
-    state = None
-    total_iters = 0
-    for _ in range(max_rounds):
-        r = candidate_effective_interference(snapshot, gains, powers=p)
-        primary = tuple(int(b) for b in np.argmin(r, axis=1))
-        assoc = AssociationMap(
-            direction=UPLINK,
-            scheme="mei",
-            serving=tuple((b,) for b in primary),
-            primary=primary,
-        )
-        a, noise = cochannel_system(gains, assoc)
-        state = iterate_power_control(
-            a,
-            noise,
-            targets,
-            p_max,
-            algorithm=algorithm,
-            eta=eta,
-            max_iters=reassoc_every,
-            tol=tol,
-            tol_support=tol_support,
-            p0=p,
-        )
-        total_iters += state.iterations
-        p = state.p
-        if assoc == assoc_prev and state.converged:
-            state = dataclasses.replace(state, iterations=total_iters)
-            return assoc, state
-        assoc_prev = assoc
-    state = dataclasses.replace(
-        state, iterations=total_iters, converged=False
-    )
-    return assoc_prev, state
-
-
-def multiconnect_split_rates(p, snapshot, gains, assoc):
-    """Equal time-split rate across each user's serving set: the mean over
-    set members of log2(1 + SIR on that member link) at the given powers."""
-    r = candidate_effective_interference(snapshot, gains, powers=p)
-    p = np.asarray(p, dtype=float)
-    rates = np.zeros(snapshot.n_users)
-    for i, members in enumerate(assoc.serving):
-        cols = np.asarray(members, dtype=int)
-        tx_power = p[i] if snapshot.direction == UPLINK else p[cols]
-        rates[i] = float(np.mean(np.log2(1.0 + tx_power / r[i, cols])))
-    return rates

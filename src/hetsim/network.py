@@ -17,16 +17,12 @@ loads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import GenerationError
 
-MACRO = "macro"
-SMALL = "small"
-HIGH = "high"
-LOW = "low"
 HPUE = "hpue"
 LPUE = "lpue"
 UPLINK = "uplink"
@@ -35,78 +31,76 @@ DOWNLINK = "downlink"
 # Rejection-sampling budget for packing small cells into one macro cell.
 PLACEMENT_RETRIES = 10_000
 
-
-@dataclass(frozen=True)
-class BaseStation:
-    """One base station. ``cell_extent`` is the square side (grid geometry)
-    or the disc radius (disc geometry) of the area its users are drawn from."""
-
-    id: int
-    tier: str
-    priority: str
-    position: tuple[float, float]
-    tx_power: float
-    cell_extent: float
-
-
-@dataclass(frozen=True)
-class UserTerminal:
-    id: int
-    home_bs: int
-    priority: str
-    position: tuple[float, float]
-    p_max: float
-    target_sir: float
-    opc_target: float
+# (field, dtype, shape after the row axis) of the per-BS and per-user arrays
+_BS_FIELDS = (
+    ("bs_pos", float, (2,)),
+    ("bs_small", bool, ()),
+    ("bs_tx_power", float, ()),
+)
+_USER_FIELDS = (
+    ("user_pos", float, (2,)),
+    ("home", int, ()),
+    ("p_max", float, ()),
+    ("target_sir", float, ()),
+    ("opc_eta", float, ()),
+)
 
 
 @dataclass(frozen=True)
 class NetworkSnapshot:
-    """One realized topology. Base station ids equal their list index."""
+    """One realized topology as read-only arrays.
 
-    base_stations: tuple[BaseStation, ...]
-    users: tuple[UserTerminal, ...]
+    Base station b is row b of ``bs_pos`` (n_bs, 2), ``bs_small`` (small
+    tier, i.e. low priority) and ``bs_tx_power``. User i is row i of
+    ``user_pos`` (n_users, 2), ``home`` (the BS it was generated in),
+    ``p_max``, ``target_sir`` and ``opc_eta``. A user's priority is its home
+    cell's tier: users of small cells are the low-priority users (LPUEs),
+    and macro base stations are the protected receivers.
+    """
+
+    bs_pos: np.ndarray
+    bs_small: np.ndarray
+    bs_tx_power: np.ndarray
+    user_pos: np.ndarray
+    home: np.ndarray
+    p_max: np.ndarray
+    target_sir: np.ndarray
+    opc_eta: np.ndarray
     direction: str
     seed: int
     geometry: str
 
+    def __post_init__(self):
+        n_bs, n_users = len(self.bs_small), len(self.home)
+        for group, rows in ((_BS_FIELDS, n_bs), (_USER_FIELDS, n_users)):
+            for name, dtype, tail in group:
+                arr = np.array(getattr(self, name), dtype=dtype)
+                if arr.shape != (rows, *tail):
+                    raise ValueError(
+                        f"{name} has shape {arr.shape}, expected {(rows, *tail)}"
+                    )
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, NetworkSnapshot):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
+
     @property
     def n_bs(self):
-        return len(self.base_stations)
+        return len(self.bs_small)
 
     @property
     def n_users(self):
-        return len(self.users)
+        return len(self.home)
 
-    def bs_positions(self):
-        return np.array([b.position for b in self.base_stations], dtype=float)
-
-    def user_positions(self):
-        return np.array([u.position for u in self.users], dtype=float)
-
-    def bs_tx_power(self):
-        return np.array([b.tx_power for b in self.base_stations], dtype=float)
-
-    def user_p_max(self):
-        return np.array([u.p_max for u in self.users], dtype=float)
-
-    def user_targets(self):
-        return np.array([u.target_sir for u in self.users], dtype=float)
-
-    def user_eta(self):
-        return np.array([u.opc_target for u in self.users], dtype=float)
-
-    def home_index(self):
-        return np.array([u.home_bs for u in self.users], dtype=int)
-
+    @property
     def lpue_mask(self):
-        return np.array([u.priority == LPUE for u in self.users], dtype=bool)
-
-    def protected_bs_indices(self):
-        """Indices of high-priority base stations (receivers to shield)."""
-        return np.array(
-            [b.id for b in self.base_stations if b.priority == HIGH], dtype=int
-        )
+        return self.bs_small[self.home]
 
 
 @dataclass
@@ -161,17 +155,13 @@ def path_gain(distance, exponent=4.0, d_min=1.0, k=1.0):
     return out
 
 
-def _uniform_in_square(rng, center, side):
-    half = side / 2.0
-    x = rng.uniform(center[0] - half, center[0] + half)
-    y = rng.uniform(center[1] - half, center[1] + half)
-    return (x, y)
-
-
-def _uniform_in_disc(rng, center, radius):
-    r = radius * np.sqrt(rng.uniform())
-    ang = rng.uniform(0.0, 2.0 * np.pi)
-    return (center[0] + r * np.cos(ang), center[1] + r * np.sin(ang))
+def _uniform_in_disc(rng, center, radius, count):
+    """``count`` points uniform in a disc, drawn as one (count, 2) block: row
+    i holds the radius and angle draws of point i, in that order."""
+    u = rng.uniform(size=(count, 2))
+    r = radius * np.sqrt(u[:, 0])
+    ang = 2.0 * np.pi * u[:, 1]
+    return center + np.column_stack((r * np.cos(ang), r * np.sin(ang)))
 
 
 def _place_small_centers(rng, origin, macro_side, small_side, n_small, macro_idx, seed):
@@ -202,6 +192,25 @@ def _place_small_centers(rng, origin, macro_side, small_side, n_small, macro_idx
     return centers
 
 
+def _snapshot(cfg, bs_pos, bs_small, user_pos, home, direction, seed, geometry):
+    """Snapshot with the configured per-tier BS powers and common user
+    budgets and targets."""
+    n_users = len(home)
+    return NetworkSnapshot(
+        bs_pos=bs_pos,
+        bs_small=bs_small,
+        bs_tx_power=np.where(bs_small, cfg.power_small_w, cfg.power_macro_w),
+        user_pos=user_pos,
+        home=home,
+        p_max=np.full(n_users, cfg.pmax_w),
+        target_sir=np.full(n_users, cfg.target_sir_linear),
+        opc_eta=np.full(n_users, cfg.opc_eta),
+        direction=direction,
+        seed=seed,
+        geometry=geometry,
+    )
+
+
 def generate_fig2_snapshot(cfg, n_small, seed):
     """Uplink grid snapshot: ``grid_rows**2`` macro cells, ``n_small`` small
     cells uniformly packed in each, fixed per-cell user counts, one common
@@ -212,84 +221,26 @@ def generate_fig2_snapshot(cfg, n_small, seed):
     rows = cfg.grid_rows
     side = cfg.macro_side_m
     small = cfg.small_side_m
-    target = cfg.target_sir_linear
 
-    base_stations = []
-    macro_origins = []
-    for r in range(rows):
-        for c in range(rows):
-            origin = (c * side, r * side)
-            macro_origins.append(origin)
-            center = (origin[0] + side / 2.0, origin[1] + side / 2.0)
-            base_stations.append(
-                BaseStation(
-                    id=len(base_stations),
-                    tier=MACRO,
-                    priority=HIGH,
-                    position=center,
-                    tx_power=cfg.power_macro_w,
-                    cell_extent=side,
-                )
-            )
-    n_macro = len(base_stations)
-
+    # macro cells row-major: cell r * rows + c has its corner at (c, r) * side
+    r, c = np.divmod(np.arange(rows * rows), rows)
+    origins = np.column_stack((c, r)) * side
+    n_macro = len(origins)
     small_centers = []
     for m in range(n_macro):
-        small_centers.append(
-            _place_small_centers(
-                rng, macro_origins[m], side, small, n_small, m, seed
-            )
+        small_centers += _place_small_centers(
+            rng, origins[m], side, small, n_small, m, seed
         )
-    for m in range(n_macro):
-        for center in small_centers[m]:
-            base_stations.append(
-                BaseStation(
-                    id=len(base_stations),
-                    tier=SMALL,
-                    priority=LOW,
-                    position=center,
-                    tx_power=cfg.power_small_w,
-                    cell_extent=small,
-                )
-            )
+    bs_pos = np.vstack((origins + side / 2.0, np.reshape(small_centers, (-1, 2))))
+    bs_small = np.arange(len(bs_pos)) >= n_macro
 
-    users = []
-    for m in range(n_macro):
-        pos = base_stations[m].position
-        for _ in range(cfg.hpue_per_macro):
-            users.append(
-                UserTerminal(
-                    id=len(users),
-                    home_bs=m,
-                    priority=HPUE,
-                    position=_uniform_in_square(rng, pos, side),
-                    p_max=cfg.pmax_w,
-                    target_sir=target,
-                    opc_target=cfg.opc_eta,
-                )
-            )
-    for b in range(n_macro, len(base_stations)):
-        pos = base_stations[b].position
-        for _ in range(cfg.lpue_per_small):
-            users.append(
-                UserTerminal(
-                    id=len(users),
-                    home_bs=b,
-                    priority=LPUE,
-                    position=_uniform_in_square(rng, pos, small),
-                    p_max=cfg.pmax_w,
-                    target_sir=target,
-                    opc_target=cfg.opc_eta,
-                )
-            )
-
-    return NetworkSnapshot(
-        base_stations=tuple(base_stations),
-        users=tuple(users),
-        direction=UPLINK,
-        seed=seed,
-        geometry="grid",
-    )
+    # users cell by cell, each uniform in its home square
+    per_cell = np.where(bs_small, cfg.lpue_per_small, cfg.hpue_per_macro)
+    home = np.repeat(np.arange(len(bs_pos)), per_cell)
+    half = np.where(bs_small, small, side)[home, None] / 2.0
+    center = bs_pos[home]
+    user_pos = rng.uniform(center - half, center + half)
+    return _snapshot(cfg, bs_pos, bs_small, user_pos, home, UPLINK, seed, "grid")
 
 
 def generate_fig3_snapshot(cfg, n_small, seed):
@@ -300,77 +251,38 @@ def generate_fig3_snapshot(cfg, n_small, seed):
     if n_small < 0:
         raise ValueError(f"n_small must be non-negative, got {n_small}")
     rng = np.random.default_rng(seed)
-    radius = cfg.disc_radius_m
-    small_extent = cfg.small_side_m / 2.0
-    target = cfg.target_sir_linear
-
-    base_stations = [
-        BaseStation(
-            id=0,
-            tier=MACRO,
-            priority=HIGH,
-            position=(0.0, 0.0),
-            tx_power=cfg.power_macro_w,
-            cell_extent=radius,
-        )
-    ]
-    users = [
-        UserTerminal(
-            id=0,
-            home_bs=0,
-            priority=HPUE,
-            position=_uniform_in_disc(rng, (0.0, 0.0), radius),
-            p_max=cfg.pmax_w,
-            target_sir=target,
-            opc_target=cfg.opc_eta,
-        )
-    ]
-    for _ in range(n_small):
-        base_stations.append(
-            BaseStation(
-                id=len(base_stations),
-                tier=SMALL,
-                priority=LOW,
-                position=_uniform_in_disc(rng, (0.0, 0.0), radius),
-                tx_power=cfg.power_small_w,
-                cell_extent=small_extent,
-            )
-        )
-    for b in range(1, len(base_stations)):
+    # the tagged macro user, then the small-cell sites
+    drop = _uniform_in_disc(rng, np.zeros(2), cfg.disc_radius_m, 1 + n_small)
+    bs_pos = np.vstack((np.zeros((1, 2)), drop[1:]))
+    user_pos = [drop[:1]]
+    home = [np.zeros(1, dtype=int)]
+    for b in range(1, n_small + 1):
         lam = rng.uniform(cfg.lambda_lo, cfg.lambda_hi)
         count = int(rng.poisson(lam))
-        pos = base_stations[b].position
-        for _ in range(count):
-            users.append(
-                UserTerminal(
-                    id=len(users),
-                    home_bs=b,
-                    priority=LPUE,
-                    position=_uniform_in_disc(rng, pos, small_extent),
-                    p_max=cfg.pmax_w,
-                    target_sir=target,
-                    opc_target=cfg.opc_eta,
-                )
-            )
-
-    return NetworkSnapshot(
-        base_stations=tuple(base_stations),
-        users=tuple(users),
-        direction=DOWNLINK,
-        seed=seed,
-        geometry="disc",
+        user_pos.append(
+            _uniform_in_disc(rng, bs_pos[b], cfg.small_side_m / 2.0, count)
+        )
+        home.append(np.full(count, b))
+    bs_small = np.arange(1 + n_small) > 0
+    return _snapshot(
+        cfg,
+        bs_pos,
+        bs_small,
+        np.concatenate(user_pos),
+        np.concatenate(home),
+        DOWNLINK,
+        seed,
+        "disc",
     )
 
 
 def build_gain_matrix(snapshot, cfg):
     """Receiver-major path gains for the snapshot's link direction, plus the
     configured noise floor at every receiver."""
-    bs_pos = snapshot.bs_positions()
-    user_pos = snapshot.user_positions()
     if snapshot.direction == UPLINK:
-        rx, tx = bs_pos, user_pos
+        rx, tx = snapshot.bs_pos, snapshot.user_pos
     else:
-        rx, tx = user_pos, bs_pos
+        rx, tx = snapshot.user_pos, snapshot.bs_pos
     d = np.linalg.norm(rx[:, None, :] - tx[None, :, :], axis=-1)
     gains = path_gain(d, cfg.path_exponent, cfg.path_d_min, cfg.path_k)
     noise = np.full(rx.shape[0], cfg.noise_w, dtype=float)
@@ -400,7 +312,3 @@ def compute_all_sirs(powers, gains, assoc):
         noise = gains.noise
     return signal / (total - signal + noise)
 
-
-def compute_sir(i, powers, gains, assoc):
-    """SIR of a single user; see :func:`compute_all_sirs` for conventions."""
-    return float(compute_all_sirs(powers, gains, assoc)[i])

@@ -70,17 +70,6 @@ def dtpc_update(r, target, eta, p_max):
     return np.minimum(p_max, np.maximum(target * r, eta / r))
 
 
-def prioritized_update(base, r, target, eta, p_max, cap, lpue_mask):
-    """One synchronous prioritized step: low-priority users run the ``base``
-    map clipped at their cap, high-priority users run plain tpc."""
-    r = np.asarray(r, dtype=float)
-    out = tpc_update(r, target, p_max)
-    base_p = _apply_update(base, r, target, eta, p_max)
-    lp = np.asarray(lpue_mask, dtype=bool)
-    out[lp] = np.minimum(base_p, np.asarray(cap, dtype=float))[lp]
-    return out
-
-
 def _apply_update(algorithm, r, target, eta, p_max):
     if algorithm == "tpc":
         return tpc_update(r, target, p_max)
@@ -135,9 +124,9 @@ def prioritized_caps(snapshot, gains, ith, eps_floor=0.0):
     """Equal-share static caps for every low-priority user (uplink only)."""
     if snapshot.direction != UPLINK:
         raise ValueError("prioritized caps are defined for uplink snapshots")
-    protected = snapshot.protected_bs_indices()
-    lpue_index = np.flatnonzero(snapshot.lpue_mask())
-    p_max = snapshot.user_p_max()
+    protected = np.flatnonzero(~snapshot.bs_small)
+    lpue_index = np.flatnonzero(snapshot.lpue_mask)
+    p_max = snapshot.p_max
     thresholds = np.broadcast_to(
         np.asarray(ith, dtype=float), protected.shape
     ).astype(float)
@@ -185,29 +174,6 @@ def prioritized_caps(snapshot, gains, ith, eps_floor=0.0):
         gain_block=gain_block,
         above_floor=above,
     )
-
-
-def effective_interference_all(powers, gains, assoc):
-    """R_i for every user under the same conventions as compute_all_sirs."""
-    p = np.asarray(powers, dtype=float)
-    primary = np.asarray(assoc.primary, dtype=int)
-    if assoc.direction == UPLINK:
-        rows = gains.gains[primary, :]
-        own = rows[np.arange(len(primary)), np.arange(len(primary))]
-        interference = rows @ p - own * p
-        noise = gains.noise[primary]
-    else:
-        rows = gains.gains
-        own = rows[np.arange(len(primary)), primary]
-        interference = rows @ p - own * p[primary]
-        noise = gains.noise
-    return (interference + noise) / own
-
-
-def effective_interference(i, powers, gains, assoc):
-    """Effective interference of one user; ``sir_i == p_i / R_i`` exactly
-    (with ``p_i`` the serving transmitter's power on the downlink)."""
-    return float(effective_interference_all(powers, gains, assoc)[i])
 
 
 def cochannel_system(gains, assoc):
@@ -377,11 +343,11 @@ def run_power_control(
     return iterate_power_control(
         a,
         noise,
-        snapshot.user_targets(),
-        snapshot.user_p_max(),
+        snapshot.target_sir,
+        snapshot.p_max,
         algorithm=algorithm,
-        eta=snapshot.user_eta(),
-        lpue_mask=snapshot.lpue_mask(),
+        eta=snapshot.opc_eta,
+        lpue_mask=snapshot.lpue_mask,
         caps=caps,
         hpue_algorithm=hpue_algorithm,
         cap_mode=cap_mode,

@@ -8,6 +8,7 @@ never leave corrupt results behind.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -72,31 +73,12 @@ def _csv_text(report):
     return "\n".join(lines) + "\n"
 
 
-def _row_dict(row):
-    return {
-        "experiment": row.experiment,
-        "sweep_param": row.sweep_param,
-        "sweep_value": row.sweep_value,
-        "algorithm": row.algorithm,
-        "scheme": row.scheme,
-        "direction": row.direction,
-        "seed_count": row.seed_count,
-        "hpue_outage": row.hpue_outage,
-        "lpue_outage": row.lpue_outage,
-        "agg_power_w": row.agg_power_w,
-        "agg_throughput_bps_hz": row.agg_throughput_bps_hz,
-        "spectral_eff_bps_hz": row.spectral_eff_bps_hz,
-        "convergence_rate": row.convergence_rate,
-        "seeds": list(row.seeds),
-    }
-
-
 def _json_text(report):
     doc = {
         "tool": {"name": "hetsim", "version": __version__},
         "experiment": report.experiment,
         "config": config_json_dict(report.config),
-        "rows": [_row_dict(r) for r in report.rows],
+        "rows": [dataclasses.asdict(r) for r in report.rows],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

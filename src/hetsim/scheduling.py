@@ -55,9 +55,7 @@ def greedy_access_prob_mc(n_users, trials, seed):
 def cell_loads(snapshot, exclude_user=None):
     """Incumbent user count per base station, optionally excluding one user
     (the prospective joiner evaluating its options)."""
-    counts = np.zeros(snapshot.n_bs, dtype=int)
-    for u in snapshot.users:
-        if exclude_user is not None and u.id == exclude_user:
-            continue
-        counts[u.home_bs] += 1
+    counts = np.bincount(snapshot.home, minlength=snapshot.n_bs)
+    if exclude_user is not None:
+        counts[snapshot.home[exclude_user]] -= 1
     return counts

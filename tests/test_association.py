@@ -5,20 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetsim.association import (
-    associate,
-    candidate_effective_interference,
-    multi_associate,
-    score,
-    score_matrix,
-    select_serving,
-)
+from conftest import make_snapshot
+from hetsim.association import associate, score_matrix, select_serving
 from hetsim.config import SimConfig
 from hetsim.network import (
-    BaseStation,
     GainMatrix,
-    NetworkSnapshot,
-    UserTerminal,
     build_gain_matrix,
     generate_fig2_snapshot,
     generate_fig3_snapshot,
@@ -26,16 +17,9 @@ from hetsim.network import (
 
 
 def _downlink_snapshot(bs_specs, user_positions):
-    """bs_specs: list of (x, tier, tx_power); users get home 0 by default."""
-    bs = tuple(
-        BaseStation(i, tier, "high" if tier == "macro" else "low", (x, 0.0), p, 500.0)
-        for i, (x, tier, p) in enumerate(bs_specs)
-    )
-    users = tuple(
-        UserTerminal(i, 0, "hpue", pos, 1.0, 1.0, 1e-6)
-        for i, pos in enumerate(user_positions)
-    )
-    return NetworkSnapshot(bs, users, "downlink", 0, "disc")
+    """bs_specs: list of (x, tier, tx_power); users get home 0."""
+    bs = [(x, tier == "small", p) for x, tier, p in bs_specs]
+    return make_snapshot(bs, [(pos, 0) for pos in user_positions])
 
 
 def test_rsrp_score_prefers_stronger_received_power():
@@ -44,11 +28,9 @@ def test_rsrp_score_prefers_stronger_received_power():
         [(0.0, "macro", 10.0), (100.0, "small", 1.0)], [(0.0, 0.0)]
     )
     gm = GainMatrix(gains=np.array([[1e-9, 1e-7]]), noise=np.array([1e-13]))
-    s_macro = score(0, 0, snap, gm, None, "rsrp")
-    s_small = score(0, 1, snap, gm, None, "rsrp")
-    assert s_small == pytest.approx(1e-7)
-    assert s_macro == pytest.approx(1e-8)
-    assert select_serving(score_matrix(snap, gm, "rsrp")) == (1,)
+    scores = score_matrix(snap, gm, "rsrp")
+    assert scores[0] == pytest.approx([1e-8, 1e-7])
+    assert select_serving(scores) == (1,)
 
 
 def test_cre_bias_flips_the_winner():
@@ -76,17 +58,10 @@ def test_hybrid_zero_access_probability_never_selected():
 
 def test_resource_scheme_picks_lighter_cell():
     # incumbents 4 vs 9 under round robin: joiner shares 1/5 vs 1/10
-    bs = (
-        BaseStation(0, "small", "low", (0.0, 0.0), 1.0, 500.0),
-        BaseStation(1, "small", "low", (10.0, 0.0), 1.0, 500.0),
-    )
-    users = [UserTerminal(0, 0, "lpue", (5.0, 0.0), 1.0, 1.0, 1e-6)]
-    uid = 1
+    users = [((5.0, 0.0), 0)]
     for b, count in ((0, 4), (1, 9)):
-        for _ in range(count):
-            users.append(UserTerminal(uid, b, "lpue", (float(b), 1.0), 1.0, 1.0, 1e-6))
-            uid += 1
-    snap = NetworkSnapshot(bs, tuple(users), "downlink", 0, "disc")
+        users += [((float(b), 1.0), b)] * count
+    snap = make_snapshot([(0.0, True, 1.0), (10.0, True, 1.0)], users)
     gm = build_gain_matrix(snap, SimConfig())
     scores = score_matrix(snap, gm, "resource")
     assert scores[0] == pytest.approx([1 / 5, 1 / 10])
@@ -95,12 +70,9 @@ def test_resource_scheme_picks_lighter_cell():
 
 def test_resource_counts_self_out_of_home_cell():
     # a user already in a 4-user cell keeps its admitted share 1/4
-    bs = (BaseStation(0, "small", "low", (0.0, 0.0), 1.0, 500.0),)
-    users = tuple(
-        UserTerminal(i, 0, "lpue", (0.0, float(i)), 1.0, 1.0, 1e-6)
-        for i in range(4)
+    snap = make_snapshot(
+        [(0.0, True, 1.0)], [((0.0, float(i)), 0) for i in range(4)]
     )
-    snap = NetworkSnapshot(bs, users, "downlink", 0, "disc")
     gm = build_gain_matrix(snap, SimConfig())
     scores = score_matrix(snap, gm, "resource")
     assert scores == pytest.approx(np.full((4, 1), 0.25))
@@ -120,7 +92,6 @@ def test_rsrp_association_on_grid_snapshot(cfg):
     rp = score_matrix(snap, gm, "rsrp")
     for i, b in enumerate(amap.primary):
         assert rp[i, b] == rp[i].max()
-        assert amap.serving[i] == (b,)
 
 
 @given(seed=st.integers(0, 1000))
@@ -155,56 +126,15 @@ def test_mei_equals_rsrq_selection_on_uplink(cfg):
     )
 
 
-def test_multi_associate_window_cases(cfg):
-    snap = _downlink_snapshot(
-        [(0.0, "macro", 10.0), (1.0, "small", 1.0)], [(1.0, 0.0)]
-    )
-    # craft gains so R = (interference + noise) / gain is 1.0 and 1.05
-    # user at equal distance; direct construction through GainMatrix
-    g = np.array([[0.5, 0.25]])
-    gm = GainMatrix(gains=g, noise=np.array([0.1]))
-    r = candidate_effective_interference(snap, gm)
-    amap = multi_associate(snap, gm, 0.0, "downlink")
-    assert amap.serving[0] == (int(np.argmin(r[0])),)
-
-    mei = associate(snap, gm, "mei", "downlink")
-    assert amap.primary == mei.primary
-
-    wide = multi_associate(snap, gm, 1e9, "downlink")
-    assert wide.serving[0] == (0, 1)
-
-
-def test_multi_associate_relative_window_arithmetic():
-    # two candidates with R = 1.0 and 1.05: a 10% window takes both
-    snap = _downlink_snapshot(
-        [(0.0, "macro", 1.0), (1.0, "small", 1.0)], [(0.5, 0.0)]
-    )
-    base = np.array([[1.0, 1.05]])
-    noise = np.array([1.0])
-    # choose gains so that R comes out exactly as `base`
-    # R[0, b] = (total - rp_b + noise) / g_b with powers = tx = 1
-    # solve with g small: interference term negligible -> R ~= noise / g
-    g = noise[0] / base
-    gm = GainMatrix(gains=g, noise=noise)
-    r = candidate_effective_interference(snap, gm)
-    # cross terms shift R slightly; window result must still match formula
-    amap = multi_associate(snap, gm, 0.1, "downlink")
-    expected = tuple(np.flatnonzero(r[0] <= 1.1 * r[0].min()))
-    assert amap.serving[0] == expected
-    assert len(amap.serving[0]) == 2
-
-
 @given(bias_lo=st.floats(0.0, 12.0), bias_delta=st.floats(0.0, 12.0))
 @settings(max_examples=20, deadline=None)
 def test_cre_small_cell_share_monotone_in_bias(bias_lo, bias_delta):
     cfg = SimConfig()
     snap = generate_fig3_snapshot(cfg, 10, 3)
     gm = build_gain_matrix(snap, cfg)
-    small = {b.id for b in snap.base_stations if b.tier == "small"}
-
     def offloaded(bias):
         amap = associate(snap, gm, "cre", "downlink", bias_db=bias)
-        return {i for i, b in enumerate(amap.primary) if b in small}
+        return set(np.flatnonzero(snap.bs_small[list(amap.primary)]))
 
     lo = offloaded(bias_lo)
     hi = offloaded(bias_lo + bias_delta)
@@ -220,11 +150,14 @@ def test_resource_load_response(cfg):
     pick_before = select_serving(before)
 
     target_bs = 1
-    extra = UserTerminal(
-        snap.n_users, target_bs, "lpue",
-        snap.base_stations[target_bs].position, 1.0, 1.0, 1e-6,
+    heavier = dataclasses.replace(
+        snap,
+        user_pos=np.vstack((snap.user_pos, snap.bs_pos[target_bs])),
+        home=np.append(snap.home, target_bs),
+        p_max=np.append(snap.p_max, 1.0),
+        target_sir=np.append(snap.target_sir, 1.0),
+        opc_eta=np.append(snap.opc_eta, 1e-6),
     )
-    heavier = dataclasses.replace(snap, users=snap.users + (extra,))
     after = score_matrix(heavier, build_gain_matrix(heavier, cfg), "resource")
     n = snap.n_users
     assert np.all(after[:n, target_bs] < before[:, target_bs])

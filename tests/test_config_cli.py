@@ -32,13 +32,6 @@ def test_shipped_fig3_config_resolves():
     assert parsed.sweep == (0, 5, 10, 20, 40)
 
 
-def test_shipped_multiconnect_config_resolves():
-    parsed = parse_config("configs/grid_multiconnect.cfg")
-    assert parsed.assoc_uplink == "mei_multi"
-    assert parsed.pc_algorithm == "ptpc"
-    assert parsed.epsilon == 0.5
-
-
 def test_override_semantics():
     parsed = parse_config(FIG2_CFG, overrides=("mc.snapshots=5",))
     assert parsed.snapshots == 5
@@ -49,6 +42,9 @@ def test_negative_power_names_key():
     with pytest.raises(ConfigError) as err:
         parse_config_text("power.pmax_w = -1\n")
     assert "power.pmax_w" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("noise_w = inf\n")
+    assert "noise_w" in str(err.value)
 
 
 def test_unknown_key_reports_line():
@@ -98,6 +94,13 @@ def test_sweep_validation():
         parse_config_text("mc.sweep = \n")
     with pytest.raises(ConfigError):
         parse_config_text("mc.sweep = 3,-4\n")
+    # grid sweep entries count small cells per macro cell: 1..64
+    for bad in ("0", "3,65"):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"mc.sweep = {bad}\n")
+        assert "mc.sweep" in str(err.value)
+    disc = parse_config_text("geometry = disc\nmc.sweep = 0,80\n")
+    assert disc.sweep == (0, 80)
 
 
 def test_enum_validation():
@@ -124,7 +127,7 @@ def test_render_round_trip_defaults(cfg):
     noise=st.floats(1e-18, 1e-3),
     sir_db=st.floats(-30.0, 30.0),
     alg=st.sampled_from(("tpc", "tpc_gr", "opc", "dtpc", "ptpc", "popc")),
-    sweep=st.lists(st.integers(0, 64), min_size=1, max_size=6),
+    sweep=st.lists(st.integers(1, 64), min_size=1, max_size=6),
 )
 @settings(max_examples=40, deadline=None)
 def test_render_round_trip_random_configs(
@@ -209,9 +212,16 @@ def test_cli_sweep_uses_configured_variant(tmp_path):
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
-    code = main(["fig2", "--out", str(tmp_path), "--set", "power.pmax_w=-1"])
-    assert code == 2
-    assert "power.pmax_w" in capsys.readouterr().err
+    for args, key in (
+        (["--set", "power.pmax_w=-1"], "power.pmax_w"),
+        (["--set", "noise_w=inf"], "noise_w"),
+        (["--set", "mc.sweep=3,65"], "mc.sweep"),
+        (["--jobs", "0"], "--jobs"),
+        (["--jobs", "-3"], "--jobs"),
+    ):
+        code = main(["fig2", "--out", str(tmp_path), *args])
+        assert code == 2, args
+        assert key in capsys.readouterr().err, args
 
 
 def test_cli_missing_config_file_exit_code(tmp_path):

@@ -9,10 +9,8 @@ from hetsim.harness import (
     FIG2_ALGORITHMS,
     experiment_fig2,
     experiment_fig3,
-    multiconnect_split_rates,
     outage_ratio,
     run_grid_experiment,
-    run_joint_capc,
     run_monte_carlo,
     run_snapshot,
     throughput_metrics,
@@ -40,7 +38,7 @@ def test_outage_ratio_counting(cfg):
     n = snap.n_users
     supported = np.ones(n, dtype=bool)
     assert outage_ratio(_state(supported), snap, "hpue") == 0.0
-    lp = np.flatnonzero(snap.lpue_mask())
+    lp = np.flatnonzero(snap.lpue_mask)
     supported[lp[0]] = False
     # one of 36 low-priority users unsupported
     assert outage_ratio(_state(supported), snap, "lpue") == pytest.approx(1 / 36)
@@ -48,8 +46,14 @@ def test_outage_ratio_counting(cfg):
 
 def test_outage_ratio_empty_tier_absent(cfg):
     snap = generate_fig2_snapshot(cfg, 1, 1)
+    hp = ~snap.lpue_mask
     only_hp = dataclasses.replace(
-        snap, users=tuple(u for u in snap.users if u.priority == "hpue")
+        snap,
+        user_pos=snap.user_pos[hp],
+        home=snap.home[hp],
+        p_max=snap.p_max[hp],
+        target_sir=snap.target_sir[hp],
+        opc_eta=snap.opc_eta[hp],
     )
     assert outage_ratio(_state(np.ones(45, bool)), only_hp, "lpue") is None
 
@@ -179,48 +183,6 @@ def test_monte_carlo_error_scaling(cfg):
     assert se_big >= se_small / np.sqrt(2) * 0.7
 
 
-def test_joint_capc_converges_and_beats_fixed_rsrp(cfg):
-    # min-power property: joint re-association cannot need more aggregate
-    # power than any fixed assignment
-    cfg = dataclasses.replace(cfg, target_sir_db=-12.0)
-    for seed in (1, 2, 3):
-        snap = generate_fig2_snapshot(cfg, 2, seed)
-        gains = build_gain_matrix(snap, cfg)
-        amap, state = run_joint_capc(snap, gains, algorithm="tpc")
-        assert state.converged
-        assert state.supported.all()
-
-        fixed = associate(snap, gains, "rsrp", "uplink")
-        st_fixed = run_power_control("tpc", snap, gains, fixed, tol=1e-9)
-        if st_fixed.converged and st_fixed.supported.all():
-            assert state.p.sum() <= st_fixed.p.sum() + 1e-9
-
-
-def test_joint_capc_hybrid_map_beats_plain_tracking(cfg):
-    # the selective tracking/opportunistic map inside the joint loop keeps
-    # every target and adds throughput on feasible instances
-    cfg = dataclasses.replace(cfg, target_sir_db=-12.0, opc_eta=1e-9)
-    snap = generate_fig2_snapshot(cfg, 2, 4)
-    gains = build_gain_matrix(snap, cfg)
-    _, st_hybrid = run_joint_capc(snap, gains, algorithm="dtpc")
-    _, st_plain = run_joint_capc(snap, gains, algorithm="tpc")
-    assert st_hybrid.converged and st_plain.converged
-    assert st_hybrid.supported.all()
-    thr_hybrid = np.log2(1 + st_hybrid.sir).sum()
-    thr_plain = np.log2(1 + st_plain.sir).sum()
-    assert thr_hybrid >= thr_plain - 1e-9
-
-
-def test_joint_capc_rejects_downlink_and_unknown_algorithms(cfg):
-    snap = generate_fig2_snapshot(cfg, 2, 1)
-    gains = build_gain_matrix(snap, cfg)
-    with pytest.raises(ValueError):
-        run_joint_capc(snap, gains, algorithm="opc")
-    down = dataclasses.replace(snap, direction="downlink")
-    with pytest.raises(ValueError):
-        run_joint_capc(down, build_gain_matrix(down, cfg), algorithm="tpc")
-
-
 def test_mei_with_opc_is_permitted_but_does_not_help_throughput(cfg):
     # the combination runs (it is not forbidden), yet chasing the least
     # effective interference brings no aggregate-throughput gain over the
@@ -240,29 +202,11 @@ def test_mei_with_opc_is_permitted_but_does_not_help_throughput(cfg):
     assert np.mean(gaps) <= 0.0
 
 
-def test_multiconnect_power_control_pipeline(cfg):
-    cfg = dataclasses.replace(
-        cfg, assoc_uplink="mei_multi", epsilon=0.5, pc_algorithm="ptpc"
-    )
+
+def test_mei_association_power_control_pipeline(cfg):
+    # prioritized caps still bound the protected receivers when users are
+    # served by their minimum-effective-interference cell instead of home
+    cfg = dataclasses.replace(cfg, assoc_uplink="mei", pc_algorithm="ptpc")
     res = run_snapshot(cfg, 3, 2)
     assert res.converged
     assert res.safety_margin_w <= 0.0
-
-    snap = generate_fig2_snapshot(cfg, 3, 2)
-    gains = build_gain_matrix(snap, cfg)
-    amap = associate(
-        snap, gains, "mei_multi", "uplink", epsilon=cfg.epsilon
-    )
-    assert any(len(s) > 1 for s in amap.serving)
-    state = run_power_control("tpc", snap, gains, amap)
-    rates = multiconnect_split_rates(state.p, snap, gains, amap)
-    assert rates.shape == (snap.n_users,)
-    assert np.all(rates >= 0)
-    # singleton sets reduce exactly to the primary-link rate
-    from hetsim.power_control import effective_interference_all
-
-    r_all = effective_interference_all(state.p, gains, amap)
-    single = [i for i, s in enumerate(amap.serving) if len(s) == 1]
-    assert np.asarray(rates)[single] == pytest.approx(
-        np.log2(1.0 + state.p[single] / r_all[single]), rel=1e-12
-    )

@@ -13,7 +13,6 @@ from hetsim.network import (
     GainMatrix,
     build_gain_matrix,
     compute_all_sirs,
-    compute_sir,
     generate_fig2_snapshot,
     generate_fig3_snapshot,
     path_gain,
@@ -75,19 +74,15 @@ def test_path_gain_vector_matches_scalar(distances):
 
 def test_fig2_counts_n3():
     snap = generate_fig2_snapshot(SimConfig(), 3, 7)
-    macros = [b for b in snap.base_stations if b.tier == "macro"]
-    smalls = [b for b in snap.base_stations if b.tier == "small"]
-    hpues = [u for u in snap.users if u.priority == "hpue"]
-    lpues = [u for u in snap.users if u.priority == "lpue"]
-    assert (len(macros), len(smalls)) == (9, 27)
-    assert (len(hpues), len(lpues)) == (45, 108)
+    assert ((~snap.bs_small).sum(), snap.bs_small.sum()) == (9, 27)
+    assert ((~snap.lpue_mask).sum(), snap.lpue_mask.sum()) == (45, 108)
     assert snap.direction == "uplink"
 
 
 def test_fig2_counts_n6():
     snap = generate_fig2_snapshot(SimConfig(), 6, 7)
-    assert sum(1 for b in snap.base_stations if b.tier == "small") == 54
-    assert sum(1 for u in snap.users if u.priority == "lpue") == 216
+    assert snap.bs_small.sum() == 54
+    assert snap.lpue_mask.sum() == 216
 
 
 @given(n=st.integers(1, 6), seed=st.integers(0, 2**32))
@@ -103,33 +98,40 @@ def test_fig2_lpue_count_scales_with_n():
     cfg = SimConfig()
     for n in (1, 2, 5):
         snap = generate_fig2_snapshot(cfg, n, 3)
-        assert sum(1 for u in snap.users if u.priority == "lpue") == 36 * n
+        assert snap.lpue_mask.sum() == 36 * n
 
 
 def test_fig2_geometry_invariants():
     cfg = SimConfig()
     snap = generate_fig2_snapshot(cfg, 4, 11)
-    for i, b in enumerate(snap.base_stations):
-        assert b.id == i
-        if b.tier == "macro":
-            assert b.priority == "high"
-        else:
-            assert b.priority == "low"
-    # every user inside its home cell extent, priority matching the home tier
-    for u in snap.users:
-        home = snap.base_stations[u.home_bs]
-        dx = abs(u.position[0] - home.position[0])
-        dy = abs(u.position[1] - home.position[1])
-        assert max(dx, dy) <= home.cell_extent / 2.0
-        expected = "hpue" if home.priority == "high" else "lpue"
-        assert u.priority == expected
-    # small cells of one macro do not overlap
-    smalls = [b for b in snap.base_stations if b.tier == "small"]
-    for i, s1 in enumerate(smalls):
-        for s2 in smalls[i + 1 :]:
-            dx = abs(s1.position[0] - s2.position[0])
-            dy = abs(s1.position[1] - s2.position[1])
-            assert max(dx, dy) >= s1.cell_extent - 1e-9
+    # the 9 macro cells come first, then 4 small cells per macro
+    assert snap.bs_small.tolist() == [False] * 9 + [True] * 36
+    assert np.array_equal(
+        snap.bs_tx_power, np.where(snap.bs_small, cfg.power_small_w, cfg.power_macro_w)
+    )
+    # every user inside its home cell's square
+    side = np.where(snap.bs_small, cfg.small_side_m, cfg.macro_side_m)
+    offset = np.abs(snap.user_pos - snap.bs_pos[snap.home]).max(axis=1)
+    assert np.all(offset <= side[snap.home] / 2.0)
+    assert np.array_equal(snap.lpue_mask, snap.bs_small[snap.home])
+    # small cells do not overlap
+    smalls = snap.bs_pos[snap.bs_small]
+    gap = np.abs(smalls[:, None, :] - smalls[None, :, :]).max(axis=-1)
+    np.fill_diagonal(gap, np.inf)
+    assert np.all(gap >= cfg.small_side_m - 1e-9)
+
+
+def test_snapshot_arrays_are_read_only_and_shape_checked(cfg):
+    snap = generate_fig2_snapshot(cfg, 2, 3)
+    for name in ("bs_pos", "bs_small", "home", "p_max", "user_pos"):
+        with pytest.raises(ValueError):
+            getattr(snap, name)[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        snap.home = np.zeros(snap.n_users, dtype=int)
+    with pytest.raises(ValueError, match="bs_tx_power"):
+        dataclasses.replace(snap, bs_tx_power=snap.bs_tx_power[:-1])
+    with pytest.raises(ValueError, match="user_pos"):
+        dataclasses.replace(snap, user_pos=snap.user_pos[:, 0])
 
 
 def test_fig2_packing_failure_is_reported():
@@ -148,22 +150,50 @@ def test_fig3_empty_overlay():
     snap = generate_fig3_snapshot(SimConfig(), 0, 1)
     assert snap.n_bs == 1
     assert snap.n_users == 1
-    assert snap.users[0].priority == "hpue"
+    assert not snap.lpue_mask[0]
     assert snap.direction == "downlink"
 
 
 def test_fig3_small_cells_and_poisson_loads():
-    snap = generate_fig3_snapshot(SimConfig(), 20, 1)
-    assert sum(1 for b in snap.base_stations if b.tier == "small") == 20
-    counts = {}
-    for u in snap.users[1:]:
-        counts[u.home_bs] = counts.get(u.home_bs, 0) + 1
+    cfg = SimConfig()
+    snap = generate_fig3_snapshot(cfg, 20, 1)
+    assert snap.bs_small.sum() == 20
+    assert snap.home[0] == 0 and np.all(snap.home[1:] > 0)
+    counts = np.bincount(snap.home[1:])[1:]
     # non-uniform load: not every cell should carry the same count
-    assert len(set(counts.values())) > 1
-    for u in snap.users:
-        home = snap.base_stations[u.home_bs]
-        d = math.dist(u.position, home.position)
-        assert d <= home.cell_extent + 1e-9
+    assert len(set(counts[counts > 0])) > 1
+    # the macro user and the small cells inside the disc, users inside
+    # their small cell
+    radius = np.where(snap.bs_small, cfg.small_side_m / 2.0, cfg.disc_radius_m)
+    d = np.linalg.norm(snap.user_pos - snap.bs_pos[snap.home], axis=1)
+    assert np.all(d <= radius[snap.home] + 1e-9)
+    assert np.all(np.linalg.norm(snap.bs_pos, axis=1) <= cfg.disc_radius_m)
+
+
+def _scalar_disc_point(rng, center, radius):
+    r = radius * np.sqrt(rng.uniform())
+    ang = rng.uniform(0.0, 2.0 * np.pi)
+    return (center[0] + r * np.cos(ang), center[1] + r * np.sin(ang))
+
+
+@pytest.mark.parametrize("seed", [1000, 1001, 1002])
+def test_fig3_block_draws_match_one_draw_per_coordinate(seed):
+    # reference: one scalar draw per radius and angle, cell by cell; the
+    # block generator must reproduce it exactly, so seeds keep their meaning
+    cfg = SimConfig()
+    snap = generate_fig3_snapshot(cfg, 7, seed)
+    rng = np.random.default_rng(seed)
+    radius = cfg.disc_radius_m
+    users = [_scalar_disc_point(rng, (0.0, 0.0), radius)]
+    cells = [_scalar_disc_point(rng, (0.0, 0.0), radius) for _ in range(7)]
+    for center in cells:
+        count = int(rng.poisson(rng.uniform(cfg.lambda_lo, cfg.lambda_hi)))
+        users += [
+            _scalar_disc_point(rng, center, cfg.small_side_m / 2.0)
+            for _ in range(count)
+        ]
+    assert np.array_equal(snap.bs_pos[1:], cells)
+    assert np.array_equal(snap.user_pos, users)
 
 
 @given(n=st.integers(0, 30), seed=st.integers(0, 2**32))
@@ -179,8 +209,7 @@ def test_gain_matrix_single_link_value():
     cfg = SimConfig()
     snap = generate_fig3_snapshot(cfg, 0, 1)
     # rebuild a controlled snapshot: macro at origin, user at (10, 0)
-    user = dataclasses.replace(snap.users[0], position=(10.0, 0.0))
-    snap = dataclasses.replace(snap, users=(user,))
+    snap = dataclasses.replace(snap, user_pos=[(10.0, 0.0)])
     gm = build_gain_matrix(snap, cfg)
     assert gm.gains.shape == (1, 1)
     assert gm.gains[0, 0] == pytest.approx(1e-4, rel=1e-12)
@@ -207,17 +236,14 @@ def test_gain_matrix_validation():
 
 def _toy_assoc(direction, primary):
     return AssociationMap(
-        direction=direction,
-        scheme="home",
-        serving=tuple((b,) for b in primary),
-        primary=tuple(primary),
+        direction=direction, scheme="home", primary=tuple(primary)
     )
 
 
 def test_compute_sir_single_user_no_interference():
     gm = GainMatrix(gains=np.array([[1.0]]), noise=np.array([0.1]))
     assoc = _toy_assoc("uplink", [0])
-    assert compute_sir(0, [0.1], gm, assoc) == pytest.approx(1.0, rel=1e-12)
+    assert compute_all_sirs([0.1], gm, assoc) == pytest.approx([1.0], rel=1e-12)
 
 
 def test_compute_sir_two_user_toy():
@@ -235,8 +261,8 @@ def test_compute_sir_downlink_uses_bs_powers():
         gains=np.array([[0.5, 0.25]]), noise=np.array([1.0])
     )
     assoc = _toy_assoc("downlink", [0])
-    sir = compute_sir(0, np.array([4.0, 8.0]), gm, assoc)
-    assert sir == pytest.approx(0.5 * 4.0 / (0.25 * 8.0 + 1.0), rel=1e-12)
+    sir = compute_all_sirs(np.array([4.0, 8.0]), gm, assoc)
+    assert sir == pytest.approx([0.5 * 4.0 / (0.25 * 8.0 + 1.0)], rel=1e-12)
 
 
 @given(scale=st.floats(1e-3, 1e3))

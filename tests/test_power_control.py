@@ -3,22 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import two_user_toy
+from conftest import make_snapshot, two_user_toy
 from hetsim.association import AssociationMap, associate
 from hetsim.errors import OracleError
-from hetsim.network import GainMatrix, build_gain_matrix, generate_fig2_snapshot
+from hetsim.network import (
+    GainMatrix,
+    build_gain_matrix,
+    compute_all_sirs,
+    generate_fig2_snapshot,
+)
 from hetsim.power_control import (
+    PrioritizedCapSet,
     cochannel_system,
     dtpc_update,
-    effective_interference,
-    effective_interference_all,
     feasibility_check,
     fixed_point_oracle,
     interference_matrix,
     iterate_power_control,
     opc_update,
     prioritized_caps,
-    prioritized_update,
     run_power_control,
     sample_feasible_instance,
     sample_instance,
@@ -29,10 +32,7 @@ from hetsim.power_control import (
 
 def _assoc(primary, direction="uplink"):
     return AssociationMap(
-        direction=direction,
-        scheme="home",
-        serving=tuple((b,) for b in primary),
-        primary=tuple(primary),
+        direction=direction, scheme="home", primary=tuple(primary)
     )
 
 
@@ -84,48 +84,66 @@ def test_dtpc_branches():
 
 
 def test_prioritized_update_caps_lpues_only():
-    r = np.array([1.0, 1.0])
-    out = prioritized_update(
-        "tpc",
-        r,
-        target=np.array([8.0, 8.0]),
-        eta=None,
-        p_max=np.array([10.0, 10.0]),
+    # one synchronous sweep from p0 with R = 1: both users demand 8 W, only
+    # the low-priority one is clipped at its 5 W cap
+    caps = PrioritizedCapSet(
         cap=np.array([np.inf, 5.0]),
-        lpue_mask=np.array([False, True]),
+        thresholds=np.ones(1),
+        shares=np.ones(1, dtype=int),
+        protected=np.zeros(1, dtype=int),
+        lpue_index=np.array([1]),
+        gain_block=np.ones((1, 1)),
+        above_floor=np.ones((1, 1), dtype=bool),
     )
-    assert out == pytest.approx([8.0, 5.0])
+    state = iterate_power_control(
+        np.eye(2),
+        np.ones(2),
+        np.array([8.0, 8.0]),
+        10.0,
+        algorithm="ptpc",
+        lpue_mask=np.array([False, True]),
+        caps=caps,
+        max_iters=1,
+    )
+    assert state.p == pytest.approx([8.0, 5.0])
 
 
 # ------------------------------------------------- effective interference
 
 
 def test_effective_interference_noise_only():
-    gm = GainMatrix(gains=np.array([[0.5]]), noise=np.array([0.1]))
-    assert effective_interference(0, [0.0], gm, _assoc([0])) == pytest.approx(0.2)
+    # from p = 0, one tracking sweep at unit target returns R = noise / gain
+    state = iterate_power_control(
+        np.array([[0.5]]), np.array([0.1]), np.array([1.0]), 10.0, max_iters=1
+    )
+    assert state.p == pytest.approx([0.2])
 
 
 def test_effective_interference_two_user_toy():
-    gm = GainMatrix(
-        gains=np.array([[1.0, 0.1], [0.1, 1.0]]), noise=np.array([0.1, 0.1])
+    # at the toy's fixed point R_i = (0.1 / 9 + 0.1) / 1 = 1 / 9
+    a, noise, targets = two_user_toy()
+    state = iterate_power_control(
+        a, noise, targets, 10.0, p0=np.array([1 / 9, 1 / 9]), max_iters=1
     )
-    r = effective_interference_all(np.array([1 / 9, 1 / 9]), gm, _assoc([0, 1]))
-    assert r == pytest.approx([1 / 9, 1 / 9], rel=1e-12)
+    assert state.p == pytest.approx([1 / 9, 1 / 9], rel=1e-12)
 
 
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_sir_equals_power_over_effective_interference(seed):
+    # the SIR the iteration reports (p / R) is the SIR of the shared channel
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
     gains = rng.uniform(0.01, 1.0, size=(n, n))
     gm = GainMatrix(gains=gains, noise=rng.uniform(0.01, 0.1, size=n))
     assoc = _assoc(list(range(n)))
-    p = rng.uniform(0.0, 2.0, size=n)
-    r = effective_interference_all(p, gm, assoc)
-    from hetsim.network import compute_all_sirs
-
-    assert compute_all_sirs(p, gm, assoc) == pytest.approx(p / r, rel=1e-12)
+    a, noise = cochannel_system(gm, assoc)
+    state = iterate_power_control(
+        a, noise, rng.uniform(0.5, 2.0, size=n), 2.0, max_iters=3
+    )
+    assert state.sir == pytest.approx(
+        compute_all_sirs(state.p, gm, assoc), rel=1e-12
+    )
 
 
 # ----------------------------------------------------------- fixed points
@@ -320,17 +338,12 @@ def test_feasibility_matches_dense_eigenvalues_and_scales(seed, scale):
 
 
 def _two_lpue_snapshot():
-    from hetsim.network import BaseStation, NetworkSnapshot, UserTerminal
-
-    bs = (
-        BaseStation(0, "macro", "high", (0.0, 0.0), 10.0, 100.0),
-        BaseStation(1, "small", "low", (50.0, 0.0), 1.0, 10.0),
+    return make_snapshot(
+        [(0.0, False, 10.0), (50.0, True, 1.0)],
+        [((50.0, float(i)), 1) for i in range(2)],
+        direction="uplink",
+        geometry="grid",
     )
-    users = tuple(
-        UserTerminal(i, 1, "lpue", (50.0, float(i)), 1.0, 1.0, 1e-6)
-        for i in range(2)
-    )
-    return NetworkSnapshot(bs, users, "uplink", 0, "grid")
 
 
 def test_prioritized_caps_equal_share_value():
@@ -348,8 +361,8 @@ def test_prioritized_caps_unconstrained_below_floor(cfg):
     snap = generate_fig2_snapshot(cfg, 1, 2)
     gm = build_gain_matrix(snap, cfg)
     caps = prioritized_caps(snap, gm, ith=1e-12, eps_floor=1.0)
-    lp = np.flatnonzero(snap.lpue_mask())
-    assert caps.cap[lp] == pytest.approx(snap.user_p_max()[lp])
+    lp = np.flatnonzero(snap.lpue_mask)
+    assert caps.cap[lp] == pytest.approx(snap.p_max[lp])
     assert np.all(caps.shares == 0)
 
 
@@ -375,7 +388,7 @@ def test_prioritized_run_protects_receivers(cfg):
         agg = caps.gain_block @ state.p[caps.lpue_index]
         assert np.all(agg <= caps.thresholds * (1 + 1e-12))
         # high-priority users must all be supported at this calibration
-        hp = ~snap.lpue_mask()
+        hp = ~snap.lpue_mask
         assert state.supported[hp].all()
 
 
@@ -412,10 +425,7 @@ def test_cochannel_system_is_uplink_only(cfg):
     a, noise = cochannel_system(gm, assoc)
     assert a.shape == (snap.n_users, snap.n_users)
     down = AssociationMap(
-        direction="downlink",
-        scheme="rsrp",
-        serving=assoc.serving,
-        primary=assoc.primary,
+        direction="downlink", scheme="rsrp", primary=assoc.primary
     )
     with pytest.raises(ValueError):
         cochannel_system(gm, down)

@@ -72,7 +72,7 @@ def test_round_robin_shares_sum_to_one_per_cell():
     for b, total in enumerate(counts):
         if total == 0:
             continue
-        members = [u.id for u in snap.users if u.home_bs == b]
+        members = np.flatnonzero(snap.home == b)
         shares = [
             access_probability(
                 CellLoad(b, int(cell_loads(snap, exclude_user=uid)[b]))
