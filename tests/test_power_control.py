@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_snapshot, two_user_toy
 from hetsim.association import AssociationMap, associate
+from hetsim.config import SimConfig
 from hetsim.errors import OracleError
 from hetsim.network import (
     GainMatrix,
@@ -13,20 +16,19 @@ from hetsim.network import (
     generate_fig2_snapshot,
 )
 from hetsim.power_control import (
+    ALGORITHMS,
+    DEFAULT_TOL,
+    PRIORITIZED_BASE,
     PrioritizedCapSet,
     cochannel_system,
-    dtpc_update,
     feasibility_check,
     fixed_point_oracle,
     interference_matrix,
     iterate_power_control,
-    opc_update,
     prioritized_caps,
     run_power_control,
     sample_feasible_instance,
     sample_instance,
-    tpc_gr_update,
-    tpc_update,
 )
 
 
@@ -39,9 +41,27 @@ def _assoc(primary, direction="uplink"):
 # ---------------------------------------------------------------- updates
 
 
+def _sweep(r, algorithm, target, p_max, eta=None):
+    """One synchronous sweep from p = 0 on uncoupled unit-gain users whose
+    noise is ``r``, so each user's effective interference is exactly r."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    n = r.size
+    state = iterate_power_control(
+        np.eye(n),
+        r,
+        np.full(n, target, dtype=float),
+        p_max,
+        algorithm=algorithm,
+        eta=eta,
+        max_iters=1,
+        p0=np.zeros(n),
+    )
+    return state.p
+
+
 def test_tpc_update_tracks_and_caps():
-    assert tpc_update(1 / 9, 1.0, 10.0) == pytest.approx(1 / 9)
-    assert tpc_update(8.0, 2.0, 10.0) == 10.0
+    assert _sweep(1 / 9, "tpc", 1.0, 10.0) == pytest.approx([1 / 9])
+    assert _sweep(8.0, "tpc", 2.0, 10.0)[0] == 10.0
 
 
 def test_tpc_single_user_converges_in_one_step():
@@ -53,34 +73,37 @@ def test_tpc_single_user_converges_in_one_step():
 
 def test_tpc_gr_matches_tpc_when_feasible():
     r = np.array([0.3, 0.5])
-    assert tpc_gr_update(r, 1.0, 10.0) == pytest.approx(tpc_update(r, 1.0, 10.0))
+    assert _sweep(r, "tpc_gr", 1.0, 10.0) == pytest.approx(
+        _sweep(r, "tpc", 1.0, 10.0)
+    )
 
 
 def test_tpc_gr_soft_removal_value():
-    assert tpc_gr_update(20.0, 1.0, 10.0) == pytest.approx(5.0)
+    assert _sweep(20.0, "tpc_gr", 1.0, 10.0) == pytest.approx([5.0])
 
 
 @given(q=st.floats(10.001, 1e12))
 def test_tpc_gr_backs_off_monotonically(q):
     # demand beyond the budget: power p_max**2/q decreases toward zero
-    p = tpc_gr_update(np.array([q]), 1.0, 10.0)[0]
-    p2 = tpc_gr_update(np.array([2 * q]), 1.0, 10.0)[0]
+    p, p2 = _sweep([q, 2 * q], "tpc_gr", 1.0, 10.0)
     assert 0 < p <= 10.0
     assert p2 < p
 
 
 def test_opc_update_values():
-    assert opc_update(0.2, 0.02, 10.0) == pytest.approx(0.1)
-    assert opc_update(0.05, 1.0, 10.0) == 10.0  # capped
+    assert _sweep(0.2, "opc", 1.0, 10.0, eta=0.02) == pytest.approx([0.1])
+    assert _sweep(0.05, "opc", 1.0, 10.0, eta=1.0)[0] == 10.0  # capped
 
 
 def test_opc_better_channel_gets_more_power():
-    assert opc_update(0.01, 0.02, 10.0) > opc_update(0.1, 0.02, 10.0)
+    p = _sweep([0.01, 0.1], "opc", 1.0, 10.0, eta=0.02)
+    assert p[0] > p[1]
 
 
 def test_dtpc_branches():
-    assert dtpc_update(0.05, 1.0, 0.01, 10.0) == pytest.approx(0.2)  # opc side
-    assert dtpc_update(0.5, 1.0, 0.01, 10.0) == pytest.approx(0.5)  # tpc side
+    p = _sweep([0.05, 0.5], "dtpc", 1.0, 10.0, eta=0.01)
+    assert p[0] == pytest.approx(0.2)  # opc side
+    assert p[1] == pytest.approx(0.5)  # tpc side
 
 
 def test_prioritized_update_caps_lpues_only():
@@ -213,15 +236,12 @@ def test_infeasible_toy_saturates_everyone():
 @settings(max_examples=20, deadline=None)
 def test_tpc_monotone_from_zero_and_matches_oracle(seed):
     inst = sample_feasible_instance(np.random.default_rng(seed))
-    n = len(inst.targets)
-    diag = np.diag(inst.a)
-    off = inst.a.copy()
-    np.fill_diagonal(off, 0.0)
-    p = np.zeros(n)
+    p = np.zeros(len(inst.targets))
     prev = p
     for _ in range(4000):
-        r = (off @ p + inst.noise) / diag
-        p = tpc_update(r, inst.targets, 1e6)
+        p = iterate_power_control(
+            inst.a, inst.noise, inst.targets, 1e6, max_iters=1, p0=p
+        ).p
         assert np.all(p >= prev - 1e-15)
         if np.abs(p - prev).max() <= 1e-13 * max(p.max(), 1e-30):
             break
@@ -233,10 +253,9 @@ def test_tpc_monotone_from_zero_and_matches_oracle(seed):
 def test_idempotence_at_fixed_point():
     a, noise, targets = two_user_toy()
     state = iterate_power_control(a, noise, targets, 10.0, tol=1e-12)
-    diag = np.diag(a)
-    off = a - np.diag(diag)
-    r = (off @ state.p + noise) / diag
-    again = tpc_update(r, targets, 10.0)
+    again = iterate_power_control(
+        a, noise, targets, 10.0, max_iters=1, p0=state.p
+    ).p
     assert np.abs(again - state.p).max() <= 1e-10
 
 
@@ -294,6 +313,17 @@ def test_dtpc_requires_eta():
     a, noise, targets = two_user_toy()
     with pytest.raises(ValueError):
         iterate_power_control(a, noise, targets, 10.0, algorithm="dtpc")
+
+
+def test_unknown_hpue_algorithm_rejected():
+    a, noise, targets = two_user_toy()
+    for hpue_algorithm in ("ptpc", "bogus"):
+        with pytest.raises(ValueError, match="unknown base"):
+            iterate_power_control(
+                a, noise, targets, 10.0,
+                lpue_mask=np.array([False, True]),
+                hpue_algorithm=hpue_algorithm,
+            )
 
 
 # ------------------------------------------------------------- feasibility
@@ -429,3 +459,231 @@ def test_cochannel_system_is_uplink_only(cfg):
     )
     with pytest.raises(ValueError):
         cochannel_system(gm, down)
+
+
+# ------------------------------------------- kernel equivalence reference
+
+
+def _reference_iterate(
+    a, noise, targets, p_max, *, algorithm, eta, lpue_mask, caps,
+    hpue_algorithm, cap_mode, max_iters, tol, p0,
+):
+    """Frozen per-map power-control loop: every sweep evaluates the hp and
+    lp maps over all users and merges them by mask. Returns (p, iterations,
+    converged) for comparison with ``iterate_power_control``."""
+
+    def update(alg, r):
+        if alg == "tpc":
+            return np.minimum(p_max, targets * r)
+        if alg == "tpc_gr":
+            q = targets * r
+            return np.where(q <= p_max, q, p_max * p_max / q)
+        if alg == "opc":
+            return np.minimum(p_max, eta / r)
+        if alg == "dtpc":
+            return np.minimum(p_max, np.maximum(targets * r, eta / r))
+        raise AssertionError(alg)
+
+    n = targets.shape[0]
+    p_max = np.broadcast_to(np.asarray(p_max, dtype=float), (n,)).astype(float)
+    if eta is not None:
+        eta = np.broadcast_to(np.asarray(eta, dtype=float), (n,)).astype(float)
+    prioritized = algorithm in PRIORITIZED_BASE
+    base_alg = PRIORITIZED_BASE.get(algorithm, algorithm)
+    hp_alg = hpue_algorithm or ("tpc" if prioritized else algorithm)
+    diag = np.diag(a).copy()
+    off = a.copy()
+    np.fill_diagonal(off, 0.0)
+    p = np.zeros(n) if p0 is None else np.asarray(p0, dtype=float).copy()
+    static_cap = caps.cap if prioritized and cap_mode == "static" else None
+    limit = p_max.copy() if prioritized and cap_mode == "closed_loop" else None
+    converged = False
+    iterations = 0
+    for it in range(1, max_iters + 1):
+        r = (off @ p + noise) / diag
+        if lpue_mask is None:
+            new = update(base_alg, r)
+        else:
+            new = update(hp_alg, r)
+            new[lpue_mask] = update(base_alg, r)[lpue_mask]
+        if static_cap is not None:
+            new = np.minimum(new, static_cap)
+        elif limit is not None:
+            lp = caps.lpue_index
+            over = (caps.gain_block @ p[lp]) > caps.thresholds
+            commanded = (caps.above_floor & over[:, None]).any(axis=0)
+            lp_limit = np.where(
+                commanded, p[lp] / 2.0, np.minimum(p_max[lp], limit[lp] * 1.1)
+            )
+            limit[lp] = lp_limit
+            new[lp] = np.minimum(new[lp], lp_limit)
+        delta = np.abs(new - p).max() if n else 0.0
+        scale = max(np.abs(p).max() if n else 0.0, 1e-30)
+        p = new
+        iterations = it
+        if delta < tol * scale:
+            converged = True
+            break
+    return p, iterations, converged
+
+
+def _synthetic_caps(rng, a, lpue_mask, p_max):
+    """A cap set for a random square system: the rows of the high-priority
+    users act as protected receivers, with thresholds set so that some caps
+    bind and the closed loop issues commands."""
+    protected = np.flatnonzero(~lpue_mask)
+    lpue_index = np.flatnonzero(lpue_mask)
+    gain_block = a[np.ix_(protected, lpue_index)]
+    above = gain_block > np.median(gain_block) if gain_block.size else (
+        np.zeros_like(gain_block, dtype=bool)
+    )
+    cap = np.full(len(lpue_mask), np.inf)
+    cap[lpue_index] = p_max * rng.uniform(0.05, 1.0, size=lpue_index.size)
+    thresholds = (gain_block @ cap[lpue_index]) * 0.5 + 1e-6
+    return PrioritizedCapSet(
+        cap=cap,
+        thresholds=thresholds,
+        shares=above.sum(axis=1),
+        protected=protected,
+        lpue_index=lpue_index,
+        gain_block=gain_block,
+        above_floor=above,
+    )
+
+
+def _equivalence_systems():
+    """(a, noise, targets, p_max, eta, lpue_mask, caps) tuples: seeded random
+    instances with synthetic caps, and small fig2 snapshots with their real
+    prioritized caps."""
+    systems = []
+    for seed in range(6):
+        rng = np.random.default_rng(900 + seed)
+        inst = sample_instance(rng, n_users=int(rng.integers(3, 9)))
+        n = len(inst.targets)
+        lpue_mask = np.zeros(n, dtype=bool)
+        lpue_mask[rng.permutation(n)[: n // 2 + 1]] = True
+        p_max = 10.0 ** rng.uniform(-1.0, 1.0)
+        caps = _synthetic_caps(rng, inst.a, lpue_mask, p_max)
+        systems.append(
+            (inst.a, inst.noise, inst.targets, p_max, inst.eta, lpue_mask, caps)
+        )
+    small = SimConfig(grid_rows=2)
+    for n_small, seed in ((3, 1), (5, 2)):
+        snap = generate_fig2_snapshot(small, n_small, seed)
+        gm = build_gain_matrix(snap, small)
+        a, noise = cochannel_system(gm, associate(snap, gm, "home", "uplink"))
+        caps = prioritized_caps(snap, gm, ith=small.ith_w)
+        systems.append(
+            (a, noise, snap.target_sir, snap.p_max, snap.opc_eta,
+             snap.lpue_mask, caps)
+        )
+    return systems
+
+
+_EQUIVALENCE_CASES = [
+    (alg, hp, mode)
+    for alg in ALGORITHMS
+    for hp in (None, "tpc", "opc", "dtpc")
+    for mode in (("static", "closed_loop") if alg in PRIORITIZED_BASE
+                 else ("static",))
+]
+
+
+@pytest.mark.parametrize("algorithm,hpue_algorithm,cap_mode", _EQUIVALENCE_CASES)
+def test_kernel_matches_reference_loop(algorithm, hpue_algorithm, cap_mode):
+    prioritized = algorithm in PRIORITIZED_BASE
+    for k, (a, noise, targets, p_max, eta, lpue_mask, caps) in enumerate(
+        _equivalence_systems()
+    ):
+        n = len(targets)
+        explicit = np.random.default_rng(k).uniform(0.0, 1.0, size=n) * p_max
+        masks = (lpue_mask,) if prioritized else (None, lpue_mask)
+        # a loose tol stops while the iterate still moves, which pins the
+        # scale of the convergence test
+        for mask, p0, tol in itertools.product(
+            masks, (None, explicit), (1e-9, 0.05)
+        ):
+            kwargs = dict(
+                algorithm=algorithm,
+                eta=eta,
+                lpue_mask=mask,
+                caps=caps if prioritized else None,
+                hpue_algorithm=hpue_algorithm,
+                cap_mode=cap_mode,
+                max_iters=300,
+                tol=tol,
+                p0=p0,
+            )
+            state = iterate_power_control(a, noise, targets, p_max, **kwargs)
+            p, iterations, converged = _reference_iterate(
+                a, noise, targets, p_max, **kwargs
+            )
+            label = (k, mask is not None, p0 is not None, tol)
+            assert np.array_equal(state.p, p), label
+            assert state.iterations == iterations, label
+            assert state.converged == converged, label
+
+
+# -------------------------------------------- standard interference maps
+
+
+def _capped_system(seed, p_max, algorithm):
+    """A feasible instance plus the prioritized inputs ``algorithm`` needs."""
+    rng = np.random.default_rng(seed)
+    inst = sample_feasible_instance(rng)
+    kwargs = {}
+    if algorithm in PRIORITIZED_BASE:
+        n = len(inst.targets)
+        lpue_mask = np.zeros(n, dtype=bool)
+        lpue_mask[rng.permutation(n)[: n // 2 + 1]] = True
+        kwargs = dict(
+            lpue_mask=lpue_mask,
+            caps=_synthetic_caps(rng, inst.a, lpue_mask, p_max),
+        )
+    return inst, kwargs
+
+
+# Capped tpc and ptpc are standard interference functions (Yates, IEEE JSAC
+# 13(7), 1995): positive, monotone and scalable. opc is not one, since its
+# eta / R falls as interference grows, so it is not tested here.
+@pytest.mark.parametrize("algorithm", ["tpc", "ptpc"])
+@given(seed=st.integers(0, 10_000), p_max=st.floats(0.05, 10.0))
+@settings(max_examples=25, deadline=None)
+def test_iterates_from_zero_never_decrease(algorithm, seed, p_max):
+    # exact: gemv with non-negative entries and the monotone per-user maps
+    # keep floating-point order, so no tolerance is needed
+    inst, kwargs = _capped_system(seed, p_max, algorithm)
+    p = np.zeros(len(inst.targets))
+    for _ in range(5000):
+        nxt = iterate_power_control(
+            inst.a, inst.noise, inst.targets, p_max,
+            algorithm=algorithm, max_iters=1, p0=p, **kwargs,
+        ).p
+        assert np.all(nxt >= p)
+        if np.array_equal(nxt, p):
+            break
+        p = nxt
+    else:
+        pytest.fail("iterates did not settle within 5000 sweeps")
+
+
+@pytest.mark.parametrize("algorithm", ["tpc", "ptpc"])
+@given(seed=st.integers(0, 10_000), p_max=st.floats(0.05, 10.0))
+@settings(max_examples=25, deadline=None)
+def test_runs_from_zero_and_from_budget_meet(algorithm, seed, p_max):
+    # the fixed point is unique: the run from below and the run from the
+    # budget bracket it and meet, to the default pc.tol, when each stops
+    # at 1e-12
+    inst, kwargs = _capped_system(seed, p_max, algorithm)
+    n = len(inst.targets)
+    runs = [
+        iterate_power_control(
+            inst.a, inst.noise, inst.targets, p_max,
+            algorithm=algorithm, tol=1e-12, max_iters=20_000, p0=p0, **kwargs,
+        )
+        for p0 in (np.zeros(n), np.full(n, p_max))
+    ]
+    low, high = runs
+    assert low.converged and high.converged
+    assert np.all(low.p <= high.p)
+    assert np.abs(high.p - low.p).max() <= DEFAULT_TOL * high.p.max()
