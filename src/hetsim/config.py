@@ -71,8 +71,11 @@ class SimConfig:
         return 10.0 ** (self.target_sir_db / 10.0)
 
     def validate(self):
-        for key, field_name, _ in _KEY_TABLE:
-            _VALIDATORS[key](getattr(self, field_name), key)
+        for key, field_name, parser in _KEY_TABLE:
+            value = getattr(self, field_name)
+            if parser is _parse_float:
+                _finite(value, key)
+            _VALIDATORS[key](value, key)
         if self.lambda_hi < self.lambda_lo:
             raise ConfigError(
                 "disc.lambda_hi must be >= disc.lambda_lo",
@@ -137,11 +140,6 @@ def _non_negative(value, key):
 def _finite(value, key):
     if not (value == value and abs(value) != float("inf")):
         raise ConfigError(f"value must be finite, got {value!r}", key=key)
-
-
-def _positive_finite(value, key):
-    _positive(value, key)
-    _finite(value, key)
 
 
 def _u64(value, key):
@@ -230,7 +228,7 @@ _VALIDATORS = {
     "power.macro_w": _positive,
     "power.small_w": _positive,
     "power.pmax_w": _positive,
-    "noise_w": _positive_finite,
+    "noise_w": _positive,
     "target_sir_db": _finite,
     "opc_eta": _positive,
     "ith_w": _positive,

@@ -33,7 +33,8 @@ import numpy as np
 from .errors import NumericError, OracleError
 from .network import UPLINK
 
-ALGORITHMS = ("tpc", "tpc_gr", "opc", "dtpc", "ptpc", "ptpc_gr", "popc")
+BASE_ALGORITHMS = ("tpc", "tpc_gr", "opc", "dtpc")
+ALGORITHMS = (*BASE_ALGORITHMS, "ptpc", "ptpc_gr", "popc")
 PRIORITIZED_BASE = {"ptpc": "tpc", "ptpc_gr": "tpc_gr", "popc": "opc"}
 
 DEFAULT_MAX_ITERS = 2000
@@ -43,43 +44,6 @@ DEFAULT_TOL_SUPPORT = 1e-6
 # Scale floor for the relative convergence test; only relevant while the
 # iterate is still exactly zero.
 _SCALE_FLOOR = 1e-30
-
-
-def tpc_update(r, target, p_max):
-    """Track the target SIR, saturating at the power budget."""
-    return np.minimum(p_max, target * np.asarray(r, dtype=float))
-
-
-def tpc_gr_update(r, target, p_max):
-    """Target tracking with soft removal: once the demanded power q exceeds
-    the budget, transmit p_max**2 / q instead, which decreases toward zero as
-    the demand grows."""
-    q = target * np.asarray(r, dtype=float)
-    return np.where(q <= p_max, q, p_max * p_max / q)
-
-
-def opc_update(r, eta, p_max):
-    """Opportunistic map: power inversely proportional to effective
-    interference, capped at the budget."""
-    return np.minimum(p_max, eta / np.asarray(r, dtype=float))
-
-
-def dtpc_update(r, target, eta, p_max):
-    """Selective max of the tracking and opportunistic maps."""
-    r = np.asarray(r, dtype=float)
-    return np.minimum(p_max, np.maximum(target * r, eta / r))
-
-
-def _apply_update(algorithm, r, target, eta, p_max):
-    if algorithm == "tpc":
-        return tpc_update(r, target, p_max)
-    if algorithm == "tpc_gr":
-        return tpc_gr_update(r, target, p_max)
-    if algorithm == "opc":
-        return opc_update(r, eta, p_max)
-    if algorithm == "dtpc":
-        return dtpc_update(r, target, eta, p_max)
-    raise ValueError(f"unknown base power-control algorithm {algorithm!r}")
 
 
 @dataclass
@@ -233,6 +197,10 @@ def iterate_power_control(
     ``cap_mode='closed_loop'`` replaces the static caps with a multiplicative
     back-off (halve on a threshold-crossing command, recover by 1.1x); its
     safety guarantee holds at convergence only.
+
+    Each sweep is one fused pass over preallocated buffers: the per-user
+    maps are selected by masks built once, and the budget and static caps
+    are folded into one per-user clip before the loop.
     """
     a, noise, targets = _validate_system(a, noise, targets)
     n = targets.shape[0]
@@ -259,52 +227,84 @@ def iterate_power_control(
         lpue_mask = np.asarray(lpue_mask, dtype=bool)
         if lpue_mask.shape != (n,):
             raise ValueError("lpue_mask must have one flag per user")
+    if hpue_algorithm not in (None, *BASE_ALGORITHMS):
+        raise ValueError(
+            f"unknown base power-control algorithm {hpue_algorithm!r}"
+        )
     if cap_mode not in ("static", "closed_loop"):
         raise ValueError(f"unknown cap_mode {cap_mode!r}")
-    hp_alg = hpue_algorithm or ("tpc" if prioritized else algorithm)
-    lp_alg = base_alg
+    hp_alg = base_alg if lpue_mask is None else (
+        hpue_algorithm or ("tpc" if prioritized else algorithm)
+    )
+    maps = {base_alg, hp_alg}
+
+    def users_on(name):
+        # a plain bool when every user or none runs ``name``
+        if (base_alg == name) == (hp_alg == name):
+            return base_alg == name
+        return lpue_mask if base_alg == name else ~lpue_mask
+
+    opportunistic = not maps.isdisjoint(("opc", "dtpc"))
+    opc, dtpc = users_on("opc"), users_on("dtpc")
+    closed_loop = prioritized and cap_mode == "closed_loop"
 
     diag = np.diag(a).copy()
     off = a.copy()
     np.fill_diagonal(off, 0.0)
+    # Per-user clip of the demand, built once from the budget and the
+    # static caps.
+    cap = np.inf
+    if prioritized and not closed_loop:
+        cap = np.asarray(caps.cap, dtype=float)
+    clip = np.minimum(p_max, cap)
+    soft_removal = "tpc_gr" in maps
+    if soft_removal:
+        # tpc_gr users skip the budget: their demands above it become
+        # p_max**2 / q, which lies below it
+        soft = users_on("tpc_gr")
+        clip = np.where(soft, cap, clip)
+        soft_above = np.where(soft, p_max, np.inf)
+        p_max_sq = p_max * p_max
+        over_budget = np.empty(n, dtype=bool)
+    limit = p_max.copy() if closed_loop else None
 
     p = np.zeros(n) if p0 is None else np.asarray(p0, dtype=float).copy()
-    static_cap = None
-    if prioritized and cap_mode == "static":
-        static_cap = np.asarray(caps.cap, dtype=float)
-    limit = None
-    if prioritized and cap_mode == "closed_loop":
-        limit = p_max.copy()
+    new, r, q, work = (np.empty(n) for _ in range(4))
 
     converged = False
     iterations = 0
     for it in range(1, max_iters + 1):
-        r = (off @ p + noise) / diag
-        if lpue_mask is None:
-            new = _apply_update(base_alg, r, targets, eta, p_max)
-        else:
-            new = _apply_update(hp_alg, r, targets, eta, p_max)
-            lp_new = _apply_update(lp_alg, r, targets, eta, p_max)
-            new[lpue_mask] = lp_new[lpue_mask]
-        if static_cap is not None:
-            new = np.minimum(new, static_cap)
-        elif limit is not None:
+        np.matmul(off, p, out=r)
+        r += noise
+        r /= diag
+        # demand q: target * R (tpc family), eta / R (opc), the larger (dtpc)
+        np.multiply(targets, r, out=q)
+        if opportunistic:
+            np.divide(eta, r, out=work)
+            np.maximum(q, work, out=q, where=dtpc)
+            np.copyto(q, work, where=opc)
+        if soft_removal:
+            np.greater(q, soft_above, out=over_budget)
+            np.divide(p_max_sq, q, out=q, where=over_budget)
+        np.minimum(q, clip, out=new)
+        if closed_loop:
             # command issued by every protected receiver whose current
             # low-priority interference exceeds its threshold
-            lp_p = p[caps.lpue_index]
+            lp = caps.lpue_index
+            lp_p = p[lp]
             over = (caps.gain_block @ lp_p) > caps.thresholds
             commanded = (caps.above_floor & over[:, None]).any(axis=0)
-            lp_limit = limit[caps.lpue_index]
             lp_limit = np.where(
                 commanded,
-                p[caps.lpue_index] / 2.0,
-                np.minimum(p_max[caps.lpue_index], lp_limit * 1.1),
+                lp_p / 2.0,
+                np.minimum(p_max[lp], limit[lp] * 1.1),
             )
-            limit[caps.lpue_index] = lp_limit
-            new[caps.lpue_index] = np.minimum(new[caps.lpue_index], lp_limit)
-        delta = np.abs(new - p).max() if n else 0.0
+            limit[lp] = lp_limit
+            new[lp] = np.minimum(new[lp], lp_limit)
+        np.subtract(new, p, out=work)
+        delta = np.abs(work, out=work).max() if n else 0.0
         scale = max(np.abs(p).max() if n else 0.0, _SCALE_FLOOR)
-        p = new
+        p, new = new, p
         iterations = it
         if delta < tol * scale:
             converged = True

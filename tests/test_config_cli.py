@@ -42,9 +42,18 @@ def test_negative_power_names_key():
     with pytest.raises(ConfigError) as err:
         parse_config_text("power.pmax_w = -1\n")
     assert "power.pmax_w" in str(err.value)
-    with pytest.raises(ConfigError) as err:
-        parse_config_text("noise_w = inf\n")
-    assert "noise_w" in str(err.value)
+    non_finite = [
+        (key, value)
+        for key, default in SimConfig().to_key_values().items()
+        if isinstance(default, float)
+        for value in ("inf", "-inf", "nan")
+    ]
+    assert ("grid.macro_side_m", "inf") in non_finite
+    assert ("pathloss.k", "nan") in non_finite
+    for key, value in non_finite:
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"{key} = {value}\n")
+        assert key in str(err.value), (key, value)
 
 
 def test_unknown_key_reports_line():
@@ -215,6 +224,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     for args, key in (
         (["--set", "power.pmax_w=-1"], "power.pmax_w"),
         (["--set", "noise_w=inf"], "noise_w"),
+        (["--set", "grid.macro_side_m=inf"], "grid.macro_side_m"),
+        (["--set", "pc.tol=inf"], "pc.tol"),
+        (["--set", "ith_w=inf"], "ith_w"),
+        (["--set", "opc_eta=nan"], "opc_eta"),
         (["--set", "mc.sweep=3,65"], "mc.sweep"),
         (["--jobs", "0"], "--jobs"),
         (["--jobs", "-3"], "--jobs"),
