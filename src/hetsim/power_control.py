@@ -198,9 +198,8 @@ def iterate_power_control(
     back-off (halve on a threshold-crossing command, recover by 1.1x); its
     safety guarantee holds at convergence only.
 
-    Each sweep is one fused pass over preallocated buffers: the per-user
-    maps are selected by masks built once, and the budget and static caps
-    are folded into one per-user clip before the loop.
+    Each sweep is one fused pass over preallocated buffers, with the maps
+    picked per user by masks and one per-user clip, both built once.
     """
     a, noise, targets = _validate_system(a, noise, targets)
     n = targets.shape[0]
@@ -251,11 +250,8 @@ def iterate_power_control(
     diag = np.diag(a).copy()
     off = a.copy()
     np.fill_diagonal(off, 0.0)
-    # Per-user clip of the demand, built once from the budget and the
-    # static caps.
-    cap = np.inf
-    if prioritized and not closed_loop:
-        cap = np.asarray(caps.cap, dtype=float)
+    # per-user clip of the demand: the budget and the static caps
+    cap = caps.cap if prioritized and not closed_loop else np.inf
     clip = np.minimum(p_max, cap)
     soft_removal = "tpc_gr" in maps
     if soft_removal:
