@@ -5,23 +5,14 @@ scheduling on a single shared channel."""
 __version__ = "0.1.0"
 
 from .config import SimConfig, fig2_defaults, fig3_defaults, parse_config
-from .harness import (
-    experiment_fig2,
-    experiment_fig3,
-    run_monte_carlo,
-    run_snapshot,
-)
+from .harness import experiment_fig2, experiment_fig3, run_monte_carlo
 from .network import (
     build_gain_matrix,
     generate_fig2_snapshot,
     generate_fig3_snapshot,
     path_gain,
 )
-from .power_control import (
-    feasibility_check,
-    fixed_point_oracle,
-    run_power_control,
-)
+from .power_control import feasibility_check, fixed_point_oracle
 from .report import emit_report
 
 __all__ = [
@@ -40,6 +31,4 @@ __all__ = [
     "parse_config",
     "path_gain",
     "run_monte_carlo",
-    "run_power_control",
-    "run_snapshot",
 ]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import UPLINK
-from .scheduling import cell_loads
+from .scheduling import access_probability, cell_loads
 
 SCHEMES = (
     "rsrp",
@@ -102,8 +102,7 @@ def _access_matrix(snapshot, access_prob):
         return np.broadcast_to(access_prob, (snapshot.n_users, n_bs))
     counts = cell_loads(snapshot)
     at_home = snapshot.home[:, None] == np.arange(n_bs)[None, :]
-    others = counts[None, :] - at_home
-    return 1.0 / (others + 1.0)
+    return access_probability(counts[None, :] - at_home)
 
 
 def score_matrix(snapshot, gains, scheme, *, access_prob=None, bias_db=0.0):

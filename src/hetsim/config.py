@@ -71,27 +71,35 @@ class SimConfig:
         return 10.0 ** (self.target_sir_db / 10.0)
 
     def validate(self):
-        for key, field_name, parser in _KEY_TABLE:
+        for key, field_name, parser, check in _KEY_TABLE:
             value = getattr(self, field_name)
             if parser is _parse_float:
                 _finite(value, key)
-            _VALIDATORS[key](value, key)
+            check(value, key)
         if self.lambda_hi < self.lambda_lo:
             raise ConfigError(
                 "disc.lambda_hi must be >= disc.lambda_lo",
                 key="disc.lambda_hi",
             )
-        grid_ok = all(1 <= v <= 64 for v in self.sweep)
+        # at most 64, and at most the (macro // small)**2 axis-aligned
+        # squares that fit in a macro cell
+        limit = int(min(self.macro_side_m // self.small_side_m, 8.0)) ** 2
+        grid_ok = all(1 <= v <= limit for v in self.sweep)
         if self.geometry == "grid" and not grid_ok:
             raise ConfigError(
-                "grid sweep entries (small cells per macro) must be in [1, 64]",
+                "grid sweep entries (small cells per macro) must be in "
+                f"[1, {limit}] for grid.macro_side_m = {self.macro_side_m!r} "
+                f"and small.side_m = {self.small_side_m!r}",
                 key="mc.sweep",
             )
         return self
 
     def to_key_values(self):
         """Dotted-key view of the fully resolved config (native values)."""
-        return {key: getattr(self, field_name) for key, field_name, _ in _KEY_TABLE}
+        return {
+            key: getattr(self, field_name)
+            for key, field_name, _, _ in _KEY_TABLE
+        }
 
 
 def fig2_defaults():
@@ -142,6 +150,15 @@ def _finite(value, key):
         raise ConfigError(f"value must be finite, got {value!r}", key=key)
 
 
+def _budget(value, key):
+    # soft removal (tpc_gr) answers over-budget demands with p_max**2 / q
+    _positive(value, key)
+    if value * value == float("inf"):
+        raise ConfigError(
+            f"value squared must be finite, got {value!r}", key=key
+        )
+
+
 def _u64(value, key):
     if not 0 <= value < 2**64:
         raise ConfigError(f"value must fit in u64, got {value!r}", key=key)
@@ -181,80 +198,46 @@ def _enum(options):
     return check
 
 
-# (config key, SimConfig field, raw-text parser); validators keyed separately.
+# (config key, SimConfig field, raw-text parser, validator), in the order
+# render_config and summary.json list the keys.
 _KEY_TABLE = [
-    ("grid.rows", "grid_rows", _parse_int),
-    ("grid.macro_side_m", "macro_side_m", _parse_float),
-    ("small.side_m", "small_side_m", _parse_float),
-    ("small.per_macro", "small_per_macro", _parse_int),
-    ("disc.radius_m", "disc_radius_m", _parse_float),
-    ("disc.lambda_lo", "lambda_lo", _parse_float),
-    ("disc.lambda_hi", "lambda_hi", _parse_float),
-    ("power.macro_w", "power_macro_w", _parse_float),
-    ("power.small_w", "power_small_w", _parse_float),
-    ("power.pmax_w", "pmax_w", _parse_float),
-    ("noise_w", "noise_w", _parse_float),
-    ("target_sir_db", "target_sir_db", _parse_float),
-    ("opc_eta", "opc_eta", _parse_float),
-    ("ith_w", "ith_w", _parse_float),
-    ("bias_db", "bias_db", _parse_float),
-    ("epsilon", "epsilon", _parse_float),
-    ("scheduler", "scheduler", _parse_str),
-    ("assoc.uplink", "assoc_uplink", _parse_str),
-    ("assoc.downlink", "assoc_downlink", _parse_str),
-    ("pc.algorithm", "pc_algorithm", _parse_str),
-    ("pc.max_iters", "max_iters", _parse_int),
-    ("pc.tol", "tol", _parse_float),
-    ("pc.tol_support", "tol_support", _parse_float),
-    ("cells.hpue_per_macro", "hpue_per_macro", _parse_int),
-    ("cells.lpue_per_small", "lpue_per_small", _parse_int),
-    ("pathloss.exponent", "path_exponent", _parse_float),
-    ("pathloss.d_min", "path_d_min", _parse_float),
-    ("pathloss.k", "path_k", _parse_float),
-    ("mc.snapshots", "snapshots", _parse_int),
-    ("mc.base_seed", "base_seed", _parse_int),
-    ("mc.sweep", "sweep", _parse_sweep),
-    ("geometry", "geometry", _parse_str),
+    ("grid.rows", "grid_rows", _parse_int, _at_least_one),
+    ("grid.macro_side_m", "macro_side_m", _parse_float, _positive),
+    ("small.side_m", "small_side_m", _parse_float, _positive),
+    ("small.per_macro", "small_per_macro", _parse_int, _small_count),
+    ("disc.radius_m", "disc_radius_m", _parse_float, _positive),
+    ("disc.lambda_lo", "lambda_lo", _parse_float, _non_negative),
+    ("disc.lambda_hi", "lambda_hi", _parse_float, _non_negative),
+    ("power.macro_w", "power_macro_w", _parse_float, _positive),
+    ("power.small_w", "power_small_w", _parse_float, _positive),
+    ("power.pmax_w", "pmax_w", _parse_float, _budget),
+    ("noise_w", "noise_w", _parse_float, _positive),
+    ("target_sir_db", "target_sir_db", _parse_float, _finite),
+    ("opc_eta", "opc_eta", _parse_float, _positive),
+    ("ith_w", "ith_w", _parse_float, _positive),
+    ("bias_db", "bias_db", _parse_float, _non_negative),
+    ("epsilon", "epsilon", _parse_float, _non_negative),
+    ("scheduler", "scheduler", _parse_str, _enum(SCHEDULERS)),
+    ("assoc.uplink", "assoc_uplink", _parse_str, _enum(SCHEMES)),
+    ("assoc.downlink", "assoc_downlink", _parse_str, _enum(SCHEMES)),
+    ("pc.algorithm", "pc_algorithm", _parse_str, _enum(ALGORITHMS)),
+    ("pc.max_iters", "max_iters", _parse_int, _at_least_one),
+    ("pc.tol", "tol", _parse_float, _positive),
+    ("pc.tol_support", "tol_support", _parse_float, _non_negative),
+    ("cells.hpue_per_macro", "hpue_per_macro", _parse_int, _at_least_one),
+    ("cells.lpue_per_small", "lpue_per_small", _parse_int, _at_least_one),
+    ("pathloss.exponent", "path_exponent", _parse_float, _exponent),
+    ("pathloss.d_min", "path_d_min", _parse_float, _positive),
+    ("pathloss.k", "path_k", _parse_float, _positive),
+    ("mc.snapshots", "snapshots", _parse_int, _at_least_one),
+    ("mc.base_seed", "base_seed", _parse_int, _u64),
+    ("mc.sweep", "sweep", _parse_sweep, _sweep_ok),
+    ("geometry", "geometry", _parse_str, _enum(GEOMETRIES)),
 ]
 
-_VALIDATORS = {
-    "grid.rows": _at_least_one,
-    "grid.macro_side_m": _positive,
-    "small.side_m": _positive,
-    "small.per_macro": _small_count,
-    "disc.radius_m": _positive,
-    "disc.lambda_lo": _non_negative,
-    "disc.lambda_hi": _non_negative,
-    "power.macro_w": _positive,
-    "power.small_w": _positive,
-    "power.pmax_w": _positive,
-    "noise_w": _positive,
-    "target_sir_db": _finite,
-    "opc_eta": _positive,
-    "ith_w": _positive,
-    "bias_db": _non_negative,
-    "epsilon": _non_negative,
-    "scheduler": _enum(SCHEDULERS),
-    "assoc.uplink": _enum(SCHEMES),
-    "assoc.downlink": _enum(SCHEMES),
-    "pc.algorithm": _enum(ALGORITHMS),
-    "pc.max_iters": _at_least_one,
-    "pc.tol": _positive,
-    "pc.tol_support": _non_negative,
-    "cells.hpue_per_macro": _at_least_one,
-    "cells.lpue_per_small": _at_least_one,
-    "pathloss.exponent": _exponent,
-    "pathloss.d_min": _positive,
-    "pathloss.k": _positive,
-    "mc.snapshots": _at_least_one,
-    "mc.base_seed": _u64,
-    "mc.sweep": _sweep_ok,
-    "geometry": _enum(GEOMETRIES),
-}
-
-_FIELD_OF_KEY = {key: field_name for key, field_name, _ in _KEY_TABLE}
-_PARSER_OF_KEY = {key: parser for key, _, parser in _KEY_TABLE}
-KNOWN_KEYS = tuple(key for key, _, _ in _KEY_TABLE)
+_FIELD_OF_KEY = {key: field_name for key, field_name, _, _ in _KEY_TABLE}
+_PARSER_OF_KEY = {key: parser for key, _, parser, _ in _KEY_TABLE}
+KNOWN_KEYS = tuple(key for key, _, _, _ in _KEY_TABLE)
 
 
 def _iter_entries(text):
@@ -335,7 +318,7 @@ def render_config(cfg):
     reproduces an identical SimConfig."""
     lines = [
         f"{key} = {_render_value(getattr(cfg, field_name))}"
-        for key, field_name, _ in _KEY_TABLE
+        for key, field_name, _, _ in _KEY_TABLE
     ]
     return "\n".join(lines) + "\n"
 

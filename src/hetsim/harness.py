@@ -39,7 +39,7 @@ from .power_control import (
     iterate_power_control,
     prioritized_caps,
 )
-from .scheduling import CellLoad, access_probability, cell_loads
+from .scheduling import access_probability, cell_loads
 
 FIG2_ALGORITHMS = ("tpc", "tpc_gr", "ptpc", "ptpc_gr")
 FIG3_SCHEMES = ("distance", "resource", "hybrid")
@@ -186,13 +186,7 @@ def _disc_snapshot_results(cfg, n_small, seed, schemes):
     full power."""
     snapshot = generate_fig3_snapshot(cfg, n_small, seed)
     gains = build_gain_matrix(snapshot, cfg)
-    counts = cell_loads(snapshot, exclude_user=0)
-    p_access = np.array(
-        [
-            access_probability(CellLoad(b, int(n), cfg.scheduler))
-            for b, n in enumerate(counts)
-        ]
-    )
+    p_access = access_probability(cell_loads(snapshot, exclude_user=0))
     bs_powers = snapshot.bs_tx_power
     g0 = gains.gains[0]
     total = float(g0 @ bs_powers)
@@ -224,18 +218,6 @@ def _disc_snapshot_results(cfg, n_small, seed, schemes):
             spectral_eff_bps_hz=se,
         )
     return results
-
-
-def run_snapshot(cfg, sweep_point, seed):
-    """Single-variant pipeline for one snapshot: the configured algorithm on
-    the grid geometry, or the configured downlink scheme on the disc."""
-    if cfg.geometry == "grid":
-        return _grid_snapshot_results(cfg, sweep_point, seed, (cfg.pc_algorithm,))[
-            cfg.pc_algorithm
-        ]
-    return _disc_snapshot_results(cfg, sweep_point, seed, (cfg.assoc_downlink,))[
-        cfg.assoc_downlink
-    ]
 
 
 def _grid_job(payload):

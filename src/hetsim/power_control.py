@@ -52,9 +52,6 @@ class PowerState:
 
     p: np.ndarray
     sir: np.ndarray
-    target_sir: np.ndarray
-    opc_target: np.ndarray
-    p_max: np.ndarray
     supported: np.ndarray
     iterations: int
     converged: bool
@@ -64,79 +61,47 @@ class PowerState:
 class PrioritizedCapSet:
     """Static per-user power caps protecting high-priority receivers.
 
-    ``shares[m]`` counts the low-priority users whose full-power interference
-    at protected receiver m exceeds ``eps_floor``; each of them receives an
-    equal slice of that receiver's interference budget (threshold minus the
-    full-power mass of the excluded, below-floor users). Honoring every cap
-    therefore keeps aggregate low-priority interference at each protected
-    receiver at or below its threshold by construction.
+    Every low-priority user gets an equal share of each protected receiver's
+    interference threshold:
 
-    ``cap`` is per-user, +inf for users the caps do not act on. Users that are
-    negligible at every protected receiver keep their own power budget.
+        cap[i] = min_m thresholds[m] / (n_lp * gain_block[m, i]),
+
+    with ``n_lp`` the number of low-priority users. Honoring every cap
+    therefore keeps aggregate low-priority interference at each protected
+    receiver at or below its threshold by construction. ``cap`` is per-user,
+    +inf for users the caps do not act on.
     """
 
     cap: np.ndarray
     thresholds: np.ndarray
-    shares: np.ndarray
-    protected: np.ndarray
     lpue_index: np.ndarray
     gain_block: np.ndarray
-    above_floor: np.ndarray
 
 
-def prioritized_caps(snapshot, gains, ith, eps_floor=0.0):
+def prioritized_caps(snapshot, gains, ith):
     """Equal-share static caps for every low-priority user (uplink only)."""
     if snapshot.direction != UPLINK:
         raise ValueError("prioritized caps are defined for uplink snapshots")
     protected = np.flatnonzero(~snapshot.bs_small)
     lpue_index = np.flatnonzero(snapshot.lpue_mask)
-    p_max = snapshot.p_max
     thresholds = np.broadcast_to(
         np.asarray(ith, dtype=float), protected.shape
     ).astype(float)
     if np.any(thresholds <= 0):
         raise ValueError("interference thresholds must be positive")
 
-    n_users = snapshot.n_users
-    cap = np.full(n_users, np.inf)
+    cap = np.full(snapshot.n_users, np.inf)
     gain_block = gains.gains[np.ix_(protected, lpue_index)]
-    if lpue_index.size == 0 or protected.size == 0:
-        return PrioritizedCapSet(
-            cap=cap,
-            thresholds=thresholds,
-            shares=np.zeros(protected.size, dtype=int),
-            protected=protected,
-            lpue_index=lpue_index,
-            gain_block=gain_block,
-            above_floor=np.zeros_like(gain_block, dtype=bool),
-        )
-
-    max_interference = gain_block * p_max[lpue_index][None, :]
-    above = max_interference > eps_floor
-    shares = above.sum(axis=1)
-    excluded = np.where(above, 0.0, max_interference).sum(axis=1)
-    budget = thresholds - excluded
-    if np.any((budget <= 0) & (shares > 0)):
-        raise NumericError(
-            "eps_floor excludes more interference than the threshold allows"
-        )
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        candidate = budget[:, None] / (shares[:, None] * gain_block)
-    candidate = np.where(above, candidate, np.inf)
-    lp_cap = candidate.min(axis=0)
-    # users negligible at every protected receiver keep their own budget
-    unconstrained = ~above.any(axis=0)
-    lp_cap[unconstrained] = p_max[lpue_index][unconstrained]
-    cap[lpue_index] = lp_cap
+    if protected.size and lpue_index.size:
+        # a zero gain leaves the user unconstrained by that receiver
+        with np.errstate(divide="ignore"):
+            share = thresholds[:, None] / (lpue_index.size * gain_block)
+        cap[lpue_index] = share.min(axis=0)
     return PrioritizedCapSet(
         cap=cap,
         thresholds=thresholds,
-        shares=shares,
-        protected=protected,
         lpue_index=lpue_index,
         gain_block=gain_block,
-        above_floor=above,
     )
 
 
@@ -181,7 +146,6 @@ def iterate_power_control(
     lpue_mask=None,
     caps=None,
     hpue_algorithm=None,
-    cap_mode="static",
     max_iters=DEFAULT_MAX_ITERS,
     tol=DEFAULT_TOL,
     tol_support=DEFAULT_TOL_SUPPORT,
@@ -194,9 +158,6 @@ def iterate_power_control(
     after ``max_iters`` sweeps; non-convergence is flagged on the returned
     state, never raised. ``hpue_algorithm`` overrides the map used by users
     outside ``lpue_mask`` (prioritized algorithms default them to tpc).
-    ``cap_mode='closed_loop'`` replaces the static caps with a multiplicative
-    back-off (halve on a threshold-crossing command, recover by 1.1x); its
-    safety guarantee holds at convergence only.
 
     Each sweep is one fused pass over preallocated buffers, with the maps
     picked per user by masks and one per-user clip, both built once.
@@ -210,8 +171,7 @@ def iterate_power_control(
         raise ValueError(f"unknown power-control algorithm {algorithm!r}")
     prioritized = algorithm in PRIORITIZED_BASE
     base_alg = PRIORITIZED_BASE.get(algorithm, algorithm)
-    needs_eta = base_alg in ("opc", "dtpc") or hpue_algorithm in ("opc", "dtpc")
-    if needs_eta:
+    if base_alg in ("opc", "dtpc") or hpue_algorithm in ("opc", "dtpc"):
         if eta is None:
             raise ValueError(f"{algorithm} requires the opportunistic target eta")
         eta = np.broadcast_to(np.asarray(eta, dtype=float), (n,)).astype(float)
@@ -230,8 +190,6 @@ def iterate_power_control(
         raise ValueError(
             f"unknown base power-control algorithm {hpue_algorithm!r}"
         )
-    if cap_mode not in ("static", "closed_loop"):
-        raise ValueError(f"unknown cap_mode {cap_mode!r}")
     hp_alg = base_alg if lpue_mask is None else (
         hpue_algorithm or ("tpc" if prioritized else algorithm)
     )
@@ -245,13 +203,12 @@ def iterate_power_control(
 
     opportunistic = not maps.isdisjoint(("opc", "dtpc"))
     opc, dtpc = users_on("opc"), users_on("dtpc")
-    closed_loop = prioritized and cap_mode == "closed_loop"
 
     diag = np.diag(a).copy()
     off = a.copy()
     np.fill_diagonal(off, 0.0)
     # per-user clip of the demand: the budget and the static caps
-    cap = caps.cap if prioritized and not closed_loop else np.inf
+    cap = caps.cap if prioritized else np.inf
     clip = np.minimum(p_max, cap)
     soft_removal = "tpc_gr" in maps
     if soft_removal:
@@ -260,9 +217,14 @@ def iterate_power_control(
         soft = users_on("tpc_gr")
         clip = np.where(soft, cap, clip)
         soft_above = np.where(soft, p_max, np.inf)
-        p_max_sq = p_max * p_max
+        with np.errstate(over="ignore"):
+            p_max_sq = p_max * p_max
+        if not np.isfinite(p_max_sq[soft]).all():
+            raise ValueError(
+                "tpc_gr power budgets must have a finite square "
+                "(soft removal answers with p_max**2 / q)"
+            )
         over_budget = np.empty(n, dtype=bool)
-    limit = p_max.copy() if closed_loop else None
 
     p = np.zeros(n) if p0 is None else np.asarray(p0, dtype=float).copy()
     new, r, q, work = (np.empty(n) for _ in range(4))
@@ -283,20 +245,6 @@ def iterate_power_control(
             np.greater(q, soft_above, out=over_budget)
             np.divide(p_max_sq, q, out=q, where=over_budget)
         np.minimum(q, clip, out=new)
-        if closed_loop:
-            # command issued by every protected receiver whose current
-            # low-priority interference exceeds its threshold
-            lp = caps.lpue_index
-            lp_p = p[lp]
-            over = (caps.gain_block @ lp_p) > caps.thresholds
-            commanded = (caps.above_floor & over[:, None]).any(axis=0)
-            lp_limit = np.where(
-                commanded,
-                lp_p / 2.0,
-                np.minimum(p_max[lp], limit[lp] * 1.1),
-            )
-            limit[lp] = lp_limit
-            new[lp] = np.minimum(new[lp], lp_limit)
         np.subtract(new, p, out=work)
         delta = np.abs(work, out=work).max() if n else 0.0
         scale = max(np.abs(p).max() if n else 0.0, _SCALE_FLOOR)
@@ -312,44 +260,9 @@ def iterate_power_control(
     return PowerState(
         p=p,
         sir=sir,
-        target_sir=targets,
-        opc_target=eta if needs_eta else np.zeros(n),
-        p_max=p_max,
         supported=supported,
         iterations=iterations,
         converged=converged,
-    )
-
-
-def run_power_control(
-    algorithm,
-    snapshot,
-    gains,
-    assoc,
-    *,
-    max_iters=DEFAULT_MAX_ITERS,
-    tol=DEFAULT_TOL,
-    tol_support=DEFAULT_TOL_SUPPORT,
-    caps=None,
-    hpue_algorithm=None,
-    cap_mode="static",
-):
-    """Run the chosen algorithm on an uplink snapshot from p = 0."""
-    a, noise = cochannel_system(gains, assoc)
-    return iterate_power_control(
-        a,
-        noise,
-        snapshot.target_sir,
-        snapshot.p_max,
-        algorithm=algorithm,
-        eta=snapshot.opc_eta,
-        lpue_mask=snapshot.lpue_mask,
-        caps=caps,
-        hpue_algorithm=hpue_algorithm,
-        cap_mode=cap_mode,
-        max_iters=max_iters,
-        tol=tol,
-        tol_support=tol_support,
     )
 
 

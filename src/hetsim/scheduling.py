@@ -2,35 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SCHEDULERS = ("round_robin", "greedy")
 
 
-@dataclass(frozen=True)
-class CellLoad:
-    """Load of one cell: ``n_users`` counts incumbents, i.e. the prospective
-    joiner is not included."""
-
-    bs_id: int
-    n_users: int
-    scheduler: str = "round_robin"
-
-
-def access_probability(load):
-    """Probability that a prospective joiner gets the channel: 1 / (n + 1).
+def access_probability(counts):
+    """Probability that a prospective joiner gets the channel of a cell with
+    ``counts`` incumbents (the joiner not included): 1 / (n + 1), elementwise.
 
     Round robin serves the n + 1 users equally after the join. Greedy serves
     the largest i.i.d. fading gain, and by exchangeability the joiner wins
-    with the same 1 / (n + 1). An empty cell admits with probability 1.
+    with the same 1 / (n + 1), so the scheduler changes no number. An empty
+    cell admits with probability 1.
     """
-    if load.scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {load.scheduler!r}")
-    if load.n_users < 0:
-        raise ValueError(f"n_users must be non-negative, got {load.n_users}")
-    return 1.0 / (load.n_users + 1.0)
+    counts = np.asarray(counts)
+    if np.any(counts < 0):
+        raise ValueError(
+            f"incumbent counts must be non-negative, got {counts.min()}"
+        )
+    return 1.0 / (counts + 1.0)
 
 
 def greedy_access_prob_mc(n_users, trials, seed):

@@ -12,11 +12,14 @@ from hetsim.harness import (
     outage_ratio,
     run_grid_experiment,
     run_monte_carlo,
-    run_snapshot,
     throughput_metrics,
 )
 from hetsim.network import build_gain_matrix, generate_fig2_snapshot
-from hetsim.power_control import PowerState, run_power_control
+from hetsim.power_control import (
+    PowerState,
+    cochannel_system,
+    iterate_power_control,
+)
 
 
 def _state(supported, sirs=None):
@@ -24,9 +27,6 @@ def _state(supported, sirs=None):
     return PowerState(
         p=np.zeros(n),
         sir=np.asarray(sirs if sirs is not None else np.ones(n), dtype=float),
-        target_sir=np.ones(n),
-        opc_target=np.zeros(n),
-        p_max=np.ones(n),
         supported=np.asarray(supported, dtype=bool),
         iterations=1,
         converged=True,
@@ -69,16 +69,26 @@ def test_throughput_metrics_values():
     assert se == pytest.approx(0.5)
 
 
+def _one_snapshot(cfg, sweep_point, seed):
+    """Result of the configured single variant on one snapshot."""
+    cfg = dataclasses.replace(
+        cfg, snapshots=1, sweep=(sweep_point,), base_seed=seed
+    )
+    (per_seed,) = run_monte_carlo(cfg, keep_snapshots=True).raw.values()
+    return per_seed[0]
+
+
 def test_run_snapshot_deterministic(cfg):
     cfg = dataclasses.replace(cfg, pc_algorithm="tpc")
-    a = run_snapshot(cfg, 3, 17)
-    b = run_snapshot(cfg, 3, 17)
+    a = _one_snapshot(cfg, 3, 17)
+    b = _one_snapshot(cfg, 3, 17)
     assert a == b
 
 
 def test_run_snapshot_disc_variant():
     cfg = dataclasses.replace(fig3_defaults(), assoc_downlink="hybrid")
-    res = run_snapshot(cfg, 5, 3)
+    res = _one_snapshot(cfg, 5, 3)
+    assert res.variant == "hybrid"
     assert res.spectral_eff_bps_hz is not None
     assert res.hpue_outage is None
     assert res.converged
@@ -86,7 +96,7 @@ def test_run_snapshot_disc_variant():
 
 def test_fig2_single_snapshot_protects_hpues(cfg):
     cfg = dataclasses.replace(cfg, pc_algorithm="ptpc")
-    res = run_snapshot(cfg, 3, 1)
+    res = _one_snapshot(cfg, 3, 1)
     assert res.hpue_outage == 0.0
     assert res.safety_margin_w is not None and res.safety_margin_w <= 0.0
 
@@ -191,10 +201,18 @@ def test_mei_with_opc_is_permitted_but_does_not_help_throughput(cfg):
     for seed in (1, 2, 3, 4, 5):
         snap = generate_fig2_snapshot(cfg, 3, seed)
         gains = build_gain_matrix(snap, cfg)
-        mei = associate(snap, gains, "mei", "uplink")
-        rsrp = associate(snap, gains, "rsrp", "uplink")
-        st_mei = run_power_control("opc", snap, gains, mei)
-        st_rsrp = run_power_control("opc", snap, gains, rsrp)
+        st_mei, st_rsrp = (
+            iterate_power_control(
+                *cochannel_system(
+                    gains, associate(snap, gains, scheme, "uplink")
+                ),
+                snap.target_sir,
+                snap.p_max,
+                algorithm="opc",
+                eta=snap.opc_eta,
+            )
+            for scheme in ("mei", "rsrp")
+        )
         assert st_mei.converged and st_rsrp.converged
         gaps.append(
             np.log2(1 + st_mei.sir).sum() - np.log2(1 + st_rsrp.sir).sum()
@@ -207,6 +225,6 @@ def test_mei_association_power_control_pipeline(cfg):
     # prioritized caps still bound the protected receivers when users are
     # served by their minimum-effective-interference cell instead of home
     cfg = dataclasses.replace(cfg, assoc_uplink="mei", pc_algorithm="ptpc")
-    res = run_snapshot(cfg, 3, 2)
+    res = _one_snapshot(cfg, 3, 2)
     assert res.converged
     assert res.safety_margin_w <= 0.0

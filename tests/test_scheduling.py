@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hetsim.config import SimConfig
+from hetsim.config import SimConfig, fig3_defaults
+from hetsim.harness import experiment_fig3
 from hetsim.network import generate_fig3_snapshot
 from hetsim.scheduling import (
-    CellLoad,
     access_probability,
     cell_loads,
     greedy_access_prob_mc,
@@ -14,33 +16,36 @@ from hetsim.scheduling import (
 
 
 def test_empty_cell_admits_certainly():
-    assert access_probability(CellLoad(0, 0, "round_robin")) == 1.0
-    assert access_probability(CellLoad(0, 0, "greedy")) == 1.0
+    assert access_probability(0) == 1.0
 
 
 def test_round_robin_three_incumbents():
-    assert access_probability(CellLoad(0, 3, "round_robin")) == 0.25
+    assert access_probability(3) == 0.25
+    assert access_probability(np.array([0, 1, 3])).tolist() == [1.0, 0.5, 0.25]
 
 
 def test_greedy_matches_round_robin_analytically():
-    for n in range(8):
-        assert access_probability(CellLoad(0, n, "greedy")) == access_probability(
-            CellLoad(0, n, "round_robin")
-        )
+    # both schedulers admit a joiner with 1 / (n + 1): the key moves no number
+    base = dataclasses.replace(fig3_defaults(), snapshots=3)
+    rows = [
+        experiment_fig3(dataclasses.replace(base, scheduler=name)).rows
+        for name in ("round_robin", "greedy")
+    ]
+    assert rows[0] == rows[1]
 
 
 @given(n=st.integers(0, 500))
 def test_access_probability_strictly_decreasing(n):
-    p = access_probability(CellLoad(0, n))
+    p = access_probability(n)
     assert 0 < p <= 1
-    assert access_probability(CellLoad(0, n + 1)) < p
+    assert access_probability(n + 1) < p
 
 
 def test_access_probability_validates():
     with pytest.raises(ValueError):
-        access_probability(CellLoad(0, -1))
+        access_probability(-1)
     with pytest.raises(ValueError):
-        access_probability(CellLoad(0, 1, "priority"))
+        access_probability(np.array([2, 0, -1]))
 
 
 def test_greedy_mc_empty_cell_exact():
@@ -74,9 +79,7 @@ def test_round_robin_shares_sum_to_one_per_cell():
             continue
         members = np.flatnonzero(snap.home == b)
         shares = [
-            access_probability(
-                CellLoad(b, int(cell_loads(snap, exclude_user=uid)[b]))
-            )
+            access_probability(cell_loads(snap, exclude_user=uid)[b])
             for uid in members
         ]
         assert sum(shares) == pytest.approx(1.0, rel=1e-12)
