@@ -15,6 +15,7 @@ error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -112,7 +113,10 @@ def _add_run_options(parser):
     )
     parser.add_argument("--seed", type=int, help="override mc.base_seed")
     parser.add_argument(
-        "--jobs", type=int, default=1, help="parallel snapshot workers"
+        "--jobs",
+        type=int,
+        default=1,
+        help="parallel snapshot workers (1 to os.cpu_count())",
     )
 
 
@@ -150,9 +154,12 @@ def _load_config(args, base):
                 f"--seed must fit in u64, got {args.seed}", key="mc.base_seed"
             )
         cfg.base_seed = args.seed
-    if args.jobs < 1:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
         raise ConfigError(
-            f"--jobs must be at least 1, got {args.jobs}", key="--jobs"
+            f"--jobs must be between 1 and the {cpus} CPUs of this machine, "
+            f"got {args.jobs}",
+            key="--jobs",
         )
     return cfg.validate()
 

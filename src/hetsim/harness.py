@@ -35,6 +35,7 @@ from .network import (
 )
 from .power_control import (
     PRIORITIZED_BASE,
+    SOFT_REMOVAL_TWINS,
     cochannel_system,
     iterate_power_control,
     prioritized_caps,
@@ -145,8 +146,14 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
     lpue_mask = snapshot.lpue_mask
 
     results = {}
-    for alg in algorithms:
+    # a run whose soft-removal twin comes later records where the two first
+    # differ, and the twin resumes there (bit-identical to a full run)
+    resume_from = {}
+    for i, alg in enumerate(algorithms):
         prioritized = alg in PRIORITIZED_BASE
+        twin = SOFT_REMOVAL_TWINS.get(alg)
+        if twin not in algorithms[i + 1:]:
+            twin = None
         state = iterate_power_control(
             a,
             noise,
@@ -160,7 +167,11 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
             max_iters=cfg.max_iters,
             tol=cfg.tol,
             tol_support=cfg.tol_support,
+            twin=twin,
+            resume=resume_from.pop(alg, None),
         )
+        if twin is not None:
+            resume_from[twin] = state
         margin = _check_safety(caps, state, seed) if prioritized else None
         aggregate, _ = throughput_metrics(state)
         results[alg] = SnapshotResult(

@@ -22,6 +22,11 @@ Update maps (each user, synchronously):
 ``ptpc`` / ``ptpc_gr`` / ``popc`` are the prioritized variants: low-priority
 users run the base map clipped by a static interference cap while
 high-priority users run plain tpc.
+
+``tpc_gr`` and ``ptpc_gr`` are the soft-removal twins of ``tpc`` and ``ptpc``:
+each sweep is a pure function of the current iterate, so a twin repeats its
+base run bit for bit up to the first sweep where soft removal changes an
+answer. A base run asked to watch for that sweep lets its twin resume there.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ from .network import UPLINK
 BASE_ALGORITHMS = ("tpc", "tpc_gr", "opc", "dtpc")
 ALGORITHMS = (*BASE_ALGORITHMS, "ptpc", "ptpc_gr", "popc")
 PRIORITIZED_BASE = {"ptpc": "tpc", "ptpc_gr": "tpc_gr", "popc": "opc"}
+# each algorithm's soft-removal twin, which answers demands above the budget
+# with p_max**2 / q where the algorithm answers with the budget
+SOFT_REMOVAL_TWINS = {"tpc": "tpc_gr", "ptpc": "ptpc_gr"}
 
 DEFAULT_MAX_ITERS = 2000
 DEFAULT_TOL = 1e-9
@@ -48,13 +56,20 @@ _SCALE_FLOOR = 1e-30
 
 @dataclass
 class PowerState:
-    """Result of a power-control run (or one synchronous sweep)."""
+    """Result of a power-control run (or one synchronous sweep).
+
+    ``fork`` is set when the run was asked to watch for its soft-removal
+    twin (see ``iterate_power_control``): ``(twin, k, p)`` with k the first
+    sweep the twin answers differently and p the iterate before it, or
+    ``(twin, None, None)`` when the two runs agree on every sweep.
+    """
 
     p: np.ndarray
     sir: np.ndarray
     supported: np.ndarray
     iterations: int
     converged: bool
+    fork: tuple | None = None
 
 
 @dataclass
@@ -124,7 +139,8 @@ def _validate_system(a, noise, targets):
     n = targets.shape[0]
     if a.shape != (n, n):
         raise ValueError("gain matrix must be square and match targets")
-    if not np.all(np.isfinite(a)) or np.any(a < 0):
+    # min/max reductions: a NaN fails the first test, an inf the second
+    if a.size and not (a.min() >= 0 and np.isfinite(a.max())):
         raise ValueError("gain matrix entries must be finite and non-negative")
     if np.any(np.diag(a) <= 0):
         raise ValueError("serving-link gains (diagonal) must be positive")
@@ -133,6 +149,39 @@ def _validate_system(a, noise, targets):
     if np.any(targets <= 0) or not np.all(np.isfinite(targets)):
         raise ValueError("target SIRs must be positive and finite")
     return a, noise, targets
+
+
+def _maps(algorithm, hpue_algorithm, lpue_mask):
+    """(map of the low-priority users, map of the others) of one run."""
+    base_alg = PRIORITIZED_BASE.get(algorithm, algorithm)
+    if lpue_mask is None:
+        return base_alg, base_alg
+    prioritized = algorithm in PRIORITIZED_BASE
+    return base_alg, hpue_algorithm or ("tpc" if prioritized else algorithm)
+
+
+def _users_on(name, maps, lpue_mask):
+    """The users that run map ``name``: a plain bool when every user or none
+    does, else a mask."""
+    base_alg, hp_alg = maps
+    if (base_alg == name) == (hp_alg == name):
+        return base_alg == name
+    return lpue_mask if base_alg == name else ~lpue_mask
+
+
+def _soft_removal(soft, p_max, cap, clip):
+    """Inputs of a sweep whose ``soft`` users answer demands above their
+    budget with p_max**2 / q, which lies below it: (clip, the demand above
+    which that answer applies, p_max**2)."""
+    with np.errstate(over="ignore"):
+        p_max_sq = p_max * p_max
+    if not np.isfinite(p_max_sq[soft]).all():
+        raise ValueError(
+            "tpc_gr power budgets must have a finite square "
+            "(soft removal answers with p_max**2 / q)"
+        )
+    # soft users skip the budget, so only their static cap clips
+    return np.where(soft, cap, clip), np.where(soft, p_max, np.inf), p_max_sq
 
 
 def iterate_power_control(
@@ -150,9 +199,11 @@ def iterate_power_control(
     tol=DEFAULT_TOL,
     tol_support=DEFAULT_TOL_SUPPORT,
     p0=None,
+    twin=None,
+    resume=None,
 ):
     """Synchronous fixed-point iteration of the chosen update map on a square
-    co-channel system, starting from the zero vector.
+    co-channel system, starting from ``p0`` (default: the zero vector).
 
     Stops when ``||p(t+1) - p(t)||_inf < tol * max(||p(t)||_inf, eps)`` or
     after ``max_iters`` sweeps; non-convergence is flagged on the returned
@@ -161,6 +212,16 @@ def iterate_power_control(
 
     Each sweep is one fused pass over preallocated buffers, with the maps
     picked per user by masks and one per-user clip, both built once.
+
+    Sweep sharing between ``tpc``/``ptpc`` and their soft-removal twins
+    (``SOFT_REMOVAL_TWINS``): a base run given ``twin=<its twin>`` tests,
+    on every sweep where a demand could get a different answer from the
+    twin, the twin's soft-removal step on the same demand, and records in
+    ``fork`` the first sweep where the answers differ. The twin run, given
+    ``resume=<that base state>`` and otherwise the same arguments, starts
+    at that sweep from the recorded iterate, or returns a copy of the base
+    result when no sweep differed. Either way its powers, iteration count
+    and convergence flag are those of a run from the start, bit for bit.
     """
     a, noise, targets = _validate_system(a, noise, targets)
     n = targets.shape[0]
@@ -182,6 +243,11 @@ def iterate_power_control(
             raise ValueError(
                 f"{algorithm} needs lpue_mask and caps (see prioritized_caps)"
             )
+        cap = np.asarray(caps.cap, dtype=float)
+        if cap.shape != (n,) or not (cap >= 0).all():
+            raise ValueError("caps must hold one non-negative cap per user")
+    else:
+        cap = np.inf
     if lpue_mask is not None:
         lpue_mask = np.asarray(lpue_mask, dtype=bool)
         if lpue_mask.shape != (n,):
@@ -190,48 +256,74 @@ def iterate_power_control(
         raise ValueError(
             f"unknown base power-control algorithm {hpue_algorithm!r}"
         )
-    hp_alg = base_alg if lpue_mask is None else (
-        hpue_algorithm or ("tpc" if prioritized else algorithm)
-    )
-    maps = {base_alg, hp_alg}
+    if p0 is not None:
+        # iterates then stay non-negative, so max(p) is their inf-norm
+        p0 = np.asarray(p0, dtype=float)
+        if p0.shape != (n,) or not (np.isfinite(p0).all() and (p0 >= 0).all()):
+            raise ValueError("p0 must hold one finite, non-negative power per user")
+    maps = _maps(algorithm, hpue_algorithm, lpue_mask)
+    opportunistic = not {"opc", "dtpc"}.isdisjoint(maps)
+    opc = _users_on("opc", maps, lpue_mask)
+    dtpc = _users_on("dtpc", maps, lpue_mask)
 
-    def users_on(name):
-        # a plain bool when every user or none runs ``name``
-        if (base_alg == name) == (hp_alg == name):
-            return base_alg == name
-        return lpue_mask if base_alg == name else ~lpue_mask
+    # per-user clip of the demand: the budget and the static caps
+    clip = np.minimum(p_max, cap)
+    soft_removal = "tpc_gr" in maps
+    if soft_removal:
+        clip, soft_above, p_max_sq = _soft_removal(
+            _users_on("tpc_gr", maps, lpue_mask), p_max, cap, clip
+        )
+    fork = None
+    if twin is not None:
+        if SOFT_REMOVAL_TWINS.get(algorithm) != twin:
+            raise ValueError(f"{algorithm!r} cannot share sweeps with {twin!r}")
+        twin_soft = _users_on(
+            "tpc_gr", _maps(twin, hpue_algorithm, lpue_mask), lpue_mask
+        )
+        twin_clip, twin_above, p_max_sq = _soft_removal(
+            twin_soft, p_max, cap, clip
+        )
+        # Both runs answer a demand q at or below this bound alike: up to
+        # the budget nothing is removed, and beyond it a cap that binds
+        # (cap <= p_max**2 / q) clips both answers to the cap. nextafter
+        # keeps the bound at or below the exact p_max**2 / cap.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            removal = np.nextafter(p_max_sq / cap, 0.0)
+        twin_bound = np.where(twin_soft, np.maximum(p_max, removal), np.inf)
+        past_bound = np.empty(n, dtype=bool)
+        fork = (twin, None, None)
+    watching, checked = twin is not None, False
 
-    opportunistic = not maps.isdisjoint(("opc", "dtpc"))
-    opc, dtpc = users_on("opc"), users_on("dtpc")
+    start = 1
+    if resume is not None:
+        if resume.fork is None or resume.fork[0] != algorithm:
+            raise ValueError(
+                f"resume state was not recorded for twin {algorithm!r}"
+            )
+        _, fork_sweep, fork_p = resume.fork
+        if fork_sweep is None:
+            return PowerState(
+                p=resume.p.copy(),
+                sir=resume.sir.copy(),
+                supported=resume.supported.copy(),
+                iterations=resume.iterations,
+                converged=resume.converged,
+            )
+        start, p0 = fork_sweep, fork_p
 
     diag = np.diag(a).copy()
     off = a.copy()
     np.fill_diagonal(off, 0.0)
-    # per-user clip of the demand: the budget and the static caps
-    cap = caps.cap if prioritized else np.inf
-    clip = np.minimum(p_max, cap)
-    soft_removal = "tpc_gr" in maps
     if soft_removal:
-        # tpc_gr users skip the budget: their demands above it become
-        # p_max**2 / q, which lies below it
-        soft = users_on("tpc_gr")
-        clip = np.where(soft, cap, clip)
-        soft_above = np.where(soft, p_max, np.inf)
-        with np.errstate(over="ignore"):
-            p_max_sq = p_max * p_max
-        if not np.isfinite(p_max_sq[soft]).all():
-            raise ValueError(
-                "tpc_gr power budgets must have a finite square "
-                "(soft removal answers with p_max**2 / q)"
-            )
         over_budget = np.empty(n, dtype=bool)
 
-    p = np.zeros(n) if p0 is None else np.asarray(p0, dtype=float).copy()
+    p = np.zeros(n) if p0 is None else p0.copy()
     new, r, q, work = (np.empty(n) for _ in range(4))
 
     converged = False
     iterations = 0
-    for it in range(1, max_iters + 1):
+    scale = max(np.maximum.reduce(p) if n else 0.0, _SCALE_FLOOR)
+    for it in range(start, max_iters + 1):
         np.matmul(off, p, out=r)
         r += noise
         r /= diag
@@ -241,18 +333,30 @@ def iterate_power_control(
             np.divide(eta, r, out=work)
             np.maximum(q, work, out=q, where=dtpc)
             np.copyto(q, work, where=opc)
+        if watching:
+            checked = np.greater(q, twin_bound, out=past_bound).any()
+            if checked:
+                # the twin's answer to the same demand, by the same ufuncs
+                np.greater(q, twin_above, out=past_bound)
+                np.copyto(work, q)
+                np.divide(p_max_sq, q, out=work, where=past_bound)
+                np.minimum(work, twin_clip, out=work)
         if soft_removal:
             np.greater(q, soft_above, out=over_budget)
             np.divide(p_max_sq, q, out=q, where=over_budget)
         np.minimum(q, clip, out=new)
+        if checked and not np.array_equal(work, new):
+            fork = (twin, it, p.copy())
+            watching = checked = False
         np.subtract(new, p, out=work)
-        delta = np.abs(work, out=work).max() if n else 0.0
-        scale = max(np.abs(p).max() if n else 0.0, _SCALE_FLOOR)
+        delta = np.maximum.reduce(np.abs(work, out=work)) if n else 0.0
         p, new = new, p
         iterations = it
         if delta < tol * scale:
             converged = True
             break
+        # the scale of the next sweep's test
+        scale = max(np.maximum.reduce(p) if n else 0.0, _SCALE_FLOOR)
 
     r = (off @ p + noise) / diag
     sir = p / r
@@ -263,6 +367,7 @@ def iterate_power_control(
         supported=supported,
         iterations=iterations,
         converged=converged,
+        fork=fork,
     )
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -238,6 +239,22 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         code = main(["fig2", "--out", str(tmp_path), *args])
         assert code == 2, args
         assert key in capsys.readouterr().err, args
+
+
+def test_cli_jobs_above_cpu_count_is_a_config_error(
+    tmp_path, capsys, monkeypatch
+):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("hetsim.harness.ProcessPoolExecutor", no_pool)
+    jobs = str((os.cpu_count() or 1) + 1)
+    for command in ("fig2", "fig3", "sweep"):
+        out = tmp_path / command
+        code = main([command, "--out", str(out), "--jobs", jobs])
+        assert code == 2, command
+        assert "--jobs" in capsys.readouterr().err, command
+        assert not out.exists(), command
 
 
 def test_cli_missing_config_file_exit_code(tmp_path):

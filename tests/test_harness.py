@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hetsim.association import associate
-from hetsim.config import fig3_defaults
+from hetsim.config import SimConfig, fig3_defaults
 from hetsim.harness import (
     FIG2_ALGORITHMS,
     experiment_fig2,
@@ -126,6 +126,35 @@ def test_reports_identical_across_job_counts(cfg):
         dataclasses.replace(fig3_defaults(), snapshots=4), jobs=3
     )
     assert d_seq.rows == d_par.rows
+
+
+def test_shared_twin_sweeps_match_separate_runs(monkeypatch):
+    # fig2 resumes tpc_gr / ptpc_gr from the tpc / ptpc runs; each twin run
+    # alone must give the same rows and per-seed results
+    cfg = SimConfig(grid_rows=2, snapshots=3, sweep=(3, 5))
+    forks = []
+
+    def recording(*args, **kwargs):
+        if kwargs["resume"] is not None:
+            forks.append(kwargs["resume"].fork[1])
+        return iterate_power_control(*args, **kwargs)
+
+    monkeypatch.setattr("hetsim.harness.iterate_power_control", recording)
+    shared = experiment_fig2(cfg, keep_snapshots=True)
+    assert len(forks) == 2 * len(cfg.sweep) * cfg.snapshots
+    assert None in forks and set(forks) != {None}
+    rows = {(r.sweep_value, r.algorithm): r for r in shared.rows}
+    for alg in ("tpc_gr", "ptpc_gr"):
+        alone = run_grid_experiment(
+            cfg, (alg,), hpue_algorithm="tpc", experiment="fig2",
+            keep_snapshots=True,
+        )
+        for row in alone.rows:
+            assert dataclasses.asdict(row) == dataclasses.asdict(
+                rows[(row.sweep_value, alg)]
+            )
+        for point in cfg.sweep:
+            assert alone.raw[(point, alg)] == shared.raw[(point, alg)]
 
 
 def test_fig3_schemes_agree_without_small_cells():

@@ -17,8 +17,10 @@ from hetsim.network import (
 )
 from hetsim.power_control import (
     ALGORITHMS,
+    DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     PRIORITIZED_BASE,
+    SOFT_REMOVAL_TWINS,
     PrioritizedCapSet,
     cochannel_system,
     feasibility_check,
@@ -314,6 +316,16 @@ def test_dtpc_fixed_point_keeps_supported_users_at_target():
     assert np.all(state.sir >= inst.targets * (1 - 1e-9))
 
 
+@pytest.mark.parametrize(
+    "p0", [[0.1], [0.1, 0.1, 0.1], [0.1, -1e-300], [0.1, np.nan], [np.inf, 0.1]]
+)
+def test_p0_must_be_finite_non_negative_per_user(p0):
+    # the convergence test takes max(p) as the inf-norm of a non-negative p
+    a, noise, targets = two_user_toy()
+    with pytest.raises(ValueError, match="p0"):
+        iterate_power_control(a, noise, targets, 10.0, p0=np.array(p0))
+
+
 def test_dtpc_requires_eta():
     a, noise, targets = two_user_toy()
     with pytest.raises(ValueError):
@@ -601,6 +613,152 @@ def test_kernel_matches_reference_loop(algorithm, hpue_algorithm):
             assert np.array_equal(state.p, p), label
             assert state.iterations == iterations, label
             assert state.converged == converged, label
+
+
+# ------------------------------------------------ soft-removal twin sweeps
+
+
+def _run_twins(a, noise, targets, p_max, base, **kwargs):
+    """Run ``base`` watching its twin, then the twin resumed from it. The
+    twin must equal, bit for bit, the twin run from the start and the
+    reference loop, and the base must equal the base run alone. Returns the
+    base's fork record: (first sweep that differs, iterate before it)."""
+    twin = SOFT_REMOVAL_TWINS[base]
+    watched = iterate_power_control(
+        a, noise, targets, p_max, algorithm=base, twin=twin, **kwargs
+    )
+    alone = iterate_power_control(a, noise, targets, p_max, algorithm=base, **kwargs)
+    shared = iterate_power_control(
+        a, noise, targets, p_max, algorithm=twin, resume=watched, **kwargs
+    )
+    full = iterate_power_control(a, noise, targets, p_max, algorithm=twin, **kwargs)
+    defaults = dict(
+        eta=None, lpue_mask=None, caps=None, hpue_algorithm=None,
+        max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, p0=None,
+    )
+    p, iterations, converged = _reference_iterate(
+        a, noise, targets, p_max, algorithm=twin, **{**defaults, **kwargs}
+    )
+    for got, want in ((watched, alone), (shared, full)):
+        assert np.array_equal(got.p, want.p)
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+    assert np.array_equal(shared.p, p)
+    assert (shared.iterations, shared.converged) == (iterations, converged)
+    assert np.array_equal(shared.sir, full.sir)
+    assert np.array_equal(shared.supported, full.supported)
+    assert watched.fork[0] == twin
+    return watched.fork[1:]
+
+
+def _chain():
+    # from p = 0 the demands run 0.1, 0.3, 0.7, 1.5, 3.1, 6.3, 12.7: the
+    # budget of 10 W is first exceeded in sweep 7
+    return np.array([[1.0, 2.0], [2.0, 1.0]]), np.full(2, 0.1), np.ones(2)
+
+
+def test_twin_forks_at_first_sweep():
+    a, noise, targets = two_user_toy()
+    sweep, p = _run_twins(a, np.array([0.1, 20.0]), targets, 10.0, "tpc")
+    assert sweep == 1
+    assert np.array_equal(p, np.zeros(2))
+
+
+def test_twin_forks_mid_run():
+    sweep, p = _run_twins(*_chain(), 10.0, "tpc")
+    assert sweep == 7
+    assert p == pytest.approx([6.3, 6.3])
+
+
+def test_twin_never_forks_and_copies_the_base_result():
+    a, noise, targets = two_user_toy()
+    assert _run_twins(a, noise, targets, 10.0, "tpc") == (None, None)
+    base = iterate_power_control(a, noise, targets, 10.0, twin="tpc_gr")
+    shared = iterate_power_control(
+        a, noise, targets, 10.0, algorithm="tpc_gr", resume=base
+    )
+    assert shared.p is not base.p and shared.sir is not base.sir
+
+
+def test_twin_max_iters_reached_before_fork():
+    assert _run_twins(*_chain(), 10.0, "tpc", max_iters=4) == (None, None)
+
+
+def test_twin_resumes_from_explicit_p0():
+    # from p0 = 1 the demands run 2.1, 4.3, 8.7, 17.5
+    a, noise, targets = _chain()
+    sweep, _ = _run_twins(a, noise, targets, 10.0, "tpc", p0=np.ones(2))
+    assert sweep == 4
+
+
+def test_prioritized_twin_forks_only_past_removal_bound():
+    # uncoupled users, each with a 5 W cap under a 10 W budget: a demand of
+    # 20 W = p_max**2 / cap is clipped to 5 W by both runs, 25 W is not
+    caps = PrioritizedCapSet(
+        cap=np.array([np.inf, 5.0]),
+        thresholds=np.ones(1),
+        lpue_index=np.array([1]),
+        gain_block=np.ones((1, 1)),
+    )
+    kwargs = dict(lpue_mask=np.array([False, True]), caps=caps)
+    for demand, sweep in ((20.0, None), (25.0, 1)):
+        got, _ = _run_twins(
+            np.eye(2), np.array([1.0, demand]), np.ones(2), 10.0, "ptpc",
+            **kwargs,
+        )
+        assert got == sweep, demand
+
+
+@pytest.mark.parametrize("base", sorted(SOFT_REMOVAL_TWINS))
+@pytest.mark.parametrize("hpue_algorithm", [None, "tpc", "opc", "dtpc", "tpc_gr"])
+def test_twin_sweeps_match_reference_loop(base, hpue_algorithm):
+    forks = set()
+    for k, (a, noise, targets, p_max, eta, lpue_mask, caps) in enumerate(
+        _equivalence_systems()
+    ):
+        explicit = np.random.default_rng(k).uniform(0.0, 1.0, size=len(targets))
+        # a tenth of the budget pushes demands past it, and past the removal
+        # bound p_max**2 / cap of the prioritized runs
+        for budget, p0, tol in itertools.product(
+            (p_max, 0.1 * p_max), (None, explicit), (1e-9, 0.05)
+        ):
+            sweep, _ = _run_twins(
+                a, noise, targets, budget, base,
+                eta=eta, lpue_mask=lpue_mask,
+                caps=caps if base in PRIORITIZED_BASE else None,
+                hpue_algorithm=hpue_algorithm, max_iters=300, tol=tol,
+                p0=None if p0 is None else p0 * budget,
+            )
+            forks.add(sweep is None)
+    # the systems cover both a fork and a run without one
+    assert forks == {True, False}
+
+
+def test_twin_resume_checks_its_source():
+    a, noise, targets = _chain()
+    base = iterate_power_control(a, noise, targets, 10.0, twin="tpc_gr")
+    plain = iterate_power_control(a, noise, targets, 10.0)
+    lpue_mask = np.array([False, True])
+    caps = PrioritizedCapSet(
+        cap=np.array([np.inf, 5.0]),
+        thresholds=np.ones(1),
+        lpue_index=np.array([1]),
+        gain_block=np.ones((1, 1)),
+    )
+    for resume in (base, plain):
+        with pytest.raises(ValueError, match="resume"):
+            iterate_power_control(
+                a, noise, targets, 10.0, algorithm="ptpc_gr",
+                lpue_mask=lpue_mask, caps=caps, resume=resume,
+            )
+    with pytest.raises(ValueError, match="resume"):
+        iterate_power_control(a, noise, targets, 10.0, algorithm="tpc_gr",
+                              resume=plain)
+    for algorithm, twin in (("tpc", "ptpc_gr"), ("tpc_gr", "tpc"), ("opc", "tpc_gr")):
+        with pytest.raises(ValueError, match="share"):
+            iterate_power_control(
+                a, noise, targets, 10.0, algorithm=algorithm, eta=0.1, twin=twin
+            )
 
 
 # -------------------------------------------- standard interference maps
