@@ -23,7 +23,7 @@ import numpy as np
 
 from hetsim.association import associate
 from hetsim.config import SimConfig
-from hetsim.harness import experiment_fig2, run_grid_experiment
+from hetsim.harness import run_experiment, run_preset
 from hetsim.network import build_gain_matrix, generate_fig2_snapshot
 from hetsim.power_control import cochannel_system, interference_matrix
 
@@ -35,7 +35,7 @@ GRID_DB = 0.25
 def lpue_outage_n3(db, seeds):
     cfg = dataclasses.replace(SimConfig(), target_sir_db=db, snapshots=seeds,
                               sweep=(3,))
-    report = run_grid_experiment(cfg, ("tpc",), hpue_algorithm="tpc", jobs=2)
+    report = run_experiment(cfg, ("tpc",), hpue_algorithm="tpc", jobs=2)
     return report.rows[0].lpue_outage
 
 
@@ -72,7 +72,7 @@ def worst_hp_subsystem_rho():
 
 def protection_holds(db):
     cfg = dataclasses.replace(SimConfig(), target_sir_db=db)
-    report = experiment_fig2(cfg, jobs=2)
+    report = run_preset("fig2", cfg, jobs=2)
     rows = {(r.sweep_value, r.algorithm): r for r in report.rows}
     worst_hp = max(
         rows[(n, alg)].hpue_outage

@@ -5,7 +5,7 @@ scheduling on a single shared channel."""
 __version__ = "0.1.0"
 
 from .config import SimConfig, fig2_defaults, fig3_defaults, parse_config
-from .harness import experiment_fig2, experiment_fig3, run_monte_carlo
+from .harness import run_experiment, run_preset
 from .network import (
     build_gain_matrix,
     generate_fig2_snapshot,
@@ -20,8 +20,6 @@ __all__ = [
     "__version__",
     "build_gain_matrix",
     "emit_report",
-    "experiment_fig2",
-    "experiment_fig3",
     "feasibility_check",
     "fig2_defaults",
     "fig3_defaults",
@@ -30,5 +28,6 @@ __all__ = [
     "generate_fig3_snapshot",
     "parse_config",
     "path_gain",
-    "run_monte_carlo",
+    "run_experiment",
+    "run_preset",
 ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import fig2_defaults, fig3_defaults, parse_config, parse_config_text
+from .config import fig2_defaults, parse_config, parse_config_text
 from .errors import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -31,7 +31,7 @@ from .errors import (
     ConfigError,
     SimError,
 )
-from .harness import experiment_fig2, experiment_fig3, run_monte_carlo
+from .harness import PRESETS, run_experiment, run_preset
 from .power_control import (
     feasibility_check,
     fixed_point_oracle,
@@ -164,9 +164,13 @@ def _load_config(args, base):
     return cfg.validate()
 
 
-def _run_experiment(args, base, runner):
-    cfg = _load_config(args, base)
-    report = runner(cfg, args.jobs)
+def _run_experiment(args):
+    if args.command in PRESETS:
+        cfg = _load_config(args, PRESETS[args.command][0]())
+        report = run_preset(args.command, cfg, jobs=args.jobs)
+    else:
+        cfg = _load_config(args, fig2_defaults())
+        report = run_experiment(cfg, jobs=args.jobs)
     paths = emit_report(report, args.out)
     print(f"wrote {paths['csv']}")
     print(f"wrote {paths['json']}")
@@ -199,27 +203,9 @@ def _run_oracle_check(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "fig2":
-            return _run_experiment(
-                args,
-                fig2_defaults(),
-                lambda cfg, jobs: experiment_fig2(cfg, jobs=jobs),
-            )
-        if args.command == "fig3":
-            return _run_experiment(
-                args,
-                fig3_defaults(),
-                lambda cfg, jobs: experiment_fig3(cfg, jobs=jobs),
-            )
-        if args.command == "sweep":
-            return _run_experiment(
-                args,
-                fig2_defaults(),
-                lambda cfg, jobs: run_monte_carlo(cfg, jobs=jobs),
-            )
         if args.command == "oracle-check":
             return _run_oracle_check(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return _run_experiment(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

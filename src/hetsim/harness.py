@@ -15,15 +15,14 @@ are identical for any job count.
 
 from __future__ import annotations
 
-import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .association import associate, score_matrix
-from .config import SimConfig
-from .errors import NumericError
+from .config import SimConfig, fig2_defaults, fig3_defaults
+from .errors import ConfigError, NumericError
 from .network import (
     DOWNLINK,
     HPUE,
@@ -104,19 +103,16 @@ def outage_ratio(state, snapshot, tier):
     return float((~state.supported[mask]).sum() / mask.sum())
 
 
-def throughput_metrics(state, access_probs=None, users=None):
+def throughput_metrics(sirs, access_probs=None):
     """Per-user rates log2(1 + SIR); returns (aggregate rate, spectral
     efficiency). Spectral efficiency is the access-probability-weighted rate
-    averaged over the selected users, None when no access context is given.
-    ``state`` may be a PowerState or a plain SIR array."""
-    sirs = np.asarray(getattr(state, "sir", state), dtype=float)
-    rates = np.log2(1.0 + sirs)
-    idx = np.arange(len(rates)) if users is None else np.asarray(users, dtype=int)
-    aggregate = float(rates[idx].sum())
+    averaged over the users, None when no access context is given."""
+    rates = np.log2(1.0 + np.asarray(sirs, dtype=float))
+    aggregate = float(rates.sum())
     if access_probs is None:
         return aggregate, None
     access = np.asarray(access_probs, dtype=float)
-    return aggregate, float(np.mean(access[idx] * rates[idx]))
+    return aggregate, float(np.mean(access * rates))
 
 
 def _check_safety(caps, state, seed):
@@ -173,7 +169,7 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
         if twin is not None:
             resume_from[twin] = state
         margin = _check_safety(caps, state, seed) if prioritized else None
-        aggregate, _ = throughput_metrics(state)
+        aggregate, _ = throughput_metrics(state.sir)
         results[alg] = SnapshotResult(
             seed=seed,
             sweep_value=n_small,
@@ -231,31 +227,25 @@ def _disc_snapshot_results(cfg, n_small, seed, schemes):
     return results
 
 
-def _grid_job(payload):
-    cfg, n_small, seed_index, algorithms, hpue_algorithm = payload
+def _job(payload):
+    cfg, n_small, seed_index, variants, hpue_algorithm = payload
     seed = cfg.base_seed + seed_index
-    return (
-        (n_small, seed_index),
-        _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm),
-    )
+    if cfg.geometry == "grid":
+        results = _grid_snapshot_results(
+            cfg, n_small, seed, variants, hpue_algorithm
+        )
+    else:
+        results = _disc_snapshot_results(cfg, n_small, seed, variants)
+    return (n_small, seed_index), results
 
 
-def _disc_job(payload):
-    cfg, n_small, seed_index, schemes = payload
-    seed = cfg.base_seed + seed_index
-    return (
-        (n_small, seed_index),
-        _disc_snapshot_results(cfg, n_small, seed, schemes),
-    )
-
-
-def _run_jobs(payloads, worker, jobs):
+def _run_jobs(payloads, jobs):
     if jobs <= 1:
-        return dict(worker(p) for p in payloads)
+        return dict(_job(p) for p in payloads)
     out = {}
     chunk = max(1, len(payloads) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for key, value in pool.map(worker, payloads, chunksize=chunk):
+        for key, value in pool.map(_job, payloads, chunksize=chunk):
             out[key] = value
     return out
 
@@ -267,9 +257,34 @@ def _mean_opt(values):
     return float(np.mean(present))
 
 
-def _aggregate(experiment, cfg, variants, by_key, *, direction, variant_kind):
-    """Seed-ordered averaging; deterministic and independent of the order in
-    which snapshot jobs completed."""
+def run_experiment(
+    cfg,
+    variants=None,
+    *,
+    hpue_algorithm=None,
+    jobs=1,
+    experiment="sweep",
+    keep_snapshots=False,
+):
+    """Monte Carlo sweep of ``cfg.geometry``: power-control algorithms on
+    the uplink grid, association schemes on the downlink disc. ``variants``
+    defaults to the configured single algorithm (grid) or scheme (disc);
+    ``hpue_algorithm`` applies to the grid only.
+
+    Rows are averaged in seed order, so the report does not depend on the
+    order in which snapshot jobs completed."""
+    cfg = cfg.validate()
+    grid = cfg.geometry == "grid"
+    variants = tuple(
+        variants or (cfg.pc_algorithm if grid else cfg.assoc_downlink,)
+    )
+    payloads = [
+        (cfg, point, k, variants, hpue_algorithm)
+        for point in cfg.sweep
+        for k in range(cfg.snapshots)
+    ]
+    by_key = _run_jobs(payloads, jobs)
+
     seeds = tuple(cfg.base_seed + k for k in range(cfg.snapshots))
     rows = []
     raw = {}
@@ -277,7 +292,7 @@ def _aggregate(experiment, cfg, variants, by_key, *, direction, variant_kind):
         for variant in variants:
             per_seed = [by_key[(point, k)][variant] for k in range(cfg.snapshots)]
             raw[(point, variant)] = tuple(per_seed)
-            if variant_kind == "algorithm":
+            if grid:
                 algorithm, scheme = variant, cfg.assoc_uplink
             else:
                 algorithm, scheme = "none", variant
@@ -288,7 +303,7 @@ def _aggregate(experiment, cfg, variants, by_key, *, direction, variant_kind):
                     sweep_value=point,
                     algorithm=algorithm,
                     scheme=scheme,
-                    direction=direction,
+                    direction=UPLINK if grid else DOWNLINK,
                     seed_count=cfg.snapshots,
                     hpue_outage=_mean_opt([r.hpue_outage for r in per_seed]),
                     lpue_outage=_mean_opt([r.lpue_outage for r in per_seed]),
@@ -307,35 +322,6 @@ def _aggregate(experiment, cfg, variants, by_key, *, direction, variant_kind):
                     seeds=seeds,
                 )
             )
-    return rows, raw
-
-
-def run_grid_experiment(
-    cfg,
-    algorithms=None,
-    *,
-    hpue_algorithm=None,
-    jobs=1,
-    experiment="sweep",
-    keep_snapshots=False,
-):
-    """Monte Carlo sweep of the uplink grid scenario."""
-    cfg = dataclasses.replace(cfg, geometry="grid").validate()
-    algorithms = tuple(algorithms or (cfg.pc_algorithm,))
-    payloads = [
-        (cfg, point, k, algorithms, hpue_algorithm)
-        for point in cfg.sweep
-        for k in range(cfg.snapshots)
-    ]
-    by_key = _run_jobs(payloads, _grid_job, jobs)
-    rows, raw = _aggregate(
-        experiment,
-        cfg,
-        algorithms,
-        by_key,
-        direction=UPLINK,
-        variant_kind="algorithm",
-    )
     return MetricsReport(
         experiment=experiment,
         rows=rows,
@@ -344,64 +330,32 @@ def run_grid_experiment(
     )
 
 
-def run_disc_experiment(
-    cfg, schemes=None, *, jobs=1, experiment="sweep", keep_snapshots=False
-):
-    """Monte Carlo sweep of the downlink disc scenario."""
-    cfg = dataclasses.replace(cfg, geometry="disc").validate()
-    schemes = tuple(schemes or (cfg.assoc_downlink,))
-    payloads = [
-        (cfg, point, k, schemes)
-        for point in cfg.sweep
-        for k in range(cfg.snapshots)
-    ]
-    by_key = _run_jobs(payloads, _disc_job, jobs)
-    rows, raw = _aggregate(
-        experiment,
-        cfg,
-        schemes,
-        by_key,
-        direction=DOWNLINK,
-        variant_kind="scheme",
-    )
-    return MetricsReport(
-        experiment=experiment,
-        rows=rows,
-        config=cfg,
-        raw=raw if keep_snapshots else None,
-    )
+# name -> (default config, variants, high-priority algorithm). fig2: the
+# low-priority users of the grid run tpc / tpc_gr / ptpc / ptpc_gr while the
+# high-priority users always track their targets with tpc. fig3: the
+# distance-aware, resource-aware and hybrid association schemes on the disc.
+PRESETS = {
+    "fig2": (fig2_defaults, FIG2_ALGORITHMS, "tpc"),
+    "fig3": (fig3_defaults, FIG3_SCHEMES, None),
+}
 
 
-def experiment_fig2(cfg, jobs=1, keep_snapshots=False):
-    """Grid outage comparison: low-priority users run tpc / tpc_gr / ptpc /
-    ptpc_gr while high-priority users always track their targets with tpc."""
-    return run_grid_experiment(
-        cfg,
-        FIG2_ALGORITHMS,
-        hpue_algorithm="tpc",
-        jobs=jobs,
-        experiment="fig2",
-        keep_snapshots=keep_snapshots,
-    )
-
-
-def experiment_fig3(cfg, jobs=1, keep_snapshots=False):
-    """Disc spectral-efficiency comparison of the distance-aware,
-    resource-aware, and hybrid association schemes."""
-    return run_disc_experiment(
-        cfg,
-        FIG3_SCHEMES,
-        jobs=jobs,
-        experiment="fig3",
-        keep_snapshots=keep_snapshots,
-    )
-
-
-def run_monte_carlo(cfg, jobs=1, keep_snapshots=False):
-    """Sweep the configured single variant over cfg.sweep."""
-    if cfg.geometry == "grid":
-        return run_grid_experiment(
-            cfg, jobs=jobs, keep_snapshots=keep_snapshots
+def run_preset(name, cfg, jobs=1, keep_snapshots=False):
+    """Run the ``PRESETS[name]`` experiment on ``cfg``, whose geometry must
+    be the preset's."""
+    defaults, variants, hpue_algorithm = PRESETS[name]
+    geometry = defaults().geometry
+    if cfg.geometry != geometry:
+        raise ConfigError(
+            f"the {name} preset runs the {geometry} geometry, "
+            f"got {cfg.geometry!r}",
+            key="geometry",
         )
-    return run_disc_experiment(cfg, jobs=jobs, keep_snapshots=keep_snapshots)
-
+    return run_experiment(
+        cfg,
+        variants,
+        hpue_algorithm=hpue_algorithm,
+        jobs=jobs,
+        experiment=name,
+        keep_snapshots=keep_snapshots,
+    )

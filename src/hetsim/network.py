@@ -288,27 +288,3 @@ def build_gain_matrix(snapshot, cfg):
     noise = np.full(rx.shape[0], cfg.noise_w, dtype=float)
     return GainMatrix(gains=gains, noise=noise)
 
-
-def compute_all_sirs(powers, gains, assoc):
-    """Achieved SIR of every user on the shared channel.
-
-    Uplink: ``powers`` are user transmit powers and the serving receiver is
-    the user's primary base station. Downlink: ``powers`` are base station
-    transmit powers and interference comes from every other base station.
-    """
-    p = np.asarray(powers, dtype=float)
-    primary = np.asarray(assoc.primary, dtype=int)
-    if assoc.direction == UPLINK:
-        rows = gains.gains[primary, :]          # (n_users, n_users)
-        own = rows[np.arange(len(primary)), np.arange(len(primary))]
-        total = rows @ p
-        signal = own * p
-        noise = gains.noise[primary]
-    else:
-        rows = gains.gains                      # (n_users, n_bs)
-        own = rows[np.arange(len(primary)), primary]
-        total = rows @ p
-        signal = own * p[primary]
-        noise = gains.noise
-    return signal / (total - signal + noise)
-

@@ -14,7 +14,7 @@ import pytest
 
 from hetsim.cli import main
 from hetsim.config import SimConfig, fig3_defaults
-from hetsim.harness import experiment_fig2, experiment_fig3, run_grid_experiment
+from hetsim.harness import run_experiment, run_preset
 from hetsim.power_control import (
     feasibility_check,
     fixed_point_oracle,
@@ -47,7 +47,7 @@ def _report(number, name, ok, detail=""):
 def fig2_run():
     cfg = SimConfig()
     t0 = time.perf_counter()
-    report = experiment_fig2(cfg, jobs=JOBS, keep_snapshots=True)
+    report = run_preset("fig2", cfg, jobs=JOBS, keep_snapshots=True)
     elapsed = time.perf_counter() - t0
     return report, elapsed
 
@@ -55,7 +55,7 @@ def fig2_run():
 @pytest.fixture(scope="module")
 def popc_run():
     cfg = SimConfig()
-    return run_grid_experiment(
+    return run_experiment(
         cfg, ("popc",), hpue_algorithm="tpc", jobs=JOBS, keep_snapshots=True
     )
 
@@ -64,7 +64,7 @@ def popc_run():
 def fig3_run():
     cfg = fig3_defaults()
     t0 = time.perf_counter()
-    report = experiment_fig3(cfg, jobs=JOBS, keep_snapshots=True)
+    report = run_preset("fig3", cfg, jobs=JOBS, keep_snapshots=True)
     elapsed = time.perf_counter() - t0
     return report, elapsed
 

@@ -239,6 +239,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         code = main(["fig2", "--out", str(tmp_path), *args])
         assert code == 2, args
         assert key in capsys.readouterr().err, args
+    # a preset runs its own geometry only (fig3's default sweep would
+    # already fail the grid's sweep check)
+    for args in (
+        ["fig2", "--set", "geometry=disc"],
+        ["fig3", "--set", "geometry=grid", "--set", "mc.sweep=3"],
+    ):
+        assert main([*args, "--out", str(tmp_path)]) == 2, args
+        assert "key='geometry'" in capsys.readouterr().err, args
 
 
 def test_cli_jobs_above_cpu_count_is_a_config_error(

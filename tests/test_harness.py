@@ -7,11 +7,9 @@ from hetsim.association import associate
 from hetsim.config import SimConfig, fig3_defaults
 from hetsim.harness import (
     FIG2_ALGORITHMS,
-    experiment_fig2,
-    experiment_fig3,
     outage_ratio,
-    run_grid_experiment,
-    run_monte_carlo,
+    run_experiment,
+    run_preset,
     throughput_metrics,
 )
 from hetsim.network import build_gain_matrix, generate_fig2_snapshot
@@ -62,9 +60,7 @@ def test_throughput_metrics_values():
     agg, se = throughput_metrics(np.array([1.0, 0.0]))
     assert agg == pytest.approx(1.0)
     assert se is None
-    agg, se = throughput_metrics(
-        np.array([3.0]), access_probs=np.array([0.25]), users=[0]
-    )
+    agg, se = throughput_metrics(np.array([3.0]), access_probs=np.array([0.25]))
     assert agg == pytest.approx(2.0)
     assert se == pytest.approx(0.5)
 
@@ -74,7 +70,7 @@ def _one_snapshot(cfg, sweep_point, seed):
     cfg = dataclasses.replace(
         cfg, snapshots=1, sweep=(sweep_point,), base_seed=seed
     )
-    (per_seed,) = run_monte_carlo(cfg, keep_snapshots=True).raw.values()
+    (per_seed,) = run_experiment(cfg, keep_snapshots=True).raw.values()
     return per_seed[0]
 
 
@@ -103,7 +99,7 @@ def test_fig2_single_snapshot_protects_hpues(cfg):
 
 def test_monte_carlo_row_shape(cfg):
     cfg = dataclasses.replace(cfg, snapshots=2, sweep=(3, 4))
-    report = experiment_fig2(cfg)
+    report = run_preset("fig2", cfg)
     assert len(report.rows) == len(cfg.sweep) * len(FIG2_ALGORITHMS)
     for row in report.rows:
         assert row.seed_count == 2
@@ -117,14 +113,13 @@ def test_monte_carlo_row_shape(cfg):
 
 def test_reports_identical_across_job_counts(cfg):
     cfg = dataclasses.replace(cfg, snapshots=4, sweep=(3,))
-    seq = experiment_fig2(cfg, jobs=1)
-    par = experiment_fig2(cfg, jobs=3)
+    seq = run_preset("fig2", cfg, jobs=1)
+    par = run_preset("fig2", cfg, jobs=3)
     assert seq.rows == par.rows
 
-    d_seq = experiment_fig3(dataclasses.replace(fig3_defaults(), snapshots=4))
-    d_par = experiment_fig3(
-        dataclasses.replace(fig3_defaults(), snapshots=4), jobs=3
-    )
+    disc = dataclasses.replace(fig3_defaults(), snapshots=4)
+    d_seq = run_preset("fig3", disc)
+    d_par = run_preset("fig3", disc, jobs=3)
     assert d_seq.rows == d_par.rows
 
 
@@ -140,12 +135,12 @@ def test_shared_twin_sweeps_match_separate_runs(monkeypatch):
         return iterate_power_control(*args, **kwargs)
 
     monkeypatch.setattr("hetsim.harness.iterate_power_control", recording)
-    shared = experiment_fig2(cfg, keep_snapshots=True)
+    shared = run_preset("fig2", cfg, keep_snapshots=True)
     assert len(forks) == 2 * len(cfg.sweep) * cfg.snapshots
     assert None in forks and set(forks) != {None}
     rows = {(r.sweep_value, r.algorithm): r for r in shared.rows}
     for alg in ("tpc_gr", "ptpc_gr"):
-        alone = run_grid_experiment(
+        alone = run_experiment(
             cfg, (alg,), hpue_algorithm="tpc", experiment="fig2",
             keep_snapshots=True,
         )
@@ -159,7 +154,7 @@ def test_shared_twin_sweeps_match_separate_runs(monkeypatch):
 
 def test_fig3_schemes_agree_without_small_cells():
     cfg = dataclasses.replace(fig3_defaults(), snapshots=5, sweep=(0,))
-    report = experiment_fig3(cfg, keep_snapshots=True)
+    report = run_preset("fig3", cfg, keep_snapshots=True)
     ses = [row.spectral_eff_bps_hz for row in report.rows]
     assert max(ses) - min(ses) == 0.0
 
@@ -169,8 +164,8 @@ def test_run_monte_carlo_dispatches_on_geometry(cfg):
     disc_cfg = dataclasses.replace(
         fig3_defaults(), snapshots=2, sweep=(4,), assoc_downlink="distance"
     )
-    grid = run_monte_carlo(grid_cfg)
-    disc = run_monte_carlo(disc_cfg)
+    grid = run_experiment(grid_cfg)
+    disc = run_experiment(disc_cfg)
     assert grid.rows[0].direction == "uplink"
     assert grid.rows[0].algorithm == grid_cfg.pc_algorithm
     assert disc.rows[0].direction == "downlink"
@@ -182,14 +177,14 @@ def test_lpue_outage_trend_non_decreasing_in_density(cfg):
     # with the shipped defaults and this fixed seed block the Monte Carlo
     # mean grows with densification
     cfg = dataclasses.replace(cfg, snapshots=400)
-    report = run_grid_experiment(cfg, ("tpc",), hpue_algorithm="tpc", jobs=2)
+    report = run_experiment(cfg, ("tpc",), hpue_algorithm="tpc", jobs=2)
     outages = [row.lpue_outage for row in report.rows]
     assert outages == sorted(outages)
 
 
 def test_tpc_gr_never_worse_than_tpc_on_shared_snapshots(cfg):
     cfg = dataclasses.replace(cfg, snapshots=30, sweep=(3, 5))
-    report = run_grid_experiment(
+    report = run_experiment(
         cfg, ("tpc", "tpc_gr"), hpue_algorithm="tpc", jobs=2
     )
     rows = {(r.sweep_value, r.algorithm): r for r in report.rows}
@@ -212,7 +207,7 @@ def test_monte_carlo_error_scaling(cfg):
                 sweep=(3,),
                 base_seed=1 + rep * 10_000,
             )
-            report = run_grid_experiment(c, ("tpc",), hpue_algorithm="tpc")
+            report = run_experiment(c, ("tpc",), hpue_algorithm="tpc")
             out.append(report.rows[0].lpue_outage)
         return np.std(out)
 

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetsim.association import AssociationMap, associate
+from hetsim.association import associate
 from hetsim.config import SimConfig
 from hetsim.errors import GenerationError
 from hetsim.network import (
     GainMatrix,
     build_gain_matrix,
-    compute_all_sirs,
     generate_fig2_snapshot,
     generate_fig3_snapshot,
     path_gain,
@@ -232,50 +231,6 @@ def test_gain_matrix_validation():
         GainMatrix(gains=np.array([[1.0, -0.1], [0.1, 1.0]]), noise=np.ones(2))
     with pytest.raises(ValueError):
         GainMatrix(gains=np.ones((2, 2)), noise=np.zeros(2))
-
-
-def _toy_assoc(direction, primary):
-    return AssociationMap(
-        direction=direction, scheme="home", primary=tuple(primary)
-    )
-
-
-def test_compute_sir_single_user_no_interference():
-    gm = GainMatrix(gains=np.array([[1.0]]), noise=np.array([0.1]))
-    assoc = _toy_assoc("uplink", [0])
-    assert compute_all_sirs([0.1], gm, assoc) == pytest.approx([1.0], rel=1e-12)
-
-
-def test_compute_sir_two_user_toy():
-    gm = GainMatrix(
-        gains=np.array([[1.0, 0.1], [0.1, 1.0]]), noise=np.array([0.1, 0.1])
-    )
-    assoc = _toy_assoc("uplink", [0, 1])
-    sirs = compute_all_sirs(np.array([1 / 9, 1 / 9]), gm, assoc)
-    assert sirs == pytest.approx([1.0, 1.0], rel=1e-12)
-
-
-def test_compute_sir_downlink_uses_bs_powers():
-    # one user served by BS 0; BS 1 interferes at full power
-    gm = GainMatrix(
-        gains=np.array([[0.5, 0.25]]), noise=np.array([1.0])
-    )
-    assoc = _toy_assoc("downlink", [0])
-    sir = compute_all_sirs(np.array([4.0, 8.0]), gm, assoc)
-    assert sir == pytest.approx([0.5 * 4.0 / (0.25 * 8.0 + 1.0)], rel=1e-12)
-
-
-@given(scale=st.floats(1e-3, 1e3))
-def test_compute_sir_scale_invariant_when_noise_vanishes(scale):
-    gm = GainMatrix(
-        gains=np.array([[1.0, 0.3, 0.1], [0.2, 0.8, 0.1], [0.3, 0.2, 0.9]]),
-        noise=np.full(3, 1e-300),
-    )
-    assoc = _toy_assoc("uplink", [0, 1, 2])
-    p = np.array([0.5, 1.0, 2.0])
-    base = compute_all_sirs(p, gm, assoc)
-    scaled = compute_all_sirs(scale * p, gm, assoc)
-    assert scaled == pytest.approx(base, rel=1e-9)
 
 
 def test_associate_direction_must_match_snapshot():

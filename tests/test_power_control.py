@@ -12,7 +12,6 @@ from hetsim.errors import OracleError
 from hetsim.network import (
     GainMatrix,
     build_gain_matrix,
-    compute_all_sirs,
     generate_fig2_snapshot,
 )
 from hetsim.power_control import (
@@ -171,9 +170,11 @@ def test_sir_equals_power_over_effective_interference(seed):
     state = iterate_power_control(
         a, noise, rng.uniform(0.5, 2.0, size=n), 2.0, max_iters=3
     )
-    assert state.sir == pytest.approx(
-        compute_all_sirs(state.p, gm, assoc), rel=1e-12
-    )
+    # user i is served by receiver i: its row of gains, its own link on the
+    # diagonal, every other user interfering
+    own = np.diag(gains) * state.p
+    reference = own / (gains @ state.p - own + gm.noise)
+    assert state.sir == pytest.approx(reference, rel=1e-12)
 
 
 # ----------------------------------------------------------- fixed points

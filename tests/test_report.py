@@ -2,13 +2,13 @@ import dataclasses
 import json
 
 from hetsim.config import SimConfig, fig3_defaults
-from hetsim.harness import MetricsReport, experiment_fig2, experiment_fig3
+from hetsim.harness import MetricsReport, run_preset
 from hetsim.report import CSV_HEADER, emit_report
 
 
 def _small_report():
     cfg = dataclasses.replace(SimConfig(), snapshots=2, sweep=(3,))
-    return experiment_fig2(cfg)
+    return run_preset("fig2", cfg)
 
 
 def test_csv_header_exact(tmp_path):
@@ -24,7 +24,7 @@ def test_csv_header_exact(tmp_path):
 
 def test_fig2_row_count_full_sweep(tmp_path):
     cfg = dataclasses.replace(SimConfig(), snapshots=1)
-    report = experiment_fig2(cfg)
+    report = run_preset("fig2", cfg)
     paths = emit_report(report, tmp_path)
     lines = paths["csv"].read_text().strip().splitlines()
     assert len(lines) == 1 + 16  # 4 sweep points x 4 algorithms
@@ -52,7 +52,7 @@ def test_empty_report_emits_header_and_valid_json(tmp_path):
 
 def test_absent_metrics_are_empty_cells_not_zero(tmp_path):
     cfg = dataclasses.replace(fig3_defaults(), snapshots=2, sweep=(4,))
-    report = experiment_fig3(cfg)
+    report = run_preset("fig3", cfg)
     paths = emit_report(report, tmp_path)
     row = paths["csv"].read_text().strip().splitlines()[1].split(",")
     header = CSV_HEADER.split(",")

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hetsim.config import SimConfig, fig3_defaults
-from hetsim.harness import experiment_fig3
+from hetsim.harness import run_preset
 from hetsim.network import generate_fig3_snapshot
 from hetsim.scheduling import (
     access_probability,
@@ -28,7 +28,7 @@ def test_greedy_matches_round_robin_analytically():
     # both schedulers admit a joiner with 1 / (n + 1): the key moves no number
     base = dataclasses.replace(fig3_defaults(), snapshots=3)
     rows = [
-        experiment_fig3(dataclasses.replace(base, scheduler=name)).rows
+        run_preset("fig3", dataclasses.replace(base, scheduler=name)).rows
         for name in ("round_robin", "greedy")
     ]
     assert rows[0] == rows[1]
