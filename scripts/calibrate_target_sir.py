@@ -25,7 +25,7 @@ from hetsim.association import associate
 from hetsim.config import SimConfig
 from hetsim.harness import run_experiment, run_preset
 from hetsim.network import build_gain_matrix, generate_fig2_snapshot
-from hetsim.power_control import cochannel_system, interference_matrix
+from hetsim.power_control import cochannel_system, feasibility_check
 
 BAND = (0.05, 0.30)
 SEARCH_SEEDS = 20
@@ -63,10 +63,12 @@ def worst_hp_subsystem_rho():
             snap = generate_fig2_snapshot(cfg, n, cfg.base_seed + k)
             gains = build_gain_matrix(snap, cfg)
             amap = associate(snap, gains, "home", "uplink")
-            a, _ = cochannel_system(gains, amap)
+            a, noise = cochannel_system(gains, amap)
             hp = np.flatnonzero(~snap.lpue_mask)
-            f = interference_matrix(a[np.ix_(hp, hp)], np.ones(len(hp)))
-            worst = max(worst, float(np.abs(np.linalg.eigvals(f)).max()))
+            check = feasibility_check(
+                a[np.ix_(hp, hp)], noise[hp], np.ones(len(hp))
+            )
+            worst = max(worst, check.spectral_radius)
     return worst
 
 

@@ -54,14 +54,12 @@ class OracleCheckSummary:
 def run_oracle_check(count, seed, *, rho_match=0.9, rel_tol=1e-8):
     """Cross-validate the iterated tracking algorithm on random instances.
 
-    Per instance: the power-iteration feasibility verdict must match the
+    Per instance: the eigenvalue feasibility verdict must match the
     iterate's behavior at a 1e6 W budget (converged with every user
     supported iff feasible), and on comfortably feasible systems
     (spectral radius < ``rho_match``) the iterate must match the direct
     linear-solve fixed point to ``rel_tol`` relative error.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
     failures = []
     for k in range(count):
         inst_seed = seed + k
@@ -192,6 +190,14 @@ def _run_experiment(args):
 
 
 def _run_oracle_check(args):
+    if args.count < 1:
+        raise ConfigError(
+            f"--count must be at least 1, got {args.count}", key="--count"
+        )
+    if args.seed < 0:
+        raise ConfigError(
+            f"--seed must be non-negative, got {args.seed}", key="--seed"
+        )
     summary = run_oracle_check(args.count, args.seed)
     for index, inst_seed, reason in summary.failures:
         print(f"FAIL instance {index} (seed {inst_seed}): {reason}")
@@ -209,7 +215,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SimError, ValueError) as exc:
+    except SimError as exc:
         # generation, convergence, and oracle failures share the numeric code
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

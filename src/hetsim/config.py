@@ -159,6 +159,23 @@ def _budget(value, key):
         )
 
 
+def _decibel(value, key):
+    try:
+        linear = 10.0 ** (value / 10.0)
+    except OverflowError:
+        linear = float("inf")
+    if not 0.0 < linear < float("inf"):
+        raise ConfigError(
+            f"10 ** (value / 10) must be positive and finite, got {value!r}",
+            key=key,
+        )
+
+
+def _bias(value, key):
+    _non_negative(value, key)
+    _decibel(value, key)
+
+
 def _u64(value, key):
     if not 0 <= value < 2**64:
         raise ConfigError(f"value must fit in u64, got {value!r}", key=key)
@@ -212,10 +229,10 @@ _KEY_TABLE = [
     ("power.small_w", "power_small_w", _parse_float, _positive),
     ("power.pmax_w", "pmax_w", _parse_float, _budget),
     ("noise_w", "noise_w", _parse_float, _positive),
-    ("target_sir_db", "target_sir_db", _parse_float, _finite),
+    ("target_sir_db", "target_sir_db", _parse_float, _decibel),
     ("opc_eta", "opc_eta", _parse_float, _positive),
     ("ith_w", "ith_w", _parse_float, _positive),
-    ("bias_db", "bias_db", _parse_float, _non_negative),
+    ("bias_db", "bias_db", _parse_float, _bias),
     ("epsilon", "epsilon", _parse_float, _non_negative),
     ("scheduler", "scheduler", _parse_str, _enum(SCHEDULERS)),
     ("assoc.uplink", "assoc_uplink", _parse_str, _enum(SCHEMES)),
@@ -300,6 +317,8 @@ def parse_config(path, overrides=(), base=None):
             text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config_text(text, overrides=overrides, base=base)

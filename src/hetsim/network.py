@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import GenerationError
+from .errors import GenerationError, NumericError
 
 HPUE = "hpue"
 LPUE = "lpue"
@@ -179,7 +179,7 @@ def _place_small_centers(rng, origin, macro_side, small_side, n_small, macro_idx
             raise GenerationError(
                 f"could not pack {n_small} small cells of side {small_side} m "
                 f"into macro cell {macro_idx} after {PLACEMENT_RETRIES} draws "
-                f"(seed={seed})"
+                f"(seed={seed}); {len(centers)} packed, so lower mc.sweep"
             )
         cand = (rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y))
         # axis-aligned squares of side s overlap iff both |dx| and |dy| < s
@@ -283,8 +283,19 @@ def build_gain_matrix(snapshot, cfg):
         rx, tx = snapshot.bs_pos, snapshot.user_pos
     else:
         rx, tx = snapshot.user_pos, snapshot.bs_pos
-    d = np.linalg.norm(rx[:, None, :] - tx[None, :, :], axis=-1)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        d = np.linalg.norm(rx[:, None, :] - tx[None, :, :], axis=-1)
+    if not np.isfinite(d.max()):
+        raise NumericError(
+            "distances overflow the float range; check the geometry's sizes"
+        )
     gains = path_gain(d, cfg.path_exponent, cfg.path_d_min, cfg.path_k)
+    if not (gains.min() > 0 and np.isfinite(gains.max())):
+        raise NumericError(
+            "path gains leave the float range (smallest "
+            f"{gains.min():.3g}, largest {gains.max():.3g}); check the "
+            "pathloss.* keys against the geometry's distances"
+        )
     noise = np.full(rx.shape[0], cfg.noise_w, dtype=float)
     return GainMatrix(gains=gains, noise=noise)
 

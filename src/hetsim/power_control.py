@@ -388,42 +388,16 @@ class FeasibilityResult:
     spectral_radius: float
 
 
-def feasibility_check(a, noise, targets, *, tol=1e-10, max_iters=10_000):
-    """Perron root of the coupling matrix by shifted power iteration.
-
-    Iterates v <- (F + shift * I) v with the shift tracking the current
-    Rayleigh estimate: the shift keeps the iteration aperiodic (the Perron
-    root stays dominant for any non-negative coupling) and, scaled to the
-    root itself, keeps the relative eigenvalue gap O(1) even when the root
-    is tiny. Stops once successive estimates agree to ``tol`` twice in a
-    row; raises NumericError with diagnostics if the estimate has not
-    stabilized within ``max_iters`` iterations.
-    """
+def feasibility_check(a, noise, targets):
+    """Perron root of the coupling matrix by dense eigenvalues; raises
+    NumericError when the eigenvalue routine cannot settle it."""
     a, noise, targets = _validate_system(a, noise, targets)
-    f = interference_matrix(a, targets)
-    n = f.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    prev = np.inf
-    rho = 0.0
-    settled = 0
-    for _ in range(max_iters):
-        w = f @ v
-        rho = float(v @ w)
-        # oscillating estimates can cross once; demand two agreements in a row
-        if abs(rho - prev) <= tol * max(1.0, abs(rho)):
-            settled += 1
-            if settled >= 2:
-                return FeasibilityResult(feasible=rho < 1.0, spectral_radius=rho)
-        else:
-            settled = 0
-        prev = rho
-        shifted = w + (rho if rho > 0 else 1.0) * v
-        shifted = shifted / shifted.max()   # pre-scale: the L2 norm of a
-        v = shifted / np.linalg.norm(shifted)  # tiny-rho iterate underflows
-    raise NumericError(
-        f"power iteration stagnated after {max_iters} iterations "
-        f"(last estimates {prev:.12e} -> {rho:.12e})"
-    )
+    try:
+        eigenvalues = np.linalg.eigvals(interference_matrix(a, targets))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Perron root not settled: {exc}") from exc
+    rho = float(np.abs(eigenvalues).max())
+    return FeasibilityResult(feasible=rho < 1.0, spectral_radius=rho)
 
 
 def fixed_point_oracle(a, noise, targets):
@@ -476,10 +450,10 @@ def sample_instance(rng, n_users=None):
 
 
 def sample_feasible_instance(rng, n_users=None, rho_max=0.9):
-    """Rejection-sample an instance whose coupling spectral radius (checked
-    independently via dense eigenvalues) stays below ``rho_max``."""
+    """Rejection-sample an instance whose coupling spectral radius stays
+    below ``rho_max``."""
     while True:
         inst = sample_instance(rng, n_users)
-        f = interference_matrix(inst.a, inst.targets)
-        if np.abs(np.linalg.eigvals(f)).max() < rho_max:
+        check = feasibility_check(inst.a, inst.noise, inst.targets)
+        if check.spectral_radius < rho_max:
             return inst

@@ -233,6 +233,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["--set", "mc.sweep=3,65"], "mc.sweep"),
         (["--set", "mc.sweep=26"], "mc.sweep"),
         (["--set", "power.pmax_w=1e155"], "power.pmax_w"),
+        # 10 ** (db / 10) overflows or underflows to 0
+        (["--set", "target_sir_db=4000"], "target_sir_db"),
+        (["--set", "target_sir_db=-4000"], "target_sir_db"),
+        (["--set", "assoc.uplink=cre", "--set", "bias_db=4000",
+          "--set", "mc.snapshots=1"], "bias_db"),
         (["--jobs", "0"], "--jobs"),
         (["--jobs", "-3"], "--jobs"),
     ):
@@ -268,6 +273,10 @@ def test_cli_jobs_above_cpu_count_is_a_config_error(
 def test_cli_missing_config_file_exit_code(tmp_path):
     code = main(["fig2", "--config", str(tmp_path / "none.cfg")])
     assert code == 2
+    # an unreadable file is a config error too, not a numeric one
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("noise_w = 1e-13 # \u00b5W\n".encode("latin-1"))
+    assert main(["fig2", "--config", str(latin1)]) == 2
 
 
 def test_cli_io_error_exit_code(tmp_path):
@@ -285,13 +294,47 @@ def test_cli_numeric_error_exit_code(tmp_path, capsys):
          "--set", "mc.sweep=25"]
     )
     assert code == 3
-    assert "numeric error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "mc.sweep" in err
+    # distances that overflow and path gains that underflow to 0 are
+    # numeric failures of the run
+    for key, word in (
+        ("grid.macro_side_m=1e300", "distances"),
+        ("grid.macro_side_m=1e100", "pathloss"),
+        ("pathloss.exponent=1000", "pathloss"),
+    ):
+        code = main(
+            ["fig2", "--out", str(tmp_path / "y"), "--set", "mc.snapshots=1",
+             "--set", "mc.sweep=3", "--set", key]
+        )
+        assert code == 3, key
+        assert word in capsys.readouterr().err, key
+
+
+def test_cli_lets_other_value_errors_surface(tmp_path, monkeypatch):
+    # exit 3 means a numeric failure; any other ValueError is a bug
+    def broken(*args, **kwargs):
+        raise ValueError("not a numeric failure")
+
+    monkeypatch.setattr("hetsim.cli.run_preset", broken)
+    with pytest.raises(ValueError, match="not a numeric failure"):
+        main(["fig2", "--out", str(tmp_path)])
 
 
 def test_cli_oracle_check_passes(capsys):
     code = main(["oracle-check", "--count", "25", "--seed", "3"])
     assert code == 0
     assert "25/25 passed" in capsys.readouterr().out
+
+
+def test_cli_oracle_check_bad_flags_are_config_errors(capsys):
+    for args, flag in (
+        (["--count", "0"], "--count"),
+        (["--count", "-5"], "--count"),
+        (["--seed", "-1"], "--seed"),
+    ):
+        assert main(["oracle-check", *args]) == 2, args
+        assert flag in capsys.readouterr().err, args
 
 
 def test_cli_oracle_check_failure_exit_code(monkeypatch, capsys):

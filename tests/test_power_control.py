@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_snapshot, two_user_toy
@@ -367,19 +367,40 @@ def test_feasibility_single_user():
 
 @given(seed=st.integers(0, 10_000), scale=st.floats(0.1, 10.0))
 @settings(max_examples=30, deadline=None)
-def test_feasibility_matches_dense_eigenvalues_and_scales(seed, scale):
-    # the 1e-10 successive-difference stopping rule bounds the achievable
-    # absolute accuracy near 1e-8 when the eigenvalue gap is small
-    inst = sample_instance(np.random.default_rng(seed))
+def test_feasibility_within_collatz_wielandt_bracket_and_scales(seed, scale):
+    # Collatz-Wielandt: for a non-negative F and any positive v, the Perron
+    # root lies between the smallest and the largest ratio (F v)_i / v_i
+    rng = np.random.default_rng(seed)
+    inst = sample_instance(rng)
     res = feasibility_check(inst.a, inst.noise, inst.targets)
-    dense = np.abs(
-        np.linalg.eigvals(interference_matrix(inst.a, inst.targets))
-    ).max()
-    assert res.spectral_radius == pytest.approx(dense, rel=1e-5, abs=1e-8)
+    f = interference_matrix(inst.a, inst.targets)
+    for v in (np.ones(len(f)), rng.uniform(0.1, 10.0, size=len(f))):
+        ratios = (f @ v) / v
+        assert ratios.min() * (1.0 - 1e-12) <= res.spectral_radius
+        assert res.spectral_radius <= ratios.max() * (1.0 + 1e-12)
     scaled = feasibility_check(inst.a, inst.noise, scale * inst.targets)
     assert scaled.spectral_radius == pytest.approx(
         scale * res.spectral_radius, rel=1e-5, abs=1e-8
     )
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_feasible_iff_m_matrix_solve_is_positive(seed):
+    # rho(F) < 1 iff I - F is a non-singular M-matrix, iff (I - F) p = u has
+    # a componentwise positive solution for the oracle's positive u
+    inst = sample_instance(np.random.default_rng(seed))
+    check = feasibility_check(inst.a, inst.noise, inst.targets)
+    assume(abs(check.spectral_radius - 1.0) >= 1e-9)
+    f = interference_matrix(inst.a, inst.targets)
+    u = inst.targets * inst.noise / np.diag(inst.a)
+    p = np.linalg.solve(np.eye(len(u)) - f, u)
+    assert bool((p > 0).all()) == check.feasible
+    if check.feasible:
+        fixed_point_oracle(inst.a, inst.noise, inst.targets)
+    else:
+        with pytest.raises(OracleError):
+            fixed_point_oracle(inst.a, inst.noise, inst.targets)
 
 
 # --------------------------------------------------------- prioritization
