@@ -62,8 +62,8 @@ def worst_hp_subsystem_rho():
         for k in range(cfg.snapshots):
             snap = generate_fig2_snapshot(cfg, n, cfg.base_seed + k)
             gains = build_gain_matrix(snap, cfg)
-            amap = associate(snap, gains, "home", "uplink")
-            a, noise = cochannel_system(gains, amap)
+            serving = associate(snap, gains, "home")
+            a, noise = cochannel_system(snap, gains, serving)
             hp = np.flatnonzero(~snap.lpue_mask)
             check = feasibility_check(
                 a[np.ix_(hp, hp)], noise[hp], np.ones(len(hp))

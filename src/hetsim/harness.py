@@ -86,6 +86,9 @@ class MetricsRow:
 
 @dataclass
 class MetricsReport:
+    """Averaged rows of one experiment; ``raw`` maps each (sweep point,
+    variant) to its per-seed SnapshotResults."""
+
     experiment: str
     rows: list[MetricsRow]
     config: SimConfig
@@ -132,13 +135,11 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
     (shared topology, gains, and association)."""
     snapshot = generate_fig2_snapshot(cfg, n_small, seed)
     gains = build_gain_matrix(snapshot, cfg)
-    assoc = associate(
-        snapshot, gains, cfg.assoc_uplink, UPLINK, bias_db=cfg.bias_db
-    )
+    serving = associate(snapshot, gains, cfg.assoc_uplink, bias_db=cfg.bias_db)
     caps = None
     if any(alg in PRIORITIZED_BASE for alg in algorithms):
         caps = prioritized_caps(snapshot, gains, cfg.ith_w)
-    a, noise = cochannel_system(gains, assoc)
+    a, noise = cochannel_system(snapshot, gains, serving)
     lpue_mask = snapshot.lpue_mask
 
     results = {}
@@ -200,13 +201,10 @@ def _disc_snapshot_results(cfg, n_small, seed, schemes):
 
     results = {}
     for scheme in schemes:
-        if scheme == "home":
-            chosen = int(snapshot.home[0])
-        else:
-            scores = score_matrix(
-                snapshot, gains, scheme, access_prob=p_access, bias_db=cfg.bias_db
-            )[0]
-            chosen = int(np.argmax(scores))
+        scores = score_matrix(
+            snapshot, gains, scheme, access_prob=p_access, bias_db=cfg.bias_db
+        )
+        chosen = int(np.argmax(scores[0]))
         signal = float(g0[chosen] * bs_powers[chosen])
         sir = signal / (total - signal + gains.noise[0])
         rate, se = throughput_metrics(
@@ -264,7 +262,6 @@ def run_experiment(
     hpue_algorithm=None,
     jobs=1,
     experiment="sweep",
-    keep_snapshots=False,
 ):
     """Monte Carlo sweep of ``cfg.geometry``: power-control algorithms on
     the uplink grid, association schemes on the downlink disc. ``variants``
@@ -322,12 +319,7 @@ def run_experiment(
                     seeds=seeds,
                 )
             )
-    return MetricsReport(
-        experiment=experiment,
-        rows=rows,
-        config=cfg,
-        raw=raw if keep_snapshots else None,
-    )
+    return MetricsReport(experiment=experiment, rows=rows, config=cfg, raw=raw)
 
 
 # name -> (default config, variants, high-priority algorithm). fig2: the
@@ -340,7 +332,7 @@ PRESETS = {
 }
 
 
-def run_preset(name, cfg, jobs=1, keep_snapshots=False):
+def run_preset(name, cfg, jobs=1):
     """Run the ``PRESETS[name]`` experiment on ``cfg``, whose geometry must
     be the preset's."""
     defaults, variants, hpue_algorithm = PRESETS[name]
@@ -357,5 +349,4 @@ def run_preset(name, cfg, jobs=1, keep_snapshots=False):
         hpue_algorithm=hpue_algorithm,
         jobs=jobs,
         experiment=name,
-        keep_snapshots=keep_snapshots,
     )

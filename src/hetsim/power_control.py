@@ -25,8 +25,9 @@ high-priority users run plain tpc.
 
 ``tpc_gr`` and ``ptpc_gr`` are the soft-removal twins of ``tpc`` and ``ptpc``:
 each sweep is a pure function of the current iterate, so a twin repeats its
-base run bit for bit up to the first sweep where soft removal changes an
-answer. A base run asked to watch for that sweep lets its twin resume there.
+base run bit for bit up to the first sweep where a demand passes the bound
+past which soft removal can change an answer. A base run asked to watch for
+that sweep lets its twin resume there.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ class PowerState:
 
     ``fork`` is set when the run was asked to watch for its soft-removal
     twin (see ``iterate_power_control``): ``(twin, k, p)`` with k the first
-    sweep the twin answers differently and p the iterate before it, or
-    ``(twin, None, None)`` when the two runs agree on every sweep.
+    sweep where a demand exceeds the twin's removal bound and p the iterate
+    before it, or ``(twin, None, None)`` when no sweep did.
     """
 
     p: np.ndarray
@@ -120,16 +121,16 @@ def prioritized_caps(snapshot, gains, ith):
     )
 
 
-def cochannel_system(gains, assoc):
-    """Reduce (gains, association) to the square per-user system (a, noise).
+def cochannel_system(snapshot, gains, serving):
+    """Reduce (gains, serving cells) to the square per-user system
+    (a, noise).
 
     Uplink only: ``a[i, j]`` is the gain from user j to user i's serving
-    receiver, and ``noise[i]`` is that receiver's noise power.
+    receiver ``serving[i]``, and ``noise[i]`` is that receiver's noise power.
     """
-    if assoc.direction != UPLINK:
+    if snapshot.direction != UPLINK:
         raise ValueError("the iterated power-control system is uplink-only")
-    primary = np.asarray(assoc.primary, dtype=int)
-    return gains.gains[primary, :], gains.noise[primary]
+    return gains.gains[serving, :], gains.noise[serving]
 
 
 def _validate_system(a, noise, targets):
@@ -169,21 +170,6 @@ def _users_on(name, maps, lpue_mask):
     return lpue_mask if base_alg == name else ~lpue_mask
 
 
-def _soft_removal(soft, p_max, cap, clip):
-    """Inputs of a sweep whose ``soft`` users answer demands above their
-    budget with p_max**2 / q, which lies below it: (clip, the demand above
-    which that answer applies, p_max**2)."""
-    with np.errstate(over="ignore"):
-        p_max_sq = p_max * p_max
-    if not np.isfinite(p_max_sq[soft]).all():
-        raise ValueError(
-            "tpc_gr power budgets must have a finite square "
-            "(soft removal answers with p_max**2 / q)"
-        )
-    # soft users skip the budget, so only their static cap clips
-    return np.where(soft, cap, clip), np.where(soft, p_max, np.inf), p_max_sq
-
-
 def iterate_power_control(
     a,
     noise,
@@ -214,14 +200,14 @@ def iterate_power_control(
     picked per user by masks and one per-user clip, both built once.
 
     Sweep sharing between ``tpc``/``ptpc`` and their soft-removal twins
-    (``SOFT_REMOVAL_TWINS``): a base run given ``twin=<its twin>`` tests,
-    on every sweep where a demand could get a different answer from the
-    twin, the twin's soft-removal step on the same demand, and records in
-    ``fork`` the first sweep where the answers differ. The twin run, given
+    (``SOFT_REMOVAL_TWINS``): a base run given ``twin=<its twin>`` records
+    in ``fork`` the first sweep where a demand exceeds the twin's removal
+    bound, at or below which both runs answer alike. The twin run, given
     ``resume=<that base state>`` and otherwise the same arguments, starts
     at that sweep from the recorded iterate, or returns a copy of the base
-    result when no sweep differed. Either way its powers, iteration count
-    and convergence flag are those of a run from the start, bit for bit.
+    result when no sweep passed the bound. Either way its powers, iteration
+    count and convergence flag are those of a run from the start, bit for
+    bit.
     """
     a, noise, targets = _validate_system(a, noise, targets)
     n = targets.shape[0]
@@ -268,20 +254,26 @@ def iterate_power_control(
 
     # per-user clip of the demand: the budget and the static caps
     clip = np.minimum(p_max, cap)
+    with np.errstate(over="ignore"):
+        p_max_sq = p_max * p_max
     soft_removal = "tpc_gr" in maps
     if soft_removal:
-        clip, soft_above, p_max_sq = _soft_removal(
-            _users_on("tpc_gr", maps, lpue_mask), p_max, cap, clip
-        )
+        # tpc_gr users answer demands above their budget with p_max**2 / q,
+        # which lies below it, so only their static cap clips
+        soft = _users_on("tpc_gr", maps, lpue_mask)
+        if not np.isfinite(p_max_sq[soft]).all():
+            raise ValueError(
+                "tpc_gr power budgets must have a finite square "
+                "(soft removal answers with p_max**2 / q)"
+            )
+        clip = np.where(soft, cap, clip)
+        soft_above = np.where(soft, p_max, np.inf)
     fork = None
     if twin is not None:
         if SOFT_REMOVAL_TWINS.get(algorithm) != twin:
             raise ValueError(f"{algorithm!r} cannot share sweeps with {twin!r}")
         twin_soft = _users_on(
             "tpc_gr", _maps(twin, hpue_algorithm, lpue_mask), lpue_mask
-        )
-        twin_clip, twin_above, p_max_sq = _soft_removal(
-            twin_soft, p_max, cap, clip
         )
         # Both runs answer a demand q at or below this bound alike: up to
         # the budget nothing is removed, and beyond it a cap that binds
@@ -292,7 +284,7 @@ def iterate_power_control(
         twin_bound = np.where(twin_soft, np.maximum(p_max, removal), np.inf)
         past_bound = np.empty(n, dtype=bool)
         fork = (twin, None, None)
-    watching, checked = twin is not None, False
+    watching = twin is not None
 
     start = 1
     if resume is not None:
@@ -333,21 +325,13 @@ def iterate_power_control(
             np.divide(eta, r, out=work)
             np.maximum(q, work, out=q, where=dtpc)
             np.copyto(q, work, where=opc)
-        if watching:
-            checked = np.greater(q, twin_bound, out=past_bound).any()
-            if checked:
-                # the twin's answer to the same demand, by the same ufuncs
-                np.greater(q, twin_above, out=past_bound)
-                np.copyto(work, q)
-                np.divide(p_max_sq, q, out=work, where=past_bound)
-                np.minimum(work, twin_clip, out=work)
+        if watching and np.greater(q, twin_bound, out=past_bound).any():
+            fork = (twin, it, p.copy())
+            watching = False
         if soft_removal:
             np.greater(q, soft_above, out=over_budget)
             np.divide(p_max_sq, q, out=q, where=over_budget)
         np.minimum(q, clip, out=new)
-        if checked and not np.array_equal(work, new):
-            fork = (twin, it, p.copy())
-            watching = checked = False
         np.subtract(new, p, out=work)
         delta = np.maximum.reduce(np.abs(work, out=work)) if n else 0.0
         p, new = new, p

@@ -16,6 +16,7 @@ from pathlib import Path
 from . import __version__
 from .config import config_json_dict
 
+# the CSV columns, each a MetricsRow field, in order
 CSV_HEADER = (
     "experiment,sweep_param,sweep_value,algorithm,scheme,direction,"
     "seed_count,hpue_outage,lpue_outage,agg_power_w,agg_throughput_bps_hz,"
@@ -48,28 +49,10 @@ def _atomic_write(path, text):
 
 
 def _csv_text(report):
+    columns = CSV_HEADER.split(",")
     lines = [CSV_HEADER]
     for row in report.rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    row.experiment,
-                    row.sweep_param,
-                    row.sweep_value,
-                    row.algorithm,
-                    row.scheme,
-                    row.direction,
-                    row.seed_count,
-                    row.hpue_outage,
-                    row.lpue_outage,
-                    row.agg_power_w,
-                    row.agg_throughput_bps_hz,
-                    row.spectral_eff_bps_hz,
-                    row.convergence_rate,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(getattr(row, col)) for col in columns))
     return "\n".join(lines) + "\n"
 
 

@@ -47,7 +47,7 @@ def _report(number, name, ok, detail=""):
 def fig2_run():
     cfg = SimConfig()
     t0 = time.perf_counter()
-    report = run_preset("fig2", cfg, jobs=JOBS, keep_snapshots=True)
+    report = run_preset("fig2", cfg, jobs=JOBS)
     elapsed = time.perf_counter() - t0
     return report, elapsed
 
@@ -55,16 +55,14 @@ def fig2_run():
 @pytest.fixture(scope="module")
 def popc_run():
     cfg = SimConfig()
-    return run_experiment(
-        cfg, ("popc",), hpue_algorithm="tpc", jobs=JOBS, keep_snapshots=True
-    )
+    return run_experiment(cfg, ("popc",), hpue_algorithm="tpc", jobs=JOBS)
 
 
 @pytest.fixture(scope="module")
 def fig3_run():
     cfg = fig3_defaults()
     t0 = time.perf_counter()
-    report = run_preset("fig3", cfg, jobs=JOBS, keep_snapshots=True)
+    report = run_preset("fig3", cfg, jobs=JOBS)
     elapsed = time.perf_counter() - t0
     return report, elapsed
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_snapshot
-from hetsim.association import associate, score_matrix, select_serving
+from hetsim.association import SCHEMES, associate, score_matrix
 from hetsim.config import SimConfig
 from hetsim.network import (
     GainMatrix,
@@ -30,7 +30,7 @@ def test_rsrp_score_prefers_stronger_received_power():
     gm = GainMatrix(gains=np.array([[1e-9, 1e-7]]), noise=np.array([1e-13]))
     scores = score_matrix(snap, gm, "rsrp")
     assert scores[0] == pytest.approx([1e-8, 1e-7])
-    assert select_serving(scores) == (1,)
+    assert associate(snap, gm, "rsrp").tolist() == [1]
 
 
 def test_cre_bias_flips_the_winner():
@@ -39,10 +39,10 @@ def test_cre_bias_flips_the_winner():
         [(0.0, "macro", 10.0), (100.0, "small", 1.0)], [(0.0, 0.0)]
     )
     gm = GainMatrix(gains=np.array([[1e-9, 2e-9]]), noise=np.array([1e-13]))
-    assert select_serving(score_matrix(snap, gm, "rsrp")) == (0,)
+    assert associate(snap, gm, "rsrp").tolist() == [0]
     biased = score_matrix(snap, gm, "cre", bias_db=10.0)
     assert biased[0, 1] == pytest.approx(2e-8)
-    assert select_serving(biased) == (1,)
+    assert associate(snap, gm, "cre", bias_db=10.0).tolist() == [1]
 
 
 def test_hybrid_zero_access_probability_never_selected():
@@ -51,9 +51,10 @@ def test_hybrid_zero_access_probability_never_selected():
     )
     # candidate 1 has far better channel but zero access probability
     gm = GainMatrix(gains=np.array([[1e-9, 1e-2]]), noise=np.array([1e-13]))
-    scores = score_matrix(snap, gm, "hybrid", access_prob=np.array([0.5, 0.0]))
+    access = np.array([0.5, 0.0])
+    scores = score_matrix(snap, gm, "hybrid", access_prob=access)
     assert scores[0, 1] == 0.0
-    assert select_serving(scores) == (0,)
+    assert associate(snap, gm, "hybrid", access_prob=access).tolist() == [0]
 
 
 def test_resource_scheme_picks_lighter_cell():
@@ -65,7 +66,7 @@ def test_resource_scheme_picks_lighter_cell():
     gm = build_gain_matrix(snap, SimConfig())
     scores = score_matrix(snap, gm, "resource")
     assert scores[0] == pytest.approx([1 / 5, 1 / 10])
-    assert select_serving(scores)[0] == 0
+    assert associate(snap, gm, "resource")[0] == 0
 
 
 def test_resource_counts_self_out_of_home_cell():
@@ -88,9 +89,10 @@ def test_unknown_scheme_rejected():
 def test_rsrp_association_on_grid_snapshot(cfg):
     snap = generate_fig2_snapshot(cfg, 2, 4)
     gm = build_gain_matrix(snap, cfg)
-    amap = associate(snap, gm, "rsrp", "uplink")
+    serving = associate(snap, gm, "rsrp")
     rp = score_matrix(snap, gm, "rsrp")
-    for i, b in enumerate(amap.primary):
+    assert serving.shape == (snap.n_users,)
+    for i, b in enumerate(serving):
         assert rp[i, b] == rp[i].max()
 
 
@@ -100,12 +102,15 @@ def test_argmax_invariance_under_increasing_transforms(seed):
     cfg = SimConfig()
     snap = generate_fig3_snapshot(cfg, 8, seed)
     gm = build_gain_matrix(snap, cfg)
+    def serving(scores):
+        return np.argmax(scores, axis=1).tolist()
+
     scores = score_matrix(snap, gm, "rsrq")
-    base = select_serving(scores)
-    assert select_serving(3.0 * scores + 7.0) == base
-    assert select_serving(np.log(scores)) == base
+    base = serving(scores)
+    assert serving(3.0 * scores + 7.0) == base
+    assert serving(np.log(scores)) == base
     positive = score_matrix(snap, gm, "rsrp")
-    assert select_serving(positive) == select_serving(np.sqrt(positive))
+    assert serving(positive) == serving(np.sqrt(positive))
 
 
 def test_tie_break_lowest_bs_id():
@@ -113,16 +118,15 @@ def test_tie_break_lowest_bs_id():
         [(-10.0, "small", 1.0), (10.0, "small", 1.0)], [(0.0, 0.0)]
     )
     gm = build_gain_matrix(snap, SimConfig())
-    amap = associate(snap, gm, "rsrp", "downlink")
-    assert amap.primary == (0,)
+    assert associate(snap, gm, "rsrp").tolist() == [0]
 
 
 def test_mei_equals_rsrq_selection_on_uplink(cfg):
     # equal budgets: the minimum-effective-interference cell is the max-SIR one
     snap = generate_fig2_snapshot(cfg, 3, 6)
     gm = build_gain_matrix(snap, cfg)
-    assert select_serving(score_matrix(snap, gm, "mei")) == select_serving(
-        score_matrix(snap, gm, "rsrq")
+    assert np.array_equal(
+        associate(snap, gm, "mei"), associate(snap, gm, "rsrq")
     )
 
 
@@ -133,8 +137,8 @@ def test_cre_small_cell_share_monotone_in_bias(bias_lo, bias_delta):
     snap = generate_fig3_snapshot(cfg, 10, 3)
     gm = build_gain_matrix(snap, cfg)
     def offloaded(bias):
-        amap = associate(snap, gm, "cre", "downlink", bias_db=bias)
-        return set(np.flatnonzero(snap.bs_small[list(amap.primary)]))
+        serving = associate(snap, gm, "cre", bias_db=bias)
+        return set(np.flatnonzero(snap.bs_small[serving]))
 
     lo = offloaded(bias_lo)
     hi = offloaded(bias_lo + bias_delta)
@@ -147,7 +151,7 @@ def test_resource_load_response(cfg):
     snap = generate_fig3_snapshot(cfg, 6, 9)
     gm = build_gain_matrix(snap, cfg)
     before = score_matrix(snap, gm, "resource")
-    pick_before = select_serving(before)
+    pick_before = np.argmax(before, axis=1)
 
     target_bs = 1
     heavier = dataclasses.replace(
@@ -161,7 +165,7 @@ def test_resource_load_response(cfg):
     after = score_matrix(heavier, build_gain_matrix(heavier, cfg), "resource")
     n = snap.n_users
     assert np.all(after[:n, target_bs] < before[:, target_bs])
-    pick_after = select_serving(after[:n])
+    pick_after = np.argmax(after[:n], axis=1)
     for i in range(n):
         if pick_after[i] == target_bs:
             assert pick_before[i] == target_bs
@@ -174,15 +178,28 @@ def test_uplink_and_downlink_maps_can_differ(cfg):
     g_down = build_gain_matrix(down, cfg)
     # uplink mei reacts to equal user budgets, downlink rsrp to the 10 W
     # macro advantage: the tagged maps disagree for some users
-    m_up = associate(up, g_up, "mei", "uplink")
-    m_down = associate(down, g_down, "rsrp", "downlink")
-    assert m_up.primary != m_down.primary
+    m_up = associate(up, g_up, "mei")
+    m_down = associate(down, g_down, "rsrp")
+    assert not np.array_equal(m_up, m_down)
 
 
 def test_score_matrix_shapes(cfg):
     snap = generate_fig3_snapshot(cfg, 5, 2)
     gm = build_gain_matrix(snap, cfg)
-    for scheme in ("rsrp", "rsrq", "cre", "mei", "distance", "resource", "hybrid"):
+    for scheme in SCHEMES:
         m = score_matrix(snap, gm, scheme)
         assert m.shape == (snap.n_users, snap.n_bs)
         assert np.all(np.isfinite(m))
+
+
+def test_home_score_marks_the_home_cell(cfg):
+    # home is a score like any other: 1 at the home cell, so its argmax is
+    # the cell each user was generated in
+    for snap in (
+        generate_fig2_snapshot(cfg, 3, 4),
+        generate_fig3_snapshot(SimConfig(), 5, 2),
+    ):
+        gm = build_gain_matrix(snap, cfg)
+        scores = score_matrix(snap, gm, "home")
+        assert np.array_equal(scores.sum(axis=1), np.ones(snap.n_users))
+        assert np.array_equal(associate(snap, gm, "home"), snap.home)

@@ -70,7 +70,7 @@ def _one_snapshot(cfg, sweep_point, seed):
     cfg = dataclasses.replace(
         cfg, snapshots=1, sweep=(sweep_point,), base_seed=seed
     )
-    (per_seed,) = run_experiment(cfg, keep_snapshots=True).raw.values()
+    (per_seed,) = run_experiment(cfg).raw.values()
     return per_seed[0]
 
 
@@ -135,14 +135,13 @@ def test_shared_twin_sweeps_match_separate_runs(monkeypatch):
         return iterate_power_control(*args, **kwargs)
 
     monkeypatch.setattr("hetsim.harness.iterate_power_control", recording)
-    shared = run_preset("fig2", cfg, keep_snapshots=True)
+    shared = run_preset("fig2", cfg)
     assert len(forks) == 2 * len(cfg.sweep) * cfg.snapshots
     assert None in forks and set(forks) != {None}
     rows = {(r.sweep_value, r.algorithm): r for r in shared.rows}
     for alg in ("tpc_gr", "ptpc_gr"):
         alone = run_experiment(
-            cfg, (alg,), hpue_algorithm="tpc", experiment="fig2",
-            keep_snapshots=True,
+            cfg, (alg,), hpue_algorithm="tpc", experiment="fig2"
         )
         for row in alone.rows:
             assert dataclasses.asdict(row) == dataclasses.asdict(
@@ -154,7 +153,7 @@ def test_shared_twin_sweeps_match_separate_runs(monkeypatch):
 
 def test_fig3_schemes_agree_without_small_cells():
     cfg = dataclasses.replace(fig3_defaults(), snapshots=5, sweep=(0,))
-    report = run_preset("fig3", cfg, keep_snapshots=True)
+    report = run_preset("fig3", cfg)
     ses = [row.spectral_eff_bps_hz for row in report.rows]
     assert max(ses) - min(ses) == 0.0
 
@@ -227,9 +226,7 @@ def test_mei_with_opc_is_permitted_but_does_not_help_throughput(cfg):
         gains = build_gain_matrix(snap, cfg)
         st_mei, st_rsrp = (
             iterate_power_control(
-                *cochannel_system(
-                    gains, associate(snap, gains, scheme, "uplink")
-                ),
+                *cochannel_system(snap, gains, associate(snap, gains, scheme)),
                 snap.target_sir,
                 snap.p_max,
                 algorithm="opc",

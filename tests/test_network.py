@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetsim.association import associate
 from hetsim.config import SimConfig
 from hetsim.errors import GenerationError
 from hetsim.network import (
@@ -231,11 +230,3 @@ def test_gain_matrix_validation():
         GainMatrix(gains=np.array([[1.0, -0.1], [0.1, 1.0]]), noise=np.ones(2))
     with pytest.raises(ValueError):
         GainMatrix(gains=np.ones((2, 2)), noise=np.zeros(2))
-
-
-def test_associate_direction_must_match_snapshot():
-    cfg = SimConfig()
-    snap = generate_fig2_snapshot(cfg, 2, 1)
-    gm = build_gain_matrix(snap, cfg)
-    with pytest.raises(ValueError):
-        associate(snap, gm, "rsrp", "downlink")

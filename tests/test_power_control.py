@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_snapshot, two_user_toy
-from hetsim.association import AssociationMap, associate
+from hetsim.association import associate
 from hetsim.config import SimConfig
 from hetsim.errors import OracleError
 from hetsim.network import (
@@ -30,12 +31,6 @@ from hetsim.power_control import (
     sample_feasible_instance,
     sample_instance,
 )
-
-
-def _assoc(primary, direction="uplink"):
-    return AssociationMap(
-        direction=direction, scheme="home", primary=tuple(primary)
-    )
 
 
 # ---------------------------------------------------------------- updates
@@ -165,8 +160,14 @@ def test_sir_equals_power_over_effective_interference(seed):
     n = int(rng.integers(2, 6))
     gains = rng.uniform(0.01, 1.0, size=(n, n))
     gm = GainMatrix(gains=gains, noise=rng.uniform(0.01, 0.1, size=n))
-    assoc = _assoc(list(range(n)))
-    a, noise = cochannel_system(gm, assoc)
+    # user i generated in (and served by) cell i
+    snap = make_snapshot(
+        [(100.0 * i, False, 1.0) for i in range(n)],
+        [((100.0 * i, 0.0), i) for i in range(n)],
+        direction="uplink",
+        geometry="grid",
+    )
+    a, noise = cochannel_system(snap, gm, associate(snap, gm, "home"))
     state = iterate_power_control(
         a, noise, rng.uniform(0.5, 2.0, size=n), 2.0, max_iters=3
     )
@@ -455,9 +456,8 @@ def test_prioritized_caps_hold_every_threshold(grid_rows, n_small, seed, ith_w):
 def test_prioritized_run_protects_receivers(cfg):
     snap = generate_fig2_snapshot(cfg, 3, 5)
     gm = build_gain_matrix(snap, cfg)
-    assoc = associate(snap, gm, "home", "uplink")
     caps = prioritized_caps(snap, gm, ith=cfg.ith_w)
-    a, noise = cochannel_system(gm, assoc)
+    a, noise = cochannel_system(snap, gm, associate(snap, gm, "home"))
     for alg in ("ptpc", "ptpc_gr", "popc"):
         state = iterate_power_control(
             a, noise, snap.target_sir, snap.p_max,
@@ -480,14 +480,12 @@ def test_prioritized_requires_caps():
 def test_cochannel_system_is_uplink_only(cfg):
     snap = generate_fig2_snapshot(cfg, 2, 3)
     gm = build_gain_matrix(snap, cfg)
-    assoc = associate(snap, gm, "home", "uplink")
-    a, noise = cochannel_system(gm, assoc)
+    serving = associate(snap, gm, "home")
+    a, noise = cochannel_system(snap, gm, serving)
     assert a.shape == (snap.n_users, snap.n_users)
-    down = AssociationMap(
-        direction="downlink", scheme="rsrp", primary=assoc.primary
-    )
-    with pytest.raises(ValueError):
-        cochannel_system(gm, down)
+    down = dataclasses.replace(snap, direction="downlink")
+    with pytest.raises(ValueError, match="uplink-only"):
+        cochannel_system(down, gm, serving)
 
 
 # ------------------------------------------- kernel equivalence reference
@@ -584,7 +582,7 @@ def _equivalence_systems():
     for n_small, seed in ((3, 1), (5, 2)):
         snap = generate_fig2_snapshot(small, n_small, seed)
         gm = build_gain_matrix(snap, small)
-        a, noise = cochannel_system(gm, associate(snap, gm, "home", "uplink"))
+        a, noise = cochannel_system(snap, gm, associate(snap, gm, "home"))
         caps = prioritized_caps(snap, gm, ith=small.ith_w)
         systems.append(
             (a, noise, snap.target_sir, snap.p_max, snap.opc_eta,
@@ -644,7 +642,8 @@ def _run_twins(a, noise, targets, p_max, base, **kwargs):
     """Run ``base`` watching its twin, then the twin resumed from it. The
     twin must equal, bit for bit, the twin run from the start and the
     reference loop, and the base must equal the base run alone. Returns the
-    base's fork record: (first sweep that differs, iterate before it)."""
+    base's fork record: (first sweep past the twin's removal bound, iterate
+    before it)."""
     twin = SOFT_REMOVAL_TWINS[base]
     watched = iterate_power_control(
         a, noise, targets, p_max, algorithm=base, twin=twin, **kwargs
@@ -714,8 +713,9 @@ def test_twin_resumes_from_explicit_p0():
 
 
 def test_prioritized_twin_forks_only_past_removal_bound():
-    # uncoupled users, each with a 5 W cap under a 10 W budget: a demand of
-    # 20 W = p_max**2 / cap is clipped to 5 W by both runs, 25 W is not
+    # uncoupled users, each with a 5 W cap under a 10 W budget: a demand
+    # below 20 W = p_max**2 / cap is clipped to 5 W by both runs. The bound
+    # sits one ulp below 20 W, so 20 W itself forks, with identical results
     caps = PrioritizedCapSet(
         cap=np.array([np.inf, 5.0]),
         thresholds=np.ones(1),
@@ -723,7 +723,7 @@ def test_prioritized_twin_forks_only_past_removal_bound():
         gain_block=np.ones((1, 1)),
     )
     kwargs = dict(lpue_mask=np.array([False, True]), caps=caps)
-    for demand, sweep in ((20.0, None), (25.0, 1)):
+    for demand, sweep in ((19.9, None), (20.0, 1), (25.0, 1)):
         got, _ = _run_twins(
             np.eye(2), np.array([1.0, demand]), np.ones(2), 10.0, "ptpc",
             **kwargs,
