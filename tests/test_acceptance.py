@@ -82,6 +82,45 @@ def test_default_reports_match_golden_digest(preset, request, tmp_path):
     assert _report_digest(tmp_path) == GOLDEN_DIGESTS[preset]
 
 
+# sha256 (see _report_digest) of small ``hetsim sweep`` reports of every
+# variant no preset covers: two snapshots at sweep points 3,5 (grid) or
+# 5,20 (disc), one key set per case.
+SWEEP_DIGESTS = {
+    "pc.algorithm=opc": "8b7a16d4aac29cec28f83675c6dd14b4c82f78f032956f1db042f7117e31ccab",
+    "pc.algorithm=dtpc": "79ca6c1791bc20be97ff6720acfa3feb86fca4c419711e8e1974dc44e488dcb3",
+    "pc.algorithm=popc": "6a8a26b9dba05b7df7bd85c28c199ed890f8bb1cae535744b5c3983cfa72281d",
+    "pc.algorithm=tpc_gr": "db721ba36d740e1933248eb96dc7507970a6050502c1d8018f00e521e2786526",
+    "assoc.uplink=rsrp": "dda25250b06dab890128552aed69dec234cf372fe0de2e138ac07a01de740629",
+    "assoc.uplink=rsrq": "9650d74588f4eb8221232679961d70b338fae7b385854942681a50d36ef6801d",
+    "assoc.uplink=cre": "c4d6d400f388a5821f0b39612be433d252fa458aaafd76bebc47c22eeaf20522",
+    "assoc.uplink=mei": "8820f2ba50b4f8ebce802014cb371fa5665a191a0ddf2975c3a9bc7b4bd746c7",
+    "assoc.downlink=rsrp": "329db548db85f6d1dd90cf335c8325787bcdbed34be707545c2833a90c19f807",
+    "assoc.downlink=rsrq": "5da4e09b9b4ff15b4c6dbbf4d0d24e6caa8dc3eccd2103657fe4fa64964e0fcc",
+    "assoc.downlink=cre": "2cc82d5a8c162c2fa6d8ac89c4a67dab3bcfe38b42daa3d6a9d8a6e1c2b8b23c",
+    "assoc.downlink=mei": "d1cbe4f505198edbc40a690ccf486607b9811617f2632fae2cce017d56f12990",
+    "assoc.downlink=distance": "a3e03e0cf38fdc2ca499043383abe27ad82f8ee0e2c880fbda31edf89bc87263",
+    "assoc.downlink=resource": "edb0acbb5731ead86637d6ec9b4e8720ce454a0f06d50dbaf615e96abb5a52df",
+    "assoc.downlink=hybrid": "615b096e79158c7f5e779699d835c2c79d10b0aa22cbafdf8441fe70a8f2c41f",
+    "assoc.downlink=home": "1bbc11c2b58c08ab9907b34232d5d8b4c90fdad9495be2130193625735d7feb7",
+}
+
+
+@pytest.mark.parametrize("setting", sorted(SWEEP_DIGESTS))
+def test_sweep_reports_match_golden_digest(setting, tmp_path, capsys):
+    geometry, sweep = (
+        ("disc", "5,20") if setting.startswith("assoc.downlink") else ("grid", "3,5")
+    )
+    argv = [
+        "sweep", "--out", str(tmp_path),
+        "--set", f"geometry={geometry}",
+        "--set", "mc.snapshots=2",
+        "--set", f"mc.sweep={sweep}",
+        "--set", setting,
+    ]
+    assert main(argv) == 0
+    assert _report_digest(tmp_path) == SWEEP_DIGESTS[setting]
+
+
 def test_criterion_1_oracle_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
