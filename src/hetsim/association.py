@@ -80,11 +80,10 @@ def score_matrix(snapshot, gains, scheme, *, access_prob=None, bias_db=0.0):
     return -(i_n / g)
 
 
-def associate(snapshot, gains, scheme, *, access_prob=None, bias_db=0.0):
+def associate(snapshot, gains, scheme, *, bias_db=0.0):
     """Serving base station of every user, as an int array: the argmax of
-    the scheme's scores. np.argmax returns the first maximum, which is the
-    lowest BS id since ids equal column indices."""
-    scores = score_matrix(
-        snapshot, gains, scheme, access_prob=access_prob, bias_db=bias_db
-    )
+    the scheme's scores, with each user a prospective joiner under the
+    resource and hybrid schemes. np.argmax returns the first maximum, which
+    is the lowest BS id since ids equal column indices."""
+    scores = score_matrix(snapshot, gains, scheme, bias_db=bias_db)
     return np.argmax(scores, axis=1)

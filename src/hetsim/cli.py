@@ -40,6 +40,11 @@ from .power_control import (
 )
 from .report import emit_report
 
+# fixed-point comparison of run_oracle_check: spectral radius below which
+# it applies, and its relative tolerance
+ORACLE_RHO_MATCH = 0.9
+ORACLE_REL_TOL = 1e-8
+
 
 @dataclass
 class OracleCheckSummary:
@@ -51,14 +56,14 @@ class OracleCheckSummary:
         return self.total - len(self.failures)
 
 
-def run_oracle_check(count, seed, *, rho_match=0.9, rel_tol=1e-8):
+def run_oracle_check(count, seed):
     """Cross-validate the iterated tracking algorithm on random instances.
 
     Per instance: the eigenvalue feasibility verdict must match the
     iterate's behavior at a 1e6 W budget (converged with every user
     supported iff feasible), and on comfortably feasible systems
-    (spectral radius < ``rho_match``) the iterate must match the direct
-    linear-solve fixed point to ``rel_tol`` relative error.
+    (spectral radius < ``ORACLE_RHO_MATCH``) the iterate must match the
+    direct linear-solve fixed point to ``ORACLE_REL_TOL`` relative error.
     """
     failures = []
     for k in range(count):
@@ -86,10 +91,10 @@ def run_oracle_check(count, seed, *, rho_match=0.9, rel_tol=1e-8):
                 )
             )
             continue
-        if check.feasible and check.spectral_radius < rho_match:
+        if check.feasible and check.spectral_radius < ORACLE_RHO_MATCH:
             exact = fixed_point_oracle(inst.a, inst.noise, inst.targets)
             rel = float(np.abs(state.p - exact).max() / np.abs(exact).max())
-            if rel > rel_tol:
+            if rel > ORACLE_REL_TOL:
                 failures.append(
                     (k, inst_seed, f"fixed-point mismatch: rel error {rel:.3e}")
                 )

@@ -9,6 +9,7 @@ out-of-range values are hard errors carrying the offending key and line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .association import SCHEMES
@@ -25,6 +26,10 @@ GEOMETRIES = ("grid", "disc")
 # worst high-priority subsystem. It is a simulator default, not a measured
 # truth.
 DEFAULT_TARGET_SIR_DB = -8.75
+
+# The largest mean numpy's Generator.poisson accepts (int64 max less ten
+# standard deviations); the disc draws its cell loads with it.
+POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 
 
 @dataclass
@@ -150,6 +155,16 @@ def _finite(value, key):
         raise ConfigError(f"value must be finite, got {value!r}", key=key)
 
 
+def _poisson_mean(value, key):
+    _non_negative(value, key)
+    if value > POISSON_LAM_MAX:
+        raise ConfigError(
+            f"value must be at most {POISSON_LAM_MAX!r}, the largest Poisson "
+            f"mean numpy draws, got {value!r}",
+            key=key,
+        )
+
+
 def _budget(value, key):
     # soft removal (tpc_gr) answers over-budget demands with p_max**2 / q
     _positive(value, key)
@@ -223,8 +238,8 @@ _KEY_TABLE = [
     ("small.side_m", "small_side_m", _parse_float, _positive),
     ("small.per_macro", "small_per_macro", _parse_int, _small_count),
     ("disc.radius_m", "disc_radius_m", _parse_float, _positive),
-    ("disc.lambda_lo", "lambda_lo", _parse_float, _non_negative),
-    ("disc.lambda_hi", "lambda_hi", _parse_float, _non_negative),
+    ("disc.lambda_lo", "lambda_lo", _parse_float, _poisson_mean),
+    ("disc.lambda_hi", "lambda_hi", _parse_float, _poisson_mean),
     ("power.macro_w", "power_macro_w", _parse_float, _positive),
     ("power.small_w", "power_small_w", _parse_float, _positive),
     ("power.pmax_w", "pmax_w", _parse_float, _budget),

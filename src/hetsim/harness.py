@@ -25,8 +25,6 @@ from .config import SimConfig, fig2_defaults, fig3_defaults
 from .errors import ConfigError, NumericError
 from .network import (
     DOWNLINK,
-    HPUE,
-    LPUE,
     UPLINK,
     build_gain_matrix,
     generate_fig2_snapshot,
@@ -49,20 +47,30 @@ FIG3_SCHEMES = ("distance", "resource", "hybrid")
 SAFETY_REL_SLACK = 1e-12
 
 
+# the reported metrics: the MetricsRow columns that average the
+# SnapshotResult fields of the same name over the seeds
+METRICS = (
+    "hpue_outage",
+    "lpue_outage",
+    "agg_power_w",
+    "agg_throughput_bps_hz",
+    "spectral_eff_bps_hz",
+    "convergence_rate",
+)
+
+
 @dataclass(frozen=True)
 class SnapshotResult:
-    """Metrics of one (snapshot, variant) run."""
+    """Metrics of one (snapshot, variant) run; ``convergence_rate`` is the
+    run's converged flag."""
 
-    seed: int
-    sweep_value: int
-    variant: str
-    converged: bool
-    iterations: int
     hpue_outage: float | None
     lpue_outage: float | None
     agg_power_w: float
     agg_throughput_bps_hz: float
     spectral_eff_bps_hz: float | None
+    convergence_rate: bool
+    iterations: int
     safety_margin_w: float | None = None
 
 
@@ -95,12 +103,9 @@ class MetricsReport:
     raw: dict | None = None
 
 
-def outage_ratio(state, snapshot, tier):
-    """Fraction of the tier's users whose SIR misses their target, or None
-    for an empty tier (absent, not zero)."""
-    if tier not in (HPUE, LPUE):
-        raise ValueError(f"unknown tier {tier!r}")
-    mask = snapshot.lpue_mask if tier == LPUE else ~snapshot.lpue_mask
+def outage_ratio(state, mask):
+    """Fraction of the users in ``mask`` (one tier) whose SIR misses their
+    target, or None for an empty tier (absent, not zero)."""
     if not mask.any():
         return None
     return float((~state.supported[mask]).sum() / mask.sum())
@@ -121,8 +126,8 @@ def throughput_metrics(sirs, access_probs=None):
 def _check_safety(caps, state, seed):
     """Embedded prioritized-safety assertion; returns the worst margin."""
     agg = caps.gain_block @ state.p[caps.lpue_index]
-    margin = float((agg - caps.thresholds).max()) if agg.size else 0.0
-    bound = float((SAFETY_REL_SLACK * caps.thresholds).min()) if agg.size else 0.0
+    margin = float((agg - caps.ith).max()) if agg.size else 0.0
+    bound = SAFETY_REL_SLACK * caps.ith if agg.size else 0.0
     if margin > bound:
         raise NumericError(
             f"prioritized cap violated by {margin:.3e} W (seed={seed})"
@@ -172,16 +177,13 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
         margin = _check_safety(caps, state, seed) if prioritized else None
         aggregate, _ = throughput_metrics(state.sir)
         results[alg] = SnapshotResult(
-            seed=seed,
-            sweep_value=n_small,
-            variant=alg,
-            converged=state.converged,
-            iterations=state.iterations,
-            hpue_outage=outage_ratio(state, snapshot, HPUE),
-            lpue_outage=outage_ratio(state, snapshot, LPUE),
+            hpue_outage=outage_ratio(state, ~lpue_mask),
+            lpue_outage=outage_ratio(state, lpue_mask),
             agg_power_w=float(state.p.sum()),
             agg_throughput_bps_hz=aggregate,
             spectral_eff_bps_hz=None,
+            convergence_rate=state.converged,
+            iterations=state.iterations,
             safety_margin_w=margin,
         )
     return results
@@ -211,16 +213,13 @@ def _disc_snapshot_results(cfg, n_small, seed, schemes):
             np.array([sir]), access_probs=np.array([p_access[chosen]])
         )
         results[scheme] = SnapshotResult(
-            seed=seed,
-            sweep_value=n_small,
-            variant=scheme,
-            converged=True,
-            iterations=0,
             hpue_outage=None,
             lpue_outage=None,
             agg_power_w=float(bs_powers.sum()),
             agg_throughput_bps_hz=rate,
             spectral_eff_bps_hz=se,
+            convergence_rate=True,
+            iterations=0,
         )
     return results
 
@@ -289,6 +288,9 @@ def run_experiment(
         for variant in variants:
             per_seed = [by_key[(point, k)][variant] for k in range(cfg.snapshots)]
             raw[(point, variant)] = tuple(per_seed)
+            means = {
+                m: _mean_opt([getattr(r, m) for r in per_seed]) for m in METRICS
+            }
             if grid:
                 algorithm, scheme = variant, cfg.assoc_uplink
             else:
@@ -302,20 +304,7 @@ def run_experiment(
                     scheme=scheme,
                     direction=UPLINK if grid else DOWNLINK,
                     seed_count=cfg.snapshots,
-                    hpue_outage=_mean_opt([r.hpue_outage for r in per_seed]),
-                    lpue_outage=_mean_opt([r.lpue_outage for r in per_seed]),
-                    agg_power_w=float(
-                        np.mean([r.agg_power_w for r in per_seed])
-                    ),
-                    agg_throughput_bps_hz=float(
-                        np.mean([r.agg_throughput_bps_hz for r in per_seed])
-                    ),
-                    spectral_eff_bps_hz=_mean_opt(
-                        [r.spectral_eff_bps_hz for r in per_seed]
-                    ),
-                    convergence_rate=float(
-                        np.mean([1.0 if r.converged else 0.0 for r in per_seed])
-                    ),
+                    **means,
                     seeds=seeds,
                 )
             )

@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import GenerationError, NumericError
 
-HPUE = "hpue"
-LPUE = "lpue"
 UPLINK = "uplink"
 DOWNLINK = "downlink"
 
@@ -67,8 +65,6 @@ class NetworkSnapshot:
     target_sir: np.ndarray
     opc_eta: np.ndarray
     direction: str
-    seed: int
-    geometry: str
 
     def __post_init__(self):
         n_bs, n_users = len(self.bs_small), len(self.home)
@@ -192,7 +188,7 @@ def _place_small_centers(rng, origin, macro_side, small_side, n_small, macro_idx
     return centers
 
 
-def _snapshot(cfg, bs_pos, bs_small, user_pos, home, direction, seed, geometry):
+def _snapshot(cfg, bs_pos, bs_small, user_pos, home, direction):
     """Snapshot with the configured per-tier BS powers and common user
     budgets and targets."""
     n_users = len(home)
@@ -206,8 +202,6 @@ def _snapshot(cfg, bs_pos, bs_small, user_pos, home, direction, seed, geometry):
         target_sir=np.full(n_users, cfg.target_sir_linear),
         opc_eta=np.full(n_users, cfg.opc_eta),
         direction=direction,
-        seed=seed,
-        geometry=geometry,
     )
 
 
@@ -240,7 +234,7 @@ def generate_fig2_snapshot(cfg, n_small, seed):
     half = np.where(bs_small, small, side)[home, None] / 2.0
     center = bs_pos[home]
     user_pos = rng.uniform(center - half, center + half)
-    return _snapshot(cfg, bs_pos, bs_small, user_pos, home, UPLINK, seed, "grid")
+    return _snapshot(cfg, bs_pos, bs_small, user_pos, home, UPLINK)
 
 
 def generate_fig3_snapshot(cfg, n_small, seed):
@@ -271,8 +265,6 @@ def generate_fig3_snapshot(cfg, n_small, seed):
         np.concatenate(user_pos),
         np.concatenate(home),
         DOWNLINK,
-        seed,
-        "disc",
     )
 
 

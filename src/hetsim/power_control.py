@@ -77,19 +77,19 @@ class PowerState:
 class PrioritizedCapSet:
     """Static per-user power caps protecting high-priority receivers.
 
-    Every low-priority user gets an equal share of each protected receiver's
-    interference threshold:
+    Every low-priority user gets an equal share of the interference
+    threshold ``ith`` (watts) that every protected receiver shares:
 
-        cap[i] = min_m thresholds[m] / (n_lp * gain_block[m, i]),
+        cap[i] = min_m ith / (n_lp * gain_block[m, i]),
 
     with ``n_lp`` the number of low-priority users. Honoring every cap
     therefore keeps aggregate low-priority interference at each protected
-    receiver at or below its threshold by construction. ``cap`` is per-user,
+    receiver at or below ``ith`` by construction. ``cap`` is per-user,
     +inf for users the caps do not act on.
     """
 
     cap: np.ndarray
-    thresholds: np.ndarray
+    ith: float
     lpue_index: np.ndarray
     gain_block: np.ndarray
 
@@ -100,22 +100,19 @@ def prioritized_caps(snapshot, gains, ith):
         raise ValueError("prioritized caps are defined for uplink snapshots")
     protected = np.flatnonzero(~snapshot.bs_small)
     lpue_index = np.flatnonzero(snapshot.lpue_mask)
-    thresholds = np.broadcast_to(
-        np.asarray(ith, dtype=float), protected.shape
-    ).astype(float)
-    if np.any(thresholds <= 0):
-        raise ValueError("interference thresholds must be positive")
+    if not ith > 0:
+        raise ValueError("the interference threshold must be positive")
 
     cap = np.full(snapshot.n_users, np.inf)
     gain_block = gains.gains[np.ix_(protected, lpue_index)]
     if protected.size and lpue_index.size:
         # a zero gain leaves the user unconstrained by that receiver
         with np.errstate(divide="ignore"):
-            share = thresholds[:, None] / (lpue_index.size * gain_block)
+            share = ith / (lpue_index.size * gain_block)
         cap[lpue_index] = share.min(axis=0)
     return PrioritizedCapSet(
         cap=cap,
-        thresholds=thresholds,
+        ith=ith,
         lpue_index=lpue_index,
         gain_block=gain_block,
     )

@@ -15,22 +15,13 @@ from pathlib import Path
 
 from . import __version__
 from .config import config_json_dict
+from .harness import METRICS
 
 # the CSV columns, each a MetricsRow field, in order
 CSV_HEADER = (
     "experiment,sweep_param,sweep_value,algorithm,scheme,direction,"
     "seed_count,hpue_outage,lpue_outage,agg_power_w,agg_throughput_bps_hz,"
     "spectral_eff_bps_hz,convergence_rate"
-)
-
-# metric columns eligible for per-curve xy export
-_XY_METRICS = (
-    "hpue_outage",
-    "lpue_outage",
-    "agg_power_w",
-    "agg_throughput_bps_hz",
-    "spectral_eff_bps_hz",
-    "convergence_rate",
 )
 
 
@@ -67,11 +58,12 @@ def _json_text(report):
 
 
 def _xy_files(report):
-    """One plain-text xy file per (variant, metric) curve, gnuplot-ready."""
+    """One plain-text xy file per (variant, reported metric) curve,
+    gnuplot-ready."""
     curves = {}
     for row in report.rows:
         variant = row.algorithm if row.algorithm != "none" else row.scheme
-        for metric in _XY_METRICS:
+        for metric in METRICS:
             value = getattr(row, metric)
             if value is None:
                 continue

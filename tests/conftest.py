@@ -24,7 +24,7 @@ def two_user_toy():
     return a, noise, targets
 
 
-def make_snapshot(bs, users, direction="downlink", geometry="disc"):
+def make_snapshot(bs, users, direction="downlink"):
     """Hand-built snapshot. ``bs``: (x, small, tx_power) per base station,
     all on the x axis; ``users``: (position, home) per user, each with a
     1 W budget, unit target SIR and opc_eta 1e-6."""
@@ -39,6 +39,4 @@ def make_snapshot(bs, users, direction="downlink", geometry="disc"):
         target_sir=np.ones(n),
         opc_eta=np.full(n, 1e-6),
         direction=direction,
-        seed=0,
-        geometry=geometry,
     )

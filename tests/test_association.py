@@ -54,7 +54,7 @@ def test_hybrid_zero_access_probability_never_selected():
     access = np.array([0.5, 0.0])
     scores = score_matrix(snap, gm, "hybrid", access_prob=access)
     assert scores[0, 1] == 0.0
-    assert associate(snap, gm, "hybrid", access_prob=access).tolist() == [0]
+    assert np.argmax(scores, axis=1).tolist() == [0]
 
 
 def test_resource_scheme_picks_lighter_cell():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hetsim.cli import main, run_oracle_check
 from hetsim.config import (
     KNOWN_KEYS,
+    POISSON_LAM_MAX,
     SimConfig,
     fig3_defaults,
     parse_config,
@@ -126,6 +128,18 @@ def test_enum_validation():
 def test_lambda_range_cross_validation():
     with pytest.raises(ConfigError):
         parse_config_text("disc.lambda_lo = 5\ndisc.lambda_hi = 2\n")
+
+
+def test_lambda_limit_is_numpys_poisson_limit():
+    # the largest intensity config accepts is the largest numpy draws with
+    rng = np.random.default_rng(0)
+    above = float(np.nextafter(POISSON_LAM_MAX, np.inf))
+    rng.poisson(POISSON_LAM_MAX)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(above)
+    parse_config_text(f"disc.lambda_hi = {POISSON_LAM_MAX!r}\n")
+    with pytest.raises(ConfigError, match="disc.lambda_hi"):
+        parse_config_text(f"disc.lambda_hi = {above!r}\n")
 
 
 def test_render_round_trip_defaults(cfg):
@@ -252,6 +266,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ):
         assert main([*args, "--out", str(tmp_path)]) == 2, args
         assert "key='geometry'" in capsys.readouterr().err, args
+    # a disc intensity numpy's Poisson sampler rejects
+    disc = ["sweep", "--out", str(tmp_path), "--set", "geometry=disc",
+            "--set", "mc.sweep=1", "--set", "mc.snapshots=1"]
+    for key in ("disc.lambda_lo", "disc.lambda_hi"):
+        args = [*disc, "--set", "disc.lambda_hi=1e300", "--set", f"{key}=1e300"]
+        assert main(args) == 2, key
+        assert f"key='{key}'" in capsys.readouterr().err, key
 
 
 def test_cli_jobs_above_cpu_count_is_a_config_error(

@@ -35,11 +35,11 @@ def test_outage_ratio_counting(cfg):
     snap = generate_fig2_snapshot(cfg, 1, 1)
     n = snap.n_users
     supported = np.ones(n, dtype=bool)
-    assert outage_ratio(_state(supported), snap, "hpue") == 0.0
+    assert outage_ratio(_state(supported), ~snap.lpue_mask) == 0.0
     lp = np.flatnonzero(snap.lpue_mask)
     supported[lp[0]] = False
     # one of 36 low-priority users unsupported
-    assert outage_ratio(_state(supported), snap, "lpue") == pytest.approx(1 / 36)
+    assert outage_ratio(_state(supported), snap.lpue_mask) == pytest.approx(1 / 36)
 
 
 def test_outage_ratio_empty_tier_absent(cfg):
@@ -53,7 +53,7 @@ def test_outage_ratio_empty_tier_absent(cfg):
         target_sir=snap.target_sir[hp],
         opc_eta=snap.opc_eta[hp],
     )
-    assert outage_ratio(_state(np.ones(45, bool)), only_hp, "lpue") is None
+    assert outage_ratio(_state(np.ones(45, bool)), only_hp.lpue_mask) is None
 
 
 def test_throughput_metrics_values():
@@ -83,11 +83,13 @@ def test_run_snapshot_deterministic(cfg):
 
 def test_run_snapshot_disc_variant():
     cfg = dataclasses.replace(fig3_defaults(), assoc_downlink="hybrid")
-    res = _one_snapshot(cfg, 5, 3)
-    assert res.variant == "hybrid"
+    cfg = dataclasses.replace(cfg, snapshots=1, sweep=(5,), base_seed=3)
+    report = run_experiment(cfg)
+    assert list(report.raw) == [(5, "hybrid")]
+    (res,) = report.raw[(5, "hybrid")]
     assert res.spectral_eff_bps_hz is not None
     assert res.hpue_outage is None
-    assert res.converged
+    assert res.convergence_rate
 
 
 def test_fig2_single_snapshot_protects_hpues(cfg):
@@ -247,5 +249,5 @@ def test_mei_association_power_control_pipeline(cfg):
     # served by their minimum-effective-interference cell instead of home
     cfg = dataclasses.replace(cfg, assoc_uplink="mei", pc_algorithm="ptpc")
     res = _one_snapshot(cfg, 3, 2)
-    assert res.converged
+    assert res.convergence_rate
     assert res.safety_margin_w <= 0.0

@@ -115,7 +115,7 @@ def test_prioritized_update_caps_lpues_only():
     # the low-priority one is clipped at its 5 W cap
     caps = PrioritizedCapSet(
         cap=np.array([np.inf, 5.0]),
-        thresholds=np.ones(1),
+        ith=1.0,
         lpue_index=np.array([1]),
         gain_block=np.ones((1, 1)),
     )
@@ -165,7 +165,6 @@ def test_sir_equals_power_over_effective_interference(seed):
         [(100.0 * i, False, 1.0) for i in range(n)],
         [((100.0 * i, 0.0), i) for i in range(n)],
         direction="uplink",
-        geometry="grid",
     )
     a, noise = cochannel_system(snap, gm, associate(snap, gm, "home"))
     state = iterate_power_control(
@@ -412,7 +411,6 @@ def _two_lpue_snapshot():
         [(0.0, False, 10.0), (50.0, True, 1.0)],
         [((50.0, float(i)), 1) for i in range(2)],
         direction="uplink",
-        geometry="grid",
     )
 
 
@@ -450,7 +448,7 @@ def test_prioritized_caps_hold_every_threshold(grid_rows, n_small, seed, ith_w):
     snap = generate_fig2_snapshot(cfg, n_small, seed)
     caps = prioritized_caps(snap, build_gain_matrix(snap, cfg), ith=ith_w)
     agg = caps.gain_block @ caps.cap[caps.lpue_index]
-    assert np.all(agg <= caps.thresholds * (1 + 1e-12))
+    assert np.all(agg <= caps.ith * (1 + 1e-12))
 
 
 def test_prioritized_run_protects_receivers(cfg):
@@ -465,7 +463,7 @@ def test_prioritized_run_protects_receivers(cfg):
             caps=caps, max_iters=cfg.max_iters,
         )
         agg = caps.gain_block @ state.p[caps.lpue_index]
-        assert np.all(agg <= caps.thresholds * (1 + 1e-12))
+        assert np.all(agg <= caps.ith * (1 + 1e-12))
         # high-priority users must all be supported at this calibration
         hp = ~snap.lpue_mask
         assert state.supported[hp].all()
@@ -552,11 +550,13 @@ def _synthetic_caps(rng, a, lpue_mask, p_max):
     lpue_index = np.flatnonzero(lpue_mask)
     gain_block = a[np.ix_(protected, lpue_index)]
     cap = np.full(len(lpue_mask), np.inf)
-    cap[lpue_index] = p_max * rng.uniform(0.05, 1.0, size=lpue_index.size)
-    thresholds = (gain_block @ cap[lpue_index]) * 0.5 + 1e-6
+    budget = np.broadcast_to(p_max, cap.shape)[lpue_index]
+    cap[lpue_index] = budget * rng.uniform(0.05, 1.0, size=lpue_index.size)
+    # a threshold the drawn caps honor at every protected receiver
+    ith = float((gain_block @ cap[lpue_index]).max(initial=0.0)) + 1e-6
     return PrioritizedCapSet(
         cap=cap,
-        thresholds=thresholds,
+        ith=ith,
         lpue_index=lpue_index,
         gain_block=gain_block,
     )
@@ -718,7 +718,7 @@ def test_prioritized_twin_forks_only_past_removal_bound():
     # sits one ulp below 20 W, so 20 W itself forks, with identical results
     caps = PrioritizedCapSet(
         cap=np.array([np.inf, 5.0]),
-        thresholds=np.ones(1),
+        ith=1.0,
         lpue_index=np.array([1]),
         gain_block=np.ones((1, 1)),
     )
@@ -763,7 +763,7 @@ def test_twin_resume_checks_its_source():
     lpue_mask = np.array([False, True])
     caps = PrioritizedCapSet(
         cap=np.array([np.inf, 5.0]),
-        thresholds=np.ones(1),
+        ith=1.0,
         lpue_index=np.array([1]),
         gain_block=np.ones((1, 1)),
     )
@@ -787,15 +787,16 @@ def test_twin_resume_checks_its_source():
 
 
 def _capped_system(seed, p_max, algorithm):
-    """A feasible instance plus the prioritized inputs ``algorithm`` needs."""
+    """A feasible instance plus the inputs ``algorithm`` needs: eta, and
+    the prioritized mask and caps."""
     rng = np.random.default_rng(seed)
     inst = sample_feasible_instance(rng)
-    kwargs = {}
+    kwargs = dict(eta=inst.eta)
     if algorithm in PRIORITIZED_BASE:
         n = len(inst.targets)
         lpue_mask = np.zeros(n, dtype=bool)
         lpue_mask[rng.permutation(n)[: n // 2 + 1]] = True
-        kwargs = dict(
+        kwargs.update(
             lpue_mask=lpue_mask,
             caps=_synthetic_caps(rng, inst.a, lpue_mask, p_max),
         )
@@ -826,13 +827,14 @@ def test_iterates_from_zero_never_decrease(algorithm, seed, p_max):
         pytest.fail("iterates did not settle within 5000 sweeps")
 
 
-@pytest.mark.parametrize("algorithm", ["tpc", "ptpc"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 @given(seed=st.integers(0, 10_000), p_max=st.floats(0.05, 10.0))
 @settings(max_examples=25, deadline=None)
 def test_runs_from_zero_and_from_budget_meet(algorithm, seed, p_max):
-    # the fixed point is unique: the run from below and the run from the
-    # budget bracket it and meet, to the default pc.tol, when each stops
-    # at 1e-12
+    # every map is two-sided scalable, so its fixed point is unique: the
+    # runs from zero and from the budget meet, to the default pc.tol, when
+    # each stops at 1e-12. The standard maps also approach it monotonically
+    # from both ends, so there the two runs bracket it
     inst, kwargs = _capped_system(seed, p_max, algorithm)
     n = len(inst.targets)
     runs = [
@@ -844,5 +846,73 @@ def test_runs_from_zero_and_from_budget_meet(algorithm, seed, p_max):
     ]
     low, high = runs
     assert low.converged and high.converged
-    assert np.all(low.p <= high.p)
+    if algorithm in ("tpc", "ptpc"):
+        assert np.all(low.p <= high.p)
     assert np.abs(high.p - low.p).max() <= DEFAULT_TOL * high.p.max()
+
+
+def _random_prioritized_system(rng):
+    """A ``sample_instance`` system with log-uniform per-user budgets, a
+    random low-priority mask (possibly empty or full) and caps below the
+    budgets. Returns (instance, budgets, mask, caps)."""
+    inst = sample_instance(rng)
+    n = len(inst.targets)
+    p_max = 10.0 ** rng.uniform(-2.0, 1.0, size=n)
+    lpue_mask = rng.uniform(size=n) < 0.5
+    return inst, p_max, lpue_mask, _synthetic_caps(rng, inst.a, lpue_mask, p_max)
+
+
+# Every map is two-sided scalable (Sung & Leung, IEEE Trans. IT 51(7), 2005):
+# for a > 1 and p / a <= p' <= a * p, I(p) / a < I(p') < a * I(p). Each
+# branch (target * R, eta / R, p_max**2 / q) scales so, and min / max with
+# the budget and the caps keep it.
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    a=st.floats(1.0, 100.0, exclude_min=True),
+    u=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_maps_are_two_sided_scalable(algorithm, seed, a, u):
+    rng = np.random.default_rng(seed)
+    inst, p_max, lpue_mask, caps = _random_prioritized_system(rng)
+    n = len(inst.targets)
+    p = p_max * 10.0 ** rng.uniform(-3.0, 0.5, size=n)
+    # p' anywhere in [p / a, a * p], its ends included
+    p_other = np.clip(p * a ** (2.0 * np.array(u[:n]) - 1.0), p / a, p * a)
+
+    def sweep(p0):
+        return iterate_power_control(
+            inst.a, inst.noise, inst.targets, p_max,
+            algorithm=algorithm, eta=inst.eta, lpue_mask=lpue_mask,
+            caps=caps if algorithm in PRIORITIZED_BASE else None,
+            max_iters=1, p0=p0,
+        ).p
+
+    base, other = sweep(p), sweep(p_other)
+    slack = 1e-12
+    assert np.all(base > 0)
+    assert np.all(other < a * base * (1 + slack))
+    assert np.all(other > base / a * (1 - slack))
+
+
+@pytest.mark.parametrize("base", sorted(SOFT_REMOVAL_TWINS))
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    hpue_algorithm=st.sampled_from([None, "tpc", "opc", "dtpc", "tpc_gr"]),
+    tol=st.sampled_from([1e-9, 0.05]),
+)
+@settings(max_examples=40, deadline=None)
+def test_twin_resume_equals_full_run_on_random_systems(
+    base, seed, hpue_algorithm, tol
+):
+    # _run_twins asserts that the resumed twin equals the twin run from the
+    # start bit for bit: powers, iteration count and convergence flag
+    rng = np.random.default_rng(seed)
+    inst, p_max, lpue_mask, caps = _random_prioritized_system(rng)
+    _run_twins(
+        inst.a, inst.noise, inst.targets, p_max, base,
+        eta=inst.eta, lpue_mask=lpue_mask,
+        caps=caps if base in PRIORITIZED_BASE else None,
+        hpue_algorithm=hpue_algorithm, max_iters=300, tol=tol,
+    )
