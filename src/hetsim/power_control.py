@@ -77,8 +77,8 @@ class PowerState:
 class PrioritizedCapSet:
     """Static per-user power caps protecting high-priority receivers.
 
-    Every low-priority user gets an equal share of the interference
-    threshold ``ith`` (watts) that every protected receiver shares:
+    Every protected receiver has the same interference threshold ``ith``
+    (watts), and every low-priority user gets an equal share of it:
 
         cap[i] = min_m ith / (n_lp * gain_block[m, i]),
 

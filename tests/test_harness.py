@@ -82,8 +82,10 @@ def test_run_snapshot_deterministic(cfg):
 
 
 def test_run_snapshot_disc_variant():
-    cfg = dataclasses.replace(fig3_defaults(), assoc_downlink="hybrid")
-    cfg = dataclasses.replace(cfg, snapshots=1, sweep=(5,), base_seed=3)
+    cfg = dataclasses.replace(
+        fig3_defaults(), assoc_downlink="hybrid", snapshots=1, sweep=(5,),
+        base_seed=3,
+    )
     report = run_experiment(cfg)
     assert list(report.raw) == [(5, "hybrid")]
     (res,) = report.raw[(5, "hybrid")]
