@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import fig2_defaults, parse_config, parse_config_text
+from .config import parse_config, parse_config_text
 from .errors import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -152,11 +152,7 @@ def _load_config(args, base):
     else:
         cfg = parse_config_text("", overrides=args.overrides, base=base)
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError(
-                f"--seed must fit in u64, got {args.seed}", key="mc.base_seed"
-            )
-        cfg.base_seed = args.seed
+        cfg = replace(cfg, base_seed=args.seed)
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise ConfigError(
@@ -164,7 +160,7 @@ def _load_config(args, base):
             f"got {args.jobs}",
             key="--jobs",
         )
-    return cfg.validate()
+    return cfg
 
 
 def _run_experiment(args):
@@ -172,7 +168,7 @@ def _run_experiment(args):
         cfg = _load_config(args, PRESETS[args.command][0]())
         report = run_preset(args.command, cfg, jobs=args.jobs)
     else:
-        cfg = _load_config(args, fig2_defaults())
+        cfg = _load_config(args, None)
         report = run_experiment(cfg, jobs=args.jobs)
     paths = emit_report(report, args.out)
     print(f"wrote {paths['csv']}")

@@ -1,5 +1,9 @@
-"""Simulation configuration: dataclass defaults, text-format parsing, and
-deterministic rendering for provenance.
+"""Simulation configuration: one frozen dataclass that is the config schema,
+and text-format parsing onto it.
+
+Each ``SimConfig`` field declares its dotted config key, its default and its
+value check; the type of the default says how a value is parsed from text.
+Building a ``SimConfig`` validates it, so every instance is valid.
 
 The config file format is flat key/value text. Keys may be written with their
 full dotted name anywhere, or split into an INI-style ``[section]`` header
@@ -10,7 +14,7 @@ out-of-range values are hard errors carrying the offending key and line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 
 from .association import SCHEMES
 from .errors import ConfigError
@@ -30,114 +34,6 @@ DEFAULT_TARGET_SIR_DB = -8.75
 # The largest mean numpy's Generator.poisson accepts (int64 max less ten
 # standard deviations); the disc draws its cell loads with it.
 POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
-
-
-@dataclass
-class SimConfig:
-    """Every tunable of the simulator. Defaults describe the uplink grid
-    outage experiment; :func:`fig3_defaults` adapts them to the downlink
-    disc experiment."""
-
-    grid_rows: int = 3
-    macro_side_m: float = 1000.0
-    small_side_m: float = 200.0
-    small_per_macro: int = 3  # inert: the grid sweeps mc.sweep instead
-    disc_radius_m: float = 500.0
-    lambda_lo: float = 1.0
-    lambda_hi: float = 10.0
-    power_macro_w: float = 10.0
-    power_small_w: float = 1.0
-    pmax_w: float = 1.0
-    noise_w: float = 1e-13
-    target_sir_db: float = DEFAULT_TARGET_SIR_DB
-    opc_eta: float = 1e-6
-    ith_w: float = 1e-12
-    bias_db: float = 6.0
-    epsilon: float = 0.1  # inert: kept so existing configs stay valid
-    scheduler: str = "round_robin"
-    assoc_uplink: str = "home"
-    assoc_downlink: str = "rsrp"
-    pc_algorithm: str = "tpc"
-    hpue_per_macro: int = 5
-    lpue_per_small: int = 4
-    path_exponent: float = 4.0
-    path_d_min: float = 1.0
-    path_k: float = 1.0
-    snapshots: int = 100
-    base_seed: int = 1
-    sweep: tuple[int, ...] = (3, 4, 5, 6)
-    max_iters: int = 2000
-    tol: float = 1e-9
-    tol_support: float = 1e-6
-    geometry: str = "grid"
-
-    @property
-    def target_sir_linear(self):
-        return 10.0 ** (self.target_sir_db / 10.0)
-
-    def validate(self):
-        for key, field_name, parser, check in _KEY_TABLE:
-            value = getattr(self, field_name)
-            if parser is _parse_float:
-                _finite(value, key)
-            check(value, key)
-        if self.lambda_hi < self.lambda_lo:
-            raise ConfigError(
-                "disc.lambda_hi must be >= disc.lambda_lo",
-                key="disc.lambda_hi",
-            )
-        # at most 64, and at most the (macro // small)**2 axis-aligned
-        # squares that fit in a macro cell
-        limit = int(min(self.macro_side_m // self.small_side_m, 8.0)) ** 2
-        grid_ok = all(1 <= v <= limit for v in self.sweep)
-        if self.geometry == "grid" and not grid_ok:
-            raise ConfigError(
-                "grid sweep entries (small cells per macro) must be in "
-                f"[1, {limit}] for grid.macro_side_m = {self.macro_side_m!r} "
-                f"and small.side_m = {self.small_side_m!r}",
-                key="mc.sweep",
-            )
-        return self
-
-    def to_key_values(self):
-        """Dotted-key view of the fully resolved config (native values)."""
-        return {
-            key: getattr(self, field_name)
-            for key, field_name, _, _ in _KEY_TABLE
-        }
-
-
-def fig2_defaults():
-    """Defaults of the grid outage experiment (the package defaults)."""
-    return SimConfig()
-
-
-def fig3_defaults():
-    """Defaults of the disc spectral-efficiency experiment."""
-    return SimConfig(
-        geometry="disc",
-        sweep=(0, 5, 10, 20, 40),
-        snapshots=200,
-    )
-
-
-def _parse_int(text):
-    return int(text.strip())
-
-
-def _parse_float(text):
-    return float(text.strip())
-
-
-def _parse_str(text):
-    return text.strip()
-
-
-def _parse_sweep(text):
-    items = [t for t in (s.strip() for s in text.split(",")) if t]
-    if not items:
-        raise ValueError("empty sweep list")
-    return tuple(int(t) for t in items)
 
 
 def _positive(value, key):
@@ -230,51 +126,118 @@ def _enum(options):
     return check
 
 
-# (config key, SimConfig field, raw-text parser, validator), in the order
-# render_config and summary.json list the keys.
-_KEY_TABLE = [
-    ("grid.rows", "grid_rows", _parse_int, _at_least_one),
-    ("grid.macro_side_m", "macro_side_m", _parse_float, _positive),
-    ("small.side_m", "small_side_m", _parse_float, _positive),
-    ("small.per_macro", "small_per_macro", _parse_int, _small_count),
-    ("disc.radius_m", "disc_radius_m", _parse_float, _positive),
-    ("disc.lambda_lo", "lambda_lo", _parse_float, _poisson_mean),
-    ("disc.lambda_hi", "lambda_hi", _parse_float, _poisson_mean),
-    ("power.macro_w", "power_macro_w", _parse_float, _positive),
-    ("power.small_w", "power_small_w", _parse_float, _positive),
-    ("power.pmax_w", "pmax_w", _parse_float, _budget),
-    ("noise_w", "noise_w", _parse_float, _positive),
-    ("target_sir_db", "target_sir_db", _parse_float, _decibel),
-    ("opc_eta", "opc_eta", _parse_float, _positive),
-    ("ith_w", "ith_w", _parse_float, _positive),
-    ("bias_db", "bias_db", _parse_float, _bias),
-    ("epsilon", "epsilon", _parse_float, _non_negative),
-    ("scheduler", "scheduler", _parse_str, _enum(SCHEDULERS)),
-    ("assoc.uplink", "assoc_uplink", _parse_str, _enum(SCHEMES)),
-    ("assoc.downlink", "assoc_downlink", _parse_str, _enum(SCHEMES)),
-    ("pc.algorithm", "pc_algorithm", _parse_str, _enum(ALGORITHMS)),
-    ("pc.max_iters", "max_iters", _parse_int, _at_least_one),
-    ("pc.tol", "tol", _parse_float, _positive),
-    ("pc.tol_support", "tol_support", _parse_float, _non_negative),
-    ("cells.hpue_per_macro", "hpue_per_macro", _parse_int, _at_least_one),
-    ("cells.lpue_per_small", "lpue_per_small", _parse_int, _at_least_one),
-    ("pathloss.exponent", "path_exponent", _parse_float, _exponent),
-    ("pathloss.d_min", "path_d_min", _parse_float, _positive),
-    ("pathloss.k", "path_k", _parse_float, _positive),
-    ("mc.snapshots", "snapshots", _parse_int, _at_least_one),
-    ("mc.base_seed", "base_seed", _parse_int, _u64),
-    ("mc.sweep", "sweep", _parse_sweep, _sweep_ok),
-    ("geometry", "geometry", _parse_str, _enum(GEOMETRIES)),
-]
-
-_FIELD_OF_KEY = {key: field_name for key, field_name, _, _ in _KEY_TABLE}
-_PARSER_OF_KEY = {key: parser for key, _, parser, _ in _KEY_TABLE}
-KNOWN_KEYS = tuple(key for key, _, _, _ in _KEY_TABLE)
+def _key(key, default, check):
+    """A SimConfig field: its dotted config key, default and value check."""
+    return field(default=default, metadata={"key": key, "check": check})
 
 
-def _iter_entries(text):
-    """Yield (key, raw_value, line_number) from config text, resolving INI
-    sections into dotted key prefixes."""
+@dataclass(frozen=True)
+class SimConfig:
+    """Every tunable of the simulator, validated when built. Defaults
+    describe the uplink grid outage experiment; :func:`fig3_defaults` adapts
+    them to the downlink disc experiment."""
+
+    grid_rows: int = _key("grid.rows", 3, _at_least_one)
+    macro_side_m: float = _key("grid.macro_side_m", 1000.0, _positive)
+    small_side_m: float = _key("small.side_m", 200.0, _positive)
+    # inert: the grid sweeps mc.sweep instead
+    small_per_macro: int = _key("small.per_macro", 3, _small_count)
+    disc_radius_m: float = _key("disc.radius_m", 500.0, _positive)
+    lambda_lo: float = _key("disc.lambda_lo", 1.0, _poisson_mean)
+    lambda_hi: float = _key("disc.lambda_hi", 10.0, _poisson_mean)
+    power_macro_w: float = _key("power.macro_w", 10.0, _positive)
+    power_small_w: float = _key("power.small_w", 1.0, _positive)
+    pmax_w: float = _key("power.pmax_w", 1.0, _budget)
+    noise_w: float = _key("noise_w", 1e-13, _positive)
+    target_sir_db: float = _key("target_sir_db", DEFAULT_TARGET_SIR_DB, _decibel)
+    opc_eta: float = _key("opc_eta", 1e-6, _positive)
+    ith_w: float = _key("ith_w", 1e-12, _positive)
+    bias_db: float = _key("bias_db", 6.0, _bias)
+    # inert: kept so existing configs stay valid
+    epsilon: float = _key("epsilon", 0.1, _non_negative)
+    scheduler: str = _key("scheduler", "round_robin", _enum(SCHEDULERS))
+    assoc_uplink: str = _key("assoc.uplink", "home", _enum(SCHEMES))
+    assoc_downlink: str = _key("assoc.downlink", "rsrp", _enum(SCHEMES))
+    pc_algorithm: str = _key("pc.algorithm", "tpc", _enum(ALGORITHMS))
+    hpue_per_macro: int = _key("cells.hpue_per_macro", 5, _at_least_one)
+    lpue_per_small: int = _key("cells.lpue_per_small", 4, _at_least_one)
+    path_exponent: float = _key("pathloss.exponent", 4.0, _exponent)
+    path_d_min: float = _key("pathloss.d_min", 1.0, _positive)
+    path_k: float = _key("pathloss.k", 1.0, _positive)
+    snapshots: int = _key("mc.snapshots", 100, _at_least_one)
+    base_seed: int = _key("mc.base_seed", 1, _u64)
+    sweep: tuple[int, ...] = _key("mc.sweep", (3, 4, 5, 6), _sweep_ok)
+    max_iters: int = _key("pc.max_iters", 2000, _at_least_one)
+    tol: float = _key("pc.tol", 1e-9, _positive)
+    tol_support: float = _key("pc.tol_support", 1e-6, _non_negative)
+    geometry: str = _key("geometry", "grid", _enum(GEOMETRIES))
+
+    def __post_init__(self):
+        self.validate()
+
+    @property
+    def target_sir_linear(self):
+        return 10.0 ** (self.target_sir_db / 10.0)
+
+    def validate(self):
+        """Check every key (real-valued ones must be finite) and the rules
+        that join keys; returns ``self``."""
+        for f in fields(self):
+            key, value = f.metadata["key"], getattr(self, f.name)
+            if isinstance(f.default, float):
+                _finite(value, key)
+            f.metadata["check"](value, key)
+        if self.lambda_hi < self.lambda_lo:
+            raise ConfigError(
+                "disc.lambda_hi must be >= disc.lambda_lo",
+                key="disc.lambda_hi",
+            )
+        # at most 64, and at most the (macro // small)**2 axis-aligned
+        # squares that fit in a macro cell
+        limit = int(min(self.macro_side_m // self.small_side_m, 8.0)) ** 2
+        grid_ok = all(1 <= v <= limit for v in self.sweep)
+        if self.geometry == "grid" and not grid_ok:
+            raise ConfigError(
+                "grid sweep entries (small cells per macro) must be in "
+                f"[1, {limit}] for grid.macro_side_m = {self.macro_side_m!r} "
+                f"and small.side_m = {self.small_side_m!r}",
+                key="mc.sweep",
+            )
+        return self
+
+
+_FIELDS = {f.metadata["key"]: f for f in fields(SimConfig)}
+KNOWN_KEYS = tuple(_FIELDS)
+
+
+def fig2_defaults():
+    """Defaults of the grid outage experiment (the package defaults)."""
+    return SimConfig()
+
+
+def fig3_defaults():
+    """Defaults of the disc spectral-efficiency experiment."""
+    return SimConfig(
+        geometry="disc",
+        sweep=(0, 5, 10, 20, 40),
+        snapshots=200,
+    )
+
+
+def check_geometry(geometry, base):
+    """A config built on ``base`` (a preset's defaults) runs its geometry:
+    the base's sweep and snapshot count are chosen for it."""
+    if geometry != base.geometry:
+        raise ConfigError(
+            f"this experiment runs the {base.geometry} geometry, "
+            f"got {geometry!r}",
+            key="geometry",
+        )
+
+
+def _iter_entries(text, overrides):
+    """Yield (key, raw_value, line) from config text, resolving INI sections
+    into dotted key prefixes, then from ``key=value`` override strings."""
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
@@ -294,35 +257,43 @@ def _iter_entries(text):
         if section and "." not in key:
             key = f"{section}.{key}"
         yield key, value.strip(), lineno
-
-
-def _apply_entry(cfg, key, raw_value, line):
-    if key not in _FIELD_OF_KEY:
-        raise ConfigError("unknown config key", key=key, line=line)
-    try:
-        value = _PARSER_OF_KEY[key](raw_value)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(
-            f"cannot parse value {raw_value!r}: {exc}", key=key, line=line
-        ) from None
-    setattr(cfg, _FIELD_OF_KEY[key], value)
-
-
-def parse_config_text(text, overrides=(), base=None):
-    """Parse config text into a validated SimConfig, starting from ``base``
-    (or package defaults) and applying ``key=value`` override strings last."""
-    cfg = SimConfig(**vars(base)) if base is not None else SimConfig()
-    for key, raw, lineno in _iter_entries(text):
-        _apply_entry(cfg, key, raw, lineno)
     for idx, item in enumerate(overrides, start=1):
         if "=" not in item:
             raise ConfigError(
                 f"override must look like key=value, got {item!r}",
                 line=f"--set #{idx}",
             )
-        key, raw = item.split("=", 1)
-        _apply_entry(cfg, key.strip(), raw.strip(), f"--set #{idx}")
-    return cfg.validate()
+        key, value = item.split("=", 1)
+        yield key.strip(), value.strip(), f"--set #{idx}"
+
+
+def _parse_entry(key, raw_value, line):
+    """(field name, value) of one entry, parsed as its default's type."""
+    if key not in _FIELDS:
+        raise ConfigError("unknown config key", key=key, line=line)
+    f = _FIELDS[key]
+    try:
+        if isinstance(f.default, tuple):
+            value = tuple(int(t) for t in raw_value.split(",") if t.strip())
+        else:
+            value = type(f.default)(raw_value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(
+            f"cannot parse value {raw_value!r}: {exc}", key=key, line=line
+        ) from None
+    return f.name, value
+
+
+def parse_config_text(text, overrides=(), base=None):
+    """Parse config text into a SimConfig, starting from ``base`` (a preset's
+    defaults, whose geometry the text may not change) or the package
+    defaults, and applying ``key=value`` override strings last."""
+    values = dict(_parse_entry(*entry) for entry in _iter_entries(text, overrides))
+    if base is None:
+        base = SimConfig()
+    else:
+        check_geometry(values.get("geometry", base.geometry), base)
+    return replace(base, **values)
 
 
 def parse_config(path, overrides=(), base=None):
@@ -339,27 +310,11 @@ def parse_config(path, overrides=(), base=None):
     return parse_config_text(text, overrides=overrides, base=base)
 
 
-def _render_value(value):
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def render_config(cfg):
-    """Deterministic flat rendering of the resolved config; parsing it back
-    reproduces an identical SimConfig."""
-    lines = [
-        f"{key} = {_render_value(getattr(cfg, field_name))}"
-        for key, field_name, _, _ in _KEY_TABLE
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def config_json_dict(cfg):
-    """JSON-ready dotted-key dict of the resolved config."""
+    """JSON-ready dotted-key dict of the config; parsing it back as
+    ``key = value`` text reproduces ``cfg``."""
     out = {}
-    for key, value in cfg.to_key_values().items():
-        out[key] = list(value) if isinstance(value, tuple) else value
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        out[f.metadata["key"]] = list(value) if isinstance(value, tuple) else value
     return out

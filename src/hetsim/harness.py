@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import associate, score_matrix
-from .config import SimConfig, fig2_defaults, fig3_defaults
-from .errors import ConfigError, NumericError
+from .config import SimConfig, check_geometry, fig2_defaults, fig3_defaults
+from .errors import NumericError
 from .network import (
     DOWNLINK,
     UPLINK,
@@ -269,7 +269,6 @@ def run_experiment(
 
     Rows are averaged in seed order, so the report does not depend on the
     order in which snapshot jobs completed."""
-    cfg = cfg.validate()
     grid = cfg.geometry == "grid"
     variants = tuple(
         variants or (cfg.pc_algorithm if grid else cfg.assoc_downlink,)
@@ -325,13 +324,7 @@ def run_preset(name, cfg, jobs=1):
     """Run the ``PRESETS[name]`` experiment on ``cfg``, whose geometry must
     be the preset's."""
     defaults, variants, hpue_algorithm = PRESETS[name]
-    geometry = defaults().geometry
-    if cfg.geometry != geometry:
-        raise ConfigError(
-            f"the {name} preset runs the {geometry} geometry, "
-            f"got {cfg.geometry!r}",
-            key="geometry",
-        )
+    check_geometry(cfg.geometry, defaults())
     return run_experiment(
         cfg,
         variants,

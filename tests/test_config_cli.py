@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +14,14 @@ from hetsim.config import (
     KNOWN_KEYS,
     POISSON_LAM_MAX,
     SimConfig,
+    config_json_dict,
     fig3_defaults,
     parse_config,
     parse_config_text,
-    render_config,
 )
 from hetsim.errors import ConfigError
 
+ROOT = Path(__file__).resolve().parent.parent
 FIG2_CFG = "configs/fig2_default.cfg"
 
 
@@ -47,7 +50,7 @@ def test_negative_power_names_key():
     assert "power.pmax_w" in str(err.value)
     non_finite = [
         (key, value)
-        for key, default in SimConfig().to_key_values().items()
+        for key, default in config_json_dict(SimConfig()).items()
         if isinstance(default, float)
         for value in ("inf", "-inf", "nan")
     ]
@@ -142,8 +145,19 @@ def test_lambda_limit_is_numpys_poisson_limit():
         parse_config_text(f"disc.lambda_hi = {above!r}\n")
 
 
-def test_render_round_trip_defaults(cfg):
-    assert parse_config_text(render_config(cfg)) == cfg
+def _as_config_text(block):
+    """The ``config`` block of a summary.json as ``key = value`` text."""
+    return "".join(
+        f"{key} = {','.join(map(str, v)) if isinstance(v, list) else v}\n"
+        for key, v in block.items()
+    )
+
+
+def test_summary_config_round_trip_defaults(tmp_path, cfg):
+    assert main(["fig2", "--out", str(tmp_path), *_tiny_overrides()]) == 0
+    block = json.loads((tmp_path / "summary.json").read_text())["config"]
+    ran = dataclasses.replace(cfg, snapshots=2, sweep=(3,))
+    assert parse_config_text(_as_config_text(block)) == ran
 
 
 @given(
@@ -155,7 +169,7 @@ def test_render_round_trip_defaults(cfg):
     sweep=st.lists(st.integers(1, 25), min_size=1, max_size=6),
 )
 @settings(max_examples=40, deadline=None)
-def test_render_round_trip_random_configs(
+def test_summary_config_round_trip_random_configs(
     snapshots, seed, noise, sir_db, alg, sweep
 ):
     cfg = SimConfig(
@@ -166,14 +180,50 @@ def test_render_round_trip_random_configs(
         pc_algorithm=alg,
         sweep=tuple(sweep),
     )
-    assert parse_config_text(render_config(cfg)) == cfg
+    block = json.loads(json.dumps(config_json_dict(cfg)))
+    assert parse_config_text(_as_config_text(block)) == cfg
 
 
-def test_every_documented_key_is_settable():
-    cfg = SimConfig()
-    text = render_config(cfg)
-    for key in KNOWN_KEYS:
-        assert f"{key} = " in text
+def _config_file_keys(path):
+    section, keys = None, []
+    for line in path.read_text().splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line[1:-1]
+        elif "=" in line:
+            key = line.split("=", 1)[0].strip()
+            keys.append(f"{section}.{key}" if section else key)
+    return keys
+
+
+def test_known_keys_are_documented_once():
+    # each shipped config spells out every key once, and README's key table
+    # lists every key once; neither names a key the schema lacks
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    table = [line for line in section.splitlines() if line.startswith("| `")]
+    documented = {
+        "fig2_default.cfg": _config_file_keys(ROOT / "configs/fig2_default.cfg"),
+        "fig3_default.cfg": _config_file_keys(ROOT / "configs/fig3_default.cfg"),
+        "README key table": [
+            key
+            for line in table
+            for key in re.findall(r"`([^`]+)`", line.split(" | ")[0])
+        ],
+    }
+    for where, keys in documented.items():
+        assert sorted(keys) == sorted(KNOWN_KEYS), where
+
+
+def test_config_is_validated_when_built():
+    with pytest.raises(ConfigError, match="power.pmax_w"):
+        SimConfig(pmax_w=-1.0)
+    with pytest.raises(ConfigError, match="target_sir_db"):
+        SimConfig(target_sir_db=4000.0)
+    with pytest.raises(ConfigError, match="mc.sweep"):
+        dataclasses.replace(fig3_defaults(), geometry="grid")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SimConfig().pmax_w = 2.0
 
 
 # ------------------------------------------------------------------- CLI
@@ -252,17 +302,19 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["--set", "target_sir_db=-4000"], "target_sir_db"),
         (["--set", "assoc.uplink=cre", "--set", "bias_db=4000",
           "--set", "mc.snapshots=1"], "bias_db"),
+        (["--seed", "18446744073709551616"], "mc.base_seed"),
+        (["--seed", "-1"], "mc.base_seed"),
         (["--jobs", "0"], "--jobs"),
         (["--jobs", "-3"], "--jobs"),
     ):
         code = main(["fig2", "--out", str(tmp_path), *args])
         assert code == 2, args
         assert key in capsys.readouterr().err, args
-    # a preset runs its own geometry only (fig3's default sweep would
-    # already fail the grid's sweep check)
+    # a preset runs its own geometry only; the geometry is blamed even
+    # where the preset's default sweep would fail the other geometry's check
     for args in (
         ["fig2", "--set", "geometry=disc"],
-        ["fig3", "--set", "geometry=grid", "--set", "mc.sweep=3"],
+        ["fig3", "--set", "geometry=grid"],
     ):
         assert main([*args, "--out", str(tmp_path)]) == 2, args
         assert "key='geometry'" in capsys.readouterr().err, args

@@ -1,7 +1,8 @@
 """Smoke tests for the code outside the package that calls it by name:
-``scripts/calibrate_target_sir.py`` and the perfbench tracer. A renamed
-function breaks them without these checks."""
+``scripts/calibrate_target_sir.py`` and the perfbench tracer and runner. A
+renamed function breaks them without these checks."""
 
+import argparse
 import importlib
 import importlib.util
 from pathlib import Path
@@ -11,6 +12,7 @@ from hetsim.config import DEFAULT_TARGET_SIR_DB
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 TRACER = ROOT / "perfbench" / "tracer.py"
+RUNNER = ROOT / "perfbench" / "runner.py"
 
 
 def _load(name, path):
@@ -35,3 +37,12 @@ def test_tracer_wrapped_names_resolve():
     for module_name, attr, _ in tracer.WRAPPED:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+def test_benchmark_setup_probe_runs():
+    # the benchmark's setup step loads and validates each preset's shipped
+    # config through hetsim.config before it times anything else
+    runner = _load("perfbench_runner", RUNNER)
+    for preset in ("fig2", "fig3"):
+        result = runner._setup(argparse.Namespace(preset=preset))
+        assert result["setup_s"] > 0, preset
