@@ -36,6 +36,19 @@ DEFAULT_TARGET_SIR_DB = -8.75
 POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 
 
+def _typed(value, default, key):
+    """Reject a value whose type is not its default's (for ``mc.sweep``, a
+    tuple of ints). A bool is not an int here, and an int is not a float."""
+    kind = type(default)
+    item_kind = int if kind is tuple else kind
+    items = value if kind is tuple else (value,)
+    if not isinstance(value, kind) or any(
+        isinstance(v, bool) or not isinstance(v, item_kind) for v in items
+    ):
+        name = "a tuple of int" if kind is tuple else kind.__name__
+        raise ConfigError(f"value must be {name}, got {value!r}", key=key)
+
+
 def _positive(value, key):
     if not value > 0:
         raise ConfigError(f"value must be positive, got {value!r}", key=key)
@@ -180,10 +193,11 @@ class SimConfig:
         return 10.0 ** (self.target_sir_db / 10.0)
 
     def validate(self):
-        """Check every key (real-valued ones must be finite) and the rules
-        that join keys; returns ``self``."""
+        """Check every key (its type first; real-valued ones must be finite)
+        and the rules that join keys; returns ``self``."""
         for f in fields(self):
             key, value = f.metadata["key"], getattr(self, f.name)
+            _typed(value, f.default, key)
             if isinstance(f.default, float):
                 _finite(value, key)
             f.metadata["check"](value, key)

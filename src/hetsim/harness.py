@@ -8,9 +8,10 @@ A snapshot run is the deterministic pipeline
 
 and a Monte Carlo experiment averages snapshot metrics over
 ``cfg.snapshots`` seeds (base_seed + index) for every sweep point and
-algorithm/scheme variant. Snapshots are independent jobs; with ``jobs > 1``
-they run in a process pool and results are merged by seed index, so reports
-are identical for any job count.
+algorithm/scheme variant. Snapshots are independent jobs, each returning one
+row of ``FIELDS`` per variant; with ``jobs > 1`` they run in a process pool
+that returns the rows in job order, so reports are identical for any job
+count.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import NumericError
 from .network import (
     DOWNLINK,
     UPLINK,
+    GainMatrix,
     build_gain_matrix,
     generate_fig2_snapshot,
     generate_fig3_snapshot,
@@ -47,8 +49,8 @@ FIG3_SCHEMES = ("distance", "resource", "hybrid")
 SAFETY_REL_SLACK = 1e-12
 
 
-# the reported metrics: the MetricsRow columns that average the
-# SnapshotResult fields of the same name over the seeds
+# the reported metrics: the MetricsRow columns that average the per-seed
+# values of the same name
 METRICS = (
     "hpue_outage",
     "lpue_outage",
@@ -57,21 +59,12 @@ METRICS = (
     "spectral_eff_bps_hz",
     "convergence_rate",
 )
-
-
-@dataclass(frozen=True)
-class SnapshotResult:
-    """Metrics of one (snapshot, variant) run; ``convergence_rate`` is the
-    run's converged flag."""
-
-    hpue_outage: float | None
-    lpue_outage: float | None
-    agg_power_w: float
-    agg_throughput_bps_hz: float
-    spectral_eff_bps_hz: float | None
-    convergence_rate: bool
-    iterations: int
-    safety_margin_w: float | None = None
+# the values of one (snapshot, variant) run, in the order of a job's rows:
+# the reported metrics (convergence_rate is the converged flag, 1.0 or 0.0),
+# the sweep count, and the worst prioritized safety margin. NaN marks an
+# absent value: an empty tier's outage, the grid's spectral efficiency, the
+# disc's outages and the margin of a non-prioritized run.
+FIELDS = (*METRICS, "iterations", "safety_margin_w")
 
 
 @dataclass(frozen=True)
@@ -94,13 +87,14 @@ class MetricsRow:
 
 @dataclass
 class MetricsReport:
-    """Averaged rows of one experiment; ``raw`` maps each (sweep point,
-    variant) to its per-seed SnapshotResults."""
+    """Averaged rows of one experiment; ``raw[point, variant, field, seed]``
+    holds the per-seed values behind them, indexed in config order (sweep
+    points, variants, ``FIELDS``, seeds)."""
 
     experiment: str
     rows: list[MetricsRow]
     config: SimConfig
-    raw: dict | None = None
+    raw: np.ndarray
 
 
 def outage_ratio(state, mask):
@@ -137,7 +131,7 @@ def _check_safety(caps, state, seed):
 
 def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
     """One grid snapshot evaluated under several power-control algorithms
-    (shared topology, gains, and association)."""
+    (shared topology, gains, and association): one FIELDS row each."""
     snapshot = generate_fig2_snapshot(cfg, n_small, seed)
     gains = build_gain_matrix(snapshot, cfg)
     serving = associate(snapshot, gains, cfg.assoc_uplink, bias_db=cfg.bias_db)
@@ -147,7 +141,7 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
     a, noise = cochannel_system(snapshot, gains, serving)
     lpue_mask = snapshot.lpue_mask
 
-    results = {}
+    rows = []
     # a run whose soft-removal twin comes later records where the two first
     # differ, and the twin resumes there (bit-identical to a full run)
     resume_from = {}
@@ -176,24 +170,24 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
             resume_from[twin] = state
         margin = _check_safety(caps, state, seed) if prioritized else None
         aggregate, _ = throughput_metrics(state.sir)
-        results[alg] = SnapshotResult(
-            hpue_outage=outage_ratio(state, ~lpue_mask),
-            lpue_outage=outage_ratio(state, lpue_mask),
-            agg_power_w=float(state.p.sum()),
-            agg_throughput_bps_hz=aggregate,
-            spectral_eff_bps_hz=None,
-            convergence_rate=state.converged,
-            iterations=state.iterations,
-            safety_margin_w=margin,
-        )
-    return results
+        rows.append((
+            outage_ratio(state, ~lpue_mask),
+            outage_ratio(state, lpue_mask),
+            state.p.sum(),
+            aggregate,
+            None,
+            state.converged,
+            state.iterations,
+            margin,
+        ))
+    return np.array(rows, dtype=float)
 
 
 def _disc_snapshot_results(cfg, n_small, seed, schemes):
     """One disc snapshot: the tagged macro user (user 0) picks a cell per
     scheme; its spectral efficiency is the access probability of the chosen
     cell times log2(1 + SIR), with every other base station transmitting at
-    full power."""
+    full power. One FIELDS row per scheme."""
     snapshot = generate_fig3_snapshot(cfg, n_small, seed)
     gains = build_gain_matrix(snapshot, cfg)
     p_access = access_probability(cell_loads(snapshot, exclude_user=0))
@@ -201,10 +195,12 @@ def _disc_snapshot_results(cfg, n_small, seed, schemes):
     g0 = gains.gains[0]
     total = float(g0 @ bs_powers)
 
-    results = {}
+    # only the tagged user's scores are read
+    tagged = GainMatrix(gains.gains[:1], gains.noise[:1])
+    rows = []
     for scheme in schemes:
         scores = score_matrix(
-            snapshot, gains, scheme, access_prob=p_access, bias_db=cfg.bias_db
+            snapshot, tagged, scheme, access_prob=p_access, bias_db=cfg.bias_db
         )
         chosen = int(np.argmax(scores[0]))
         signal = float(g0[chosen] * bs_powers[chosen])
@@ -212,46 +208,28 @@ def _disc_snapshot_results(cfg, n_small, seed, schemes):
         rate, se = throughput_metrics(
             np.array([sir]), access_probs=np.array([p_access[chosen]])
         )
-        results[scheme] = SnapshotResult(
-            hpue_outage=None,
-            lpue_outage=None,
-            agg_power_w=float(bs_powers.sum()),
-            agg_throughput_bps_hz=rate,
-            spectral_eff_bps_hz=se,
-            convergence_rate=True,
-            iterations=0,
-        )
-    return results
+        rows.append((None, None, bs_powers.sum(), rate, se, True, 0, None))
+    return np.array(rows, dtype=float)
 
 
 def _job(payload):
+    """The (variants, FIELDS) values of one snapshot."""
     cfg, n_small, seed_index, variants, hpue_algorithm = payload
     seed = cfg.base_seed + seed_index
     if cfg.geometry == "grid":
-        results = _grid_snapshot_results(
+        return _grid_snapshot_results(
             cfg, n_small, seed, variants, hpue_algorithm
         )
-    else:
-        results = _disc_snapshot_results(cfg, n_small, seed, variants)
-    return (n_small, seed_index), results
+    return _disc_snapshot_results(cfg, n_small, seed, variants)
 
 
 def _run_jobs(payloads, jobs):
+    """Each payload's job result, in payload order."""
     if jobs <= 1:
-        return dict(_job(p) for p in payloads)
-    out = {}
+        return [_job(p) for p in payloads]
     chunk = max(1, len(payloads) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for key, value in pool.map(_job, payloads, chunksize=chunk):
-            out[key] = value
-    return out
-
-
-def _mean_opt(values):
-    present = [v for v in values if v is not None]
-    if not present:
-        return None
-    return float(np.mean(present))
+        return list(pool.map(_job, payloads, chunksize=chunk))
 
 
 def run_experiment(
@@ -278,18 +256,20 @@ def run_experiment(
         for point in cfg.sweep
         for k in range(cfg.snapshots)
     ]
-    by_key = _run_jobs(payloads, jobs)
+    results = np.stack(_run_jobs(payloads, jobs))
+    shape = (len(cfg.sweep), cfg.snapshots, len(variants), len(FIELDS))
+    # seeds last: each (point, variant, field) row is one contiguous run,
+    # which np.mean sums in the order of a list of the same values
+    raw = np.ascontiguousarray(results.reshape(shape).transpose(0, 2, 3, 1))
 
     seeds = tuple(cfg.base_seed + k for k in range(cfg.snapshots))
     rows = []
-    raw = {}
-    for point in cfg.sweep:
-        for variant in variants:
-            per_seed = [by_key[(point, k)][variant] for k in range(cfg.snapshots)]
-            raw[(point, variant)] = tuple(per_seed)
-            means = {
-                m: _mean_opt([getattr(r, m) for r in per_seed]) for m in METRICS
-            }
+    for point, per_point in zip(cfg.sweep, raw):
+        for variant, per_variant in zip(variants, per_point):
+            means = {}
+            for metric, values in zip(METRICS, per_variant):
+                present = values[~np.isnan(values)]
+                means[metric] = float(np.mean(present)) if present.size else None
             if grid:
                 algorithm, scheme = variant, cfg.assoc_uplink
             else:

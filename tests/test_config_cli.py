@@ -226,6 +226,29 @@ def test_config_is_validated_when_built():
         SimConfig().pmax_w = 2.0
 
 
+def test_config_types_are_checked_when_built():
+    # a value has its default's type: a bool is not an int, an int is not a
+    # float, and mc.sweep is a tuple of ints; each names its key
+    wrong = [
+        ("mc.snapshots", {"snapshots": 2.5, "sweep": (3,)}),
+        ("mc.snapshots", {"snapshots": True}),
+        ("power.pmax_w", {"pmax_w": "1.0"}),
+        ("power.pmax_w", {"pmax_w": 2}),
+        ("power.pmax_w", {"pmax_w": True}),
+        ("mc.sweep", {"sweep": [3, 4]}),
+        ("mc.sweep", {"sweep": (3, True)}),
+        ("mc.sweep", {"sweep": (3.0,)}),
+        ("geometry", {"geometry": None}),
+    ]
+    for key, values in wrong:
+        with pytest.raises(ConfigError, match=re.escape(f"key={key!r}")):
+            SimConfig(**values)
+    # a float subclass is a float; text is parsed as the default's type
+    assert SimConfig(pmax_w=np.float64(2.0)).pmax_w == 2.0
+    parsed = parse_config_text("power.pmax_w = 2\nmc.snapshots = 3")
+    assert type(parsed.pmax_w) is float and type(parsed.snapshots) is int
+
+
 # ------------------------------------------------------------------- CLI
 
 

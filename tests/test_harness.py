@@ -6,7 +6,9 @@ import pytest
 from hetsim.association import associate
 from hetsim.config import SimConfig, fig3_defaults
 from hetsim.harness import (
+    FIELDS,
     FIG2_ALGORITHMS,
+    FIG3_SCHEMES,
     outage_ratio,
     run_experiment,
     run_preset,
@@ -66,39 +68,36 @@ def test_throughput_metrics_values():
 
 
 def _one_snapshot(cfg, sweep_point, seed):
-    """Result of the configured single variant on one snapshot."""
+    """FIELDS values, by name, of the configured single variant on one
+    snapshot."""
     cfg = dataclasses.replace(
         cfg, snapshots=1, sweep=(sweep_point,), base_seed=seed
     )
-    (per_seed,) = run_experiment(cfg).raw.values()
-    return per_seed[0]
+    raw = run_experiment(cfg).raw
+    assert raw.shape == (1, 1, len(FIELDS), 1)
+    return dict(zip(FIELDS, raw[0, 0, :, 0]))
 
 
 def test_run_snapshot_deterministic(cfg):
     cfg = dataclasses.replace(cfg, pc_algorithm="tpc")
     a = _one_snapshot(cfg, 3, 17)
     b = _one_snapshot(cfg, 3, 17)
-    assert a == b
+    assert np.array_equal(list(a.values()), list(b.values()), equal_nan=True)
 
 
 def test_run_snapshot_disc_variant():
-    cfg = dataclasses.replace(
-        fig3_defaults(), assoc_downlink="hybrid", snapshots=1, sweep=(5,),
-        base_seed=3,
-    )
-    report = run_experiment(cfg)
-    assert list(report.raw) == [(5, "hybrid")]
-    (res,) = report.raw[(5, "hybrid")]
-    assert res.spectral_eff_bps_hz is not None
-    assert res.hpue_outage is None
-    assert res.convergence_rate
+    cfg = dataclasses.replace(fig3_defaults(), assoc_downlink="hybrid")
+    res = _one_snapshot(cfg, 5, 3)
+    assert not np.isnan(res["spectral_eff_bps_hz"])
+    assert np.isnan(res["hpue_outage"])
+    assert res["convergence_rate"] == 1.0
 
 
 def test_fig2_single_snapshot_protects_hpues(cfg):
     cfg = dataclasses.replace(cfg, pc_algorithm="ptpc")
     res = _one_snapshot(cfg, 3, 1)
-    assert res.hpue_outage == 0.0
-    assert res.safety_margin_w is not None and res.safety_margin_w <= 0.0
+    assert res["hpue_outage"] == 0.0
+    assert res["safety_margin_w"] <= 0.0
 
 
 def test_monte_carlo_row_shape(cfg):
@@ -151,8 +150,51 @@ def test_shared_twin_sweeps_match_separate_runs(monkeypatch):
             assert dataclasses.asdict(row) == dataclasses.asdict(
                 rows[(row.sweep_value, alg)]
             )
-        for point in cfg.sweep:
-            assert alone.raw[(point, alg)] == shared.raw[(point, alg)]
+        assert np.array_equal(
+            alone.raw[:, 0],
+            shared.raw[:, FIG2_ALGORITHMS.index(alg)],
+            equal_nan=True,
+        )
+
+
+def test_raw_identical_across_job_counts_and_nan_where_absent():
+    # raw is (point, variant, field, seed) for any job count, which pins the
+    # iteration counts and safety margins that no report file carries. NaN
+    # marks exactly the absent values: the grid's spectral efficiency, the
+    # margins of non-prioritized runs, and the disc's outages and margins
+    grid = SimConfig(grid_rows=2, snapshots=3, sweep=(3, 5))
+    disc = dataclasses.replace(fig3_defaults(), snapshots=3, sweep=(0, 5))
+    grid_absent = np.zeros((len(FIG2_ALGORITHMS), len(FIELDS)), dtype=bool)
+    grid_absent[:, FIELDS.index("spectral_eff_bps_hz")] = True
+    for alg in ("tpc", "tpc_gr"):
+        grid_absent[
+            FIG2_ALGORITHMS.index(alg), FIELDS.index("safety_margin_w")
+        ] = True
+    disc_absent = np.zeros((len(FIG3_SCHEMES), len(FIELDS)), dtype=bool)
+    for field in ("hpue_outage", "lpue_outage", "safety_margin_w"):
+        disc_absent[:, FIELDS.index(field)] = True
+    for name, cfg, absent in (
+        ("fig2", grid, grid_absent),
+        ("fig3", disc, disc_absent),
+    ):
+        report = run_preset(name, cfg, jobs=1)
+        raw = report.raw
+        assert raw.shape == (
+            len(cfg.sweep), len(absent), len(FIELDS), cfg.snapshots
+        )
+        assert raw.flags.c_contiguous
+        assert np.array_equal(
+            raw, run_preset(name, cfg, jobs=2).raw, equal_nan=True
+        )
+        assert np.array_equal(
+            np.isnan(raw), np.broadcast_to(absent[:, :, None], raw.shape)
+        )
+        converged = raw[:, :, FIELDS.index("convergence_rate")]
+        assert set(np.unique(converged)) <= {0.0, 1.0}
+        # rows follow raw's (point, variant) order
+        power = raw[:, :, FIELDS.index("agg_power_w")]
+        for row, per_seed in zip(report.rows, power.reshape(-1, cfg.snapshots)):
+            assert row.agg_power_w == np.mean(per_seed)
 
 
 def test_fig3_schemes_agree_without_small_cells():
@@ -251,5 +293,5 @@ def test_mei_association_power_control_pipeline(cfg):
     # served by their minimum-effective-interference cell instead of home
     cfg = dataclasses.replace(cfg, assoc_uplink="mei", pc_algorithm="ptpc")
     res = _one_snapshot(cfg, 3, 2)
-    assert res.convergence_rate
-    assert res.safety_margin_w <= 0.0
+    assert res["convergence_rate"] == 1.0
+    assert res["safety_margin_w"] <= 0.0

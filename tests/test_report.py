@@ -1,8 +1,10 @@
 import dataclasses
 import json
 
+import numpy as np
+
 from hetsim.config import SimConfig, fig3_defaults
-from hetsim.harness import MetricsReport, run_preset
+from hetsim.harness import FIELDS, MetricsReport, run_preset
 from hetsim.report import CSV_HEADER, emit_report
 
 
@@ -41,7 +43,12 @@ def test_reemission_is_byte_identical(tmp_path):
 
 
 def test_empty_report_emits_header_and_valid_json(tmp_path):
-    report = MetricsReport(experiment="fig2", rows=[], config=SimConfig())
+    report = MetricsReport(
+        experiment="fig2",
+        rows=[],
+        config=SimConfig(),
+        raw=np.empty((0, 0, len(FIELDS), 0)),
+    )
     paths = emit_report(report, tmp_path)
     assert paths["csv"].read_text() == CSV_HEADER + "\n"
     doc = json.loads(paths["json"].read_text())
