@@ -35,6 +35,12 @@ DEFAULT_TARGET_SIR_DB = -8.75
 # standard deviations); the disc draws its cell loads with it.
 POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 
+# Memory budget of one snapshot's largest array, a float64 matrix whose sides
+# are counted in users or cells: users x users for the grid's co-channel
+# system, users x cells for the disc's gains. It bounds both counts.
+SNAPSHOT_MATRIX_BYTES = 2**28
+MAX_USERS = math.isqrt(SNAPSHOT_MATRIX_BYTES // 8)
+
 
 def _typed(value, default, key):
     """Reject a value whose type is not its default's (for ``mc.sweep``, a
@@ -129,6 +135,15 @@ def _sweep_ok(value, key):
         raise ConfigError("sweep entries must be non-negative", key=key)
 
 
+def _fits_budget(size, what, key):
+    if size > MAX_USERS:
+        raise ConfigError(
+            f"{size!r} {what} per snapshot exceed {MAX_USERS}, the most "
+            f"that fit a {SNAPSHOT_MATRIX_BYTES}-byte matrix",
+            key=key,
+        )
+
+
 def _enum(options):
     def check(value, key):
         if value not in options:
@@ -217,6 +232,15 @@ class SimConfig:
                 f"and small.side_m = {self.small_side_m!r}",
                 key="mc.sweep",
             )
+        # users (the disc's expected count) and disc cells per snapshot
+        top = max(self.sweep)
+        if self.geometry == "grid":
+            per_macro = self.hpue_per_macro + top * self.lpue_per_small
+            _fits_budget(self.grid_rows**2 * per_macro, "users", "grid.rows")
+        else:
+            _fits_budget(top + 1, "cells", "mc.sweep")
+            users = self.lambda_hi * top + 1
+            _fits_budget(users, "expected users", "disc.lambda_hi")
         return self
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hetsim.cli import main, run_oracle_check
 from hetsim.config import (
     KNOWN_KEYS,
+    MAX_USERS,
     POISSON_LAM_MAX,
     SimConfig,
     config_json_dict,
@@ -143,6 +145,37 @@ def test_lambda_limit_is_numpys_poisson_limit():
     parse_config_text(f"disc.lambda_hi = {POISSON_LAM_MAX!r}\n")
     with pytest.raises(ConfigError, match="disc.lambda_hi"):
         parse_config_text(f"disc.lambda_hi = {above!r}\n")
+
+
+def test_users_per_snapshot_are_bounded_when_built(tmp_path, capsys):
+    # only configs are built here: none of them runs, so nothing of the
+    # refused size is ever allocated
+    per_macro = 5 + 6 * 4  # cells.hpue_per_macro + max(mc.sweep) x lpue
+    rows = math.isqrt(MAX_USERS // per_macro)
+    assert rows**2 * per_macro <= MAX_USERS < (rows + 1) ** 2 * per_macro
+    SimConfig(grid_rows=rows)
+    with pytest.raises(ConfigError, match="grid.rows"):
+        SimConfig(grid_rows=rows + 1)
+    with pytest.raises(ConfigError, match="grid.rows"):
+        SimConfig(grid_rows=1, hpue_per_macro=MAX_USERS + 1)
+    # the disc: expected users lambda_hi x max(mc.sweep) + 1, and cells
+    disc = dict(geometry="disc", sweep=(40,))
+    SimConfig(**disc, lambda_hi=float((MAX_USERS - 1) // 40))
+    with pytest.raises(ConfigError, match="disc.lambda_hi"):
+        SimConfig(**disc, lambda_hi=float((MAX_USERS - 1) // 40 + 1))
+    with pytest.raises(ConfigError, match="disc.lambda_hi"):
+        SimConfig(**disc, lambda_hi=POISSON_LAM_MAX)
+    idle = dict(geometry="disc", lambda_lo=0.0, lambda_hi=0.0)
+    SimConfig(**idle, sweep=(MAX_USERS - 1,))
+    for top in (MAX_USERS, 10**400):
+        with pytest.raises(ConfigError, match="mc.sweep"):
+            SimConfig(**idle, sweep=(top,))
+    # both default configs pass; from the CLI the bound exits 2
+    parse_config(FIG2_CFG)
+    parse_config("configs/fig3_default.cfg", base=fig3_defaults())
+    args = ["sweep", "--out", str(tmp_path), "--set", f"grid.rows={rows + 1}"]
+    assert main(args) == 2
+    assert "key='grid.rows'" in capsys.readouterr().err
 
 
 def _as_config_text(block):

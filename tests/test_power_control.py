@@ -22,6 +22,7 @@ from hetsim.power_control import (
     PRIORITIZED_BASE,
     SOFT_REMOVAL_TWINS,
     PrioritizedCapSet,
+    _aligned,
     cochannel_system,
     feasibility_check,
     fixed_point_oracle,
@@ -781,6 +782,110 @@ def test_twin_resume_checks_its_source():
             iterate_power_control(
                 a, noise, targets, 10.0, algorithm=algorithm, eta=0.1, twin=twin
             )
+
+
+# ------------------------------ blocked convergence test and matrix layout
+
+
+def _tol_passing_first_at(sweep):
+    """A tol that tpc on the chain, with a budget it never reaches, first
+    passes at ``sweep``: from p = 0, sweep t >= 2 moves the iterate by
+    2**(t-1) / (2**(t-1) - 1) times its max, a ratio falling towards 1."""
+    return 1e30 if sweep == 1 else 1.0 + 1.5 / (2.0 ** (sweep - 1) - 1.0)
+
+
+def _chain_run(**kwargs):
+    """tpc on the chain with an unreachable budget: the kernel's state and
+    the reference loop's (p, iterations, converged)."""
+    a, noise, targets = _chain()
+    kwargs = dict(
+        algorithm="tpc", eta=None, lpue_mask=None, caps=None,
+        hpue_algorithm=None, p0=None, **kwargs,
+    )
+    state = iterate_power_control(a, noise, targets, 1e30, **kwargs)
+    return state, _reference_iterate(a, noise, targets, 1e30, **kwargs)
+
+
+@pytest.mark.parametrize("sweep", [1, 2, 3, 8, 15, 16, 17, 18, 31, 32, 33, 40])
+def test_convergence_lands_anywhere_in_a_block(sweep):
+    # the kernel tests 16 sweeps at a time: offsets inside a block, its
+    # first and last sweep, and the blocks after it
+    state, want = _chain_run(tol=_tol_passing_first_at(sweep), max_iters=100)
+    assert (state.iterations, state.converged) == (sweep, True)
+    assert np.array_equal(state.p, want[0])
+    assert want[1:] == (sweep, True)
+
+
+@pytest.mark.parametrize("max_iters", [1, 15, 16, 17, 33])
+def test_max_iters_returns_its_sweep_unconverged(max_iters):
+    state, want = _chain_run(tol=1e-9, max_iters=max_iters)
+    assert (state.iterations, state.converged) == (max_iters, False)
+    assert np.array_equal(state.p, want[0])
+    assert want[1:] == (max_iters, False)
+    assert state.p == pytest.approx(0.1 * (2.0**max_iters - 1.0))
+    # a pass on the last allowed sweep converges
+    state, _ = _chain_run(tol=_tol_passing_first_at(max_iters), max_iters=max_iters)
+    assert (state.iterations, state.converged) == (max_iters, True)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_single_user_matches_reference_loop(algorithm):
+    prioritized = algorithm in PRIORITIZED_BASE
+    caps = PrioritizedCapSet(
+        cap=np.array([0.15]),
+        ith=1.0,
+        lpue_index=np.array([0]),
+        gain_block=np.ones((1, 1)),
+    )
+    a, noise, targets = np.array([[0.5]]), np.array([0.1]), np.ones(1)
+    for p0, max_iters in itertools.product((None, np.array([3.0])), (1, 2, 16, 300)):
+        kwargs = dict(
+            algorithm=algorithm,
+            eta=np.array([0.01]),
+            lpue_mask=np.array([True]) if prioritized else None,
+            caps=caps if prioritized else None,
+            hpue_algorithm=None,
+            max_iters=max_iters,
+            tol=1e-9,
+            p0=p0,
+        )
+        state = iterate_power_control(a, noise, targets, 10.0, **kwargs)
+        p, iterations, converged = _reference_iterate(
+            a, noise, targets, 10.0, **kwargs
+        )
+        assert np.array_equal(state.p, p), (p0, max_iters)
+        assert (state.iterations, state.converged) == (iterations, converged)
+
+
+def test_single_user_twins():
+    a, targets = np.array([[0.5]]), np.ones(1)
+    assert _run_twins(a, np.array([0.1]), targets, 10.0, "tpc") == (None, None)
+    sweep, p = _run_twins(a, np.array([20.0]), targets, 10.0, "tpc")
+    assert (sweep, p.tolist()) == (1, [0.0])
+
+
+def test_twin_fork_past_the_converged_sweep_is_dropped():
+    # tol = 1.5 passes at sweep 3 (0.4 < 1.5 * 0.3), but the block runs on
+    # to sweep 7, whose demand of 12.7 W first exceeds the 10 W budget
+    state = iterate_power_control(*_chain(), 10.0, twin="tpc_gr", tol=1.5)
+    assert (state.iterations, state.converged) == (3, True)
+    assert _run_twins(*_chain(), 10.0, "tpc", tol=1.5) == (None, None)
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 153, 189, 225, 261])
+def test_aligned_matrix_gives_the_same_products(n):
+    rng = np.random.default_rng(n)
+    # entries over twelve decades, so any change of summation order shows
+    a = rng.uniform(0.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-12.0, 0.0, (n, n))
+    view = _aligned(a)
+    assert view.ctypes.data % 64 == 0
+    assert view.strides == (view.strides[0], 8) and view.strides[0] % 64 == 0
+    assert np.array_equal(view, a)
+    out = np.empty(n)
+    for _ in range(5):
+        x = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-6.0, 1.0, n)
+        np.matmul(view, x, out=out)
+        assert np.array_equal(out, np.matmul(a.copy(), x))
 
 
 # -------------------------------------------- standard interference maps
