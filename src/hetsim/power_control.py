@@ -358,7 +358,8 @@ def iterate_power_control(
                 np.greater(q, soft_above, out=over_budget)
                 np.divide(p_max_sq, q, out=q, where=over_budget)
             np.minimum(q, clip, out=rows[j + 1])
-        # sweep it + j passes when max |p' - p| < tol * max(max(p), floor)
+        # sweep it + j passes when max |p' - p| < tol * max(max(p), floor);
+        # the initial values also keep n = 0 valid
         diff = block[1 : k + 1] - block[:k]
         delta = np.maximum.reduce(np.abs(diff, out=diff), axis=1, initial=0.0)
         scale = np.maximum.reduce(block[:k], axis=1, initial=_SCALE_FLOOR)
