@@ -27,7 +27,6 @@ from .errors import NumericError
 from .network import (
     DOWNLINK,
     UPLINK,
-    GainMatrix,
     build_gain_matrix,
     generate_fig2_snapshot,
     generate_fig3_snapshot,
@@ -189,18 +188,17 @@ def _disc_snapshot_results(cfg, n_small, seed, schemes):
     cell times log2(1 + SIR), with every other base station transmitting at
     full power. One FIELDS row per scheme."""
     snapshot = generate_fig3_snapshot(cfg, n_small, seed)
-    gains = build_gain_matrix(snapshot, cfg)
+    # only the tagged user's gains and scores are read
+    gains = build_gain_matrix(snapshot, cfg, rows=[0])
     p_access = access_probability(cell_loads(snapshot, exclude_user=0))
     bs_powers = snapshot.bs_tx_power
     g0 = gains.gains[0]
     total = float(g0 @ bs_powers)
 
-    # only the tagged user's scores are read
-    tagged = GainMatrix(gains.gains[:1], gains.noise[:1])
     rows = []
     for scheme in schemes:
         scores = score_matrix(
-            snapshot, tagged, scheme, access_prob=p_access, bias_db=cfg.bias_db
+            snapshot, gains, scheme, access_prob=p_access, bias_db=cfg.bias_db
         )
         chosen = int(np.argmax(scores[0]))
         signal = float(g0[chosen] * bs_powers[chosen])

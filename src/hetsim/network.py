@@ -151,10 +151,10 @@ def path_gain(distance, exponent=4.0, d_min=1.0, k=1.0):
     return out
 
 
-def _uniform_in_disc(rng, center, radius, count):
-    """``count`` points uniform in a disc, drawn as one (count, 2) block: row
-    i holds the radius and angle draws of point i, in that order."""
-    u = rng.uniform(size=(count, 2))
+def _disc_points(u, center, radius):
+    """Points uniform in discs from a (k, 2) block of uniform draws: row i
+    holds the radius and angle draws of point i, in that order, and lands in
+    the disc of radius ``radius`` around ``center`` (or its row i)."""
     r = radius * np.sqrt(u[:, 0])
     ang = 2.0 * np.pi * u[:, 1]
     return center + np.column_stack((r * np.cos(ang), r * np.sin(ang)))
@@ -246,37 +246,40 @@ def generate_fig3_snapshot(cfg, n_small, seed):
         raise ValueError(f"n_small must be non-negative, got {n_small}")
     rng = np.random.default_rng(seed)
     # the tagged macro user, then the small-cell sites
-    drop = _uniform_in_disc(rng, np.zeros(2), cfg.disc_radius_m, 1 + n_small)
+    drop = _disc_points(
+        rng.uniform(size=(1 + n_small, 2)), 0.0, cfg.disc_radius_m
+    )
     bs_pos = np.vstack((np.zeros((1, 2)), drop[1:]))
-    user_pos = [drop[:1]]
-    home = [np.zeros(1, dtype=int)]
-    for b in range(1, n_small + 1):
-        lam = rng.uniform(cfg.lambda_lo, cfg.lambda_hi)
-        count = int(rng.poisson(lam))
-        user_pos.append(
-            _uniform_in_disc(rng, bs_pos[b], cfg.small_side_m / 2.0, count)
-        )
-        home.append(np.full(count, b))
+    # cell by cell: its mean load, its Poisson count, its users' draws (this
+    # order fixes what a seed means); the tagged user is cell 0's one user,
+    # and the empty block lets n_small = 0 concatenate
+    counts, draws = [1], [np.empty((0, 2))]
+    for _ in range(n_small):
+        count = int(rng.poisson(rng.uniform(cfg.lambda_lo, cfg.lambda_hi)))
+        counts.append(count)
+        draws.append(rng.uniform(size=(count, 2)))
+    home = np.repeat(np.arange(1 + n_small), counts)
+    users = _disc_points(
+        np.concatenate(draws), bs_pos[home[1:]], cfg.small_side_m / 2.0
+    )
     bs_small = np.arange(1 + n_small) > 0
     return _snapshot(
-        cfg,
-        bs_pos,
-        bs_small,
-        np.concatenate(user_pos),
-        np.concatenate(home),
-        DOWNLINK,
+        cfg, bs_pos, bs_small, np.vstack((drop[:1], users)), home, DOWNLINK
     )
 
 
-def build_gain_matrix(snapshot, cfg):
+def build_gain_matrix(snapshot, cfg, *, rows=slice(None)):
     """Receiver-major path gains for the snapshot's link direction, plus the
-    configured noise floor at every receiver."""
+    configured noise floor at every receiver. ``rows`` (a slice or index
+    array, default all) selects the receivers, in that order."""
     if snapshot.direction == UPLINK:
-        rx, tx = snapshot.bs_pos, snapshot.user_pos
+        rx, tx = snapshot.bs_pos[rows], snapshot.user_pos
     else:
-        rx, tx = snapshot.user_pos, snapshot.bs_pos
+        rx, tx = snapshot.user_pos[rows], snapshot.bs_pos
     with np.errstate(over="ignore"):  # an overflow is reported below
-        d = np.linalg.norm(rx[:, None, :] - tx[None, :, :], axis=-1)
+        dx = rx[:, 0, None] - tx[:, 0]
+        dy = rx[:, 1, None] - tx[:, 1]
+        d = np.sqrt(dx * dx + dy * dy)
     if not np.isfinite(d.max()):
         raise NumericError(
             "distances overflow the float range; check the geometry's sizes"

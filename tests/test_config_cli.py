@@ -426,18 +426,20 @@ def test_cli_numeric_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numeric error" in err and "mc.sweep" in err
     # distances that overflow and path gains that underflow to 0 are
-    # numeric failures of the run
-    for key, word in (
-        ("grid.macro_side_m=1e300", "distances"),
-        ("grid.macro_side_m=1e100", "pathloss"),
-        ("pathloss.exponent=1000", "pathloss"),
+    # numeric failures of the run; the disc's guard sees the tagged row
+    for preset, key, word in (
+        ("fig2", "grid.macro_side_m=1e300", "distances"),
+        ("fig2", "grid.macro_side_m=1e100", "pathloss"),
+        ("fig2", "pathloss.exponent=1000", "pathloss"),
+        ("fig3", "disc.radius_m=1e300", "distances"),
+        ("fig3", "pathloss.exponent=1000", "pathloss"),
     ):
         code = main(
-            ["fig2", "--out", str(tmp_path / "y"), "--set", "mc.snapshots=1",
+            [preset, "--out", str(tmp_path / "y"), "--set", "mc.snapshots=1",
              "--set", "mc.sweep=3", "--set", key]
         )
-        assert code == 3, key
-        assert word in capsys.readouterr().err, key
+        assert code == 3, (preset, key)
+        assert word in capsys.readouterr().err, (preset, key)
 
 
 def test_cli_lets_other_value_errors_surface(tmp_path, monkeypatch):

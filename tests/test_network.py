@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hetsim.config import SimConfig
-from hetsim.errors import GenerationError
+from hetsim.errors import GenerationError, NumericError
 from hetsim.network import (
     GainMatrix,
     build_gain_matrix,
@@ -174,24 +174,37 @@ def _scalar_disc_point(rng, center, radius):
     return (center[0] + r * np.cos(ang), center[1] + r * np.sin(ang))
 
 
-@pytest.mark.parametrize("seed", [1000, 1001, 1002])
-def test_fig3_block_draws_match_one_draw_per_coordinate(seed):
+@given(
+    n=st.integers(0, 40),
+    seed=st.integers(0, 2**32),
+    lambda_hi=st.sampled_from([1.0, 10.0]),
+)
+@example(n=7, seed=1000, lambda_hi=10.0)
+@example(n=7, seed=1001, lambda_hi=10.0)
+@example(n=7, seed=1002, lambda_hi=10.0)
+@example(n=40, seed=1006, lambda_hi=10.0)  # three empty cells
+@settings(max_examples=60, deadline=None)
+def test_fig3_block_draws_match_one_draw_per_coordinate(n, seed, lambda_hi):
     # reference: one scalar draw per radius and angle, cell by cell; the
-    # block generator must reproduce it exactly, so seeds keep their meaning
-    cfg = SimConfig()
-    snap = generate_fig3_snapshot(cfg, 7, seed)
+    # block generator must reproduce it exactly, so seeds keep their meaning.
+    # At a mean load of 1 about a third of the cells draw no user.
+    cfg = SimConfig(lambda_hi=lambda_hi)
+    snap = generate_fig3_snapshot(cfg, n, seed)
     rng = np.random.default_rng(seed)
     radius = cfg.disc_radius_m
     users = [_scalar_disc_point(rng, (0.0, 0.0), radius)]
-    cells = [_scalar_disc_point(rng, (0.0, 0.0), radius) for _ in range(7)]
-    for center in cells:
+    cells = [_scalar_disc_point(rng, (0.0, 0.0), radius) for _ in range(n)]
+    home = [0]
+    for b, center in enumerate(cells, start=1):
         count = int(rng.poisson(rng.uniform(cfg.lambda_lo, cfg.lambda_hi)))
         users += [
             _scalar_disc_point(rng, center, cfg.small_side_m / 2.0)
             for _ in range(count)
         ]
-    assert np.array_equal(snap.bs_pos[1:], cells)
+        home += [b] * count
+    assert np.array_equal(snap.bs_pos, [(0.0, 0.0), *cells])
     assert np.array_equal(snap.user_pos, users)
+    assert np.array_equal(snap.home, home)
 
 
 @given(n=st.integers(0, 30), seed=st.integers(0, 2**32))
@@ -230,3 +243,56 @@ def test_gain_matrix_validation():
         GainMatrix(gains=np.array([[1.0, -0.1], [0.1, 1.0]]), noise=np.ones(2))
     with pytest.raises(ValueError):
         GainMatrix(gains=np.ones((2, 2)), noise=np.zeros(2))
+
+
+def _snapshots():
+    # uplink grids and downlink discs, the disc's n = 0 included
+    cfg = SimConfig()
+    return [
+        *(generate_fig2_snapshot(cfg, n, s) for n in (1, 4, 6) for s in (1, 2)),
+        *(generate_fig3_snapshot(cfg, n, s) for n in (0, 5, 40) for s in (1, 2)),
+    ]
+
+
+def test_gain_matrix_rows_are_rows_of_the_full_matrix():
+    cfg = SimConfig()
+    for snap in _snapshots():
+        full = build_gain_matrix(snap, cfg)
+        last = len(full.gains) - 1
+        for rows in ([0], [last, 0, last], slice(1, None), slice(None, None, 2)):
+            if not np.arange(last + 1)[rows].size:
+                continue
+            part = build_gain_matrix(snap, cfg, rows=rows)
+            assert np.array_equal(part.gains, full.gains[rows])
+            assert np.array_equal(part.noise, full.noise[rows])
+
+
+def test_gain_distances_match_norm_reference(monkeypatch):
+    # frozen reference: the Euclidean norm of the (rx, tx, 2) differences
+    seen = []
+
+    def spy(d, *args):
+        seen.append(d)
+        return path_gain(d, *args)
+
+    monkeypatch.setattr("hetsim.network.path_gain", spy)
+    for snap in _snapshots():
+        rx, tx = snap.user_pos, snap.bs_pos
+        if snap.direction == "uplink":
+            rx, tx = tx, rx
+        build_gain_matrix(snap, SimConfig())
+        ref = np.linalg.norm(rx[:, None, :] - tx[None, :, :], axis=-1)
+        assert np.array_equal(seen.pop(), ref)
+
+
+def test_gain_guard_sees_only_the_selected_rows():
+    # a receiver outside the float range fails the full matrix but not a
+    # selection of the other receivers, whose numbers do not depend on it
+    cfg = SimConfig()
+    snap = generate_fig3_snapshot(cfg, 3, 1)
+    far = np.array(snap.user_pos)
+    far[1:] = 1e300
+    snap = dataclasses.replace(snap, user_pos=far)
+    with pytest.raises(NumericError, match="distances"):
+        build_gain_matrix(snap, cfg)
+    assert np.all(build_gain_matrix(snap, cfg, rows=[0]).gains > 0)
