@@ -174,21 +174,9 @@ def _scalar_disc_point(rng, center, radius):
     return (center[0] + r * np.cos(ang), center[1] + r * np.sin(ang))
 
 
-@given(
-    n=st.integers(0, 40),
-    seed=st.integers(0, 2**32),
-    lambda_hi=st.sampled_from([1.0, 10.0]),
-)
-@example(n=7, seed=1000, lambda_hi=10.0)
-@example(n=7, seed=1001, lambda_hi=10.0)
-@example(n=7, seed=1002, lambda_hi=10.0)
-@example(n=40, seed=1006, lambda_hi=10.0)  # three empty cells
-@settings(max_examples=60, deadline=None)
-def test_fig3_block_draws_match_one_draw_per_coordinate(n, seed, lambda_hi):
+def _check_fig3_against_scalar_draws(cfg, n, seed):
     # reference: one scalar draw per radius and angle, cell by cell; the
-    # block generator must reproduce it exactly, so seeds keep their meaning.
-    # At a mean load of 1 about a third of the cells draw no user.
-    cfg = SimConfig(lambda_hi=lambda_hi)
+    # block generator must reproduce it exactly, so seeds keep their meaning
     snap = generate_fig3_snapshot(cfg, n, seed)
     rng = np.random.default_rng(seed)
     radius = cfg.disc_radius_m
@@ -205,6 +193,25 @@ def test_fig3_block_draws_match_one_draw_per_coordinate(n, seed, lambda_hi):
     assert np.array_equal(snap.bs_pos, [(0.0, 0.0), *cells])
     assert np.array_equal(snap.user_pos, users)
     assert np.array_equal(snap.home, home)
+
+
+@pytest.mark.parametrize("seed", [1000, 1001, 1002])
+def test_fig3_block_draws_match_one_draw_per_coordinate(seed):
+    _check_fig3_against_scalar_draws(SimConfig(), 7, seed)
+
+
+@given(
+    n=st.integers(0, 40),
+    seed=st.integers(0, 2**32),
+    lambda_hi=st.sampled_from([1.0, 10.0]),
+)
+@example(n=40, seed=1006, lambda_hi=10.0)  # three empty cells
+@settings(max_examples=60, deadline=None)
+def test_fig3_block_draws_match_scalar_draws_at_any_size_and_load(
+    n, seed, lambda_hi
+):
+    # at a mean load of 1 about a third of the cells draw no user
+    _check_fig3_against_scalar_draws(SimConfig(lambda_hi=lambda_hi), n, seed)
 
 
 @given(n=st.integers(0, 30), seed=st.integers(0, 2**32))
