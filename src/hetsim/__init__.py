@@ -10,7 +10,6 @@ from .network import (
     build_gain_matrix,
     generate_fig2_snapshot,
     generate_fig3_snapshot,
-    path_gain,
 )
 from .power_control import feasibility_check, fixed_point_oracle
 from .report import emit_report
@@ -27,7 +26,6 @@ __all__ = [
     "generate_fig2_snapshot",
     "generate_fig3_snapshot",
     "parse_config",
-    "path_gain",
     "run_experiment",
     "run_preset",
 ]

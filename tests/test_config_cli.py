@@ -353,6 +353,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["--set", "mc.sweep=3,65"], "mc.sweep"),
         (["--set", "mc.sweep=26"], "mc.sweep"),
         (["--set", "power.pmax_w=1e155"], "power.pmax_w"),
+        # the path-loss parameters are checked here alone
+        (["--set", "pathloss.exponent=2"], "pathloss.exponent"),
+        (["--set", "pathloss.d_min=0"], "pathloss.d_min"),
+        (["--set", "pathloss.k=0"], "pathloss.k"),
         # 10 ** (db / 10) overflows or underflows to 0
         (["--set", "target_sir_db=4000"], "target_sir_db"),
         (["--set", "target_sir_db=-4000"], "target_sir_db"),
