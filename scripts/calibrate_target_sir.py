@@ -25,7 +25,7 @@ from hetsim.association import associate
 from hetsim.config import SimConfig
 from hetsim.harness import run_experiment, run_preset
 from hetsim.network import build_gain_matrix, generate_fig2_snapshot
-from hetsim.power_control import cochannel_system, feasibility_check
+from hetsim.power_control import CochannelSystem, feasibility_check
 
 BAND = (0.05, 0.30)
 SEARCH_SEEDS = 20
@@ -63,10 +63,13 @@ def worst_hp_subsystem_rho():
             snap = generate_fig2_snapshot(cfg, n, cfg.base_seed + k)
             gains = build_gain_matrix(snap, cfg)
             serving = associate(snap, gains, "home")
-            a, noise = cochannel_system(snap, gains, serving)
+            # high-priority users, and the receivers that serve them
             hp = np.flatnonzero(~snap.lpue_mask)
+            rx = serving[hp]
             check = feasibility_check(
-                a[np.ix_(hp, hp)], noise[hp], np.ones(len(hp))
+                CochannelSystem(
+                    gains.gains[np.ix_(rx, hp)], gains.noise[rx], np.ones(len(hp))
+                )
             )
             worst = max(worst, check.spectral_radius)
     return worst

@@ -11,10 +11,15 @@ from .network import (
     generate_fig2_snapshot,
     generate_fig3_snapshot,
 )
-from .power_control import feasibility_check, fixed_point_oracle
+from .power_control import (
+    CochannelSystem,
+    feasibility_check,
+    fixed_point_oracle,
+)
 from .report import emit_report
 
 __all__ = [
+    "CochannelSystem",
     "SimConfig",
     "__version__",
     "build_gain_matrix",

@@ -69,11 +69,12 @@ def run_oracle_check(count, seed):
     for k in range(count):
         inst_seed = seed + k
         inst = sample_instance(np.random.default_rng(inst_seed))
-        check = feasibility_check(inst.a, inst.noise, inst.targets)
+        # one validated system per instance; its verdict is kept, so the
+        # fixed-point oracle below reuses it
+        system = inst.system
+        check = feasibility_check(system)
         state = iterate_power_control(
-            inst.a,
-            inst.noise,
-            inst.targets,
+            system,
             1e6,
             algorithm="tpc",
             max_iters=200_000,
@@ -92,7 +93,7 @@ def run_oracle_check(count, seed):
             )
             continue
         if check.feasible and check.spectral_radius < ORACLE_RHO_MATCH:
-            exact = fixed_point_oracle(inst.a, inst.noise, inst.targets)
+            exact = fixed_point_oracle(system)
             rel = float(np.abs(state.p - exact).max() / np.abs(exact).max())
             if rel > ORACLE_REL_TOL:
                 failures.append(

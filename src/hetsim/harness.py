@@ -137,7 +137,8 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
     caps = None
     if any(alg in PRIORITIZED_BASE for alg in algorithms):
         caps = prioritized_caps(snapshot, gains, cfg.ith_w)
-    a, noise = cochannel_system(snapshot, gains, serving)
+    # one validated system shared by every run of the snapshot
+    system = cochannel_system(snapshot, gains, serving)
     lpue_mask = snapshot.lpue_mask
 
     rows = []
@@ -150,9 +151,7 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
         if twin not in algorithms[i + 1:]:
             twin = None
         state = iterate_power_control(
-            a,
-            noise,
-            snapshot.target_sir,
+            system,
             snapshot.p_max,
             algorithm=alg,
             eta=snapshot.opc_eta,

@@ -254,6 +254,11 @@ def build_gain_matrix(snapshot, cfg, *, rows=slice(None)):
         dy = rx[:, 1, None] - tx[:, 1]
         d = np.sqrt(dx * dx + dy * dy)
     if not np.isfinite(d.max()):
+        if not (np.isfinite(rx).all() and np.isfinite(tx).all()):
+            raise NumericError(
+                "positions must be finite: a user or base-station position "
+                "is NaN or inf"
+            )
         raise NumericError(
             "distances overflow the float range; check the geometry's sizes"
         )

@@ -32,7 +32,8 @@ that sweep lets its twin resume there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -121,35 +122,105 @@ def prioritized_caps(snapshot, gains, ith):
     )
 
 
+def _aligned(a):
+    """A copy of the square matrix ``a`` whose rows start on 64-byte
+    boundaries: the ``[:, :n]`` view of a 64-byte-aligned buffer with rows
+    padded to a multiple of 8 entries. A matrix-vector product through it
+    gives the same bits as through ``a``, in fewer cycles."""
+    n = a.shape[0]
+    ld = -(-n // 8) * 8
+    buf = np.empty(n * ld + 8)
+    start = -buf.ctypes.data % 64 // 8
+    out = buf[start : start + n * ld].reshape(n, ld)[:, :n]
+    out[...] = a
+    return out
+
+
+@dataclass(frozen=True)
+class FeasibilityResult:
+    feasible: bool
+    spectral_radius: float
+
+
+@dataclass(frozen=True, eq=False)
+class CochannelSystem:
+    """A square co-channel system (a, noise, targets), validated once when
+    built and shared by the kernel and both oracles.
+
+    ``a[i, j]`` is the gain from user j's transmitter to user i's serving
+    receiver, ``noise[i]`` that receiver's noise power and ``targets[i]``
+    user i's target SIR. The system keeps read-only copies of ``noise`` and
+    ``targets``, the serving gains ``diag`` and the zero-diagonal coupling
+    ``off`` with 64-byte-aligned rows (``_aligned``), so later writes to the
+    caller's arrays do not reach it; ``a`` itself is not kept. The
+    normalized coupling ``coupling`` and the feasibility verdict
+    ``feasibility`` are computed on first use and kept.
+    """
+
+    a: InitVar[np.ndarray]
+    noise: np.ndarray
+    targets: np.ndarray
+    diag: np.ndarray = field(init=False)
+    off: np.ndarray = field(init=False)
+
+    def __post_init__(self, a):
+        a = np.asarray(a, dtype=float)
+        noise = np.array(self.noise, dtype=float)
+        targets = np.array(self.targets, dtype=float)
+        n = targets.shape[0]
+        if a.shape != (n, n):
+            raise ValueError("gain matrix must be square and match targets")
+        # min/max reductions: a NaN fails the first test, an inf the second
+        if a.size and not (a.min() >= 0 and np.isfinite(a.max())):
+            raise ValueError("gain matrix entries must be finite and non-negative")
+        diag = np.diag(a).copy()
+        if not (diag > 0).all():
+            raise ValueError("serving-link gains (diagonal) must be positive")
+        if noise.shape != (n,) or not ((noise > 0).all() and np.isfinite(noise).all()):
+            raise ValueError("noise must be positive and finite, one per user")
+        if not ((targets > 0).all() and np.isfinite(targets).all()):
+            raise ValueError("target SIRs must be positive and finite")
+        off = _aligned(a)
+        np.fill_diagonal(off, 0.0)
+        for name, arr in (
+            ("noise", noise), ("targets", targets), ("diag", diag), ("off", off)
+        ):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def coupling(self):
+        """Normalized interference coupling F with F[i, j] = target_i *
+        a[i, j] / a[i, i] off the diagonal and 0 on it; the targets are
+        jointly achievable iff the Perron root of F is below one."""
+        f = self.targets[:, None] * self.off / self.diag[:, None]
+        f.flags.writeable = False
+        return f
+
+    @cached_property
+    def feasibility(self):
+        """Perron root of ``coupling`` by dense eigenvalues; raises
+        NumericError when the eigenvalue routine cannot settle it."""
+        try:
+            eigenvalues = np.linalg.eigvals(self.coupling)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"Perron root not settled: {exc}") from exc
+        rho = float(np.abs(eigenvalues).max())
+        return FeasibilityResult(feasible=rho < 1.0, spectral_radius=rho)
+
+
 def cochannel_system(snapshot, gains, serving):
-    """Reduce (gains, serving cells) to the square per-user system
-    (a, noise).
+    """The square per-user system of (gains, serving cells), with the
+    snapshot's target SIRs.
 
     Uplink only: ``a[i, j]`` is the gain from user j to user i's serving
     receiver ``serving[i]``, and ``noise[i]`` is that receiver's noise power.
     """
     if snapshot.direction != UPLINK:
         raise ValueError("the iterated power-control system is uplink-only")
-    return gains.gains[serving, :], gains.noise[serving]
-
-
-def _validate_system(a, noise, targets):
-    a = np.asarray(a, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    n = targets.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("gain matrix must be square and match targets")
-    # min/max reductions: a NaN fails the first test, an inf the second
-    if a.size and not (a.min() >= 0 and np.isfinite(a.max())):
-        raise ValueError("gain matrix entries must be finite and non-negative")
-    if np.any(np.diag(a) <= 0):
-        raise ValueError("serving-link gains (diagonal) must be positive")
-    if noise.shape != (n,) or np.any(noise <= 0) or not np.all(np.isfinite(noise)):
-        raise ValueError("noise must be positive and finite, one per user")
-    if np.any(targets <= 0) or not np.all(np.isfinite(targets)):
-        raise ValueError("target SIRs must be positive and finite")
-    return a, noise, targets
+    return CochannelSystem(
+        gains.gains[serving, :], gains.noise[serving], snapshot.target_sir
+    )
 
 
 def _maps(algorithm, hpue_algorithm, lpue_mask):
@@ -170,24 +241,8 @@ def _users_on(name, maps, lpue_mask):
     return lpue_mask if base_alg == name else ~lpue_mask
 
 
-def _aligned(a):
-    """A copy of the square matrix ``a`` whose rows start on 64-byte
-    boundaries: the ``[:, :n]`` view of a 64-byte-aligned buffer with rows
-    padded to a multiple of 8 entries. A matrix-vector product through it
-    gives the same bits as through ``a``, in fewer cycles."""
-    n = a.shape[0]
-    ld = -(-n // 8) * 8
-    buf = np.empty(n * ld + 8)
-    start = -buf.ctypes.data % 64 // 8
-    out = buf[start : start + n * ld].reshape(n, ld)[:, :n]
-    out[...] = a
-    return out
-
-
 def iterate_power_control(
-    a,
-    noise,
-    targets,
+    system,
     p_max,
     *,
     algorithm="tpc",
@@ -202,8 +257,8 @@ def iterate_power_control(
     twin=None,
     resume=None,
 ):
-    """Synchronous fixed-point iteration of the chosen update map on a square
-    co-channel system, starting from ``p0`` (default: the zero vector).
+    """Synchronous fixed-point iteration of the chosen update map on a
+    ``CochannelSystem``, starting from ``p0`` (default: the zero vector).
 
     Stops when ``||p(t+1) - p(t)||_inf < tol * max(||p(t)||_inf, eps)`` or
     after ``max_iters`` sweeps; non-convergence is flagged on the returned
@@ -216,8 +271,9 @@ def iterate_power_control(
     checks every sweep of the block at once and returns the first that
     passes; ``max`` is exact, so the result is that of a test after every
     sweep. The up to ``_BLOCK - 1`` sweeps computed past it are never
-    reported, nor is a fork recorded in them. The coupling matrix is held
-    with 64-byte-aligned rows (``_aligned``).
+    reported, nor is a fork recorded in them. The system holds the coupling
+    matrix with 64-byte-aligned rows, so several runs on one system (as
+    fig2's four algorithms on one snapshot) validate and copy it once.
 
     Sweep sharing between ``tpc``/``ptpc`` and their soft-removal twins
     (``SOFT_REMOVAL_TWINS``): a base run given ``twin=<its twin>`` records
@@ -229,8 +285,7 @@ def iterate_power_control(
     count and convergence flag are those of a run from the start, bit for
     bit.
     """
-    a, noise, targets = _validate_system(a, noise, targets)
-    n = targets.shape[0]
+    n = system.targets.shape[0]
     p_max = np.broadcast_to(np.asarray(p_max, dtype=float), (n,)).astype(float)
     if np.any(p_max <= 0):
         raise ValueError("power budgets must be positive")
@@ -323,9 +378,8 @@ def iterate_power_control(
             )
         start, p0 = fork_sweep, fork_p
 
-    diag = np.diag(a).copy()
-    off = _aligned(a)
-    np.fill_diagonal(off, 0.0)
+    noise, targets = system.noise, system.targets
+    diag, off = system.diag, system.off
     if soft_removal:
         over_budget = np.empty(n, dtype=bool)
 
@@ -389,52 +443,32 @@ def iterate_power_control(
     )
 
 
-def interference_matrix(a, targets):
-    """Normalized interference coupling F with F[i, j] = target_i * a[i, j]
-    / a[i, i] off the diagonal; the targets are jointly achievable iff the
-    Perron root of F is below one."""
-    a = np.asarray(a, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    f = targets[:, None] * a / np.diag(a)[:, None]
-    np.fill_diagonal(f, 0.0)
-    return f
+def feasibility_check(system):
+    """Feasibility verdict of a ``CochannelSystem``: the Perron root of its
+    normalized coupling by dense eigenvalues, computed once per system and
+    kept on it (``CochannelSystem.feasibility``). Raises NumericError when
+    the eigenvalue routine cannot settle it."""
+    return system.feasibility
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    spectral_radius: float
-
-
-def feasibility_check(a, noise, targets):
-    """Perron root of the coupling matrix by dense eigenvalues; raises
-    NumericError when the eigenvalue routine cannot settle it."""
-    a, noise, targets = _validate_system(a, noise, targets)
-    try:
-        eigenvalues = np.linalg.eigvals(interference_matrix(a, targets))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Perron root not settled: {exc}") from exc
-    rho = float(np.abs(eigenvalues).max())
-    return FeasibilityResult(feasible=rho < 1.0, spectral_radius=rho)
-
-
-def fixed_point_oracle(a, noise, targets):
-    """Exact uncapped target-tracking fixed point by direct linear solve of
-    (I - F) p = u with u_i = target_i * noise_i / a[i, i].
+def fixed_point_oracle(system):
+    """Exact uncapped target-tracking fixed point of a ``CochannelSystem``
+    by direct linear solve of (I - F) p = u with u_i = target_i * noise_i /
+    a[i, i].
 
     This is the minimal power vector meeting every target. Raises OracleError
-    for infeasible targets or a singular system.
+    for infeasible targets or a singular system. The verdict is the one
+    ``feasibility_check`` keeps on the system, so no eigenvalues are
+    recomputed.
     """
-    a, noise, targets = _validate_system(a, noise, targets)
-    check = feasibility_check(a, noise, targets)
+    check = feasibility_check(system)
     if not check.feasible:
         raise OracleError(
             f"targets infeasible: spectral radius {check.spectral_radius:.6g} >= 1"
         )
-    f = interference_matrix(a, targets)
-    u = targets * noise / np.diag(a)
+    u = system.targets * system.noise / system.diag
     try:
-        p = np.linalg.solve(np.eye(len(u)) - f, u)
+        p = np.linalg.solve(np.eye(len(u)) - system.coupling, u)
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"singular co-channel system: {exc}") from exc
     if np.any(p <= 0) or not np.all(np.isfinite(p)):
@@ -444,12 +478,17 @@ def fixed_point_oracle(a, noise, targets):
 
 @dataclass(frozen=True)
 class Instance:
-    """A random square co-channel system for oracle cross-checks."""
+    """A random square co-channel system for oracle cross-checks: its
+    arrays, and the ``CochannelSystem`` built from them on first use."""
 
     a: np.ndarray
     noise: np.ndarray
     targets: np.ndarray
     eta: np.ndarray
+
+    @cached_property
+    def system(self):
+        return CochannelSystem(self.a, self.noise, self.targets)
 
 
 def sample_instance(rng, n_users=None):
@@ -472,6 +511,5 @@ def sample_feasible_instance(rng, n_users=None, rho_max=0.9):
     below ``rho_max``."""
     while True:
         inst = sample_instance(rng, n_users)
-        check = feasibility_check(inst.a, inst.noise, inst.targets)
-        if check.spectral_radius < rho_max:
+        if feasibility_check(inst.system).spectral_radius < rho_max:
             return inst

@@ -21,6 +21,7 @@ from hetsim.harness import (
     run_preset,
 )
 from hetsim.power_control import (
+    CochannelSystem,
     feasibility_check,
     fixed_point_oracle,
     iterate_power_control,
@@ -132,10 +133,9 @@ def test_criterion_1_oracle_equivalence():
     for k in range(1000):
         inst = sample_feasible_instance(np.random.default_rng(k), rho_max=0.9)
         state = iterate_power_control(
-            inst.a, inst.noise, inst.targets, 1e6,
-            algorithm="tpc", tol=1e-12, max_iters=10_000,
+            inst.system, 1e6, algorithm="tpc", tol=1e-12, max_iters=10_000
         )
-        exact = fixed_point_oracle(inst.a, inst.noise, inst.targets)
+        exact = fixed_point_oracle(inst.system)
         worst = max(worst, float(np.abs(state.p - exact).max() / exact.max()))
     elapsed = time.perf_counter() - t0
     _report(
@@ -150,10 +150,9 @@ def test_criterion_2_feasibility_oracle():
     disagreements = []
     for k in range(500):
         inst = sample_instance(np.random.default_rng(10_000 + k))
-        check = feasibility_check(inst.a, inst.noise, inst.targets)
+        check = feasibility_check(inst.system)
         state = iterate_power_control(
-            inst.a, inst.noise, inst.targets, 1e6,
-            algorithm="tpc", tol=1e-12, max_iters=200_000,
+            inst.system, 1e6, algorithm="tpc", tol=1e-12, max_iters=200_000
         )
         behaved = state.converged and bool(state.supported.all())
         if check.feasible != behaved:
@@ -279,7 +278,7 @@ def test_criterion_6_access_probability():
 def test_criterion_7_opc_fairness_pathology():
     a = np.array([[1.0, 0.01], [0.01, 0.5]])
     state = iterate_power_control(
-        a, np.array([0.1, 0.1]), np.array([1.0, 1.0]), 10.0,
+        CochannelSystem(a, np.array([0.1, 0.1]), np.array([1.0, 1.0])), 10.0,
         algorithm="opc", eta=0.01, tol=1e-12,
     )
     rates = np.log2(1.0 + state.sir)
@@ -300,11 +299,10 @@ def test_criterion_8_dtpc_dominance():
             np.random.default_rng(20_000 + k), rho_max=0.9
         )
         st_tpc = iterate_power_control(
-            inst.a, inst.noise, inst.targets, 1e3,
-            algorithm="tpc", tol=1e-12, max_iters=20_000,
+            inst.system, 1e3, algorithm="tpc", tol=1e-12, max_iters=20_000
         )
         st_dtpc = iterate_power_control(
-            inst.a, inst.noise, inst.targets, 1e3,
+            inst.system, 1e3,
             algorithm="dtpc", eta=inst.eta, tol=1e-12, max_iters=20_000,
         )
         gap = float(

@@ -432,10 +432,10 @@ def test_cli_numeric_error_exit_code(tmp_path, capsys):
     # distances that overflow and path gains that underflow to 0 are
     # numeric failures of the run; the disc's guard sees the tagged row
     for preset, key, word in (
-        ("fig2", "grid.macro_side_m=1e300", "distances"),
+        ("fig2", "grid.macro_side_m=1e300", "distances overflow"),
         ("fig2", "grid.macro_side_m=1e100", "pathloss"),
         ("fig2", "pathloss.exponent=1000", "pathloss"),
-        ("fig3", "disc.radius_m=1e300", "distances"),
+        ("fig3", "disc.radius_m=1e300", "distances overflow"),
         ("fig3", "pathloss.exponent=1000", "pathloss"),
     ):
         code = main(
@@ -492,11 +492,36 @@ def test_oracle_check_reports_replay_seed():
     assert summary.failures == []
 
 
+def test_oracle_check_prepares_each_instance_once(monkeypatch):
+    # one validated system per instance, whose kept verdict the fixed-point
+    # oracle reuses: one construction and one eigenvalue run per instance
+    from hetsim.power_control import CochannelSystem
+
+    built, eigvals_calls = [], []
+    post_init, eigvals = CochannelSystem.__post_init__, np.linalg.eigvals
+
+    def counting_post_init(self, a):
+        built.append(len(a))
+        post_init(self, a)
+
+    def counting_eigvals(f):
+        eigvals_calls.append(len(f))
+        return eigvals(f)
+
+    monkeypatch.setattr(CochannelSystem, "__post_init__", counting_post_init)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    summary = run_oracle_check(40, 0)
+    assert summary.passed == 40
+    assert len(built) == 40
+    assert len(eigvals_calls) == 40
+
+
 def test_oracle_check_rejects_corrupt_gains():
     import numpy as np
 
-    from hetsim.power_control import fixed_point_oracle
+    from hetsim.power_control import CochannelSystem
 
+    # corrupt gains are rejected when the system is built, before an oracle
     bad = np.array([[1.0, -0.2], [0.1, 1.0]])
-    with pytest.raises(ValueError):
-        fixed_point_oracle(bad, np.array([0.1, 0.1]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        CochannelSystem(bad, np.array([0.1, 0.1]), np.array([1.0, 1.0]))

@@ -16,6 +16,7 @@ from hetsim.harness import (
 )
 from hetsim.network import build_gain_matrix, generate_fig2_snapshot
 from hetsim.power_control import (
+    CochannelSystem,
     PowerState,
     cochannel_system,
     iterate_power_control,
@@ -157,6 +158,32 @@ def test_shared_twin_sweeps_match_separate_runs(monkeypatch):
         )
 
 
+def test_fig2_builds_one_system_per_snapshot(monkeypatch):
+    # the four power-control runs of a snapshot share one validated system
+    cfg = dataclasses.replace(SimConfig(), snapshots=1)
+    built, runs = [], []
+    post_init = CochannelSystem.__post_init__
+
+    def counting(self, a):
+        built.append(self)
+        post_init(self, a)
+
+    def recording(system, *args, **kwargs):
+        runs.append(system)
+        return iterate_power_control(system, *args, **kwargs)
+
+    monkeypatch.setattr(CochannelSystem, "__post_init__", counting)
+    monkeypatch.setattr("hetsim.harness.iterate_power_control", recording)
+    run_preset("fig2", cfg)
+    snapshots = len(cfg.sweep) * cfg.snapshots
+    assert len(built) == snapshots
+    assert len(runs) == snapshots * len(FIG2_ALGORITHMS)
+    # each snapshot's runs, in order, take the system built for it
+    for k, system in enumerate(built):
+        group = runs[k * len(FIG2_ALGORITHMS) : (k + 1) * len(FIG2_ALGORITHMS)]
+        assert all(run is system for run in group)
+
+
 def test_raw_identical_across_job_counts_and_nan_where_absent():
     # raw is (point, variant, field, seed) for any job count, which pins the
     # iteration counts and safety margins that no report file carries. NaN
@@ -272,8 +299,7 @@ def test_mei_with_opc_is_permitted_but_does_not_help_throughput(cfg):
         gains = build_gain_matrix(snap, cfg)
         st_mei, st_rsrp = (
             iterate_power_control(
-                *cochannel_system(snap, gains, associate(snap, gains, scheme)),
-                snap.target_sir,
+                cochannel_system(snap, gains, associate(snap, gains, scheme)),
                 snap.p_max,
                 algorithm="opc",
                 eta=snap.opc_eta,

@@ -287,9 +287,11 @@ def test_gain_guard_sees_only_the_selected_rows():
     with pytest.raises(NumericError, match="distances overflow"):
         build_gain_matrix(snap, cfg)
     assert np.all(build_gain_matrix(snap, cfg, rows=[0]).gains > 0)
-    # the same guard is the only check that catches a NaN position
-    nan = np.array(base.user_pos)
-    nan[2, 1] = np.nan
-    snap = dataclasses.replace(base, user_pos=nan)
-    with pytest.raises(NumericError, match="distances overflow"):
-        build_gain_matrix(snap, cfg)
+    # the same guard is the only check that catches a NaN or inf position,
+    # and it names the position, not an overflow
+    for value in (np.nan, np.inf):
+        bad = np.array(base.user_pos)
+        bad[2, 1] = value
+        snap = dataclasses.replace(base, user_pos=bad)
+        with pytest.raises(NumericError, match="positions must be finite"):
+            build_gain_matrix(snap, cfg)

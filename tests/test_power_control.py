@@ -21,12 +21,12 @@ from hetsim.power_control import (
     DEFAULT_TOL,
     PRIORITIZED_BASE,
     SOFT_REMOVAL_TWINS,
+    CochannelSystem,
     PrioritizedCapSet,
     _aligned,
     cochannel_system,
     feasibility_check,
     fixed_point_oracle,
-    interference_matrix,
     iterate_power_control,
     prioritized_caps,
     sample_feasible_instance,
@@ -43,9 +43,7 @@ def _sweep(r, algorithm, target, p_max, eta=None):
     r = np.atleast_1d(np.asarray(r, dtype=float))
     n = r.size
     state = iterate_power_control(
-        np.eye(n),
-        r,
-        np.full(n, target, dtype=float),
+        CochannelSystem(np.eye(n), r, np.full(n, target, dtype=float)),
         p_max,
         algorithm=algorithm,
         eta=eta,
@@ -62,7 +60,8 @@ def test_tpc_update_tracks_and_caps():
 
 def test_tpc_single_user_converges_in_one_step():
     a = np.array([[0.5]])
-    st_ = iterate_power_control(a, np.array([0.1]), np.array([1.0]), 10.0)
+    system = CochannelSystem(a, np.array([0.1]), np.array([1.0]))
+    st_ = iterate_power_control(system, 10.0)
     assert st_.p[0] == pytest.approx(0.2, rel=1e-12)
     assert st_.sir[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -82,7 +81,8 @@ def test_tpc_gr_rejects_budget_with_infinite_square():
     # p_max**2 overflows above ~1.34e154 W; soft removal would return p = inf
     with pytest.raises(ValueError, match="finite square"):
         iterate_power_control(
-            np.eye(1), np.array([2e160]), np.array([1.0]), 1e155,
+            CochannelSystem(np.eye(1), np.array([2e160]), np.array([1.0])),
+            1e155,
             algorithm="tpc_gr",
         )
 
@@ -121,9 +121,7 @@ def test_prioritized_update_caps_lpues_only():
         gain_block=np.ones((1, 1)),
     )
     state = iterate_power_control(
-        np.eye(2),
-        np.ones(2),
-        np.array([8.0, 8.0]),
+        CochannelSystem(np.eye(2), np.ones(2), np.array([8.0, 8.0])),
         10.0,
         algorithm="ptpc",
         lpue_mask=np.array([False, True]),
@@ -138,17 +136,18 @@ def test_prioritized_update_caps_lpues_only():
 
 def test_effective_interference_noise_only():
     # from p = 0, one tracking sweep at unit target returns R = noise / gain
-    state = iterate_power_control(
-        np.array([[0.5]]), np.array([0.1]), np.array([1.0]), 10.0, max_iters=1
-    )
+    system = CochannelSystem(np.array([[0.5]]), np.array([0.1]), np.array([1.0]))
+    state = iterate_power_control(system, 10.0, max_iters=1)
     assert state.p == pytest.approx([0.2])
 
 
 def test_effective_interference_two_user_toy():
     # at the toy's fixed point R_i = (0.1 / 9 + 0.1) / 1 = 1 / 9
-    a, noise, targets = two_user_toy()
     state = iterate_power_control(
-        a, noise, targets, 10.0, p0=np.array([1 / 9, 1 / 9]), max_iters=1
+        CochannelSystem(*two_user_toy()),
+        10.0,
+        p0=np.array([1 / 9, 1 / 9]),
+        max_iters=1,
     )
     assert state.p == pytest.approx([1 / 9, 1 / 9], rel=1e-12)
 
@@ -167,10 +166,9 @@ def test_sir_equals_power_over_effective_interference(seed):
         [((100.0 * i, 0.0), i) for i in range(n)],
         direction="uplink",
     )
-    a, noise = cochannel_system(snap, gm, associate(snap, gm, "home"))
-    state = iterate_power_control(
-        a, noise, rng.uniform(0.5, 2.0, size=n), 2.0, max_iters=3
-    )
+    snap = dataclasses.replace(snap, target_sir=rng.uniform(0.5, 2.0, size=n))
+    system = cochannel_system(snap, gm, associate(snap, gm, "home"))
+    state = iterate_power_control(system, 2.0, max_iters=3)
     # user i is served by receiver i: its row of gains, its own link on the
     # diagonal, every other user interfering
     own = np.diag(gains) * state.p
@@ -182,16 +180,14 @@ def test_sir_equals_power_over_effective_interference(seed):
 
 
 def test_two_user_fixed_point():
-    a, noise, targets = two_user_toy()
-    state = iterate_power_control(a, noise, targets, 10.0, tol=1e-12)
+    state = iterate_power_control(CochannelSystem(*two_user_toy()), 10.0, tol=1e-12)
     assert state.converged
     assert state.p == pytest.approx([1 / 9, 1 / 9], rel=1e-8)
     assert state.supported.all()
 
 
 def test_oracle_two_user_value():
-    a, noise, targets = two_user_toy()
-    assert fixed_point_oracle(a, noise, targets) == pytest.approx(
+    assert fixed_point_oracle(CochannelSystem(*two_user_toy())) == pytest.approx(
         [1 / 9, 1 / 9], rel=1e-12
     )
 
@@ -200,7 +196,7 @@ def test_oracle_decoupled_system():
     a = np.diag([0.5, 2.0])
     noise = np.array([0.1, 0.4])
     targets = np.array([1.0, 2.0])
-    assert fixed_point_oracle(a, noise, targets) == pytest.approx(
+    assert fixed_point_oracle(CochannelSystem(a, noise, targets)) == pytest.approx(
         targets * noise / np.diag(a), rel=1e-12
     )
 
@@ -208,9 +204,12 @@ def test_oracle_decoupled_system():
 def test_oracle_rejects_infeasible_and_bad_input():
     a = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(OracleError):
-        fixed_point_oracle(a, np.array([0.1, 0.1]), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
         fixed_point_oracle(
+            CochannelSystem(a, np.array([0.1, 0.1]), np.array([1.0, 1.0]))
+        )
+    # a bad system fails when it is built, before any oracle sees it
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        CochannelSystem(
             np.array([[1.0, -0.1], [0.1, 1.0]]),
             np.array([0.1, 0.1]),
             np.array([1.0, 1.0]),
@@ -223,8 +222,8 @@ def test_oracle_is_componentwise_minimal(seed):
     # any vector meeting all targets (constructed with a margin) dominates it
     rng = np.random.default_rng(seed)
     inst = sample_feasible_instance(rng)
-    p_star = fixed_point_oracle(inst.a, inst.noise, inst.targets)
-    f = interference_matrix(inst.a, inst.targets)
+    p_star = fixed_point_oracle(inst.system)
+    f = inst.system.coupling
     u = inst.targets * inst.noise / np.diag(inst.a)
     slack = rng.uniform(0.0, 1.0, size=len(u))
     other = np.linalg.solve(np.eye(len(u)) - f, u + slack)
@@ -233,9 +232,8 @@ def test_oracle_is_componentwise_minimal(seed):
 
 def test_infeasible_toy_saturates_everyone():
     a = np.array([[1.0, 2.0], [2.0, 1.0]])
-    state = iterate_power_control(
-        a, np.array([0.1, 0.1]), np.array([1.0, 1.0]), 10.0
-    )
+    system = CochannelSystem(a, np.array([0.1, 0.1]), np.array([1.0, 1.0]))
+    state = iterate_power_control(system, 10.0)
     assert state.converged
     assert state.p == pytest.approx([10.0, 10.0])
     assert not state.supported.any()
@@ -248,23 +246,19 @@ def test_tpc_monotone_from_zero_and_matches_oracle(seed):
     p = np.zeros(len(inst.targets))
     prev = p
     for _ in range(4000):
-        p = iterate_power_control(
-            inst.a, inst.noise, inst.targets, 1e6, max_iters=1, p0=p
-        ).p
+        p = iterate_power_control(inst.system, 1e6, max_iters=1, p0=p).p
         assert np.all(p >= prev - 1e-15)
         if np.abs(p - prev).max() <= 1e-13 * max(p.max(), 1e-30):
             break
         prev = p
-    exact = fixed_point_oracle(inst.a, inst.noise, inst.targets)
+    exact = fixed_point_oracle(inst.system)
     assert p == pytest.approx(exact, rel=1e-8)
 
 
 def test_idempotence_at_fixed_point():
-    a, noise, targets = two_user_toy()
-    state = iterate_power_control(a, noise, targets, 10.0, tol=1e-12)
-    again = iterate_power_control(
-        a, noise, targets, 10.0, max_iters=1, p0=state.p
-    ).p
+    system = CochannelSystem(*two_user_toy())
+    state = iterate_power_control(system, 10.0, tol=1e-12)
+    again = iterate_power_control(system, 10.0, max_iters=1, p0=state.p).p
     assert np.abs(again - state.p).max() <= 1e-10
 
 
@@ -272,9 +266,7 @@ def test_opc_converges_on_random_ten_user_instances():
     for seed in range(10):
         inst = sample_instance(np.random.default_rng(seed), n_users=10)
         state = iterate_power_control(
-            inst.a,
-            inst.noise,
-            inst.targets,
+            inst.system,
             10.0,
             algorithm="opc",
             eta=inst.eta,
@@ -287,9 +279,7 @@ def test_opc_fairness_pathology_two_user():
     # better direct channel wins almost all the throughput
     a = np.array([[1.0, 0.01], [0.01, 0.5]])
     state = iterate_power_control(
-        a,
-        np.array([0.1, 0.1]),
-        np.array([1.0, 1.0]),
+        CochannelSystem(a, np.array([0.1, 0.1]), np.array([1.0, 1.0])),
         10.0,
         algorithm="opc",
         eta=0.01,
@@ -304,9 +294,7 @@ def test_opc_fairness_pathology_two_user():
 def test_dtpc_fixed_point_keeps_supported_users_at_target():
     inst = sample_feasible_instance(np.random.default_rng(42))
     state = iterate_power_control(
-        inst.a,
-        inst.noise,
-        inst.targets,
+        inst.system,
         1e3,
         algorithm="dtpc",
         eta=inst.eta,
@@ -323,23 +311,23 @@ def test_dtpc_fixed_point_keeps_supported_users_at_target():
 )
 def test_p0_must_be_finite_non_negative_per_user(p0):
     # the convergence test takes max(p) as the inf-norm of a non-negative p
-    a, noise, targets = two_user_toy()
+    system = CochannelSystem(*two_user_toy())
     with pytest.raises(ValueError, match="p0"):
-        iterate_power_control(a, noise, targets, 10.0, p0=np.array(p0))
+        iterate_power_control(system, 10.0, p0=np.array(p0))
 
 
 def test_dtpc_requires_eta():
-    a, noise, targets = two_user_toy()
+    system = CochannelSystem(*two_user_toy())
     with pytest.raises(ValueError):
-        iterate_power_control(a, noise, targets, 10.0, algorithm="dtpc")
+        iterate_power_control(system, 10.0, algorithm="dtpc")
 
 
 def test_unknown_hpue_algorithm_rejected():
-    a, noise, targets = two_user_toy()
+    system = CochannelSystem(*two_user_toy())
     for hpue_algorithm in ("ptpc", "bogus"):
         with pytest.raises(ValueError, match="unknown base"):
             iterate_power_control(
-                a, noise, targets, 10.0,
+                system, 10.0,
                 lpue_mask=np.array([False, True]),
                 hpue_algorithm=hpue_algorithm,
             )
@@ -349,19 +337,21 @@ def test_unknown_hpue_algorithm_rejected():
 
 
 def test_feasibility_two_user_values():
+    noise, targets = np.array([0.1, 0.1]), np.array([1.0, 1.0])
     a = np.array([[1.0, 0.1], [0.1, 1.0]])
-    res = feasibility_check(a, np.array([0.1, 0.1]), np.array([1.0, 1.0]))
+    res = feasibility_check(CochannelSystem(a, noise, targets))
     assert res.feasible
     assert res.spectral_radius == pytest.approx(0.1, abs=1e-9)
 
     a = np.array([[1.0, 2.0], [2.0, 1.0]])
-    res = feasibility_check(a, np.array([0.1, 0.1]), np.array([1.0, 1.0]))
+    res = feasibility_check(CochannelSystem(a, noise, targets))
     assert not res.feasible
     assert res.spectral_radius == pytest.approx(2.0, abs=1e-8)
 
 
 def test_feasibility_single_user():
-    res = feasibility_check(np.array([[0.7]]), np.array([0.1]), np.array([5.0]))
+    system = CochannelSystem(np.array([[0.7]]), np.array([0.1]), np.array([5.0]))
+    res = feasibility_check(system)
     assert res.feasible
     assert res.spectral_radius == pytest.approx(0.0, abs=1e-12)
 
@@ -373,13 +363,15 @@ def test_feasibility_within_collatz_wielandt_bracket_and_scales(seed, scale):
     # root lies between the smallest and the largest ratio (F v)_i / v_i
     rng = np.random.default_rng(seed)
     inst = sample_instance(rng)
-    res = feasibility_check(inst.a, inst.noise, inst.targets)
-    f = interference_matrix(inst.a, inst.targets)
+    res = feasibility_check(inst.system)
+    f = inst.system.coupling
     for v in (np.ones(len(f)), rng.uniform(0.1, 10.0, size=len(f))):
         ratios = (f @ v) / v
         assert ratios.min() * (1.0 - 1e-12) <= res.spectral_radius
         assert res.spectral_radius <= ratios.max() * (1.0 + 1e-12)
-    scaled = feasibility_check(inst.a, inst.noise, scale * inst.targets)
+    scaled = feasibility_check(
+        CochannelSystem(inst.a, inst.noise, scale * inst.targets)
+    )
     assert scaled.spectral_radius == pytest.approx(
         scale * res.spectral_radius, rel=1e-5, abs=1e-8
     )
@@ -391,17 +383,17 @@ def test_feasible_iff_m_matrix_solve_is_positive(seed):
     # rho(F) < 1 iff I - F is a non-singular M-matrix, iff (I - F) p = u has
     # a componentwise positive solution for the oracle's positive u
     inst = sample_instance(np.random.default_rng(seed))
-    check = feasibility_check(inst.a, inst.noise, inst.targets)
+    check = feasibility_check(inst.system)
     assume(abs(check.spectral_radius - 1.0) >= 1e-9)
-    f = interference_matrix(inst.a, inst.targets)
+    f = inst.system.coupling
     u = inst.targets * inst.noise / np.diag(inst.a)
     p = np.linalg.solve(np.eye(len(u)) - f, u)
     assert bool((p > 0).all()) == check.feasible
     if check.feasible:
-        fixed_point_oracle(inst.a, inst.noise, inst.targets)
+        fixed_point_oracle(inst.system)
     else:
         with pytest.raises(OracleError):
-            fixed_point_oracle(inst.a, inst.noise, inst.targets)
+            fixed_point_oracle(inst.system)
 
 
 # --------------------------------------------------------- prioritization
@@ -456,10 +448,10 @@ def test_prioritized_run_protects_receivers(cfg):
     snap = generate_fig2_snapshot(cfg, 3, 5)
     gm = build_gain_matrix(snap, cfg)
     caps = prioritized_caps(snap, gm, ith=cfg.ith_w)
-    a, noise = cochannel_system(snap, gm, associate(snap, gm, "home"))
+    system = cochannel_system(snap, gm, associate(snap, gm, "home"))
     for alg in ("ptpc", "ptpc_gr", "popc"):
         state = iterate_power_control(
-            a, noise, snap.target_sir, snap.p_max,
+            system, snap.p_max,
             algorithm=alg, eta=snap.opc_eta, lpue_mask=snap.lpue_mask,
             caps=caps, max_iters=cfg.max_iters,
         )
@@ -471,20 +463,117 @@ def test_prioritized_run_protects_receivers(cfg):
 
 
 def test_prioritized_requires_caps():
-    a, noise, targets = two_user_toy()
+    system = CochannelSystem(*two_user_toy())
     with pytest.raises(ValueError):
-        iterate_power_control(a, noise, targets, 10.0, algorithm="ptpc")
+        iterate_power_control(system, 10.0, algorithm="ptpc")
 
 
 def test_cochannel_system_is_uplink_only(cfg):
     snap = generate_fig2_snapshot(cfg, 2, 3)
     gm = build_gain_matrix(snap, cfg)
     serving = associate(snap, gm, "home")
-    a, noise = cochannel_system(snap, gm, serving)
-    assert a.shape == (snap.n_users, snap.n_users)
+    system = cochannel_system(snap, gm, serving)
+    n = snap.n_users
+    assert system.off.shape == (n, n)
+    assert np.array_equal(system.diag, gm.gains[serving, np.arange(n)])
+    assert np.array_equal(system.targets, snap.target_sir)
     down = dataclasses.replace(snap, direction="downlink")
     with pytest.raises(ValueError, match="uplink-only"):
         cochannel_system(down, gm, serving)
+
+
+# -------------------------------------------------------- the system
+
+
+_EYE2 = np.eye(2)
+_BAD_SYSTEMS = {
+    "not-square": (np.ones((2, 3)), np.ones(2), np.ones(2), "must be square"),
+    "size-mismatch": (np.eye(3), np.ones(2), np.ones(2), "must be square"),
+    "negative-gain": (
+        np.array([[1.0, -0.1], [0.1, 1.0]]), np.ones(2), np.ones(2),
+        "finite and non-negative",
+    ),
+    "nan-gain": (
+        np.array([[1.0, np.nan], [0.1, 1.0]]), np.ones(2), np.ones(2),
+        "finite and non-negative",
+    ),
+    "inf-gain": (
+        np.array([[1.0, np.inf], [0.1, 1.0]]), np.ones(2), np.ones(2),
+        "finite and non-negative",
+    ),
+    "zero-diagonal": (
+        np.array([[0.0, 0.1], [0.1, 1.0]]), np.ones(2), np.ones(2), "diagonal"
+    ),
+    "zero-noise": (_EYE2, np.array([0.1, 0.0]), np.ones(2), "noise"),
+    "nan-noise": (_EYE2, np.array([0.1, np.nan]), np.ones(2), "noise"),
+    "inf-noise": (_EYE2, np.array([0.1, np.inf]), np.ones(2), "noise"),
+    "noise-shape": (_EYE2, np.ones(3), np.ones(2), "noise"),
+    "negative-target": (_EYE2, np.ones(2), np.array([1.0, -1.0]), "target SIRs"),
+    "nan-target": (_EYE2, np.ones(2), np.array([1.0, np.nan]), "target SIRs"),
+    "inf-target": (_EYE2, np.ones(2), np.array([1.0, np.inf]), "target SIRs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SYSTEMS))
+def test_system_rejects_bad_input_when_built(case):
+    a, noise, targets, message = _BAD_SYSTEMS[case]
+    with pytest.raises(ValueError, match=message):
+        CochannelSystem(a, noise, targets)
+
+
+def test_system_owns_read_only_copies():
+    # like NetworkSnapshot: later writes to the caller's arrays do not reach
+    # the system, and its own arrays cannot be written
+    a, noise, targets = two_user_toy()
+    system = CochannelSystem(a, noise, targets)
+    before = iterate_power_control(system, 10.0, tol=1e-12)
+    kept = {
+        name: getattr(system, name).copy()
+        for name in ("noise", "targets", "diag", "off")
+    }
+    for arr in (a, noise, targets):
+        arr[...] = 7.0
+    for name, value in kept.items():
+        assert np.array_equal(getattr(system, name), value), name
+    assert np.array_equal(system.off, [[0.0, 0.1], [0.1, 0.0]])
+    again = iterate_power_control(system, 10.0, tol=1e-12)
+    assert np.array_equal(again.p, before.p)
+    for name in (*kept, "coupling"):
+        arr = getattr(system, name)
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.noise = np.ones(2)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_coupling_keeps_the_full_matrix_bits(seed):
+    # F, taken from the zero-diagonal coupling the system keeps, equals
+    # target_i * a[i, j] / a[i, i] of the full matrix bit for bit (same
+    # operation order), and 0 on the diagonal
+    inst = sample_instance(np.random.default_rng(seed))
+    f = inst.targets[:, None] * inst.a / np.diag(inst.a)[:, None]
+    np.fill_diagonal(f, 0.0)
+    assert np.array_equal(inst.system.coupling, f)
+
+
+def test_verdict_and_coupling_are_computed_once(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(f):
+        calls.append(len(f))
+        return eigvals(f)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    system = CochannelSystem(*two_user_toy())
+    check = feasibility_check(system)
+    assert fixed_point_oracle(system) == pytest.approx([1 / 9, 1 / 9], rel=1e-12)
+    assert feasibility_check(system) is check
+    assert system.coupling is system.coupling
+    assert calls == [2]
 
 
 # ------------------------------------------- kernel equivalence reference
@@ -583,7 +672,10 @@ def _equivalence_systems():
     for n_small, seed in ((3, 1), (5, 2)):
         snap = generate_fig2_snapshot(small, n_small, seed)
         gm = build_gain_matrix(snap, small)
-        a, noise = cochannel_system(snap, gm, associate(snap, gm, "home"))
+        # the arrays cochannel_system reduces the snapshot to, which the
+        # reference loop reads
+        serving = associate(snap, gm, "home")
+        a, noise = gm.gains[serving], gm.noise[serving]
         caps = prioritized_caps(snap, gm, ith=small.ith_w)
         systems.append(
             (a, noise, snap.target_sir, snap.p_max, snap.opc_eta,
@@ -609,6 +701,7 @@ def test_kernel_matches_reference_loop(algorithm, hpue_algorithm):
         _equivalence_systems()
     ):
         n = len(targets)
+        system = CochannelSystem(a, noise, targets)
         explicit = np.random.default_rng(k).uniform(0.0, 1.0, size=n) * p_max
         masks = (lpue_mask,) if prioritized else (None, lpue_mask)
         # a loose tol stops while the iterate still moves, which pins the
@@ -626,7 +719,7 @@ def test_kernel_matches_reference_loop(algorithm, hpue_algorithm):
                 tol=tol,
                 p0=p0,
             )
-            state = iterate_power_control(a, noise, targets, p_max, **kwargs)
+            state = iterate_power_control(system, p_max, **kwargs)
             p, iterations, converged = _reference_iterate(
                 a, noise, targets, p_max, **kwargs
             )
@@ -646,14 +739,15 @@ def _run_twins(a, noise, targets, p_max, base, **kwargs):
     base's fork record: (first sweep past the twin's removal bound, iterate
     before it)."""
     twin = SOFT_REMOVAL_TWINS[base]
+    system = CochannelSystem(a, noise, targets)
     watched = iterate_power_control(
-        a, noise, targets, p_max, algorithm=base, twin=twin, **kwargs
+        system, p_max, algorithm=base, twin=twin, **kwargs
     )
-    alone = iterate_power_control(a, noise, targets, p_max, algorithm=base, **kwargs)
+    alone = iterate_power_control(system, p_max, algorithm=base, **kwargs)
     shared = iterate_power_control(
-        a, noise, targets, p_max, algorithm=twin, resume=watched, **kwargs
+        system, p_max, algorithm=twin, resume=watched, **kwargs
     )
-    full = iterate_power_control(a, noise, targets, p_max, algorithm=twin, **kwargs)
+    full = iterate_power_control(system, p_max, algorithm=twin, **kwargs)
     defaults = dict(
         eta=None, lpue_mask=None, caps=None, hpue_algorithm=None,
         max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, p0=None,
@@ -695,10 +789,9 @@ def test_twin_forks_mid_run():
 def test_twin_never_forks_and_copies_the_base_result():
     a, noise, targets = two_user_toy()
     assert _run_twins(a, noise, targets, 10.0, "tpc") == (None, None)
-    base = iterate_power_control(a, noise, targets, 10.0, twin="tpc_gr")
-    shared = iterate_power_control(
-        a, noise, targets, 10.0, algorithm="tpc_gr", resume=base
-    )
+    system = CochannelSystem(a, noise, targets)
+    base = iterate_power_control(system, 10.0, twin="tpc_gr")
+    shared = iterate_power_control(system, 10.0, algorithm="tpc_gr", resume=base)
     assert shared.p is not base.p and shared.sir is not base.sir
 
 
@@ -758,9 +851,9 @@ def test_twin_sweeps_match_reference_loop(base, hpue_algorithm):
 
 
 def test_twin_resume_checks_its_source():
-    a, noise, targets = _chain()
-    base = iterate_power_control(a, noise, targets, 10.0, twin="tpc_gr")
-    plain = iterate_power_control(a, noise, targets, 10.0)
+    system = CochannelSystem(*_chain())
+    base = iterate_power_control(system, 10.0, twin="tpc_gr")
+    plain = iterate_power_control(system, 10.0)
     lpue_mask = np.array([False, True])
     caps = PrioritizedCapSet(
         cap=np.array([np.inf, 5.0]),
@@ -771,16 +864,15 @@ def test_twin_resume_checks_its_source():
     for resume in (base, plain):
         with pytest.raises(ValueError, match="resume"):
             iterate_power_control(
-                a, noise, targets, 10.0, algorithm="ptpc_gr",
+                system, 10.0, algorithm="ptpc_gr",
                 lpue_mask=lpue_mask, caps=caps, resume=resume,
             )
     with pytest.raises(ValueError, match="resume"):
-        iterate_power_control(a, noise, targets, 10.0, algorithm="tpc_gr",
-                              resume=plain)
+        iterate_power_control(system, 10.0, algorithm="tpc_gr", resume=plain)
     for algorithm, twin in (("tpc", "ptpc_gr"), ("tpc_gr", "tpc"), ("opc", "tpc_gr")):
         with pytest.raises(ValueError, match="share"):
             iterate_power_control(
-                a, noise, targets, 10.0, algorithm=algorithm, eta=0.1, twin=twin
+                system, 10.0, algorithm=algorithm, eta=0.1, twin=twin
             )
 
 
@@ -802,7 +894,7 @@ def _chain_run(**kwargs):
         algorithm="tpc", eta=None, lpue_mask=None, caps=None,
         hpue_algorithm=None, p0=None, **kwargs,
     )
-    state = iterate_power_control(a, noise, targets, 1e30, **kwargs)
+    state = iterate_power_control(CochannelSystem(a, noise, targets), 1e30, **kwargs)
     return state, _reference_iterate(a, noise, targets, 1e30, **kwargs)
 
 
@@ -838,6 +930,7 @@ def test_single_user_matches_reference_loop(algorithm):
         gain_block=np.ones((1, 1)),
     )
     a, noise, targets = np.array([[0.5]]), np.array([0.1]), np.ones(1)
+    system = CochannelSystem(a, noise, targets)
     for p0, max_iters in itertools.product((None, np.array([3.0])), (1, 2, 16, 300)):
         kwargs = dict(
             algorithm=algorithm,
@@ -849,7 +942,7 @@ def test_single_user_matches_reference_loop(algorithm):
             tol=1e-9,
             p0=p0,
         )
-        state = iterate_power_control(a, noise, targets, 10.0, **kwargs)
+        state = iterate_power_control(system, 10.0, **kwargs)
         p, iterations, converged = _reference_iterate(
             a, noise, targets, 10.0, **kwargs
         )
@@ -867,7 +960,9 @@ def test_single_user_twins():
 def test_twin_fork_past_the_converged_sweep_is_dropped():
     # tol = 1.5 passes at sweep 3 (0.4 < 1.5 * 0.3), but the block runs on
     # to sweep 7, whose demand of 12.7 W first exceeds the 10 W budget
-    state = iterate_power_control(*_chain(), 10.0, twin="tpc_gr", tol=1.5)
+    state = iterate_power_control(
+        CochannelSystem(*_chain()), 10.0, twin="tpc_gr", tol=1.5
+    )
     assert (state.iterations, state.converged) == (3, True)
     assert _run_twins(*_chain(), 10.0, "tpc", tol=1.5) == (None, None)
 
@@ -921,7 +1016,7 @@ def test_iterates_from_zero_never_decrease(algorithm, seed, p_max):
     p = np.zeros(len(inst.targets))
     for _ in range(5000):
         nxt = iterate_power_control(
-            inst.a, inst.noise, inst.targets, p_max,
+            inst.system, p_max,
             algorithm=algorithm, max_iters=1, p0=p, **kwargs,
         ).p
         assert np.all(nxt >= p)
@@ -944,7 +1039,7 @@ def test_runs_from_zero_and_from_budget_meet(algorithm, seed, p_max):
     n = len(inst.targets)
     runs = [
         iterate_power_control(
-            inst.a, inst.noise, inst.targets, p_max,
+            inst.system, p_max,
             algorithm=algorithm, tol=1e-12, max_iters=20_000, p0=p0, **kwargs,
         )
         for p0 in (np.zeros(n), np.full(n, p_max))
@@ -988,7 +1083,7 @@ def test_maps_are_two_sided_scalable(algorithm, seed, a, u):
 
     def sweep(p0):
         return iterate_power_control(
-            inst.a, inst.noise, inst.targets, p_max,
+            inst.system, p_max,
             algorithm=algorithm, eta=inst.eta, lpue_mask=lpue_mask,
             caps=caps if algorithm in PRIORITIZED_BASE else None,
             max_iters=1, p0=p0,

@@ -7,7 +7,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from hetsim.config import DEFAULT_TARGET_SIR_DB
+from hetsim import cli
+from hetsim.config import DEFAULT_TARGET_SIR_DB, fig2_defaults
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -37,6 +38,47 @@ def test_tracer_wrapped_names_resolve():
     for module_name, attr, _ in tracer.WRAPPED:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+def _traced_run(monkeypatch, out_dir, argv):
+    """(tracer module, spans) of one in-process ``hetsim`` run under the
+    perfbench tracer. Every wrapped name is registered with ``monkeypatch``
+    first, so undoing it restores the originals."""
+    tracer = _load("perfbench_tracer", TRACER)
+    for module_name, attr, _ in tracer.WRAPPED:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    traced = tracer.install(out_dir)
+    try:
+        code = traced.call(tracer.ROOT_SPAN, cli.main, (argv,), {})
+    finally:
+        monkeypatch.undo()
+    assert code == 0
+    return tracer, traced.spans
+
+
+def test_traced_runs_report_the_power_control_layers(monkeypatch, tmp_path):
+    # the wrappers read each call's arguments and result, so a changed call
+    # shape breaks a traced run even where every wrapped name resolves
+    tracer, spans = _traced_run(
+        monkeypatch, tmp_path, ["oracle-check", "--count", "20"]
+    )
+    metrics = tracer.layer_metrics([spans])
+    assert sum(span[0] == "power_control.iterate" for span in spans) == 20
+    assert metrics["power_control.sweeps.tpc"][0] > 0
+    assert metrics["power_control.feasibility_s"][0] > 0
+    assert metrics["power_control.oracle_solve_s"][0] > 0
+
+    out = tmp_path / "fig2"
+    tracer, spans = _traced_run(
+        monkeypatch, tmp_path,
+        ["fig2", "--out", str(out), "--set", "mc.snapshots=1"],
+    )
+    metrics = tracer.layer_metrics([spans])
+    for algorithm in tracer.ALGORITHMS:
+        assert metrics[f"power_control.sweeps.{algorithm}"][0] > 0, algorithm
+    assert metrics["harness.snapshot_samples"][0] == len(fig2_defaults().sweep)
+    assert metrics["report.bytes_written"][0] > 0
 
 
 def test_benchmark_setup_probe_runs():
