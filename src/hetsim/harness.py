@@ -104,16 +104,9 @@ def outage_ratio(state, mask):
     return float((~state.supported[mask]).sum() / mask.sum())
 
 
-def throughput_metrics(sirs, access_probs=None):
-    """Per-user rates log2(1 + SIR); returns (aggregate rate, spectral
-    efficiency). Spectral efficiency is the access-probability-weighted rate
-    averaged over the users, None when no access context is given."""
-    rates = np.log2(1.0 + np.asarray(sirs, dtype=float))
-    aggregate = float(rates.sum())
-    if access_probs is None:
-        return aggregate, None
-    access = np.asarray(access_probs, dtype=float)
-    return aggregate, float(np.mean(access * rates))
+def throughput_metrics(sirs):
+    """Aggregate rate: the sum of the per-user rates log2(1 + SIR)."""
+    return float(np.log2(1.0 + np.asarray(sirs, dtype=float)).sum())
 
 
 def _check_safety(caps, state, seed):
@@ -167,12 +160,11 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
         if twin is not None:
             resume_from[twin] = state
         margin = _check_safety(caps, state, seed) if prioritized else None
-        aggregate, _ = throughput_metrics(state.sir)
         rows.append((
             outage_ratio(state, ~lpue_mask),
             outage_ratio(state, lpue_mask),
             state.p.sum(),
-            aggregate,
+            throughput_metrics(state.sir),
             None,
             state.converged,
             state.iterations,
@@ -185,28 +177,33 @@ def _disc_snapshot_results(cfg, n_small, seed, schemes):
     """One disc snapshot: the tagged macro user (user 0) picks a cell per
     scheme; its spectral efficiency is the access probability of the chosen
     cell times log2(1 + SIR), with every other base station transmitting at
-    full power. One FIELDS row per scheme."""
+    full power. One FIELDS row per scheme, all schemes in one array pass."""
     snapshot = generate_fig3_snapshot(cfg, n_small, seed)
     # only the tagged user's gains and scores are read
-    gains = build_gain_matrix(snapshot, cfg, rows=[0])
+    gains = build_gain_matrix(snapshot, cfg, rows=slice(0, 1))
     p_access = access_probability(cell_loads(snapshot, exclude_user=0))
     bs_powers = snapshot.bs_tx_power
     g0 = gains.gains[0]
     total = float(g0 @ bs_powers)
-
-    rows = []
-    for scheme in schemes:
-        scores = score_matrix(
+    scores = np.concatenate([
+        score_matrix(
             snapshot, gains, scheme, access_prob=p_access, bias_db=cfg.bias_db
-        )
-        chosen = int(np.argmax(scores[0]))
-        signal = float(g0[chosen] * bs_powers[chosen])
-        sir = signal / (total - signal + gains.noise[0])
-        rate, se = throughput_metrics(
-            np.array([sir]), access_probs=np.array([p_access[chosen]])
-        )
-        rows.append((None, None, bs_powers.sum(), rate, se, True, 0, None))
-    return np.array(rows, dtype=float)
+        )[:1]
+        for scheme in schemes
+    ])
+    chosen = scores.argmax(axis=1)
+    signal = g0[chosen] * bs_powers[chosen]
+    rate = np.log2(1.0 + signal / (total - signal + gains.noise[0]))
+
+    # outages and the safety margin stay absent (NaN)
+    rows = np.full((len(schemes), len(FIELDS)), np.nan)
+    column = FIELDS.index
+    rows[:, column("agg_power_w")] = bs_powers.sum()
+    rows[:, column("agg_throughput_bps_hz")] = rate
+    rows[:, column("spectral_eff_bps_hz")] = p_access[chosen] * rate
+    rows[:, column("convergence_rate")] = 1.0
+    rows[:, column("iterations")] = 0.0
+    return rows
 
 
 def _job(payload):

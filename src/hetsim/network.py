@@ -124,13 +124,14 @@ def path_gain(distance, exponent=4.0, d_min=1.0, k=1.0):
     return k * np.maximum(distance, d_min) ** (-float(exponent))
 
 
-def _disc_points(u, center, radius):
-    """Points uniform in discs from a (k, 2) block of uniform draws: row i
-    holds the radius and angle draws of point i, in that order, and lands in
-    the disc of radius ``radius`` around ``center`` (or its row i)."""
+def _disc_points(u, radius):
+    """Offsets of points uniform in discs around the origin, from a (k, 2)
+    block of unit draws: row i holds the radius and angle draws of point i,
+    in that order, and lands in the disc of radius ``radius`` (or its row
+    i)."""
     r = radius * np.sqrt(u[:, 0])
     ang = 2.0 * np.pi * u[:, 1]
-    return center + np.column_stack((r * np.cos(ang), r * np.sin(ang)))
+    return np.column_stack((r * np.cos(ang), r * np.sin(ang)))
 
 
 def _place_small_centers(rng, origin, macro_side, small_side, n_small, macro_idx, seed):
@@ -218,26 +219,25 @@ def generate_fig3_snapshot(cfg, n_small, seed):
     if n_small < 0:
         raise ValueError(f"n_small must be non-negative, got {n_small}")
     rng = np.random.default_rng(seed)
-    # the tagged macro user, then the small-cell sites
-    drop = _disc_points(
-        rng.uniform(size=(1 + n_small, 2)), 0.0, cfg.disc_radius_m
-    )
-    bs_pos = np.vstack((np.zeros((1, 2)), drop[1:]))
-    # cell by cell: its mean load, its Poisson count, its users' draws (this
-    # order fixes what a seed means); the tagged user is cell 0's one user,
-    # and the empty block lets n_small = 0 concatenate
-    counts, draws = [1], [np.empty((0, 2))]
+    # unit blocks: the tagged macro user and the small-cell sites, then cell
+    # by cell its mean load, its Poisson count and its users' draws (this
+    # order fixes what a seed means); random() is uniform(0, 1)'s stream
+    draws = [rng.random((1 + n_small, 2))]
     for _ in range(n_small):
-        count = int(rng.poisson(rng.uniform(cfg.lambda_lo, cfg.lambda_hi)))
-        counts.append(count)
-        draws.append(rng.uniform(size=(count, 2)))
-    home = np.repeat(np.arange(1 + n_small), counts)
-    users = _disc_points(
-        np.concatenate(draws), bs_pos[home[1:]], cfg.small_side_m / 2.0
+        count = rng.poisson(rng.uniform(cfg.lambda_lo, cfg.lambda_hi))
+        draws.append(rng.random((count, 2)))
+    # the tagged user is cell 0's one user
+    home = np.repeat(np.arange(1 + n_small), [1, *map(len, draws[1:])])
+    # sites in the macro disc, users in their small cell: one transform
+    radius = np.repeat(
+        (cfg.disc_radius_m, cfg.small_side_m / 2.0), (1 + n_small, len(home) - 1)
     )
+    points = _disc_points(np.concatenate(draws), radius)
+    bs_pos = np.vstack((np.zeros((1, 2)), points[1 : 1 + n_small]))
+    users = points[1 + n_small :] + bs_pos[home[1:]]
     bs_small = np.arange(1 + n_small) > 0
     return _snapshot(
-        cfg, bs_pos, bs_small, np.vstack((drop[:1], users)), home, DOWNLINK
+        cfg, bs_pos, bs_small, np.vstack((points[:1], users)), home, DOWNLINK
     )
 
 

@@ -52,7 +52,11 @@ def _json_text(report):
         "tool": {"name": "hetsim", "version": __version__},
         "experiment": report.experiment,
         "config": config_json_dict(report.config),
-        "rows": [dataclasses.asdict(r) for r in report.rows],
+        # shallow: asdict would deep-copy every row's seeds tuple
+        "rows": [
+            {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
+            for r in report.rows
+        ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -2,25 +2,33 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hetsim.association import associate
+from hetsim.association import SCHEMES, associate, score_matrix
 from hetsim.config import SimConfig, fig3_defaults
 from hetsim.harness import (
     FIELDS,
     FIG2_ALGORITHMS,
     FIG3_SCHEMES,
+    _disc_snapshot_results,
     outage_ratio,
     run_experiment,
     run_preset,
     throughput_metrics,
 )
-from hetsim.network import build_gain_matrix, generate_fig2_snapshot
+from hetsim.network import (
+    build_gain_matrix,
+    generate_fig2_snapshot,
+    generate_fig3_snapshot,
+)
 from hetsim.power_control import (
     CochannelSystem,
     PowerState,
     cochannel_system,
     iterate_power_control,
 )
+from hetsim.scheduling import access_probability, cell_loads
 
 
 def _state(supported, sirs=None):
@@ -60,12 +68,57 @@ def test_outage_ratio_empty_tier_absent(cfg):
 
 
 def test_throughput_metrics_values():
-    agg, se = throughput_metrics(np.array([1.0, 0.0]))
-    assert agg == pytest.approx(1.0)
-    assert se is None
-    agg, se = throughput_metrics(np.array([3.0]), access_probs=np.array([0.25]))
-    assert agg == pytest.approx(2.0)
-    assert se == pytest.approx(0.5)
+    assert throughput_metrics(np.array([1.0, 0.0])) == pytest.approx(1.0)
+    assert throughput_metrics(np.array([3.0])) == pytest.approx(2.0)
+
+
+def _disc_rate_and_se(sir, access):
+    # one scheme's rate log2(1 + SIR) and access-weighted spectral
+    # efficiency, from a float SIR through a 1-element array
+    rate = float(np.log2(1.0 + np.array([sir]))[0])
+    return rate, float(access * rate)
+
+
+def _disc_reference(cfg, n_small, seed, schemes):
+    # one scheme at a time: score, argmax, float SIR
+    snapshot = generate_fig3_snapshot(cfg, n_small, seed)
+    gains = build_gain_matrix(snapshot, cfg, rows=[0])
+    p_access = access_probability(cell_loads(snapshot, exclude_user=0))
+    bs_powers = snapshot.bs_tx_power
+    g0 = gains.gains[0]
+    total = float(g0 @ bs_powers)
+    rows = []
+    for scheme in schemes:
+        scores = score_matrix(
+            snapshot, gains, scheme, access_prob=p_access, bias_db=cfg.bias_db
+        )
+        chosen = int(np.argmax(scores[0]))
+        signal = float(g0[chosen] * bs_powers[chosen])
+        sir = signal / (total - signal + gains.noise[0])
+        rate, se = _disc_rate_and_se(sir, p_access[chosen])
+        values = dict(
+            agg_power_w=bs_powers.sum(),
+            agg_throughput_bps_hz=rate,
+            spectral_eff_bps_hz=se,
+            convergence_rate=1.0,
+            iterations=0.0,
+        )
+        rows.append([values.get(name, np.nan) for name in FIELDS])
+    return np.array(rows)
+
+
+@given(n=st.integers(0, 40), seed=st.integers(0, 2**32))
+@example(n=0, seed=1)  # only the macro cell
+@settings(max_examples=40, deadline=None)
+def test_disc_results_match_one_scheme_at_a_time(n, seed):
+    # every association scheme in one array pass, bit for bit, against a
+    # reference whose formula gives 0.25 * log2(1 + 3) = 0.5
+    assert _disc_rate_and_se(3.0, 0.25) == (2.0, 0.5)
+    cfg = fig3_defaults()
+    got = _disc_snapshot_results(cfg, n, seed, SCHEMES)
+    want = _disc_reference(cfg, n, seed, SCHEMES)
+    assert got.shape == (len(SCHEMES), len(FIELDS))
+    assert got.tobytes() == want.tobytes()
 
 
 def _one_snapshot(cfg, sweep_point, seed):
