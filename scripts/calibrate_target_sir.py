@@ -68,7 +68,10 @@ def worst_hp_subsystem_rho():
             rx = serving[hp]
             check = feasibility_check(
                 CochannelSystem(
-                    gains.gains[np.ix_(rx, hp)], gains.noise[rx], np.ones(len(hp))
+                    gains.gains[np.ix_(rx, hp)],
+                    gains.noise[rx],
+                    np.ones(len(hp)),
+                    snap.p_max[hp],
                 )
             )
             worst = max(worst, check.spectral_radius)

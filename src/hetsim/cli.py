@@ -60,10 +60,11 @@ def run_oracle_check(count, seed):
     """Cross-validate the iterated tracking algorithm on random instances.
 
     Per instance: the eigenvalue feasibility verdict must match the
-    iterate's behavior at a 1e6 W budget (converged with every user
-    supported iff feasible), and on comfortably feasible systems
-    (spectral radius < ``ORACLE_RHO_MATCH``) the iterate must match the
-    direct linear-solve fixed point to ``ORACLE_REL_TOL`` relative error.
+    iterate's behavior at the 1e6 W budget of the instance's system
+    (converged with every user supported iff feasible), and on comfortably
+    feasible systems (spectral radius < ``ORACLE_RHO_MATCH``) the iterate
+    must match the direct linear-solve fixed point to ``ORACLE_REL_TOL``
+    relative error.
     """
     failures = []
     for k in range(count):
@@ -74,11 +75,7 @@ def run_oracle_check(count, seed):
         system = inst.system
         check = feasibility_check(system)
         state = iterate_power_control(
-            system,
-            1e6,
-            algorithm="tpc",
-            max_iters=200_000,
-            tol=1e-12,
+            system, algorithm="tpc", max_iters=200_000, tol=1e-12
         )
         behaved = state.converged and bool(state.supported.all())
         if check.feasible != behaved:

@@ -18,7 +18,12 @@ from dataclasses import dataclass, field, fields, replace
 
 from .association import SCHEMES
 from .errors import ConfigError
-from .power_control import ALGORITHMS
+from .power_control import (
+    ALGORITHMS,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
+    DEFAULT_TOL_SUPPORT,
+)
 from .scheduling import SCHEDULERS
 
 GEOMETRIES = ("grid", "disc")
@@ -195,9 +200,9 @@ class SimConfig:
     snapshots: int = _key("mc.snapshots", 100, _at_least_one)
     base_seed: int = _key("mc.base_seed", 1, _u64)
     sweep: tuple[int, ...] = _key("mc.sweep", (3, 4, 5, 6), _sweep_ok)
-    max_iters: int = _key("pc.max_iters", 2000, _at_least_one)
-    tol: float = _key("pc.tol", 1e-9, _positive)
-    tol_support: float = _key("pc.tol_support", 1e-6, _non_negative)
+    max_iters: int = _key("pc.max_iters", DEFAULT_MAX_ITERS, _at_least_one)
+    tol: float = _key("pc.tol", DEFAULT_TOL, _positive)
+    tol_support: float = _key("pc.tol_support", DEFAULT_TOL_SUPPORT, _non_negative)
     geometry: str = _key("geometry", "grid", _enum(GEOMETRIES))
 
     def __post_init__(self):

@@ -130,8 +130,8 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
     caps = None
     if any(alg in PRIORITIZED_BASE for alg in algorithms):
         caps = prioritized_caps(snapshot, gains, cfg.ith_w)
-    # one validated system shared by every run of the snapshot
-    system = cochannel_system(snapshot, gains, serving)
+    # one validated system, caps included, shared by every run of the snapshot
+    system = cochannel_system(snapshot, gains, serving, caps)
     lpue_mask = snapshot.lpue_mask
 
     rows = []
@@ -145,11 +145,7 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
             twin = None
         state = iterate_power_control(
             system,
-            snapshot.p_max,
             algorithm=alg,
-            eta=snapshot.opc_eta,
-            lpue_mask=lpue_mask,
-            caps=caps if prioritized else None,
             hpue_algorithm=hpue_algorithm,
             max_iters=cfg.max_iters,
             tol=cfg.tol,
@@ -237,7 +233,10 @@ def run_experiment(
     """Monte Carlo sweep of ``cfg.geometry``: power-control algorithms on
     the uplink grid, association schemes on the downlink disc. ``variants``
     defaults to the configured single algorithm (grid) or scheme (disc);
-    ``hpue_algorithm`` applies to the grid only.
+    ``hpue_algorithm`` (None or ``"tpc"``) applies to the grid only. A grid
+    snapshot builds its prioritized caps (when an algorithm needs them),
+    then one ``CochannelSystem`` holding them, then runs every algorithm on
+    that system.
 
     Rows are averaged in seed order, so the report does not depend on the
     order in which snapshot jobs completed."""

@@ -142,15 +142,31 @@ class FeasibilityResult:
     spectral_radius: float
 
 
+def _per_user(value, n, what):
+    """A float copy of ``value`` (a scalar or one value per user) with one
+    entry per user."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape not in ((), (n,)):
+        raise ValueError(f"{what} must be a scalar or hold one value per user")
+    return np.full(n, arr)
+
+
 @dataclass(frozen=True, eq=False)
 class CochannelSystem:
-    """A square co-channel system (a, noise, targets), validated once when
-    built and shared by the kernel and both oracles.
+    """One power-control problem: a square co-channel system (a, noise,
+    targets) with its users' budgets, opportunistic targets, priorities and
+    caps, validated once when built and shared by the kernel and both
+    oracles.
 
     ``a[i, j]`` is the gain from user j's transmitter to user i's serving
     receiver, ``noise[i]`` that receiver's noise power and ``targets[i]``
-    user i's target SIR. The system keeps read-only copies of ``noise`` and
-    ``targets``, the serving gains ``diag`` and the zero-diagonal coupling
+    user i's target SIR. ``p_max`` is the power budget, positive with a
+    finite square (soft removal answers with p_max**2 / q), and ``eta`` the
+    opportunistic target of ``opc``/``dtpc``; either may be one scalar for
+    every user. ``lpue_mask`` flags the low-priority users and ``cap`` holds
+    their static caps (``PrioritizedCapSet.cap``), both needed by the
+    prioritized algorithms only. The system keeps read-only copies of these
+    arrays, the serving gains ``diag`` and the zero-diagonal coupling
     ``off`` with 64-byte-aligned rows (``_aligned``), so later writes to the
     caller's arrays do not reach it; ``a`` itself is not kept. The
     normalized coupling ``coupling`` and the feasibility verdict
@@ -160,6 +176,10 @@ class CochannelSystem:
     a: InitVar[np.ndarray]
     noise: np.ndarray
     targets: np.ndarray
+    p_max: np.ndarray
+    eta: np.ndarray | None = None
+    lpue_mask: np.ndarray | None = None
+    cap: np.ndarray | None = None
     diag: np.ndarray = field(init=False)
     off: np.ndarray = field(init=False)
 
@@ -180,11 +200,30 @@ class CochannelSystem:
             raise ValueError("noise must be positive and finite, one per user")
         if not ((targets > 0).all() and np.isfinite(targets).all()):
             raise ValueError("target SIRs must be positive and finite")
-        off = _aligned(a)
+        p_max = _per_user(self.p_max, n, "power budgets")
+        top = float(p_max.max(initial=0.0))
+        if not (p_max.min(initial=np.inf) > 0 and top * top < np.inf):
+            raise ValueError(
+                "power budgets must be positive with a finite square "
+                "(soft removal answers with p_max**2 / q)"
+            )
+        kept = {"noise": noise, "targets": targets, "p_max": p_max}
+        if self.eta is not None:
+            kept["eta"] = eta = _per_user(self.eta, n, "eta")
+            if not (eta > 0).all():
+                raise ValueError("eta must be positive")
+        if self.lpue_mask is not None:
+            kept["lpue_mask"] = mask = np.array(self.lpue_mask, dtype=bool)
+            if mask.shape != (n,):
+                raise ValueError("lpue_mask must have one flag per user")
+        if self.cap is not None:
+            kept["cap"] = cap = np.array(self.cap, dtype=float)
+            if cap.shape != (n,) or not (cap >= 0).all():
+                raise ValueError("caps must hold one non-negative cap per user")
+        kept["diag"] = diag
+        kept["off"] = off = _aligned(a)
         np.fill_diagonal(off, 0.0)
-        for name, arr in (
-            ("noise", noise), ("targets", targets), ("diag", diag), ("off", off)
-        ):
+        for name, arr in kept.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -209,9 +248,10 @@ class CochannelSystem:
         return FeasibilityResult(feasible=rho < 1.0, spectral_radius=rho)
 
 
-def cochannel_system(snapshot, gains, serving):
+def cochannel_system(snapshot, gains, serving, caps=None):
     """The square per-user system of (gains, serving cells), with the
-    snapshot's target SIRs.
+    snapshot's target SIRs, budgets, opportunistic targets and priorities,
+    and the static caps of ``caps`` (a ``PrioritizedCapSet``) if given.
 
     Uplink only: ``a[i, j]`` is the gain from user j to user i's serving
     receiver ``serving[i]``, and ``noise[i]`` is that receiver's noise power.
@@ -219,36 +259,16 @@ def cochannel_system(snapshot, gains, serving):
     if snapshot.direction != UPLINK:
         raise ValueError("the iterated power-control system is uplink-only")
     return CochannelSystem(
-        gains.gains[serving, :], gains.noise[serving], snapshot.target_sir
+        gains.gains[serving, :], gains.noise[serving], snapshot.target_sir,
+        snapshot.p_max, eta=snapshot.opc_eta, lpue_mask=snapshot.lpue_mask,
+        cap=None if caps is None else caps.cap,
     )
-
-
-def _maps(algorithm, hpue_algorithm, lpue_mask):
-    """(map of the low-priority users, map of the others) of one run."""
-    base_alg = PRIORITIZED_BASE.get(algorithm, algorithm)
-    if lpue_mask is None:
-        return base_alg, base_alg
-    prioritized = algorithm in PRIORITIZED_BASE
-    return base_alg, hpue_algorithm or ("tpc" if prioritized else algorithm)
-
-
-def _users_on(name, maps, lpue_mask):
-    """The users that run map ``name``: a plain bool when every user or none
-    does, else a mask."""
-    base_alg, hp_alg = maps
-    if (base_alg == name) == (hp_alg == name):
-        return base_alg == name
-    return lpue_mask if base_alg == name else ~lpue_mask
 
 
 def iterate_power_control(
     system,
-    p_max,
     *,
     algorithm="tpc",
-    eta=None,
-    lpue_mask=None,
-    caps=None,
     hpue_algorithm=None,
     max_iters=DEFAULT_MAX_ITERS,
     tol=DEFAULT_TOL,
@@ -260,10 +280,17 @@ def iterate_power_control(
     """Synchronous fixed-point iteration of the chosen update map on a
     ``CochannelSystem``, starting from ``p0`` (default: the zero vector).
 
+    The budgets, ``eta``, the low-priority mask and the caps are read off
+    the system: ``opc``/``dtpc`` need its ``eta``, and the prioritized
+    algorithms its ``lpue_mask`` and ``cap``, which clip their low-priority
+    users. The low-priority users run the algorithm's base map and the
+    others track with tpc when the algorithm is prioritized or
+    ``hpue_algorithm="tpc"``; with ``hpue_algorithm=None`` (the only other
+    value) a non-prioritized algorithm runs on every user.
+
     Stops when ``||p(t+1) - p(t)||_inf < tol * max(||p(t)||_inf, eps)`` or
     after ``max_iters`` sweeps; non-convergence is flagged on the returned
-    state, never raised. ``hpue_algorithm`` overrides the map used by users
-    outside ``lpue_mask`` (prioritized algorithms default them to tpc).
+    state, never raised.
 
     Sweeps run in blocks of up to ``_BLOCK`` into the rows of one buffer,
     each a pass over preallocated buffers with the maps picked per user by
@@ -286,77 +313,60 @@ def iterate_power_control(
     bit.
     """
     n = system.targets.shape[0]
-    p_max = np.broadcast_to(np.asarray(p_max, dtype=float), (n,)).astype(float)
-    if np.any(p_max <= 0):
-        raise ValueError("power budgets must be positive")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown power-control algorithm {algorithm!r}")
+    if hpue_algorithm not in (None, "tpc"):
+        raise ValueError(
+            f"unknown base power-control algorithm {hpue_algorithm!r} for the "
+            "high-priority users (None or 'tpc')"
+        )
     prioritized = algorithm in PRIORITIZED_BASE
     base_alg = PRIORITIZED_BASE.get(algorithm, algorithm)
-    if base_alg in ("opc", "dtpc") or hpue_algorithm in ("opc", "dtpc"):
-        if eta is None:
-            raise ValueError(f"{algorithm} requires the opportunistic target eta")
-        eta = np.broadcast_to(np.asarray(eta, dtype=float), (n,)).astype(float)
-        if np.any(eta <= 0):
-            raise ValueError("eta must be positive")
-    if prioritized:
-        if lpue_mask is None or caps is None:
-            raise ValueError(
-                f"{algorithm} needs lpue_mask and caps (see prioritized_caps)"
-            )
-        cap = np.asarray(caps.cap, dtype=float)
-        if cap.shape != (n,) or not (cap >= 0).all():
-            raise ValueError("caps must hold one non-negative cap per user")
-    else:
-        cap = np.inf
-    if lpue_mask is not None:
-        lpue_mask = np.asarray(lpue_mask, dtype=bool)
-        if lpue_mask.shape != (n,):
-            raise ValueError("lpue_mask must have one flag per user")
-    if hpue_algorithm not in (None, *BASE_ALGORITHMS):
+    opportunistic = base_alg in ("opc", "dtpc")
+    if opportunistic and system.eta is None:
+        raise ValueError(f"{algorithm} requires the opportunistic target eta")
+    if prioritized and (system.lpue_mask is None or system.cap is None):
         raise ValueError(
-            f"unknown base power-control algorithm {hpue_algorithm!r}"
+            f"{algorithm} needs a system with lpue_mask and caps "
+            "(see prioritized_caps)"
         )
     if p0 is not None:
         # iterates then stay non-negative, so max(p) is their inf-norm
         p0 = np.asarray(p0, dtype=float)
         if p0.shape != (n,) or not (np.isfinite(p0).all() and (p0 >= 0).all()):
             raise ValueError("p0 must hold one finite, non-negative power per user")
-    maps = _maps(algorithm, hpue_algorithm, lpue_mask)
-    opportunistic = not {"opc", "dtpc"}.isdisjoint(maps)
-    opc = _users_on("opc", maps, lpue_mask)
-    dtpc = _users_on("dtpc", maps, lpue_mask)
+    # the users on the base map: the low-priority ones when the others track
+    # with tpc, else every user; a plain bool when every user is
+    users = True
+    if system.lpue_mask is not None and (prioritized or hpue_algorithm == "tpc"):
+        users = system.lpue_mask
+    opc = users if base_alg == "opc" else False
+    dtpc = users if base_alg == "dtpc" else False
 
     # per-user clip of the demand: the budget and the static caps
+    p_max, eta = system.p_max, system.eta
+    cap = system.cap if prioritized else np.inf
     clip = np.minimum(p_max, cap)
-    with np.errstate(over="ignore"):
-        p_max_sq = p_max * p_max
-    soft_removal = "tpc_gr" in maps
+    # finite: the system checks that every budget has a finite square
+    p_max_sq = p_max * p_max
+    soft_removal = base_alg == "tpc_gr"
     if soft_removal:
         # tpc_gr users answer demands above their budget with p_max**2 / q,
         # which lies below it, so only their static cap clips
-        soft = _users_on("tpc_gr", maps, lpue_mask)
-        if not np.isfinite(p_max_sq[soft]).all():
-            raise ValueError(
-                "tpc_gr power budgets must have a finite square "
-                "(soft removal answers with p_max**2 / q)"
-            )
-        clip = np.where(soft, cap, clip)
-        soft_above = np.where(soft, p_max, np.inf)
+        clip = np.where(users, cap, clip)
+        soft_above = np.where(users, p_max, np.inf)
     fork = None
     if twin is not None:
         if SOFT_REMOVAL_TWINS.get(algorithm) != twin:
             raise ValueError(f"{algorithm!r} cannot share sweeps with {twin!r}")
-        twin_soft = _users_on(
-            "tpc_gr", _maps(twin, hpue_algorithm, lpue_mask), lpue_mask
-        )
-        # Both runs answer a demand q at or below this bound alike: up to
-        # the budget nothing is removed, and beyond it a cap that binds
-        # (cap <= p_max**2 / q) clips both answers to the cap. nextafter
-        # keeps the bound at or below the exact p_max**2 / cap.
+        # The twin runs soft removal on the same users. Both runs answer a
+        # demand q at or below this bound alike: up to the budget nothing is
+        # removed, and beyond it a cap that binds (cap <= p_max**2 / q)
+        # clips both answers to the cap. nextafter keeps the bound at or
+        # below the exact p_max**2 / cap.
         with np.errstate(divide="ignore", invalid="ignore"):
             removal = np.nextafter(p_max_sq / cap, 0.0)
-        twin_bound = np.where(twin_soft, np.maximum(p_max, removal), np.inf)
+        twin_bound = np.where(users, np.maximum(p_max, removal), np.inf)
         past_bound = np.empty(n, dtype=bool)
         fork = (twin, None, None)
     watching = twin is not None
@@ -479,7 +489,9 @@ def fixed_point_oracle(system):
 @dataclass(frozen=True)
 class Instance:
     """A random square co-channel system for oracle cross-checks: its
-    arrays, and the ``CochannelSystem`` built from them on first use."""
+    arrays, and the ``CochannelSystem`` built from them on first use, with
+    a 1e6 W budget for every user, so that only infeasible targets
+    saturate."""
 
     a: np.ndarray
     noise: np.ndarray
@@ -488,7 +500,7 @@ class Instance:
 
     @cached_property
     def system(self):
-        return CochannelSystem(self.a, self.noise, self.targets)
+        return CochannelSystem(self.a, self.noise, self.targets, 1e6)
 
 
 def sample_instance(rng, n_users=None):

@@ -133,7 +133,7 @@ def test_criterion_1_oracle_equivalence():
     for k in range(1000):
         inst = sample_feasible_instance(np.random.default_rng(k), rho_max=0.9)
         state = iterate_power_control(
-            inst.system, 1e6, algorithm="tpc", tol=1e-12, max_iters=10_000
+            inst.system, algorithm="tpc", tol=1e-12, max_iters=10_000
         )
         exact = fixed_point_oracle(inst.system)
         worst = max(worst, float(np.abs(state.p - exact).max() / exact.max()))
@@ -152,7 +152,7 @@ def test_criterion_2_feasibility_oracle():
         inst = sample_instance(np.random.default_rng(10_000 + k))
         check = feasibility_check(inst.system)
         state = iterate_power_control(
-            inst.system, 1e6, algorithm="tpc", tol=1e-12, max_iters=200_000
+            inst.system, algorithm="tpc", tol=1e-12, max_iters=200_000
         )
         behaved = state.converged and bool(state.supported.all())
         if check.feasible != behaved:
@@ -278,8 +278,10 @@ def test_criterion_6_access_probability():
 def test_criterion_7_opc_fairness_pathology():
     a = np.array([[1.0, 0.01], [0.01, 0.5]])
     state = iterate_power_control(
-        CochannelSystem(a, np.array([0.1, 0.1]), np.array([1.0, 1.0])), 10.0,
-        algorithm="opc", eta=0.01, tol=1e-12,
+        CochannelSystem(
+            a, np.array([0.1, 0.1]), np.array([1.0, 1.0]), 10.0, eta=0.01
+        ),
+        algorithm="opc", tol=1e-12,
     )
     rates = np.log2(1.0 + state.sir)
     ok = state.converged and state.p[0] > state.p[1] and rates[0] > rates[1]
@@ -298,12 +300,14 @@ def test_criterion_8_dtpc_dominance():
         inst = sample_feasible_instance(
             np.random.default_rng(20_000 + k), rho_max=0.9
         )
+        system = CochannelSystem(
+            inst.a, inst.noise, inst.targets, 1e3, eta=inst.eta
+        )
         st_tpc = iterate_power_control(
-            inst.system, 1e3, algorithm="tpc", tol=1e-12, max_iters=20_000
+            system, algorithm="tpc", tol=1e-12, max_iters=20_000
         )
         st_dtpc = iterate_power_control(
-            inst.system, 1e3,
-            algorithm="dtpc", eta=inst.eta, tol=1e-12, max_iters=20_000,
+            system, algorithm="dtpc", tol=1e-12, max_iters=20_000
         )
         gap = float(
             np.log2(1 + st_dtpc.sir).sum() - np.log2(1 + st_tpc.sir).sum()

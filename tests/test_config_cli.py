@@ -524,4 +524,4 @@ def test_oracle_check_rejects_corrupt_gains():
     # corrupt gains are rejected when the system is built, before an oracle
     bad = np.array([[1.0, -0.2], [0.1, 1.0]])
     with pytest.raises(ValueError, match="finite and non-negative"):
-        CochannelSystem(bad, np.array([0.1, 0.1]), np.array([1.0, 1.0]))
+        CochannelSystem(bad, np.array([0.1, 0.1]), np.array([1.0, 1.0]), 1.0)

@@ -353,9 +353,7 @@ def test_mei_with_opc_is_permitted_but_does_not_help_throughput(cfg):
         st_mei, st_rsrp = (
             iterate_power_control(
                 cochannel_system(snap, gains, associate(snap, gains, scheme)),
-                snap.p_max,
                 algorithm="opc",
-                eta=snap.opc_eta,
             )
             for scheme in ("mei", "rsrp")
         )
