@@ -47,34 +47,57 @@ def score_matrix(snapshot, gains, scheme, *, access_prob=None, bias_db=0.0):
     giving p = 1 / (others + 1). ``bias_db`` multiplies the small tier under
     cre.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown association scheme {scheme!r}")
-    if scheme == "home":
-        return np.eye(snapshot.n_bs)[snapshot.home]
     uplink = snapshot.direction == UPLINK
-    # gain of every user/BS pair; the path loss is reciprocal
-    g = gains.gains.T if uplink else gains.gains
-    if scheme == "distance":
-        return g
-    if scheme in ("resource", "hybrid"):
-        if access_prob is None:
-            own = score_matrix(snapshot, gains, "home")
-            access = access_probability(cell_loads(snapshot) - own)
-        else:
-            access = np.broadcast_to(np.asarray(access_prob, dtype=float), g.shape)
-        return access.copy() if scheme == "resource" else g * access
+    if scheme in ("resource", "hybrid") and access_prob is None:
+        own = score_matrix(snapshot, gains, "home")
+        access_prob = access_probability(cell_loads(snapshot) - own)
     # received power at reference powers; users transmit on the uplink and
     # base stations on the downlink, so the receivers are the other axis
     powers = snapshot.p_max if uplink else snapshot.bs_tx_power
     tx, rx = ((-1, 1), (1, -1)) if uplink else ((1, -1), (-1, 1))
-    rp = g * powers.reshape(tx)
+    total = None
+    if scheme in ("rsrq", "mei"):
+        # total received power at each receiver, for the interference
+        total = (gains.gains @ powers).reshape(rx)
+    return link_scores(
+        scheme,
+        # gain of every user/BS pair; the path loss is reciprocal
+        gains.gains.T if uplink else gains.gains,
+        power=powers.reshape(tx),
+        total=total,
+        noise=gains.noise.reshape(rx),
+        access=access_prob,
+        small=snapshot.bs_small,
+        home=snapshot.home,
+        bias_db=bias_db,
+    )
+
+
+def link_scores(scheme, g, *, power, total, noise, access, small, home, bias_db):
+    """The scores of ``score_matrix`` from arrays, for any stack of
+    user-major gains ``g[..., user, bs]``. ``power`` is the reference
+    transmit power and ``total`` and ``noise`` are the total received power
+    and the noise of each receiver, all shaped to broadcast against ``g``;
+    ``access`` is each BS's access probability, ``small`` its small-tier
+    flag and ``home`` each user's home BS. A scheme reads only its own
+    inputs (total: rsrq, mei; access: resource, hybrid; small: cre; home:
+    home), so the others may be None."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown association scheme {scheme!r}")
+    if scheme == "home":
+        return np.eye(g.shape[-1])[home]
+    if scheme == "distance":
+        return g
+    if scheme in ("resource", "hybrid"):
+        access = np.broadcast_to(np.asarray(access, dtype=float), g.shape)
+        return access.copy() if scheme == "resource" else g * access
+    rp = g * power
     if scheme == "rsrp":
         return rp
     if scheme == "cre":
-        return rp * np.where(snapshot.bs_small, 10.0 ** (bias_db / 10.0), 1.0)
+        return rp * np.where(small, 10.0 ** (bias_db / 10.0), 1.0)
     # interference plus noise the user would see if served by candidate b
-    total = gains.gains @ powers
-    i_n = total.reshape(rx) - rp + gains.noise.reshape(rx)
+    i_n = total - rp + noise
     if scheme == "rsrq":
         return rp / i_n
     return -(i_n / g)

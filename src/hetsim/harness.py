@@ -8,10 +8,11 @@ A snapshot run is the deterministic pipeline
 
 and a Monte Carlo experiment averages snapshot metrics over
 ``cfg.snapshots`` seeds (base_seed + index) for every sweep point and
-algorithm/scheme variant. Snapshots are independent jobs, each returning one
-row of ``FIELDS`` per variant; with ``jobs > 1`` they run in a process pool
-that returns the rows in job order, so reports are identical for any job
-count.
+algorithm/scheme variant. Jobs are independent, each returning one row of
+``FIELDS`` per seed and variant: a grid job is one snapshot, a disc job a
+contiguous chunk of one sweep point's seeds, evaluated in one array pass.
+With ``jobs > 1`` they run in a process pool that returns the rows in job
+order, so reports are identical for any job count.
 """
 
 from __future__ import annotations
@@ -21,15 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import associate, score_matrix
+from .association import associate, link_scores
 from .config import SimConfig, check_geometry, fig2_defaults, fig3_defaults
 from .errors import NumericError
 from .network import (
     DOWNLINK,
     UPLINK,
     build_gain_matrix,
+    disc_chunk,
     generate_fig2_snapshot,
-    generate_fig3_snapshot,
+    link_gains,
 )
 from .power_control import (
     PRIORITIZED_BASE,
@@ -38,10 +40,19 @@ from .power_control import (
     iterate_power_control,
     prioritized_caps,
 )
-from .scheduling import access_probability, cell_loads
+from .scheduling import access_probability
+
+# Not called here; perfbench's tracer wraps each of these names in this module.
+from .association import score_matrix  # noqa: F401
+from .network import generate_fig3_snapshot  # noqa: F401
+from .scheduling import cell_loads  # noqa: F401
 
 FIG2_ALGORITHMS = ("tpc", "tpc_gr", "ptpc", "ptpc_gr")
 FIG3_SCHEMES = ("distance", "resource", "hybrid")
+
+# Most (seed, cell) entries one disc job holds: it bounds the memory of a
+# chunk's (seeds, cells) arrays whatever mc.snapshots and the cell count.
+DISC_CHUNK_ENTRIES = 2**14
 
 # Relative slack allowed on the prioritized interference bound; anything
 # beyond floating-point accumulation noise is a real violation.
@@ -169,48 +180,82 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
     return np.array(rows, dtype=float)
 
 
-def _disc_snapshot_results(cfg, n_small, seed, schemes):
-    """One disc snapshot: the tagged macro user (user 0) picks a cell per
-    scheme; its spectral efficiency is the access probability of the chosen
-    cell times log2(1 + SIR), with every other base station transmitting at
-    full power. One FIELDS row per scheme, all schemes in one array pass."""
-    snapshot = generate_fig3_snapshot(cfg, n_small, seed)
-    # only the tagged user's gains and scores are read
-    gains = build_gain_matrix(snapshot, cfg, rows=slice(0, 1))
-    p_access = access_probability(cell_loads(snapshot, exclude_user=0))
-    bs_powers = snapshot.bs_tx_power
-    g0 = gains.gains[0]
-    total = float(g0 @ bs_powers)
-    scores = np.concatenate([
-        score_matrix(
-            snapshot, gains, scheme, access_prob=p_access, bias_db=cfg.bias_db
-        )[:1]
-        for scheme in schemes
-    ])
-    chosen = scores.argmax(axis=1)
-    signal = g0[chosen] * bs_powers[chosen]
-    rate = np.log2(1.0 + signal / (total - signal + gains.noise[0]))
+def _disc_results(cfg, n_small, seeds, schemes):
+    """A chunk of disc snapshots at one sweep point: the tagged macro user
+    (user 0) picks a cell per scheme; its spectral efficiency is the access
+    probability of the chosen cell times log2(1 + SIR), with every other
+    base station transmitting at full power. Returns the (seeds, schemes,
+    FIELDS) values. Only the draws are made seed by seed; every later stage
+    is one array pass over the chunk, elementwise or row by row, so a seed's
+    row does not depend on its chunk."""
+    user_pos, bs_pos, loads = disc_chunk(cfg, n_small, seeds)
+    # (seeds, 1, cells): the tagged user's gain row of each snapshot
+    g = link_gains(user_pos, bs_pos, cfg)
+    p_access = access_probability(loads)[:, None]
+    small = np.arange(1 + n_small) > 0
+    bs_powers = np.where(small, cfg.power_small_w, cfg.power_macro_w)
+    # one dot per row, the snapshot's (1, cells) @ bs_powers; a gemv over
+    # the chunk would sum in another order and differ in the last bits
+    total = np.vecdot(g, bs_powers)[..., None]
+    scores = np.concatenate(
+        [
+            link_scores(
+                scheme,
+                g,
+                power=bs_powers,
+                total=total,
+                noise=cfg.noise_w,
+                access=p_access,
+                small=small,
+                home=np.zeros((len(g), 1), dtype=int),
+                bias_db=cfg.bias_db,
+            )
+            for scheme in schemes
+        ],
+        axis=1,
+    )
+    chosen = scores.argmax(axis=2)
+    signal = np.take_along_axis(g[:, 0], chosen, axis=1) * bs_powers[chosen]
+    rate = np.log2(1.0 + signal / (total[:, 0] - signal + cfg.noise_w))
 
     # outages and the safety margin stay absent (NaN)
-    rows = np.full((len(schemes), len(FIELDS)), np.nan)
+    rows = np.full((len(g), len(schemes), len(FIELDS)), np.nan)
     column = FIELDS.index
-    rows[:, column("agg_power_w")] = bs_powers.sum()
-    rows[:, column("agg_throughput_bps_hz")] = rate
-    rows[:, column("spectral_eff_bps_hz")] = p_access[chosen] * rate
-    rows[:, column("convergence_rate")] = 1.0
-    rows[:, column("iterations")] = 0.0
+    rows[..., column("agg_power_w")] = bs_powers.sum()
+    rows[..., column("agg_throughput_bps_hz")] = rate
+    rows[..., column("spectral_eff_bps_hz")] = (
+        np.take_along_axis(p_access[:, 0], chosen, axis=1) * rate
+    )
+    rows[..., column("convergence_rate")] = 1.0
+    rows[..., column("iterations")] = 0.0
     return rows
 
 
+def _seed_chunks(snapshots, n_small, jobs):
+    """Contiguous (start, stop) seed-index ranges that cover one disc sweep
+    point, in order: each holds at most DISC_CHUNK_ENTRIES (seed, cell)
+    entries, and with ``jobs > 1`` there are more chunks than workers
+    (seeds permitting). Sizes differ by at most one seed."""
+    per_chunk = max(1, DISC_CHUNK_ENTRIES // (1 + n_small))
+    count = -(-snapshots // per_chunk)
+    if jobs > 1:
+        count = max(count, min(jobs + 1, snapshots))
+    edges = [k * snapshots // count for k in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 def _job(payload):
-    """The (variants, FIELDS) values of one snapshot."""
-    cfg, n_small, seed_index, variants, hpue_algorithm = payload
-    seed = cfg.base_seed + seed_index
+    """The (seeds, variants, FIELDS) values of one job: a grid snapshot, or
+    a chunk of disc snapshots at one sweep point."""
+    cfg, n_small, start, stop, variants, hpue_algorithm = payload
+    seeds = range(cfg.base_seed + start, cfg.base_seed + stop)
     if cfg.geometry == "grid":
-        return _grid_snapshot_results(
+        (seed,) = seeds
+        rows = _grid_snapshot_results(
             cfg, n_small, seed, variants, hpue_algorithm
         )
-    return _disc_snapshot_results(cfg, n_small, seed, variants)
+        return rows[None]
+    return _disc_results(cfg, n_small, seeds, variants)
 
 
 def _run_jobs(payloads, jobs):
@@ -245,11 +290,15 @@ def run_experiment(
         variants or (cfg.pc_algorithm if grid else cfg.assoc_downlink,)
     )
     payloads = [
-        (cfg, point, k, variants, hpue_algorithm)
+        (cfg, point, start, stop, variants, hpue_algorithm)
         for point in cfg.sweep
-        for k in range(cfg.snapshots)
+        for start, stop in (
+            [(k, k + 1) for k in range(cfg.snapshots)]
+            if grid
+            else _seed_chunks(cfg.snapshots, point, jobs)
+        )
     ]
-    results = np.stack(_run_jobs(payloads, jobs))
+    results = np.concatenate(_run_jobs(payloads, jobs))
     shape = (len(cfg.sweep), cfg.snapshots, len(variants), len(FIELDS))
     # seeds last: each (point, variant, field) row is one contiguous run,
     # which np.mean sums in the order of a list of the same values

@@ -119,7 +119,7 @@ def path_gain(distance, exponent=4.0, d_min=1.0, k=1.0):
     Deterministic and monotone non-increasing in distance; the clamp at
     ``d_min`` removes the singularity at zero distance. The parameters are
     checked where they enter, by ``SimConfig``, and the distances and gains
-    by ``build_gain_matrix``'s float-range guard.
+    by ``link_gains``'s float-range guard.
     """
     return k * np.maximum(distance, d_min) ** (-float(exponent))
 
@@ -137,10 +137,8 @@ def _disc_points(u, radius):
 def _place_small_centers(rng, origin, macro_side, small_side, n_small, macro_idx, seed):
     """Drop ``n_small`` non-overlapping axis-aligned squares inside one macro
     cell by rejection sampling; raises after PLACEMENT_RETRIES draws."""
-    lo_x = origin[0] + small_side / 2.0
-    hi_x = origin[0] + macro_side - small_side / 2.0
-    lo_y = origin[1] + small_side / 2.0
-    hi_y = origin[1] + macro_side - small_side / 2.0
+    lo = origin + small_side / 2.0
+    span = (origin + macro_side - small_side / 2.0) - lo
     centers = []
     attempts = 0
     while len(centers) < n_small:
@@ -151,7 +149,8 @@ def _place_small_centers(rng, origin, macro_side, small_side, n_small, macro_idx
                 f"into macro cell {macro_idx} after {PLACEMENT_RETRIES} draws "
                 f"(seed={seed}); {len(centers)} packed, so lower mc.sweep"
             )
-        cand = (rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y))
+        # x and y from one call: uniform(lo, hi) is lo + (hi - lo) * random()
+        cand = (lo + span * rng.random(2)).tolist()
         # axis-aligned squares of side s overlap iff both |dx| and |dy| < s
         ok = all(
             max(abs(cand[0] - c[0]), abs(cand[1] - c[1])) >= small_side
@@ -211,28 +210,40 @@ def generate_fig2_snapshot(cfg, n_small, seed):
     return _snapshot(cfg, bs_pos, bs_small, user_pos, home, UPLINK)
 
 
+def disc_draws(cfg, n_small, seed):
+    """The random draws of one disc snapshot, in stream order (this order
+    fixes what a seed means): a (1 + n_small, 2) unit block for the tagged
+    macro user and the small-cell sites, then cell by cell its mean load,
+    uniform in [lambda_lo, lambda_hi], its Poisson user count and a
+    (count, 2) unit block for its users. Returns (site block, counts, user
+    blocks); ``random()`` is uniform(0, 1)'s stream."""
+    if n_small < 0:
+        raise ValueError(f"n_small must be non-negative, got {n_small}")
+    rng = np.random.default_rng(seed)
+    lo, span = cfg.lambda_lo, cfg.lambda_hi - cfg.lambda_lo
+    sites = rng.random((1 + n_small, 2))
+    counts, users = [], []
+    for _ in range(n_small):
+        # uniform(lo, hi) is lo + (hi - lo) * random(), at a third of the cost
+        count = rng.poisson(lo + span * rng.random())
+        counts.append(count)
+        users.append(rng.random((count, 2)))
+    return sites, counts, users
+
+
 def generate_fig3_snapshot(cfg, n_small, seed):
     """Downlink disc snapshot: one central macro cell, ``n_small`` small
     cells dropped uniformly in the disc, per-cell Poisson user counts whose
     means are themselves uniform in [lambda_lo, lambda_hi] (non-uniform
     load). User 0 is the tagged macro user."""
-    if n_small < 0:
-        raise ValueError(f"n_small must be non-negative, got {n_small}")
-    rng = np.random.default_rng(seed)
-    # unit blocks: the tagged macro user and the small-cell sites, then cell
-    # by cell its mean load, its Poisson count and its users' draws (this
-    # order fixes what a seed means); random() is uniform(0, 1)'s stream
-    draws = [rng.random((1 + n_small, 2))]
-    for _ in range(n_small):
-        count = rng.poisson(rng.uniform(cfg.lambda_lo, cfg.lambda_hi))
-        draws.append(rng.random((count, 2)))
+    sites, counts, users = disc_draws(cfg, n_small, seed)
     # the tagged user is cell 0's one user
-    home = np.repeat(np.arange(1 + n_small), [1, *map(len, draws[1:])])
+    home = np.repeat(np.arange(1 + n_small), [1, *counts])
     # sites in the macro disc, users in their small cell: one transform
     radius = np.repeat(
         (cfg.disc_radius_m, cfg.small_side_m / 2.0), (1 + n_small, len(home) - 1)
     )
-    points = _disc_points(np.concatenate(draws), radius)
+    points = _disc_points(np.concatenate((sites, *users)), radius)
     bs_pos = np.vstack((np.zeros((1, 2)), points[1 : 1 + n_small]))
     users = points[1 + n_small :] + bs_pos[home[1:]]
     bs_small = np.arange(1 + n_small) > 0
@@ -241,17 +252,38 @@ def generate_fig3_snapshot(cfg, n_small, seed):
     )
 
 
-def build_gain_matrix(snapshot, cfg, *, rows=slice(None)):
-    """Receiver-major path gains for the snapshot's link direction, plus the
-    configured noise floor at every receiver. ``rows`` (a slice or index
-    array, default all) selects the receivers, in that order."""
-    if snapshot.direction == UPLINK:
-        rx, tx = snapshot.bs_pos[rows], snapshot.user_pos
-    else:
-        rx, tx = snapshot.user_pos[rows], snapshot.bs_pos
+def disc_chunk(cfg, n_small, seeds):
+    """The disc snapshots of ``seeds`` at one ``n_small``, reduced to what
+    the tagged user sees and stacked seed-major: its position (B, 1, 2), the
+    base-station positions (B, 1 + n_small, 2) and the incumbent user
+    counts (B, 1 + n_small), the tagged user excluded. Row b holds the
+    tagged user, ``bs_pos`` and ``cell_loads(snapshot, exclude_user=0)`` of
+    ``generate_fig3_snapshot(cfg, n_small, seeds[b])``, bit for bit; only
+    the draws are made seed by seed."""
+    sites, counts = [], []
+    for seed in seeds:
+        block, cell_counts, _ = disc_draws(cfg, n_small, seed)
+        sites.append(block)
+        counts += cell_counts
+    shape = (len(sites), 1 + n_small)
+    points = _disc_points(np.concatenate(sites), cfg.disc_radius_m)
+    points = points.reshape(*shape, 2)
+    user_pos = points[:, :1].copy()
+    points[:, 0] = 0.0  # the macro site
+    loads = np.zeros(shape, dtype=np.int64)
+    loads[:, 1:] = np.reshape(counts, (shape[0], n_small))
+    return user_pos, points, loads
+
+
+def link_gains(rx, tx, cfg):
+    """Path gains ``gains[..., r, t]`` from the positions ``tx[..., t, :]``
+    to ``rx[..., r, :]`` (leading axes broadcast), with distances
+    ``sqrt(dx*dx + dy*dy)``. The float-range guard of the gain path: a
+    NaN or inf position, an overflowing distance or a gain outside
+    (0, inf) raises ``NumericError``."""
     with np.errstate(over="ignore"):  # an overflow is reported below
-        dx = rx[:, 0, None] - tx[:, 0]
-        dy = rx[:, 1, None] - tx[:, 1]
+        dx = rx[..., :, None, 0] - tx[..., None, :, 0]
+        dy = rx[..., :, None, 1] - tx[..., None, :, 1]
         d = np.sqrt(dx * dx + dy * dy)
     if not np.isfinite(d.max()):
         if not (np.isfinite(rx).all() and np.isfinite(tx).all()):
@@ -269,6 +301,16 @@ def build_gain_matrix(snapshot, cfg, *, rows=slice(None)):
             f"{gains.min():.3g}, largest {gains.max():.3g}); check the "
             "pathloss.* keys against the geometry's distances"
         )
-    noise = np.full(rx.shape[0], cfg.noise_w, dtype=float)
-    return GainMatrix(gains=gains, noise=noise)
+    return gains
 
+
+def build_gain_matrix(snapshot, cfg, *, rows=slice(None)):
+    """Receiver-major path gains for the snapshot's link direction, plus the
+    configured noise floor at every receiver. ``rows`` (a slice or index
+    array, default all) selects the receivers, in that order."""
+    if snapshot.direction == UPLINK:
+        rx, tx = snapshot.bs_pos[rows], snapshot.user_pos
+    else:
+        rx, tx = snapshot.user_pos[rows], snapshot.bs_pos
+    noise = np.full(rx.shape[0], cfg.noise_w, dtype=float)
+    return GainMatrix(gains=link_gains(rx, tx, cfg), noise=noise)

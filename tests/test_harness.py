@@ -6,12 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hetsim.association import SCHEMES, associate, score_matrix
-from hetsim.config import SimConfig, fig3_defaults
+from hetsim.config import MAX_USERS, SimConfig, fig3_defaults
 from hetsim.harness import (
+    DISC_CHUNK_ENTRIES,
     FIELDS,
     FIG2_ALGORITHMS,
     FIG3_SCHEMES,
-    _disc_snapshot_results,
+    _disc_results,
+    _job,
+    _seed_chunks,
     outage_ratio,
     run_experiment,
     run_preset,
@@ -107,18 +110,61 @@ def _disc_reference(cfg, n_small, seed, schemes):
     return np.array(rows)
 
 
-@given(n=st.integers(0, 40), seed=st.integers(0, 2**32))
-@example(n=0, seed=1)  # only the macro cell
+@given(
+    n=st.integers(0, 40),
+    seed=st.integers(0, 2**32),
+    size=st.sampled_from([1, 7, 200]),
+)
+@example(n=0, seed=1, size=7)  # only the macro cell
+# a (seeds, cells) @ powers gemv differs from the per-snapshot sum here
+@example(n=40, seed=1, size=200)
 @settings(max_examples=40, deadline=None)
-def test_disc_results_match_one_scheme_at_a_time(n, seed):
-    # every association scheme in one array pass, bit for bit, against a
-    # reference whose formula gives 0.25 * log2(1 + 3) = 0.5
+def test_disc_results_match_one_scheme_at_a_time(n, seed, size):
+    # every association scheme and every seed of a chunk in one array pass,
+    # bit for bit, against a per-snapshot reference whose formula gives
+    # 0.25 * log2(1 + 3) = 0.5
     assert _disc_rate_and_se(3.0, 0.25) == (2.0, 0.5)
     cfg = fig3_defaults()
-    got = _disc_snapshot_results(cfg, n, seed, SCHEMES)
-    want = _disc_reference(cfg, n, seed, SCHEMES)
-    assert got.shape == (len(SCHEMES), len(FIELDS))
-    assert got.tobytes() == want.tobytes()
+    seeds = range(seed, seed + size)
+    got = _disc_results(cfg, n, seeds, SCHEMES)
+    assert got.shape == (size, len(SCHEMES), len(FIELDS))
+    for row, s in zip(got, seeds):
+        assert row.tobytes() == _disc_reference(cfg, n, s, SCHEMES).tobytes()
+
+
+def test_fig3_issues_one_job_per_point_and_chunk(monkeypatch):
+    # 400 seeds are one chunk of 1 cell, but two of 41 cells
+    cfg = dataclasses.replace(fig3_defaults(), snapshots=400, sweep=(0, 40))
+    payloads = []
+
+    def counting(payload):
+        payloads.append(payload)
+        return _job(payload)
+
+    monkeypatch.setattr("hetsim.harness._job", counting)
+    report = run_preset("fig3", cfg)
+    assert [p[1:4] for p in payloads] == [
+        (0, 0, 400), (40, 0, 200), (40, 200, 400)
+    ]
+    assert report.raw.shape[-1] == 400
+
+
+def test_seed_chunks_cover_the_seeds_within_the_entry_bound():
+    # up to MAX_USERS cells, the most a config admits
+    for n in (0, 40, MAX_USERS - 1):
+        for snapshots in (1, 7, 200, 10_000):
+            for jobs in (1, 2, 3):
+                chunks = _seed_chunks(snapshots, n, jobs)
+                starts, stops = zip(*chunks)
+                assert starts[0] == 0 and stops[-1] == snapshots
+                assert starts[1:] == stops[:-1]
+                sizes = [stop - start for start, stop in chunks]
+                assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+                assert max(sizes) * (1 + n) <= DISC_CHUNK_ENTRIES
+                if jobs > 1:
+                    assert len(chunks) >= min(snapshots, jobs + 1)
+    assert _seed_chunks(7, 3, 1) == [(0, 7)]
+    assert _seed_chunks(7, 3, 2) == [(0, 2), (2, 4), (4, 7)]
 
 
 def _one_snapshot(cfg, sweep_point, seed):
@@ -174,10 +220,14 @@ def test_reports_identical_across_job_counts(cfg):
     par = run_preset("fig2", cfg, jobs=3)
     assert seq.rows == par.rows
 
-    disc = dataclasses.replace(fig3_defaults(), snapshots=4)
+    # 7 seeds split into uneven disc chunks: 7, then 2 + 2 + 3, then
+    # 1 + 2 + 2 + 2 seeds per sweep point
+    disc = dataclasses.replace(fig3_defaults(), snapshots=7)
     d_seq = run_preset("fig3", disc)
-    d_par = run_preset("fig3", disc, jobs=3)
-    assert d_seq.rows == d_par.rows
+    for jobs in (2, 3):
+        d_par = run_preset("fig3", disc, jobs=jobs)
+        assert d_seq.rows == d_par.rows
+        assert d_seq.raw.tobytes() == d_par.raw.tobytes()
 
 
 def test_shared_twin_sweeps_match_separate_runs(monkeypatch):

@@ -10,10 +10,13 @@ from hetsim.config import SimConfig
 from hetsim.errors import GenerationError, NumericError
 from hetsim.network import (
     build_gain_matrix,
+    disc_chunk,
+    disc_draws,
     generate_fig2_snapshot,
     generate_fig3_snapshot,
     path_gain,
 )
+from hetsim.scheduling import cell_loads
 
 
 def test_path_gain_reference_distance():
@@ -208,6 +211,50 @@ def test_fig3_deterministic(n, seed):
     assert generate_fig3_snapshot(cfg, n, seed) == generate_fig3_snapshot(
         cfg, n, seed
     )
+
+
+@given(
+    n=st.integers(0, 40),
+    seed=st.integers(0, 2**32),
+    lambda_hi=st.sampled_from([1.0, 10.0]),
+)
+@example(n=0, seed=1, lambda_hi=10.0)
+@settings(max_examples=30, deadline=None)
+def test_disc_chunk_rows_are_the_snapshots_of_its_seeds(n, seed, lambda_hi):
+    # the chunk and the snapshot generator share one per-seed draw function
+    cfg = SimConfig(lambda_hi=lambda_hi)
+    seeds = range(seed, seed + 3)
+    user_pos, bs_pos, loads = disc_chunk(cfg, n, seeds)
+    assert (user_pos.shape, bs_pos.shape, loads.shape) == (
+        (3, 1, 2), (3, 1 + n, 2), (3, 1 + n)
+    )
+    for b, s in enumerate(seeds):
+        snap = generate_fig3_snapshot(cfg, n, s)
+        sites, counts, users = disc_draws(cfg, n, s)
+        assert sites.shape == (1 + n, 2)
+        assert counts == [len(block) for block in users]
+        assert counts == np.bincount(snap.home, minlength=1 + n)[1:].tolist()
+        assert user_pos[b].tobytes() == snap.user_pos[:1].tobytes()
+        assert bs_pos[b].tobytes() == snap.bs_pos.tobytes()
+        assert loads[b].tolist() == cell_loads(snap, exclude_user=0).tolist()
+
+
+@given(
+    bounds=st.lists(st.floats(-1e12, 1e12), min_size=2, max_size=2),
+    seed=st.integers(0, 2**32),
+)
+@example(bounds=[1.0, 10.0], seed=1)
+@example(bounds=[3.0, 3.0], seed=1)
+@settings(max_examples=60, deadline=None)
+def test_scaled_random_draws_are_uniforms_doubles(bounds, seed):
+    # the disc's loads and the grid's small-cell sites draw random() and
+    # scale it: the same stream and doubles as uniform(lo, hi)
+    lo, hi = sorted(bounds)
+    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = [ref.uniform(lo, hi) for _ in range(6)]
+    got = [lo + (hi - lo) * rng.random() for _ in range(4)]
+    got += (lo + (hi - lo) * rng.random(2)).tolist()
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_gain_matrix_single_link_value():
