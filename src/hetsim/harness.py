@@ -32,6 +32,7 @@ from .network import (
     disc_chunk,
     generate_fig2_snapshot,
     link_gains,
+    tier_powers,
 )
 from .power_control import (
     PRIORITIZED_BASE,
@@ -193,7 +194,7 @@ def _disc_results(cfg, n_small, seeds, schemes):
     g = link_gains(user_pos, bs_pos, cfg)
     p_access = access_probability(loads)[:, None]
     small = np.arange(1 + n_small) > 0
-    bs_powers = np.where(small, cfg.power_small_w, cfg.power_macro_w)
+    bs_powers = tier_powers(cfg, small)
     # one dot per row, the snapshot's (1, cells) @ bs_powers; a gemv over
     # the chunk would sum in another order and differ in the last bits
     total = np.vecdot(g, bs_powers)[..., None]

@@ -161,6 +161,11 @@ def _place_small_centers(rng, origin, macro_side, small_side, n_small, macro_idx
     return centers
 
 
+def tier_powers(cfg, bs_small):
+    """Each base station's configured transmit power, by its tier."""
+    return np.where(bs_small, cfg.power_small_w, cfg.power_macro_w)
+
+
 def _snapshot(cfg, bs_pos, bs_small, user_pos, home, direction):
     """Snapshot with the configured per-tier BS powers and common user
     budgets and targets."""
@@ -168,7 +173,7 @@ def _snapshot(cfg, bs_pos, bs_small, user_pos, home, direction):
     return NetworkSnapshot(
         bs_pos=bs_pos,
         bs_small=bs_small,
-        bs_tx_power=np.where(bs_small, cfg.power_small_w, cfg.power_macro_w),
+        bs_tx_power=tier_powers(cfg, bs_small),
         user_pos=user_pos,
         home=home,
         p_max=np.full(n_users, cfg.pmax_w),
