@@ -195,9 +195,10 @@ def _disc_results(cfg, n_small, seeds, schemes):
     p_access = access_probability(loads)[:, None]
     small = np.arange(1 + n_small) > 0
     bs_powers = tier_powers(cfg, small)
-    # one dot per row, the snapshot's (1, cells) @ bs_powers; a gemv over
-    # the chunk would sum in another order and differ in the last bits
-    total = np.vecdot(g, bs_powers)[..., None]
+    # the snapshot's (1, cells) @ bs_powers, stacked: numpy takes each
+    # (1, cells) row as one dot, where a (seeds, cells) gemv would sum in
+    # another order and differ in the last bits
+    total = (g @ bs_powers)[..., None]
     scores = np.concatenate(
         [
             link_scores(
@@ -232,15 +233,13 @@ def _disc_results(cfg, n_small, seeds, schemes):
     return rows
 
 
-def _seed_chunks(snapshots, n_small, jobs):
+def _seed_chunks(snapshots, n_small, at_least=1):
     """Contiguous (start, stop) seed-index ranges that cover one disc sweep
-    point, in order: each holds at most DISC_CHUNK_ENTRIES (seed, cell)
-    entries, and with ``jobs > 1`` there are more chunks than workers
-    (seeds permitting). Sizes differ by at most one seed."""
+    point, in order: at least ``at_least`` of them (seeds permitting), each
+    holding at most DISC_CHUNK_ENTRIES (seed, cell) entries. Sizes differ by
+    at most one seed."""
     per_chunk = max(1, DISC_CHUNK_ENTRIES // (1 + n_small))
-    count = -(-snapshots // per_chunk)
-    if jobs > 1:
-        count = max(count, min(jobs + 1, snapshots))
+    count = max(-(-snapshots // per_chunk), min(at_least, snapshots))
     edges = [k * snapshots // count for k in range(count + 1)]
     return list(zip(edges, edges[1:]))
 
@@ -290,13 +289,15 @@ def run_experiment(
     variants = tuple(
         variants or (cfg.pc_algorithm if grid else cfg.assoc_downlink,)
     )
+    # a pool gets more disc chunks than workers over all sweep points
+    at_least = jobs // len(cfg.sweep) + 1 if jobs > 1 else 1
     payloads = [
         (cfg, point, start, stop, variants, hpue_algorithm)
         for point in cfg.sweep
         for start, stop in (
             [(k, k + 1) for k in range(cfg.snapshots)]
             if grid
-            else _seed_chunks(cfg.snapshots, point, jobs)
+            else _seed_chunks(cfg.snapshots, point, at_least)
         )
     ]
     results = np.concatenate(_run_jobs(payloads, jobs))

@@ -148,23 +148,37 @@ def test_fig3_issues_one_job_per_point_and_chunk(monkeypatch):
     ]
     assert report.raw.shape[-1] == 400
 
+    # a pool gets more chunks than workers: jobs // points + 1 per point
+    layouts = {}
+
+    def recording(jobs_payloads, jobs):
+        layouts[jobs] = [p[1:4] for p in jobs_payloads]
+        return [_job(p) for p in jobs_payloads]
+
+    monkeypatch.setattr("hetsim.harness._run_jobs", recording)
+    for jobs in (2, 3, 5):
+        assert run_preset("fig3", cfg, jobs=jobs).raw.tobytes() == report.raw.tobytes()
+        assert len(layouts[jobs]) > jobs
+    assert layouts[3] == [
+        (0, 0, 200), (0, 200, 400), (40, 0, 200), (40, 200, 400)
+    ]
+
 
 def test_seed_chunks_cover_the_seeds_within_the_entry_bound():
     # up to MAX_USERS cells, the most a config admits
     for n in (0, 40, MAX_USERS - 1):
         for snapshots in (1, 7, 200, 10_000):
-            for jobs in (1, 2, 3):
-                chunks = _seed_chunks(snapshots, n, jobs)
+            for at_least in (1, 3, 4):
+                chunks = _seed_chunks(snapshots, n, at_least)
                 starts, stops = zip(*chunks)
                 assert starts[0] == 0 and stops[-1] == snapshots
                 assert starts[1:] == stops[:-1]
                 sizes = [stop - start for start, stop in chunks]
                 assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
                 assert max(sizes) * (1 + n) <= DISC_CHUNK_ENTRIES
-                if jobs > 1:
-                    assert len(chunks) >= min(snapshots, jobs + 1)
-    assert _seed_chunks(7, 3, 1) == [(0, 7)]
-    assert _seed_chunks(7, 3, 2) == [(0, 2), (2, 4), (4, 7)]
+                assert len(chunks) >= min(snapshots, at_least)
+    assert _seed_chunks(7, 3) == [(0, 7)]
+    assert _seed_chunks(7, 3, 3) == [(0, 2), (2, 4), (4, 7)]
 
 
 def _one_snapshot(cfg, sweep_point, seed):
@@ -220,14 +234,15 @@ def test_reports_identical_across_job_counts(cfg):
     par = run_preset("fig2", cfg, jobs=3)
     assert seq.rows == par.rows
 
-    # 7 seeds split into uneven disc chunks: 7, then 2 + 2 + 3, then
-    # 1 + 2 + 2 + 2 seeds per sweep point
-    disc = dataclasses.replace(fig3_defaults(), snapshots=7)
-    d_seq = run_preset("fig3", disc)
-    for jobs in (2, 3):
-        d_par = run_preset("fig3", disc, jobs=jobs)
-        assert d_seq.rows == d_par.rows
-        assert d_seq.raw.tobytes() == d_par.raw.tobytes()
+    # 7 seeds of one sweep point split into uneven disc chunks: 7, then
+    # 2 + 2 + 3, then 1 + 2 + 2 + 2 seeds; the preset's 5 points stay whole
+    for sweep in ((20,), fig3_defaults().sweep):
+        disc = dataclasses.replace(fig3_defaults(), snapshots=7, sweep=sweep)
+        d_seq = run_preset("fig3", disc)
+        for jobs in (2, 3):
+            d_par = run_preset("fig3", disc, jobs=jobs)
+            assert d_seq.rows == d_par.rows
+            assert d_seq.raw.tobytes() == d_par.raw.tobytes()
 
 
 def test_shared_twin_sweeps_match_separate_runs(monkeypatch):
