@@ -38,27 +38,25 @@ SCHEMES = (
 )
 
 
-def score_matrix(snapshot, gains, scheme, *, access_prob=None, bias_db=0.0):
+def score_matrix(snapshot, gains, scheme, *, bias_db=0.0):
     """(n_users, n_bs) association scores, higher is better.
 
-    ``access_prob`` is the per-BS channel-access probability the resource
-    and hybrid schemes weigh; without it each user is a prospective joiner:
-    the incumbents of cell b exclude the user itself (its home score),
-    giving p = 1 / (others + 1). ``bias_db`` multiplies the small tier under
-    cre.
+    Under the resource and hybrid schemes each user is a prospective joiner:
+    the incumbents of cell b exclude the user itself (its home score), so
+    its access probability there is p = 1 / (others + 1). ``bias_db``
+    multiplies the small tier under cre.
     """
     uplink = snapshot.direction == UPLINK
-    if scheme in ("resource", "hybrid") and access_prob is None:
+    access = None
+    if scheme in ("resource", "hybrid"):
         own = score_matrix(snapshot, gains, "home")
-        access_prob = access_probability(cell_loads(snapshot) - own)
+        access = access_probability(cell_loads(snapshot) - own)
     # received power at reference powers; users transmit on the uplink and
     # base stations on the downlink, so the receivers are the other axis
     powers = snapshot.p_max if uplink else snapshot.bs_tx_power
     tx, rx = ((-1, 1), (1, -1)) if uplink else ((1, -1), (-1, 1))
-    total = None
-    if scheme in ("rsrq", "mei"):
-        # total received power at each receiver, for the interference
-        total = (gains.gains @ powers).reshape(rx)
+    # total received power at each receiver, for the interference
+    total = (gains.gains @ powers).reshape(rx) if scheme in ("rsrq", "mei") else None
     return link_scores(
         scheme,
         # gain of every user/BS pair; the path loss is reciprocal
@@ -66,14 +64,15 @@ def score_matrix(snapshot, gains, scheme, *, access_prob=None, bias_db=0.0):
         power=powers.reshape(tx),
         total=total,
         noise=gains.noise.reshape(rx),
-        access=access_prob,
+        access=access,
         small=snapshot.bs_small,
         home=snapshot.home,
         bias_db=bias_db,
     )
 
 
-def link_scores(scheme, g, *, power, total, noise, access, small, home, bias_db):
+def link_scores(scheme, g, *, power, noise, total=None, access=None, small=None,
+                home=None, bias_db=None):
     """The scores of ``score_matrix`` from arrays, for any stack of
     user-major gains ``g[..., user, bs]``. ``power`` is the reference
     transmit power and ``total`` and ``noise`` are the total received power
@@ -81,7 +80,7 @@ def link_scores(scheme, g, *, power, total, noise, access, small, home, bias_db)
     ``access`` is each BS's access probability, ``small`` its small-tier
     flag and ``home`` each user's home BS. A scheme reads only its own
     inputs (total: rsrq, mei; access: resource, hybrid; small: cre; home:
-    home), so the others may be None."""
+    home; bias_db: cre), so the others may be left out."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown association scheme {scheme!r}")
     if scheme == "home":

@@ -217,8 +217,12 @@ def _disc_results(cfg, n_small, seeds, schemes):
         axis=1,
     )
     chosen = scores.argmax(axis=2)
-    signal = np.take_along_axis(g[:, 0], chosen, axis=1) * bs_powers[chosen]
-    rate = np.log2(1.0 + signal / (total[:, 0] - signal + cfg.noise_w))
+    # the SIR is the rsrq score of each chosen cell
+    g_chosen = np.take_along_axis(g[:, 0], chosen, axis=1)
+    sir = link_scores(
+        "rsrq", g_chosen, power=bs_powers[chosen], total=total[:, 0], noise=cfg.noise_w
+    )
+    rate = np.log2(1.0 + sir)
 
     # outages and the safety margin stay absent (NaN)
     rows = np.full((len(g), len(schemes), len(FIELDS)), np.nan)
@@ -233,13 +237,14 @@ def _disc_results(cfg, n_small, seeds, schemes):
     return rows
 
 
-def _seed_chunks(snapshots, n_small, at_least=1):
+def _seed_chunks(snapshots, n_small):
     """Contiguous (start, stop) seed-index ranges that cover one disc sweep
-    point, in order: at least ``at_least`` of them (seeds permitting), each
-    holding at most DISC_CHUNK_ENTRIES (seed, cell) entries. Sizes differ by
-    at most one seed."""
+    point, in order: the fewest that keep each at or below
+    DISC_CHUNK_ENTRIES (seed, cell) entries, with sizes that differ by at
+    most one seed. The layout depends on the seed and cell counts only,
+    never on the job count."""
     per_chunk = max(1, DISC_CHUNK_ENTRIES // (1 + n_small))
-    count = max(-(-snapshots // per_chunk), min(at_least, snapshots))
+    count = -(-snapshots // per_chunk)
     edges = [k * snapshots // count for k in range(count + 1)]
     return list(zip(edges, edges[1:]))
 
@@ -289,15 +294,13 @@ def run_experiment(
     variants = tuple(
         variants or (cfg.pc_algorithm if grid else cfg.assoc_downlink,)
     )
-    # a pool gets more disc chunks than workers over all sweep points
-    at_least = jobs // len(cfg.sweep) + 1 if jobs > 1 else 1
     payloads = [
         (cfg, point, start, stop, variants, hpue_algorithm)
         for point in cfg.sweep
         for start, stop in (
             [(k, k + 1) for k in range(cfg.snapshots)]
             if grid
-            else _seed_chunks(cfg.snapshots, point, at_least)
+            else _seed_chunks(cfg.snapshots, point)
         )
     ]
     results = np.concatenate(_run_jobs(payloads, jobs))

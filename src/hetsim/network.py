@@ -262,9 +262,9 @@ def disc_chunk(cfg, n_small, seeds):
     the tagged user sees and stacked seed-major: its position (B, 1, 2), the
     base-station positions (B, 1 + n_small, 2) and the incumbent user
     counts (B, 1 + n_small), the tagged user excluded. Row b holds the
-    tagged user, ``bs_pos`` and ``cell_loads(snapshot, exclude_user=0)`` of
-    ``generate_fig3_snapshot(cfg, n_small, seeds[b])``, bit for bit; only
-    the draws are made seed by seed."""
+    tagged user, ``bs_pos`` and ``cell_loads(snapshot)`` less the tagged
+    user (one off cell 0) of ``generate_fig3_snapshot(cfg, n_small,
+    seeds[b])``, bit for bit; only the draws are made seed by seed."""
     sites, counts = [], []
     for seed in seeds:
         block, cell_counts, _ = disc_draws(cfg, n_small, seed)
@@ -309,13 +309,13 @@ def link_gains(rx, tx, cfg):
     return gains
 
 
-def build_gain_matrix(snapshot, cfg, *, rows=slice(None)):
-    """Receiver-major path gains for the snapshot's link direction, plus the
-    configured noise floor at every receiver. ``rows`` (a slice or index
-    array, default all) selects the receivers, in that order."""
+def build_gain_matrix(snapshot, cfg):
+    """Receiver-major path gains for the snapshot's link direction, every
+    receiver by every transmitter, plus the configured noise floor at every
+    receiver."""
     if snapshot.direction == UPLINK:
-        rx, tx = snapshot.bs_pos[rows], snapshot.user_pos
+        rx, tx = snapshot.bs_pos, snapshot.user_pos
     else:
-        rx, tx = snapshot.user_pos[rows], snapshot.bs_pos
+        rx, tx = snapshot.user_pos, snapshot.bs_pos
     noise = np.full(rx.shape[0], cfg.noise_w, dtype=float)
     return GainMatrix(gains=link_gains(rx, tx, cfg), noise=noise)

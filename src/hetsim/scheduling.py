@@ -43,10 +43,6 @@ def greedy_access_prob_mc(n_users, trials, seed):
     return float(wins.mean())
 
 
-def cell_loads(snapshot, exclude_user=None):
-    """Incumbent user count per base station, optionally excluding one user
-    (the prospective joiner evaluating its options)."""
-    counts = np.bincount(snapshot.home, minlength=snapshot.n_bs)
-    if exclude_user is not None:
-        counts[snapshot.home[exclude_user]] -= 1
-    return counts
+def cell_loads(snapshot):
+    """User count per base station: how many users each cell is home to."""
+    return np.bincount(snapshot.home, minlength=snapshot.n_bs)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_snapshot
-from hetsim.association import SCHEMES, associate, score_matrix
+from hetsim.association import SCHEMES, associate, link_scores, score_matrix
 from hetsim.config import SimConfig
 from hetsim.network import (
     GainMatrix,
@@ -52,7 +52,9 @@ def test_hybrid_zero_access_probability_never_selected():
     # candidate 1 has far better channel but zero access probability
     gm = GainMatrix(gains=np.array([[1e-9, 1e-2]]), noise=np.array([1e-13]))
     access = np.array([0.5, 0.0])
-    scores = score_matrix(snap, gm, "hybrid", access_prob=access)
+    scores = link_scores(
+        "hybrid", gm.gains, power=snap.bs_tx_power, noise=gm.noise, access=access
+    )
     assert scores[0, 1] == 0.0
     assert np.argmax(scores, axis=1).tolist() == [0]
 

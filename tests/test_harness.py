@@ -83,18 +83,20 @@ def _disc_rate_and_se(sir, access):
 
 
 def _disc_reference(cfg, n_small, seed, schemes):
-    # one scheme at a time: score, argmax, float SIR
+    # one scheme at a time on the full snapshot: every user's joiner scores,
+    # of which row 0 is the tagged user's; its argmax and float SIR
     snapshot = generate_fig3_snapshot(cfg, n_small, seed)
-    gains = build_gain_matrix(snapshot, cfg, rows=[0])
-    p_access = access_probability(cell_loads(snapshot, exclude_user=0))
+    gains = build_gain_matrix(snapshot, cfg)
+    # the tagged user (user 0, home cell 0) joins the incumbents of a cell
+    incumbents = cell_loads(snapshot)
+    incumbents[0] -= 1
+    p_access = access_probability(incumbents)
     bs_powers = snapshot.bs_tx_power
     g0 = gains.gains[0]
     total = float(g0 @ bs_powers)
     rows = []
     for scheme in schemes:
-        scores = score_matrix(
-            snapshot, gains, scheme, access_prob=p_access, bias_db=cfg.bias_db
-        )
+        scores = score_matrix(snapshot, gains, scheme, bias_db=cfg.bias_db)
         chosen = int(np.argmax(scores[0]))
         signal = float(g0[chosen] * bs_powers[chosen])
         sir = signal / (total - signal + gains.noise[0])
@@ -148,37 +150,32 @@ def test_fig3_issues_one_job_per_point_and_chunk(monkeypatch):
     ]
     assert report.raw.shape[-1] == 400
 
-    # a pool gets more chunks than workers: jobs // points + 1 per point
+    # the job count changes who runs the jobs, never what they are
     layouts = {}
 
     def recording(jobs_payloads, jobs):
-        layouts[jobs] = [p[1:4] for p in jobs_payloads]
+        layouts[jobs] = jobs_payloads
         return [_job(p) for p in jobs_payloads]
 
     monkeypatch.setattr("hetsim.harness._run_jobs", recording)
-    for jobs in (2, 3, 5):
+    for jobs in (1, 2, 3, 5):
         assert run_preset("fig3", cfg, jobs=jobs).raw.tobytes() == report.raw.tobytes()
-        assert len(layouts[jobs]) > jobs
-    assert layouts[3] == [
-        (0, 0, 200), (0, 200, 400), (40, 0, 200), (40, 200, 400)
-    ]
+        assert layouts[jobs] == layouts[1]
 
 
 def test_seed_chunks_cover_the_seeds_within_the_entry_bound():
     # up to MAX_USERS cells, the most a config admits
     for n in (0, 40, MAX_USERS - 1):
-        for snapshots in (1, 7, 200, 10_000):
-            for at_least in (1, 3, 4):
-                chunks = _seed_chunks(snapshots, n, at_least)
-                starts, stops = zip(*chunks)
-                assert starts[0] == 0 and stops[-1] == snapshots
-                assert starts[1:] == stops[:-1]
-                sizes = [stop - start for start, stop in chunks]
-                assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-                assert max(sizes) * (1 + n) <= DISC_CHUNK_ENTRIES
-                assert len(chunks) >= min(snapshots, at_least)
+        for snapshots in (1, 7, 200, 401, 10_000):
+            chunks = _seed_chunks(snapshots, n)
+            starts, stops = zip(*chunks)
+            assert starts[0] == 0 and stops[-1] == snapshots
+            assert starts[1:] == stops[:-1]
+            sizes = [stop - start for start, stop in chunks]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+            assert max(sizes) * (1 + n) <= DISC_CHUNK_ENTRIES
     assert _seed_chunks(7, 3) == [(0, 7)]
-    assert _seed_chunks(7, 3, 3) == [(0, 2), (2, 4), (4, 7)]
+    assert _seed_chunks(401, 40) == [(0, 200), (200, 401)]
 
 
 def _one_snapshot(cfg, sweep_point, seed):
@@ -234,10 +231,12 @@ def test_reports_identical_across_job_counts(cfg):
     par = run_preset("fig2", cfg, jobs=3)
     assert seq.rows == par.rows
 
-    # 7 seeds of one sweep point split into uneven disc chunks: 7, then
-    # 2 + 2 + 3, then 1 + 2 + 2 + 2 seeds; the preset's 5 points stay whole
-    for sweep in ((20,), fig3_defaults().sweep):
-        disc = dataclasses.replace(fig3_defaults(), snapshots=7, sweep=sweep)
+    # 401 seeds of 41 cells fill uneven disc chunks of 200 and 201 seeds,
+    # which the pool merges in order; the preset's 5 points stay whole
+    for sweep, snapshots in (((40,), 401), (fig3_defaults().sweep, 7)):
+        disc = dataclasses.replace(
+            fig3_defaults(), snapshots=snapshots, sweep=sweep
+        )
         d_seq = run_preset("fig3", disc)
         for jobs in (2, 3):
             d_par = run_preset("fig3", disc, jobs=jobs)

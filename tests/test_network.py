@@ -236,7 +236,10 @@ def test_disc_chunk_rows_are_the_snapshots_of_its_seeds(n, seed, lambda_hi):
         assert counts == np.bincount(snap.home, minlength=1 + n)[1:].tolist()
         assert user_pos[b].tobytes() == snap.user_pos[:1].tobytes()
         assert bs_pos[b].tobytes() == snap.bs_pos.tobytes()
-        assert loads[b].tolist() == cell_loads(snap, exclude_user=0).tolist()
+        # the incumbents the tagged user (user 0, home cell 0) would join
+        incumbents = cell_loads(snap)
+        incumbents[0] -= 1
+        assert loads[b].tolist() == incumbents.tolist()
 
 
 @given(
@@ -288,19 +291,6 @@ def _snapshots():
     ]
 
 
-def test_gain_matrix_rows_are_rows_of_the_full_matrix():
-    cfg = SimConfig()
-    for snap in _snapshots():
-        full = build_gain_matrix(snap, cfg)
-        last = len(full.gains) - 1
-        for rows in ([0], [last, 0, last], slice(1, None), slice(None, None, 2)):
-            if not np.arange(last + 1)[rows].size:
-                continue
-            part = build_gain_matrix(snap, cfg, rows=rows)
-            assert np.array_equal(part.gains, full.gains[rows])
-            assert np.array_equal(part.noise, full.noise[rows])
-
-
 def test_gain_distances_match_norm_reference(monkeypatch):
     # frozen reference: the Euclidean norm of the (rx, tx, 2) differences
     seen = []
@@ -324,8 +314,8 @@ def test_gain_distances_match_norm_reference(monkeypatch):
 
 
 def test_gain_guard_sees_only_the_selected_rows():
-    # a receiver outside the float range fails the full matrix but not a
-    # selection of the other receivers, whose numbers do not depend on it
+    # a receiver outside the float range fails the matrix, and the guard
+    # names the overflow
     cfg = SimConfig()
     base = generate_fig3_snapshot(cfg, 3, 1)
     far = np.array(base.user_pos)
@@ -333,7 +323,6 @@ def test_gain_guard_sees_only_the_selected_rows():
     snap = dataclasses.replace(base, user_pos=far)
     with pytest.raises(NumericError, match="distances overflow"):
         build_gain_matrix(snap, cfg)
-    assert np.all(build_gain_matrix(snap, cfg, rows=[0]).gains > 0)
     # the same guard is the only check that catches a NaN or inf position,
     # and it names the position, not an overflow
     for value in (np.nan, np.inf):

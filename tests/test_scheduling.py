@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hetsim.association import score_matrix
 from hetsim.config import SimConfig, fig3_defaults
 from hetsim.harness import run_preset
-from hetsim.network import generate_fig3_snapshot
+from hetsim.network import build_gain_matrix, generate_fig3_snapshot
 from hetsim.scheduling import (
     access_probability,
     cell_loads,
@@ -71,23 +72,15 @@ def test_greedy_mc_within_three_sigma(n):
 
 
 def test_round_robin_shares_sum_to_one_per_cell():
-    # each admitted user's share is 1 / (others + 1); shares add up to 1
-    snap = generate_fig3_snapshot(SimConfig(), 10, 5)
+    # each admitted user's share is 1 / (others + 1): its resource score at
+    # home, where it joins the other members; shares add up to 1
+    cfg = SimConfig()
+    snap = generate_fig3_snapshot(cfg, 10, 5)
+    scores = score_matrix(snap, build_gain_matrix(snap, cfg), "resource")
     counts = cell_loads(snap)
     for b, total in enumerate(counts):
         if total == 0:
             continue
         members = np.flatnonzero(snap.home == b)
-        shares = [
-            access_probability(cell_loads(snap, exclude_user=uid)[b])
-            for uid in members
-        ]
-        assert sum(shares) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_cell_loads_exclusion():
-    snap = generate_fig3_snapshot(SimConfig(), 4, 8)
-    base = cell_loads(snap)
-    without = cell_loads(snap, exclude_user=0)
-    assert base[0] - without[0] == 1
-    assert np.array_equal(base[1:], without[1:])
+        assert scores[members, b] == pytest.approx(np.full(total, 1.0 / total))
+        assert scores[members, b].sum() == pytest.approx(1.0, rel=1e-12)
