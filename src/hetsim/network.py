@@ -28,6 +28,9 @@ DOWNLINK = "downlink"
 
 # Rejection-sampling budget for packing small cells into one macro cell.
 PLACEMENT_RETRIES = 10_000
+# Candidates drawn per generator call while packing; about twice what one
+# default fig2 macro cell uses, so one call usually places all its cells.
+_PLACEMENT_BLOCK = 16
 
 # (field, dtype, shape after the row axis) of the per-BS and per-user arrays
 _BS_FIELDS = (
@@ -136,28 +139,40 @@ def _disc_points(u, radius):
 
 def _place_small_centers(rng, origin, macro_side, small_side, n_small, macro_idx, seed):
     """Drop ``n_small`` non-overlapping axis-aligned squares inside one macro
-    cell by rejection sampling; raises after PLACEMENT_RETRIES draws."""
+    cell by rejection sampling; raises after PLACEMENT_RETRIES draws.
+
+    Candidates are drawn ``_PLACEMENT_BLOCK`` at a time and tested in
+    order; the doubles of the candidates a block did not need are handed
+    back to the generator, so the centers and every later draw are those of
+    one ``rng.random(2)`` call per candidate."""
     lo = origin + small_side / 2.0
     span = (origin + macro_side - small_side / 2.0) - lo
     centers = []
     attempts = 0
     while len(centers) < n_small:
-        attempts += 1
-        if attempts > PLACEMENT_RETRIES:
+        if attempts == PLACEMENT_RETRIES:
             raise GenerationError(
                 f"could not pack {n_small} small cells of side {small_side} m "
                 f"into macro cell {macro_idx} after {PLACEMENT_RETRIES} draws "
                 f"(seed={seed}); {len(centers)} packed, so lower mc.sweep"
             )
-        # x and y from one call: uniform(lo, hi) is lo + (hi - lo) * random()
-        cand = (lo + span * rng.random(2)).tolist()
-        # axis-aligned squares of side s overlap iff both |dx| and |dy| < s
-        ok = all(
-            max(abs(cand[0] - c[0]), abs(cand[1] - c[1])) >= small_side
-            for c in centers
-        )
-        if ok:
-            centers.append(cand)
+        # x and y per row: uniform(lo, hi) is lo + (hi - lo) * random()
+        size = min(_PLACEMENT_BLOCK, PLACEMENT_RETRIES - attempts)
+        cands = (lo + span * rng.random((size, 2))).tolist()
+        for used, (x, y) in enumerate(cands, 1):
+            for cx, cy in centers:
+                # axis-aligned squares of side s overlap iff |dx| and |dy| < s
+                if abs(x - cx) < small_side and abs(y - cy) < small_side:
+                    break
+            else:
+                centers.append([x, y])
+                if len(centers) == n_small:
+                    break
+        attempts += used
+        if used < size:
+            # hand back the unused candidates' doubles: the PCG64 generator
+            # of default_rng takes one step per double
+            rng.bit_generator.advance(2**128 - 2 * (size - used))
     return centers
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hetsim.config import SimConfig
+from hetsim.config import SimConfig, fig2_defaults
 from hetsim.errors import GenerationError, NumericError
 from hetsim.network import (
+    PLACEMENT_RETRIES,
+    _place_small_centers,
     build_gain_matrix,
     disc_chunk,
     disc_draws,
@@ -125,6 +128,78 @@ def test_snapshot_arrays_are_read_only_and_shape_checked(cfg):
 def test_fig2_packing_failure_is_reported():
     with pytest.raises(GenerationError, match=r"30.*seed=5"):
         generate_fig2_snapshot(SimConfig(), 30, 5)
+
+
+def _one_candidate_per_call(rng, origin, macro_side, small_side, n_small):
+    """Frozen packing loop: one ``rng.random(2)`` call per candidate, tested
+    against every center packed so far. Returns the centers packed within
+    PLACEMENT_RETRIES candidates, fewer than ``n_small`` when they run out."""
+    lo = origin + small_side / 2.0
+    span = (origin + macro_side - small_side / 2.0) - lo
+    centers = []
+    for _ in range(PLACEMENT_RETRIES):
+        if len(centers) == n_small:
+            break
+        cand = (lo + span * rng.random(2)).tolist()
+        if all(
+            max(abs(cand[0] - c[0]), abs(cand[1] - c[1])) >= small_side
+            for c in centers
+        ):
+            centers.append(cand)
+    return centers
+
+
+def _check_packing(seed, origins, macro_side, small_side, n_small):
+    """Pack every macro cell with block draws and with the frozen loop from
+    one seed each: the same centers, and the same generator state after
+    every cell, so the same next draw."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for m, origin in enumerate(origins):
+        want = _one_candidate_per_call(
+            ref_rng, origin, macro_side, small_side, n_small
+        )
+        got = _place_small_centers(
+            rng, origin, macro_side, small_side, n_small, m, seed
+        )
+        assert got == want, (seed, m)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, (seed, m)
+    assert rng.random() == ref_rng.random()
+
+
+def test_block_drawn_packing_matches_one_candidate_per_call():
+    # every default fig2 sweep point over 25 seeds, cell by cell as
+    # generate_fig2_snapshot packs them
+    cfg = fig2_defaults()
+    r, c = np.divmod(np.arange(cfg.grid_rows**2), cfg.grid_rows)
+    origins = np.column_stack((c, r)) * cfg.macro_side_m
+    for n_small, seed in itertools.product(cfg.sweep, range(1, 26)):
+        _check_packing(seed, origins, cfg.macro_side_m, cfg.small_side_m, n_small)
+
+
+@pytest.mark.parametrize("n_small,seed", [(13, 0), (13, 1), (13, 2), (12, 4)])
+def test_near_full_packing_matches_one_candidate_per_call(n_small, seed):
+    # 12 or 13 cells of side 200 m in a 1000 m cell fit only after 250 to
+    # 6,700 candidates, so most blocks are all rejections
+    _check_packing(seed, [np.zeros(2)], 1000.0, 200.0, n_small)
+
+
+def test_packing_failure_matches_one_candidate_per_call():
+    # 20 cells cannot be packed: both loops give up after PLACEMENT_RETRIES
+    # candidates with the same cells packed
+    want = _one_candidate_per_call(
+        np.random.default_rng(7), np.zeros(2), 1000.0, 200.0, 20
+    )
+    assert len(want) < 20
+    message = (
+        f"could not pack 20 small cells of side 200.0 m into macro cell 0 "
+        f"after {PLACEMENT_RETRIES} draws (seed=7); {len(want)} packed, so "
+        f"lower mc.sweep"
+    )
+    with pytest.raises(GenerationError) as info:
+        _place_small_centers(
+            np.random.default_rng(7), np.zeros(2), 1000.0, 200.0, 20, 0, 7
+        )
+    assert str(info.value) == message
 
 
 def test_fig2_rejects_out_of_range_n():
@@ -313,7 +388,7 @@ def test_gain_distances_match_norm_reference(monkeypatch):
         assert np.array_equal(gains, cfg.path_k * clamped**-cfg.path_exponent)
 
 
-def test_gain_guard_sees_only_the_selected_rows():
+def test_gain_guard_names_overflow_and_bad_positions():
     # a receiver outside the float range fails the matrix, and the guard
     # names the overflow
     cfg = SimConfig()

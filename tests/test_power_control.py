@@ -7,14 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_snapshot, two_user_toy
+from hetsim import harness, power_control
 from hetsim.association import associate
-from hetsim.config import SimConfig
+from hetsim.config import SimConfig, fig2_defaults
 from hetsim.errors import OracleError
 from hetsim.network import (
     GainMatrix,
     build_gain_matrix,
     generate_fig2_snapshot,
 )
+from hetsim.harness import run_preset
 from hetsim.power_control import (
     ALGORITHMS,
     DEFAULT_MAX_ITERS,
@@ -621,11 +623,13 @@ def test_verdict_and_coupling_are_computed_once(monkeypatch):
 
 def _reference_iterate(
     a, noise, targets, p_max, *, algorithm, eta, lpue_mask, caps,
-    hpue_algorithm, max_iters, tol, p0,
+    hpue_algorithm, max_iters, tol, p0, sweeps=None,
 ):
     """Frozen per-map power-control loop: every sweep evaluates the hp and
     lp maps over all users and merges them by mask. Returns (p, iterations,
-    converged) for comparison with ``iterate_power_control``."""
+    converged) for comparison with ``iterate_power_control``. A ``sweeps``
+    list receives, for every sweep, the iterate before it and its tracking
+    demand target * R."""
 
     def update(alg, r):
         if alg == "tpc":
@@ -655,6 +659,8 @@ def _reference_iterate(
     iterations = 0
     for it in range(1, max_iters + 1):
         r = (off @ p + noise) / diag
+        if sweeps is not None:
+            sweeps.append((p, targets * r))
         if lpue_mask is None:
             new = update(base_alg, r)
         else:
@@ -1002,6 +1008,161 @@ def test_twin_fork_past_the_converged_sweep_is_dropped():
     )
     assert (state.iterations, state.converged) == (3, True)
     assert _run_twins(*_chain(), 10.0, "tpc", tol=1.5) == (None, None)
+    # the reference loop stops at sweep 3 too, and finds sweep 7 only when
+    # it runs on
+    assert _check_fork(*_chain(), 10.0, "tpc", tol=1.5) is None
+    assert _check_fork(*_chain(), 10.0, "tpc") == 7
+
+
+def _check_fork(
+    a, noise, targets, p_max, base, *, lpue_mask=None, caps=None,
+    hpue_algorithm=None, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, p0=None,
+):
+    """Run ``base`` watching its twin and check its fork record against the
+    reference loop's sweeps: the first sweep, up to the one the run
+    returns, whose demand exceeds the removal bound max(p_max,
+    nextafter(p_max**2 / cap, 0)) on a user of the base map, with the
+    iterate before it, or (None, None) when there is none. Returns the
+    sweep."""
+    prioritized = base in PRIORITIZED_BASE
+    system = CochannelSystem(
+        a, noise, targets, p_max, lpue_mask=lpue_mask,
+        cap=None if caps is None else caps.cap,
+    )
+    kwargs = dict(
+        algorithm=base, hpue_algorithm=hpue_algorithm, max_iters=max_iters,
+        tol=tol, p0=p0,
+    )
+    state = iterate_power_control(system, twin=SOFT_REMOVAL_TWINS[base], **kwargs)
+    sweeps = []
+    _, iterations, _ = _reference_iterate(
+        a, noise, targets, p_max, eta=None, lpue_mask=lpue_mask,
+        caps=caps if prioritized else None, sweeps=sweeps, **kwargs
+    )
+    assert state.iterations == iterations == len(sweeps)
+    budget = np.broadcast_to(np.asarray(p_max, dtype=float), targets.shape)
+    cap = caps.cap if prioritized else np.inf
+    with np.errstate(divide="ignore"):
+        bound = np.maximum(budget, np.nextafter(budget * budget / cap, 0.0))
+    if lpue_mask is not None and (prioritized or hpue_algorithm == "tpc"):
+        bound = np.where(lpue_mask, bound, np.inf)
+    want = next(
+        ((k, p) for k, (p, q) in enumerate(sweeps, 1) if (q > bound).any()),
+        (None, None),
+    )
+    sweep, p = state.fork[1:]
+    assert sweep == want[0]
+    if sweep is not None:
+        assert np.array_equal(p, want[1])
+    return sweep
+
+
+@pytest.mark.parametrize("sweep", [1, 2, 15, 16, 17, 18, 32, 33])
+def test_fork_lands_anywhere_in_a_block(sweep):
+    # on the chain from p = 0 the demand of sweep t is 0.1 * (2**t - 1), so
+    # a budget between those of sweeps t - 1 and t forks at t: the first and
+    # last sweep of the first block, and the sweeps of the blocks after it
+    a, noise, targets = _chain()
+    assert _check_fork(a, noise, targets, 0.1 * (2.0**sweep - 1.5), "tpc") == sweep
+
+
+@pytest.mark.parametrize("base", sorted(SOFT_REMOVAL_TWINS))
+def test_fork_is_the_first_sweep_past_the_bound_on_fig2(cfg, base):
+    # fig2's snapshots with their caps, high-priority users on tpc; a
+    # hundredth of the budget makes the prioritized runs fork as well
+    forks = []
+    for n_small, seed, scale in itertools.product((3, 4, 5, 6), (1, 2), (1.0, 0.01)):
+        snap = generate_fig2_snapshot(cfg, n_small, seed)
+        gm = build_gain_matrix(snap, cfg)
+        serving = associate(snap, gm, "home")
+        caps = prioritized_caps(snap, gm, ith=cfg.ith_w)
+        forks.append(_check_fork(
+            gm.gains[serving], gm.noise[serving], snap.target_sir,
+            scale * snap.p_max, base, lpue_mask=snap.lpue_mask, caps=caps,
+            hpue_algorithm="tpc", tol=cfg.tol,
+        ))
+    assert any(sweep is not None for sweep in forks)
+
+
+@pytest.mark.parametrize("base", sorted(SOFT_REMOVAL_TWINS))
+@pytest.mark.parametrize("hpue_algorithm", [None, "tpc"])
+def test_fork_is_the_first_sweep_past_the_bound_on_capped_systems(
+    base, hpue_algorithm
+):
+    forks = []
+    for seed, tol in itertools.product(range(30), (1e-9, 0.05)):
+        rng = np.random.default_rng(3000 + seed)
+        inst, p_max, lpue_mask, caps = _random_prioritized_system(rng)
+        forks.append(_check_fork(
+            inst.a, inst.noise, inst.targets, p_max, base,
+            lpue_mask=lpue_mask, caps=caps, hpue_algorithm=hpue_algorithm,
+            max_iters=300, tol=tol,
+        ))
+    # both outcomes, and forks past the first sweep
+    assert None in forks
+    assert any(sweep is not None and sweep > 1 for sweep in forks)
+
+
+class _CountingNumpy:
+    """numpy as ``hetsim.power_control`` sees it, counting ``np.matmul``
+    calls: the kernel makes one per sweep it computes."""
+
+    def __init__(self):
+        self.matmuls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.matmuls += 1
+        return np.matmul(*args, **kwargs)
+
+
+def _fig2_kernel_runs(monkeypatch):
+    """A 2-seed fig2 preset run in process: its report, and each kernel run
+    in call order as (state, sweeps computed, sweeps needed). A run needs
+    its iterations, less those a resumed twin shares with its base run."""
+    counting = _CountingNumpy()
+    runs = []
+
+    def recording(system, **kwargs):
+        before = counting.matmuls
+        state = iterate_power_control(system, **kwargs)
+        resume = kwargs.get("resume")
+        start = 1 if resume is None else resume.fork[1]
+        needed = 0 if start is None else state.iterations - start + 1
+        runs.append((state, counting.matmuls - before, needed))
+        return state
+
+    with monkeypatch.context() as patch:
+        patch.setattr(power_control, "np", counting)
+        patch.setattr(harness, "iterate_power_control", recording)
+        report = run_preset(
+            "fig2", dataclasses.replace(fig2_defaults(), snapshots=2)
+        )
+    return report, runs
+
+
+def test_fig2_computes_few_sweeps_past_the_needed_ones(monkeypatch):
+    report, runs = _fig2_kernel_runs(monkeypatch)
+    over = [computed - needed for _, computed, needed in runs]
+    working = sum(needed > 0 for _, _, needed in runs)
+    assert working > 0 and min(over) >= 0
+    # fixed blocks of 16 sweeps computed 192 sweeps too many here, up to 15
+    # in one run
+    assert max(over) <= 4 and sum(over) <= working
+    # one sweep per block computes just the sweeps needed, with the same bits
+    monkeypatch.setattr(power_control, "_BLOCK", 1)
+    single, single_runs = _fig2_kernel_runs(monkeypatch)
+    assert single.raw.tobytes() == report.raw.tobytes()
+    for (want, _, needed), (got, computed, _) in zip(runs, single_runs, strict=True):
+        assert computed == needed
+        assert np.array_equal(got.p, want.p)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert (got.fork is None) == (want.fork is None)
+        if got.fork is not None:
+            assert got.fork[:2] == want.fork[:2]
+            assert np.array_equal(got.fork[2], want.fork[2])
 
 
 @pytest.mark.parametrize("n", [*range(1, 10), 153, 189, 225, 261])
