@@ -56,11 +56,13 @@ DEFAULT_TOL_SUPPORT = 1e-6
 # iterate is still exactly zero.
 _SCALE_FLOOR = 1e-30
 # Sweeps per convergence test (and per twin watch). A run's first block
-# holds _BLOCK sweeps; each later block holds as many as the step needs to
-# pass the test if it keeps shrinking as over the last block (_next_block),
-# between _MIN_BLOCK and _BLOCK, so a run computes few sweeps past the one
-# it returns and a short block's test costs no more than the sweeps saved.
-_BLOCK = 16
+# holds _FIRST_BLOCK sweeps; each later block holds as many as the step
+# needs to pass the test if it keeps shrinking as over the block before
+# (_next_block), between _MIN_BLOCK and _BLOCK. So a run computes few
+# sweeps past the one it returns, a long run pays few tests, and a short
+# block's test costs no more than the sweeps it saves.
+_BLOCK = 32
+_FIRST_BLOCK = 16
 _MIN_BLOCK = 2
 
 
@@ -270,18 +272,18 @@ def cochannel_system(snapshot, gains, serving, caps=None):
     )
 
 
-def _next_block(delta, threshold, k):
-    """Sweeps in the block after one of ``k`` sweeps with steps ``delta``
-    that all failed the test, whose last threshold was ``threshold``: as
-    many as the step needs to fall below it when it keeps shrinking at the
-    block's mean rate per sweep, within [_MIN_BLOCK, _BLOCK]. A step that
-    did not shrink gets a full block. Python floats keep it cheap beside
-    the sweeps of a small system."""
-    first, last = delta[0].item(), delta[k - 1].item()
-    if k > 1 and threshold > 0 and 0 < last < first:
+def _next_block(steps, threshold):
+    """Sweeps in the block after one whose sweeps moved the iterate by
+    ``steps`` (a list of floats) and all failed the test, the last against
+    ``threshold``: as many as the step needs to fall below it if it keeps
+    shrinking at its mean rate over the block, within [_MIN_BLOCK,
+    _BLOCK]. A step that did not shrink gets a full block. Python floats
+    keep it cheap beside the sweeps of a small system."""
+    first, last = steps[0], steps[-1]
+    if len(steps) > 1 and threshold > 0 and 0 < last < first:
         decay = math.log(first / last)
         if decay > 0:
-            need = (k - 1) * math.log(last / threshold) / decay
+            need = (len(steps) - 1) * math.log(last / threshold) / decay
             return math.ceil(min(max(need, _MIN_BLOCK), _BLOCK))
     return _BLOCK
 
@@ -318,14 +320,15 @@ def iterate_power_control(
     per-user clip, both built once. The convergence test then checks every
     sweep of the block at once and returns the first that passes; ``max``
     is exact, so the result is that of a test after every sweep, whatever
-    the block sizes. The first block holds ``_BLOCK`` sweeps, and each later
-    one the sweeps the step needs to pass the test at the rate it shrank
-    over the block before (``_next_block``, within ``_MIN_BLOCK`` and
-    ``_BLOCK``). Sweeps computed past the returned one are never reported,
-    nor is a fork recorded in them. On the 25-seed fig2 input the runs
-    compute 36,602 sweeps for the 36,558 they need (46,183 logical ones,
-    counting the sweeps a twin shares), where fixed blocks of 16 computed
-    38,864. The system holds the coupling matrix with 64-byte-aligned rows,
+    the block sizes. The first block holds ``_FIRST_BLOCK`` sweeps, and each
+    later one the sweeps the step needs to pass the test at the rate it
+    shrank over the block before (``_next_block``, within ``_MIN_BLOCK``
+    and ``_BLOCK``). Sweeps computed past the returned one are never
+    reported, nor is a fork recorded in them. On the 25-seed fig2 input the
+    runs compute 36,658 sweeps for the 36,558 they need (46,183 logical
+    ones, counting the sweeps a twin shares) in 1,459 blocks, where fixed
+    blocks of 16 computed 38,864 in 2,629. The system holds the coupling
+    matrix with 64-byte-aligned rows,
     so several runs on one system (as fig2's four algorithms on one
     snapshot) validate and copy it once.
 
@@ -434,7 +437,7 @@ def iterate_power_control(
 
     converged = False
     iterations = last = 0
-    it, size = start, _BLOCK
+    it, size = start, min(_FIRST_BLOCK, _BLOCK)
     while it <= max_iters:
         k = min(size, max_iters + 1 - it)
         for j in range(k):
@@ -453,10 +456,10 @@ def iterate_power_control(
                 np.divide(p_max_sq, q, out=q, where=over_budget)
             np.minimum(q, clip, out=rows[j + 1])
         if watching:
-            # the first sweep of the block whose demand passes the bound
-            crossed = np.flatnonzero(np.greater(demands[:k], twin_bound).any(axis=1))
-            if crossed.size:
-                j = int(crossed[0])
+            crossed = np.greater(demands[:k], twin_bound)
+            if crossed.any():
+                # the first sweep of the block whose demand passes the bound
+                j = int(crossed.any(axis=1).argmax())
                 fork = (twin, it + j, block[j].copy())
                 watching = False
         # sweep it + j passes when max |p' - p| < tol * max(max(p), floor);
@@ -464,15 +467,16 @@ def iterate_power_control(
         diff = block[1 : k + 1] - block[:k]
         delta = np.maximum.reduce(np.abs(diff, out=diff), axis=1, initial=0.0)
         scale = np.maximum.reduce(block[:k], axis=1, initial=_SCALE_FLOOR)
-        passed = np.flatnonzero(delta < tol * scale)
-        if passed.size:
-            converged, last = True, int(passed[0]) + 1
-            iterations = it + last - 1
+        passed = delta < tol * scale
+        first = int(passed.argmax())
+        if passed[first]:
+            converged, last = True, first + 1
+            iterations = it + first
             break
         block[0] = block[k]
         iterations = it + k - 1
         it += k
-        size = _next_block(delta, tol * scale[k - 1].item(), k)
+        size = _next_block(delta.tolist(), tol * scale.item(k - 1))
     p = block[last].copy()
     if fork is not None and fork[1] is not None and fork[1] > iterations:
         # the demand crossed the bound in a sweep past the returned one

@@ -939,7 +939,7 @@ def _chain_run(**kwargs):
 
 @pytest.mark.parametrize("sweep", [1, 2, 3, 8, 15, 16, 17, 18, 31, 32, 33, 40])
 def test_convergence_lands_anywhere_in_a_block(sweep):
-    # the kernel tests 16 sweeps at a time: offsets inside a block, its
+    # the kernel's first block holds 16 sweeps: offsets inside it, its
     # first and last sweep, and the blocks after it
     state, want = _chain_run(tol=_tol_passing_first_at(sweep), max_iters=100)
     assert (state.iterations, state.converged) == (sweep, True)
