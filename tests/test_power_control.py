@@ -937,10 +937,13 @@ def _chain_run(**kwargs):
     )
 
 
-@pytest.mark.parametrize("sweep", [1, 2, 3, 8, 15, 16, 17, 18, 31, 32, 33, 40])
+@pytest.mark.parametrize(
+    "sweep", [1, 2, 3, 8, 15, 16, 17, 18, 31, 32, 33, 40, 48, 49]
+)
 def test_convergence_lands_anywhere_in_a_block(sweep):
-    # the kernel's first block holds 16 sweeps: offsets inside it, its
-    # first and last sweep, and the blocks after it
+    # the kernel's first block holds 16 sweeps and, as the step grows, the
+    # next one 32: offsets inside both, their first and last sweeps, and
+    # the block after them
     state, want = _chain_run(tol=_tol_passing_first_at(sweep), max_iters=100)
     assert (state.iterations, state.converged) == (sweep, True)
     assert np.array_equal(state.p, want[0])
@@ -1057,11 +1060,12 @@ def _check_fork(
     return sweep
 
 
-@pytest.mark.parametrize("sweep", [1, 2, 15, 16, 17, 18, 32, 33])
+@pytest.mark.parametrize("sweep", [1, 2, 15, 16, 17, 18, 32, 48, 49])
 def test_fork_lands_anywhere_in_a_block(sweep):
     # on the chain from p = 0 the demand of sweep t is 0.1 * (2**t - 1), so
-    # a budget between those of sweeps t - 1 and t forks at t: the first and
-    # last sweep of the first block, and the sweeps of the blocks after it
+    # a budget between those of sweeps t - 1 and t forks at t. The step
+    # doubles each sweep, so the first block (sweeps 1-16) is followed by a
+    # full one (17-48): the first and last sweeps of both, and the next block
     a, noise, targets = _chain()
     assert _check_fork(a, noise, targets, 0.1 * (2.0**sweep - 1.5), "tpc") == sweep
 
