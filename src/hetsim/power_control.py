@@ -328,9 +328,8 @@ def iterate_power_control(
     runs compute 36,658 sweeps for the 36,558 they need (46,183 logical
     ones, counting the sweeps a twin shares) in 1,459 blocks, where fixed
     blocks of 16 computed 38,864 in 2,629. The system holds the coupling
-    matrix with 64-byte-aligned rows,
-    so several runs on one system (as fig2's four algorithms on one
-    snapshot) validate and copy it once.
+    matrix with 64-byte-aligned rows, so several runs on one system (as
+    fig2's four algorithms on one snapshot) validate and copy it once.
 
     Sweep sharing between ``tpc``/``ptpc`` and their soft-removal twins
     (``SOFT_REMOVAL_TWINS``): a base run given ``twin=<its twin>`` records
@@ -338,12 +337,11 @@ def iterate_power_control(
     bound, at or below which both runs answer alike. It keeps each sweep's
     demand in a row of a block buffer and tests the whole block against the
     bound at once, so it finds the sweep a test after every sweep would
-    find, at one test per block. The twin run, given
-    ``resume=<that base state>`` and otherwise the same arguments, starts
-    at that sweep from the recorded iterate, or returns a copy of the base
-    result when no sweep passed the bound. Either way its powers, iteration
-    count and convergence flag are those of a run from the start, bit for
-    bit.
+    find, at one test per block. The twin run, given ``resume=<that base
+    state>`` and otherwise the same arguments, starts at that sweep from the
+    recorded iterate, or returns a copy of the base result when no sweep
+    passed the bound. Either way its powers, iteration count and
+    convergence flag are those of a run from the start, bit for bit.
     """
     n = system.targets.shape[0]
     if algorithm not in ALGORITHMS:
