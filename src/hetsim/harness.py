@@ -53,6 +53,8 @@ FIG3_SCHEMES = ("distance", "resource", "hybrid")
 
 # Most (seed, cell) entries one disc job holds: it bounds the memory of a
 # chunk's (seeds, cells) arrays whatever mc.snapshots and the cell count.
+# disc_chunk's stream windows are bounded apart from it, by the seeds it
+# replays at once (network._DISC_GROUP).
 DISC_CHUNK_ENTRIES = 2**14
 
 # Relative slack allowed on the prioritized interference bound; anything
@@ -186,9 +188,10 @@ def _disc_results(cfg, n_small, seeds, schemes):
     (user 0) picks a cell per scheme; its spectral efficiency is the access
     probability of the chosen cell times log2(1 + SIR), with every other
     base station transmitting at full power. Returns the (seeds, schemes,
-    FIELDS) values. Only the draws are made seed by seed; every later stage
-    is one array pass over the chunk, elementwise or row by row, so a seed's
-    row does not depend on its chunk."""
+    FIELDS) values. The draws are replayed for a group of seeds at a time
+    (``disc_chunk``), and every later stage is one array pass over the
+    chunk, elementwise or row by row, so a seed's row does not depend on
+    its chunk."""
     user_pos, bs_pos, loads = disc_chunk(cfg, n_small, seeds)
     # (seeds, 1, cells): the tagged user's gain row of each snapshot
     g = link_gains(user_pos, bs_pos, cfg)

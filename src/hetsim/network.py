@@ -17,6 +17,7 @@ loads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,6 +32,13 @@ PLACEMENT_RETRIES = 10_000
 # Candidates drawn per generator call while packing; about twice what one
 # default fig2 macro cell uses, so one call usually places all its cells.
 _PLACEMENT_BLOCK = 16
+# The disc's loads are replayed from raw doubles _DISC_GROUP seeds at a time,
+# from a window of each seed's stream that holds its site block and
+# _DISC_WINDOW more doubles. A cell's Poisson count is sought in the
+# _POISSON_LOOKAHEAD doubles after its load's; the window must hold both.
+_DISC_GROUP = 128
+_DISC_WINDOW = 128
+_POISSON_LOOKAHEAD = 32
 
 # (field, dtype, shape after the row axis) of the per-BS and per-user arrays
 _BS_FIELDS = (
@@ -236,7 +244,9 @@ def disc_draws(cfg, n_small, seed):
     macro user and the small-cell sites, then cell by cell its mean load,
     uniform in [lambda_lo, lambda_hi], its Poisson user count and a
     (count, 2) unit block for its users. Returns (site block, counts, user
-    blocks); ``random()`` is uniform(0, 1)'s stream."""
+    blocks); ``random()`` is uniform(0, 1)'s stream. ``disc_chunk`` replays
+    the same stream from raw doubles and calls this only for the seeds it
+    cannot replay."""
     if n_small < 0:
         raise ValueError(f"n_small must be non-negative, got {n_small}")
     rng = np.random.default_rng(seed)
@@ -272,6 +282,73 @@ def generate_fig3_snapshot(cfg, n_small, seed):
     )
 
 
+def _poisson_replay(lam, doubles):
+    """Replay ``Generator.poisson(lam[b])`` on the stream doubles
+    ``doubles[b]`` that follow each load draw. Below a mean of 10 NumPy
+    counts by multiplication (Knuth): the count is the number of running
+    products of the doubles above ``exp(-lam)`` before the first at or
+    below it, and a mean of 0 draws nothing. ``np.cumprod`` makes the same
+    multiplies in the same order, and ``math.exp`` is the C library's
+    ``exp`` that NumPy's C code calls (``np.exp`` differs from it in the
+    last bit for some means). Returns the counts, the doubles each draw
+    used and whether it was replayed: a mean of 10 or more (drawn by PTRS)
+    or a count that does not stop within ``doubles`` is not."""
+    limit = np.fromiter(map(math.exp, (-lam).tolist()), float, len(lam))
+    stops = np.cumprod(doubles, axis=1) <= limit[:, None]
+    counts = stops.argmax(axis=1)
+    replayed = stops.any(axis=1) & (lam < 10.0)
+    used = np.where(lam > 0.0, counts + 1, 0)
+    return counts, used, replayed
+
+
+def _disc_group(cfg, n_small, seeds, sites, counts):
+    """Fill ``sites`` (B, 2 + 2 n_small) and ``counts`` (B, n_small) with the
+    site blocks and cell user counts that ``disc_draws`` makes for
+    ``seeds``, bit for bit, one cell at a time for all the seeds.
+
+    Each seed's doubles are read into a window of its stream: the site
+    block and ``_DISC_WINDOW`` doubles first, then more as the cells need.
+    A cell reads its load's double and seeks its count in the
+    ``_POISSON_LOOKAHEAD`` doubles after it, then steps past the count's
+    and its users' doubles; the generator skips the users' doubles that
+    run past the window. The seeds whose loads cannot be replayed are
+    drawn again by ``disc_draws``."""
+    lo, span = cfg.lambda_lo, cfg.lambda_hi - cfg.lambda_lo
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    head = sites.shape[1]
+    window = np.empty((len(seeds), head + _DISC_WINDOW))
+    for rng, row in zip(rngs, window):
+        rng.random(out=row)
+    sites[:] = window[:, :head]
+    size = window.shape[1]
+    ahead = np.lib.stride_tricks.sliding_window_view(
+        window, _POISSON_LOOKAHEAD, axis=1
+    )
+    rows = np.arange(len(seeds))
+    pos = np.full(len(seeds), head)
+    redraw = np.zeros(len(seeds), dtype=bool)
+    for cell in range(n_small):
+        for b in np.flatnonzero(pos > size - 1 - _POISSON_LOOKAHEAD).tolist():
+            # keep the doubles not yet read, then read on from the stream
+            left = size - int(pos[b])
+            if left < 0:
+                # the PCG64 generator of default_rng takes one step per double
+                rngs[b].bit_generator.advance(-left)
+                left = 0
+            window[b, :left] = window[b, size - left :]
+            rngs[b].random(out=window[b, left:])
+            pos[b] = 0
+        # uniform(lo, hi) is lo + (hi - lo) * random()
+        lam = lo + span * window[rows, pos]
+        cell_counts, used, replayed = _poisson_replay(lam, ahead[rows, pos + 1])
+        counts[:, cell] = cell_counts
+        redraw |= ~replayed
+        # a seed to redraw reads no further
+        pos += np.where(redraw, 0, 1 + used + 2 * cell_counts)
+    for b in np.flatnonzero(redraw).tolist():
+        counts[b] = disc_draws(cfg, n_small, seeds[b])[1]
+
+
 def disc_chunk(cfg, n_small, seeds):
     """The disc snapshots of ``seeds`` at one ``n_small``, reduced to what
     the tagged user sees and stacked seed-major: its position (B, 1, 2), the
@@ -279,19 +356,21 @@ def disc_chunk(cfg, n_small, seeds):
     counts (B, 1 + n_small), the tagged user excluded. Row b holds the
     tagged user, ``bs_pos`` and ``cell_loads(snapshot)`` less the tagged
     user (one off cell 0) of ``generate_fig3_snapshot(cfg, n_small,
-    seeds[b])``, bit for bit; only the draws are made seed by seed."""
-    sites, counts = [], []
-    for seed in seeds:
-        block, cell_counts, _ = disc_draws(cfg, n_small, seed)
-        sites.append(block)
-        counts += cell_counts
-    shape = (len(sites), 1 + n_small)
-    points = _disc_points(np.concatenate(sites), cfg.disc_radius_m)
+    seeds[b])``, bit for bit. The draws are replayed ``_DISC_GROUP`` seeds
+    at a time (``_disc_group``), so the windows' memory does not grow with
+    the chunk."""
+    if n_small < 0:
+        raise ValueError(f"n_small must be non-negative, got {n_small}")
+    shape = (len(seeds), 1 + n_small)
+    sites = np.empty((shape[0], 2 * shape[1]))
+    loads = np.zeros(shape, dtype=np.int64)
+    for start in range(0, shape[0], _DISC_GROUP):
+        group = slice(start, start + _DISC_GROUP)
+        _disc_group(cfg, n_small, seeds[group], sites[group], loads[group, 1:])
+    points = _disc_points(sites.reshape(-1, 2), cfg.disc_radius_m)
     points = points.reshape(*shape, 2)
     user_pos = points[:, :1].copy()
     points[:, 0] = 0.0  # the macro site
-    loads = np.zeros(shape, dtype=np.int64)
-    loads[:, 1:] = np.reshape(counts, (shape[0], n_small))
     return user_pos, points, loads
 
 

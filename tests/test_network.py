@@ -1,17 +1,22 @@
+import collections
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hetsim.config import SimConfig, fig2_defaults
+from hetsim import network
+from hetsim.config import SimConfig, fig2_defaults, fig3_defaults
 from hetsim.errors import GenerationError, NumericError
+from hetsim.harness import DISC_CHUNK_ENTRIES, run_preset
 from hetsim.network import (
     PLACEMENT_RETRIES,
     _place_small_centers,
+    _poisson_replay,
     build_gain_matrix,
     disc_chunk,
     disc_draws,
@@ -296,7 +301,7 @@ def test_fig3_deterministic(n, seed):
 @example(n=0, seed=1, lambda_hi=10.0)
 @settings(max_examples=30, deadline=None)
 def test_disc_chunk_rows_are_the_snapshots_of_its_seeds(n, seed, lambda_hi):
-    # the chunk and the snapshot generator share one per-seed draw function
+    # the chunk replays the draws that the snapshot generator makes
     cfg = SimConfig(lambda_hi=lambda_hi)
     seeds = range(seed, seed + 3)
     user_pos, bs_pos, loads = disc_chunk(cfg, n, seeds)
@@ -315,6 +320,209 @@ def test_disc_chunk_rows_are_the_snapshots_of_its_seeds(n, seed, lambda_hi):
         incumbents = cell_loads(snap)
         incumbents[0] -= 1
         assert loads[b].tolist() == incumbents.tolist()
+
+
+# numpy's own, also where a test counts the calls of disc_chunk's generators
+_default_rng = np.random.default_rng
+
+
+def _scalar_disc_chunk(cfg, n, seeds):
+    # reference: per seed one scalar draw per radius and angle and one
+    # rng.poisson per cell, stacked as disc_chunk stacks its rows
+    user_pos, bs_pos, loads = [], [], []
+    for seed in seeds:
+        rng = _default_rng(seed)
+        radius = cfg.disc_radius_m
+        user_pos.append([_scalar_disc_point(rng, (0.0, 0.0), radius)])
+        bs_pos.append(
+            [(0.0, 0.0)]
+            + [_scalar_disc_point(rng, (0.0, 0.0), radius) for _ in range(n)]
+        )
+        counts = [0]
+        for _ in range(n):
+            count = int(rng.poisson(rng.uniform(cfg.lambda_lo, cfg.lambda_hi)))
+            rng.random(2 * count)  # the users' radius and angle draws
+            counts.append(count)
+        loads.append(counts)
+    shape = (len(seeds), 1 + n)
+    return (
+        np.reshape(user_pos, (shape[0], 1, 2)),
+        np.reshape(bs_pos, (*shape, 2)),
+        np.reshape(loads, shape),
+    )
+
+
+def _check_disc_chunk_against_scalar_draws(cfg, n, seeds):
+    got = disc_chunk(cfg, n, seeds)
+    want = _scalar_disc_chunk(cfg, n, seeds)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.astype(a.dtype).tobytes()
+
+
+@pytest.mark.parametrize("n", fig3_defaults().sweep)
+def test_disc_chunk_matches_scalar_draws_at_every_fig3_point(n):
+    cfg = fig3_defaults()
+    _check_disc_chunk_against_scalar_draws(cfg, n, range(1, 1 + cfg.snapshots))
+
+
+# (lambda_lo, lambda_hi): empty cells; multiplication counts only; means just
+# below NumPy's switch to PTRS at 10; rows mixing replayed and redrawn
+# loads; every row redrawn
+LOAD_RANGES = [
+    (0.0, 0.0),
+    (0.0, 3.0),
+    (9.0, math.nextafter(10.0, 0.0)),
+    (5.0, 30.0),
+    (50.0, 60.0),
+]
+
+
+@pytest.mark.parametrize("lo,hi", LOAD_RANGES)
+@pytest.mark.parametrize("n", [0, 1, 9, 64])
+def test_disc_chunk_matches_scalar_draws_over_load_ranges(n, lo, hi):
+    cfg = SimConfig(lambda_lo=lo, lambda_hi=hi)
+    _check_disc_chunk_against_scalar_draws(cfg, n, range(300, 340))
+
+
+class _CountingGenerator:
+    """A default_rng stand-in that counts its draw and advance calls."""
+
+    def __init__(self, seed, calls):
+        calls["default_rng"] += 1
+        self._rng = _default_rng(seed)
+        self._calls = calls
+        self.bit_generator = self
+
+    def random(self, *args, **kwargs):
+        self._calls["random"] += 1
+        return self._rng.random(*args, **kwargs)
+
+    def poisson(self, *args, **kwargs):
+        self._calls["poisson"] += 1
+        return self._rng.poisson(*args, **kwargs)
+
+    def advance(self, delta):
+        self._calls["advance"] += 1
+        return self._rng.bit_generator.advance(delta)
+
+
+def _count_disc_calls(monkeypatch):
+    """Count generator calls and the seeds disc_draws redraws."""
+    calls = collections.Counter()
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: _CountingGenerator(seed, calls)
+    )
+
+    def counting_draws(cfg, n_small, seed):
+        calls["disc_draws"] += 1
+        return disc_draws(cfg, n_small, seed)
+
+    monkeypatch.setattr(network, "disc_draws", counting_draws)
+    return calls
+
+
+@pytest.mark.parametrize("group", [1, 7])
+def test_disc_chunk_matches_scalar_draws_with_small_windows(monkeypatch, group):
+    # a window of two doubles past a lookahead of 4: the seeds' windows
+    # refill, skip users' doubles and overflow into redraws, in groups whose
+    # edges fall inside the chunk
+    monkeypatch.setattr(network, "_POISSON_LOOKAHEAD", 4)
+    monkeypatch.setattr(network, "_DISC_WINDOW", 6)
+    monkeypatch.setattr(network, "_DISC_GROUP", group)
+    calls = _count_disc_calls(monkeypatch)
+    for (lo, hi), n in itertools.product(
+        [(0.0, 0.0), (0.0, 3.0), (1.0, 10.0), (5.0, 30.0)], [0, 1, 5, 20]
+    ):
+        cfg = SimConfig(lambda_lo=lo, lambda_hi=hi)
+        _check_disc_chunk_against_scalar_draws(cfg, n, range(50, 70))
+    # skips, redraws and refills all ran
+    assert min(calls["advance"], calls["disc_draws"]) > 0
+    assert calls["random"] > calls["default_rng"] * 3
+
+
+def test_disc_chunk_rejects_negative_n():
+    with pytest.raises(ValueError):
+        disc_chunk(SimConfig(), -1, range(3))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0, 5.5, math.nextafter(10.0, 0.0)])
+def test_poisson_replay_pins_numpy_poisson_stream(lam):
+    # Generator.poisson below a mean of 10 is Knuth's multiplication method
+    # on random()'s doubles; if a NumPy release changes that stream, this
+    # test fails by name before any report digest does
+    seeds = range(2000)
+    doubles = np.array([_default_rng(seed).random(40) for seed in seeds])
+    counts, used, replayed = _poisson_replay(np.full(len(seeds), lam), doubles)
+    assert replayed.all()
+    for seed, count, step, row in zip(seeds, counts, used, doubles):
+        rng = _default_rng(seed)
+        assert rng.poisson(lam) == count
+        # the draw used `step` doubles: the next one is the stream's next
+        assert rng.random() == row[step]
+
+
+def test_poisson_replay_leaves_ptrs_means_and_long_counts():
+    # a first double below exp(-lam) stops every count but the last row's:
+    # 0.99 ** 4 stays above exp(-1); from a mean of 10 NumPy draws by PTRS
+    doubles = np.full((4, 4), 1e-9)
+    doubles[3] = 0.99
+    lam = np.array([1.0, 10.0, 12.0, 1.0])
+    replayed = _poisson_replay(lam, doubles)[2]
+    assert replayed.tolist() == [True, False, False, False]
+
+
+def test_default_fig3_replays_every_load(monkeypatch):
+    # the preset draws each seed's doubles in a few reads: no Poisson call,
+    # no seed redrawn, at most three reads or skips per seed on average
+    calls = _count_disc_calls(monkeypatch)
+    cfg = fig3_defaults()
+    run_preset("fig3", cfg)
+    seeds = cfg.snapshots * len(cfg.sweep)
+    assert calls["default_rng"] == seeds
+    assert calls["poisson"] == calls["disc_draws"] == 0
+    assert calls["random"] + calls["advance"] <= 3 * seeds
+
+
+def _seed_by_seed_disc_chunk(cfg, n, seeds):
+    # disc_chunk built from disc_draws seed by seed, keeping every draw
+    sites, counts = [], []
+    for seed in seeds:
+        block, cell_counts, _ = disc_draws(cfg, n, seed)
+        sites.append(block)
+        counts += cell_counts
+    shape = (len(sites), 1 + n)
+    points = network._disc_points(np.concatenate(sites), cfg.disc_radius_m)
+    points = points.reshape(*shape, 2)
+    user_pos = points[:, :1].copy()
+    points[:, 0] = 0.0
+    loads = np.zeros(shape, dtype=np.int64)
+    loads[:, 1:] = np.reshape(counts, (shape[0], n))
+    return user_pos, points, loads
+
+
+def _traced_peak(build, *args):
+    """The result of ``build(*args)`` and the peak of its traced memory."""
+    tracemalloc.start()
+    try:
+        return build(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [1, 64])
+def test_disc_chunk_memory_stays_within_seed_by_seed_draws(n):
+    # a chunk of the most seeds one job holds: the windows are bounded by
+    # the group size, so the peak stays near that of keeping each seed's
+    # site block and counts
+    cfg = fig3_defaults()
+    seeds = range(DISC_CHUNK_ENTRIES // (1 + n))
+    disc_chunk(cfg, n, seeds[:2])  # imports numpy.random before the trace
+    got, peak = _traced_peak(disc_chunk, cfg, n, seeds)
+    want, reference_peak = _traced_peak(_seed_by_seed_disc_chunk, cfg, n, seeds)
+    assert peak <= 1.25 * reference_peak
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 @given(
