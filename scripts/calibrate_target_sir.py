@@ -62,7 +62,7 @@ def worst_hp_subsystem_rho():
         for k in range(cfg.snapshots):
             snap = generate_fig2_snapshot(cfg, n, cfg.base_seed + k)
             gains = build_gain_matrix(snap, cfg)
-            serving = associate(snap, gains, "home")
+            serving = associate(snap, gains, "home", cfg)
             # high-priority users, and the receivers that serve them
             hp = np.flatnonzero(~snap.lpue_mask)
             rx = serving[hp]
@@ -71,7 +71,7 @@ def worst_hp_subsystem_rho():
                     gains.gains[np.ix_(rx, hp)],
                     gains.noise[rx],
                     np.ones(len(hp)),
-                    snap.p_max[hp],
+                    cfg.pmax_w,
                 )
             )
             worst = max(worst, check.spectral_radius)

@@ -6,11 +6,7 @@ __version__ = "0.1.0"
 
 from .config import SimConfig, fig2_defaults, fig3_defaults, parse_config
 from .harness import run_experiment, run_preset
-from .network import (
-    build_gain_matrix,
-    generate_fig2_snapshot,
-    generate_fig3_snapshot,
-)
+from .network import build_gain_matrix, generate_fig2_snapshot
 from .power_control import (
     CochannelSystem,
     feasibility_check,
@@ -29,7 +25,6 @@ __all__ = [
     "fig3_defaults",
     "fixed_point_oracle",
     "generate_fig2_snapshot",
-    "generate_fig3_snapshot",
     "parse_config",
     "run_experiment",
     "run_preset",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import UPLINK
+from .network import UPLINK, tier_powers
 from .scheduling import access_probability, cell_loads
 
 SCHEMES = (
@@ -38,22 +38,29 @@ SCHEMES = (
 )
 
 
-def score_matrix(snapshot, gains, scheme, *, bias_db=0.0):
+def score_matrix(snapshot, gains, scheme, cfg):
     """(n_users, n_bs) association scores, higher is better.
 
     Under the resource and hybrid schemes each user is a prospective joiner:
     the incumbents of cell b exclude the user itself (its home score), so
-    its access probability there is p = 1 / (others + 1). ``bias_db``
-    multiplies the small tier under cre.
+    its access probability there is p = 1 / (others + 1). The reference
+    powers are ``cfg.pmax_w`` for every user on the uplink and each BS's
+    tier power (``tier_powers``) on the downlink; ``cfg.bias_db`` multiplies
+    the small tier under cre.
     """
     uplink = snapshot.direction == UPLINK
     access = None
     if scheme in ("resource", "hybrid"):
-        own = score_matrix(snapshot, gains, "home")
+        own = score_matrix(snapshot, gains, "home", cfg)
         access = access_probability(cell_loads(snapshot) - own)
     # received power at reference powers; users transmit on the uplink and
-    # base stations on the downlink, so the receivers are the other axis
-    powers = snapshot.p_max if uplink else snapshot.bs_tx_power
+    # base stations on the downlink, so the receivers are the other axis;
+    # one power per transmitter, since a scalar times the summed gains would
+    # round otherwise than gains @ powers
+    if uplink:
+        powers = np.full(snapshot.n_users, cfg.pmax_w)
+    else:
+        powers = tier_powers(cfg, snapshot.bs_small)
     tx, rx = ((-1, 1), (1, -1)) if uplink else ((1, -1), (-1, 1))
     # total received power at each receiver, for the interference
     total = (gains.gains @ powers).reshape(rx) if scheme in ("rsrq", "mei") else None
@@ -67,7 +74,7 @@ def score_matrix(snapshot, gains, scheme, *, bias_db=0.0):
         access=access,
         small=snapshot.bs_small,
         home=snapshot.home,
-        bias_db=bias_db,
+        bias_db=cfg.bias_db,
     )
 
 
@@ -102,10 +109,11 @@ def link_scores(scheme, g, *, power, noise, total=None, access=None, small=None,
     return -(i_n / g)
 
 
-def associate(snapshot, gains, scheme, *, bias_db=0.0):
+def associate(snapshot, gains, scheme, cfg):
     """Serving base station of every user, as an int array: the argmax of
-    the scheme's scores, with each user a prospective joiner under the
-    resource and hybrid schemes. np.argmax returns the first maximum, which
-    is the lowest BS id since ids equal column indices."""
-    scores = score_matrix(snapshot, gains, scheme, bias_db=bias_db)
+    the scheme's scores (``score_matrix``), with each user a prospective
+    joiner under the resource and hybrid schemes. np.argmax returns the
+    first maximum, which is the lowest BS id since ids equal column
+    indices."""
+    scores = score_matrix(snapshot, gains, scheme, cfg)
     return np.argmax(scores, axis=1)

@@ -140,12 +140,12 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
     (shared topology, gains, and association): one FIELDS row each."""
     snapshot = generate_fig2_snapshot(cfg, n_small, seed)
     gains = build_gain_matrix(snapshot, cfg)
-    serving = associate(snapshot, gains, cfg.assoc_uplink, bias_db=cfg.bias_db)
+    serving = associate(snapshot, gains, cfg.assoc_uplink, cfg)
     caps = None
     if any(alg in PRIORITIZED_BASE for alg in algorithms):
         caps = prioritized_caps(snapshot, gains, cfg.ith_w)
     # one validated system, caps included, shared by every run of the snapshot
-    system = cochannel_system(snapshot, gains, serving, caps)
+    system = cochannel_system(snapshot, gains, serving, cfg, caps)
     lpue_mask = snapshot.lpue_mask
 
     rows = []

@@ -41,43 +41,35 @@ _DISC_WINDOW = 128
 _POISSON_LOOKAHEAD = 32
 
 # (field, dtype, shape after the row axis) of the per-BS and per-user arrays
-_BS_FIELDS = (
-    ("bs_pos", float, (2,)),
-    ("bs_small", bool, ()),
-    ("bs_tx_power", float, ()),
-)
-_USER_FIELDS = (
-    ("user_pos", float, (2,)),
-    ("home", int, ()),
-    ("p_max", float, ()),
-    ("target_sir", float, ()),
-    ("opc_eta", float, ()),
-)
+_BS_FIELDS = (("bs_pos", float, (2,)), ("bs_small", bool, ()))
+_USER_FIELDS = (("user_pos", float, (2,)), ("home", int, ()))
 
 
 @dataclass(frozen=True)
 class NetworkSnapshot:
-    """One realized topology as read-only arrays.
+    """One realized topology as read-only arrays, and its link direction.
 
-    Base station b is row b of ``bs_pos`` (n_bs, 2), ``bs_small`` (small
-    tier, i.e. low priority) and ``bs_tx_power``. User i is row i of
-    ``user_pos`` (n_users, 2), ``home`` (the BS it was generated in),
-    ``p_max``, ``target_sir`` and ``opc_eta``. A user's priority is its home
+    Base station b is row b of ``bs_pos`` (n_bs, 2) and ``bs_small`` (small
+    tier, i.e. low priority). User i is row i of ``user_pos`` (n_users, 2)
+    and ``home`` (the BS it was generated in). A user's priority is its home
     cell's tier: users of small cells are the low-priority users (LPUEs),
-    and macro base stations are the protected receivers.
+    and macro base stations are the protected receivers. ``direction`` is
+    ``UPLINK`` or ``DOWNLINK``. Budgets, targets and BS powers are settings,
+    read off the ``SimConfig`` by the code that needs them.
     """
 
     bs_pos: np.ndarray
     bs_small: np.ndarray
-    bs_tx_power: np.ndarray
     user_pos: np.ndarray
     home: np.ndarray
-    p_max: np.ndarray
-    target_sir: np.ndarray
-    opc_eta: np.ndarray
     direction: str
 
     def __post_init__(self):
+        if self.direction not in (UPLINK, DOWNLINK):
+            raise ValueError(
+                f"direction must be {UPLINK!r} or {DOWNLINK!r}, got "
+                f"{self.direction!r}"
+            )
         n_bs, n_users = len(self.bs_small), len(self.home)
         for group, rows in ((_BS_FIELDS, n_bs), (_USER_FIELDS, n_users)):
             for name, dtype, tail in group:
@@ -189,27 +181,9 @@ def tier_powers(cfg, bs_small):
     return np.where(bs_small, cfg.power_small_w, cfg.power_macro_w)
 
 
-def _snapshot(cfg, bs_pos, bs_small, user_pos, home, direction):
-    """Snapshot with the configured per-tier BS powers and common user
-    budgets and targets."""
-    n_users = len(home)
-    return NetworkSnapshot(
-        bs_pos=bs_pos,
-        bs_small=bs_small,
-        bs_tx_power=tier_powers(cfg, bs_small),
-        user_pos=user_pos,
-        home=home,
-        p_max=np.full(n_users, cfg.pmax_w),
-        target_sir=np.full(n_users, cfg.target_sir_linear),
-        opc_eta=np.full(n_users, cfg.opc_eta),
-        direction=direction,
-    )
-
-
 def generate_fig2_snapshot(cfg, n_small, seed):
     """Uplink grid snapshot: ``grid_rows**2`` macro cells, ``n_small`` small
-    cells uniformly packed in each, fixed per-cell user counts, one common
-    target SIR for all users."""
+    cells uniformly packed in each, fixed per-cell user counts."""
     if not 1 <= n_small <= 64:
         raise ValueError(f"n_small must be in [1, 64], got {n_small}")
     rng = np.random.default_rng(seed)
@@ -235,7 +209,7 @@ def generate_fig2_snapshot(cfg, n_small, seed):
     half = np.where(bs_small, small, side)[home, None] / 2.0
     center = bs_pos[home]
     user_pos = rng.uniform(center - half, center + half)
-    return _snapshot(cfg, bs_pos, bs_small, user_pos, home, UPLINK)
+    return NetworkSnapshot(bs_pos, bs_small, user_pos, home, UPLINK)
 
 
 def disc_draws(cfg, n_small, seed):
@@ -277,9 +251,8 @@ def generate_fig3_snapshot(cfg, n_small, seed):
     bs_pos = np.vstack((np.zeros((1, 2)), points[1 : 1 + n_small]))
     users = points[1 + n_small :] + bs_pos[home[1:]]
     bs_small = np.arange(1 + n_small) > 0
-    return _snapshot(
-        cfg, bs_pos, bs_small, np.vstack((points[:1], users)), home, DOWNLINK
-    )
+    user_pos = np.vstack((points[:1], users))
+    return NetworkSnapshot(bs_pos, bs_small, user_pos, home, DOWNLINK)
 
 
 def _poisson_replay(lam, doubles):

@@ -255,10 +255,12 @@ class CochannelSystem:
         return FeasibilityResult(feasible=rho < 1.0, spectral_radius=rho)
 
 
-def cochannel_system(snapshot, gains, serving, caps=None):
+def cochannel_system(snapshot, gains, serving, cfg, caps=None):
     """The square per-user system of (gains, serving cells), with the
-    snapshot's target SIRs, budgets, opportunistic targets and priorities,
-    and the static caps of ``caps`` (a ``PrioritizedCapSet``) if given.
+    snapshot's priorities, the configured common target SIR, budget and
+    opportunistic target (``cfg.target_sir_linear``, ``cfg.pmax_w`` and
+    ``cfg.opc_eta``), and the static caps of ``caps`` (a
+    ``PrioritizedCapSet``) if given.
 
     Uplink only: ``a[i, j]`` is the gain from user j to user i's serving
     receiver ``serving[i]``, and ``noise[i]`` is that receiver's noise power.
@@ -266,8 +268,9 @@ def cochannel_system(snapshot, gains, serving, caps=None):
     if snapshot.direction != UPLINK:
         raise ValueError("the iterated power-control system is uplink-only")
     return CochannelSystem(
-        gains.gains[serving, :], gains.noise[serving], snapshot.target_sir,
-        snapshot.p_max, eta=snapshot.opc_eta, lpue_mask=snapshot.lpue_mask,
+        gains.gains[serving, :], gains.noise[serving],
+        np.full(snapshot.n_users, cfg.target_sir_linear), cfg.pmax_w,
+        eta=cfg.opc_eta, lpue_mask=snapshot.lpue_mask,
         cap=None if caps is None else caps.cap,
     )
 
@@ -314,6 +317,17 @@ def iterate_power_control(
     Stops when ``||p(t+1) - p(t)||_inf < tol * max(||p(t)||_inf, eps)`` or
     after ``max_iters`` sweeps; non-convergence is flagged on the returned
     state, never raised.
+
+    ``tpc`` and ``ptpc`` are standard interference functions (Yates 1995):
+    positive, monotone and scalable, so the clipped map ``p = min(clip, F p
+    + u)`` (F the system's ``coupling``) has one fixed point, which every
+    run approaches and one linear solve on the unclipped users certifies
+    (``fixed_point_oracle`` is the case where no clip binds). ``tpc_gr``,
+    ``opc`` and ``dtpc`` and their prioritized variants are not monotone:
+    soft removal and ``eta / R`` fall as interference grows. Sung & Leung's
+    two-sided scalability (2005) covers them: a fixed point, when one
+    exists, is unique and the iteration reaches it, but no linear solve
+    certifies it.
 
     Sweeps run in blocks into the rows of one buffer, each a pass over
     preallocated buffers with the maps picked per user by masks and one
@@ -506,8 +520,12 @@ def fixed_point_oracle(system):
     by direct linear solve of (I - F) p = u with u_i = target_i * noise_i /
     a[i, i].
 
-    This is the minimal power vector meeting every target. Raises OracleError
-    for infeasible targets or a singular system. The verdict is the one
+    This is the minimal power vector meeting every target, and the fixed
+    point of ``tpc`` (and ``ptpc``) when no budget or cap binds: those maps
+    are standard interference functions (Yates 1995). ``tpc_gr``, ``opc``
+    and ``dtpc`` are not, and this oracle says nothing of their fixed
+    points (see ``iterate_power_control``). Raises OracleError for
+    infeasible targets or a singular system. The verdict is the one
     ``feasibility_check`` keeps on the system, so no eigenvalues are
     recomputed.
     """

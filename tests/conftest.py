@@ -25,18 +25,13 @@ def two_user_toy():
 
 
 def make_snapshot(bs, users, direction="downlink"):
-    """Hand-built snapshot. ``bs``: (x, small, tx_power) per base station,
-    all on the x axis; ``users``: (position, home) per user, each with a
-    1 W budget, unit target SIR and opc_eta 1e-6."""
-    n = len(users)
+    """Hand-built snapshot. ``bs``: (x, small) per base station, all on the
+    x axis; ``users``: (position, home) per user. The BS powers, budgets
+    and targets are the ``SimConfig`` the snapshot is used with."""
     return NetworkSnapshot(
-        bs_pos=[(x, 0.0) for x, _, _ in bs],
-        bs_small=[small for _, small, _ in bs],
-        bs_tx_power=[p for _, _, p in bs],
-        user_pos=np.reshape([pos for pos, _ in users], (n, 2)),
+        bs_pos=[(x, 0.0) for x, _ in bs],
+        bs_small=[small for _, small in bs],
+        user_pos=np.reshape([pos for pos, _ in users], (len(users), 2)),
         home=[home for _, home in users],
-        p_max=np.ones(n),
-        target_sir=np.ones(n),
-        opc_eta=np.full(n, 1e-6),
         direction=direction,
     )

@@ -13,47 +13,46 @@ from hetsim.network import (
     build_gain_matrix,
     generate_fig2_snapshot,
     generate_fig3_snapshot,
+    tier_powers,
 )
+
+# the toys' BS powers: 10 W macro cells, 1 W small cells
+TOY = SimConfig(power_macro_w=10.0, power_small_w=1.0)
 
 
 def _downlink_snapshot(bs_specs, user_positions):
-    """bs_specs: list of (x, tier, tx_power); users get home 0."""
-    bs = [(x, tier == "small", p) for x, tier, p in bs_specs]
+    """bs_specs: list of (x, tier); users get home 0."""
+    bs = [(x, tier == "small") for x, tier in bs_specs]
     return make_snapshot(bs, [(pos, 0) for pos in user_positions])
 
 
 def test_rsrp_score_prefers_stronger_received_power():
     # macro 10 W at gain 1e-9 -> 1e-8; small 1 W at gain 1e-7 -> 1e-7
-    snap = _downlink_snapshot(
-        [(0.0, "macro", 10.0), (100.0, "small", 1.0)], [(0.0, 0.0)]
-    )
+    snap = _downlink_snapshot([(0.0, "macro"), (100.0, "small")], [(0.0, 0.0)])
     gm = GainMatrix(gains=np.array([[1e-9, 1e-7]]), noise=np.array([1e-13]))
-    scores = score_matrix(snap, gm, "rsrp")
+    scores = score_matrix(snap, gm, "rsrp", TOY)
     assert scores[0] == pytest.approx([1e-8, 1e-7])
-    assert associate(snap, gm, "rsrp").tolist() == [1]
+    assert associate(snap, gm, "rsrp", TOY).tolist() == [1]
 
 
 def test_cre_bias_flips_the_winner():
     # macro rsrp 1e-8 vs small 2e-9; 10 dB small-tier bias -> 2e-8 wins
-    snap = _downlink_snapshot(
-        [(0.0, "macro", 10.0), (100.0, "small", 1.0)], [(0.0, 0.0)]
-    )
+    snap = _downlink_snapshot([(0.0, "macro"), (100.0, "small")], [(0.0, 0.0)])
     gm = GainMatrix(gains=np.array([[1e-9, 2e-9]]), noise=np.array([1e-13]))
-    assert associate(snap, gm, "rsrp").tolist() == [0]
-    biased = score_matrix(snap, gm, "cre", bias_db=10.0)
-    assert biased[0, 1] == pytest.approx(2e-8)
-    assert associate(snap, gm, "cre", bias_db=10.0).tolist() == [1]
+    assert associate(snap, gm, "rsrp", TOY).tolist() == [0]
+    biased = dataclasses.replace(TOY, bias_db=10.0)
+    assert score_matrix(snap, gm, "cre", biased)[0, 1] == pytest.approx(2e-8)
+    assert associate(snap, gm, "cre", biased).tolist() == [1]
 
 
 def test_hybrid_zero_access_probability_never_selected():
-    snap = _downlink_snapshot(
-        [(0.0, "macro", 10.0), (1.0, "small", 1.0)], [(1.0, 0.0)]
-    )
+    snap = _downlink_snapshot([(0.0, "macro"), (1.0, "small")], [(1.0, 0.0)])
     # candidate 1 has far better channel but zero access probability
     gm = GainMatrix(gains=np.array([[1e-9, 1e-2]]), noise=np.array([1e-13]))
     access = np.array([0.5, 0.0])
+    power = tier_powers(TOY, snap.bs_small)
     scores = link_scores(
-        "hybrid", gm.gains, power=snap.bs_tx_power, noise=gm.noise, access=access
+        "hybrid", gm.gains, power=power, noise=gm.noise, access=access
     )
     assert scores[0, 1] == 0.0
     assert np.argmax(scores, axis=1).tolist() == [0]
@@ -64,35 +63,33 @@ def test_resource_scheme_picks_lighter_cell():
     users = [((5.0, 0.0), 0)]
     for b, count in ((0, 4), (1, 9)):
         users += [((float(b), 1.0), b)] * count
-    snap = make_snapshot([(0.0, True, 1.0), (10.0, True, 1.0)], users)
-    gm = build_gain_matrix(snap, SimConfig())
-    scores = score_matrix(snap, gm, "resource")
+    snap = make_snapshot([(0.0, True), (10.0, True)], users)
+    gm = build_gain_matrix(snap, TOY)
+    scores = score_matrix(snap, gm, "resource", TOY)
     assert scores[0] == pytest.approx([1 / 5, 1 / 10])
-    assert associate(snap, gm, "resource")[0] == 0
+    assert associate(snap, gm, "resource", TOY)[0] == 0
 
 
 def test_resource_counts_self_out_of_home_cell():
     # a user already in a 4-user cell keeps its admitted share 1/4
-    snap = make_snapshot(
-        [(0.0, True, 1.0)], [((0.0, float(i)), 0) for i in range(4)]
-    )
-    gm = build_gain_matrix(snap, SimConfig())
-    scores = score_matrix(snap, gm, "resource")
+    snap = make_snapshot([(0.0, True)], [((0.0, float(i)), 0) for i in range(4)])
+    gm = build_gain_matrix(snap, TOY)
+    scores = score_matrix(snap, gm, "resource", TOY)
     assert scores == pytest.approx(np.full((4, 1), 0.25))
 
 
 def test_unknown_scheme_rejected():
-    snap = _downlink_snapshot([(0.0, "macro", 10.0)], [(1.0, 0.0)])
+    snap = _downlink_snapshot([(0.0, "macro")], [(1.0, 0.0)])
     gm = GainMatrix(gains=np.array([[1e-9]]), noise=np.array([1e-13]))
     with pytest.raises(ValueError):
-        score_matrix(snap, gm, "strongest")
+        score_matrix(snap, gm, "strongest", TOY)
 
 
 def test_rsrp_association_on_grid_snapshot(cfg):
     snap = generate_fig2_snapshot(cfg, 2, 4)
     gm = build_gain_matrix(snap, cfg)
-    serving = associate(snap, gm, "rsrp")
-    rp = score_matrix(snap, gm, "rsrp")
+    serving = associate(snap, gm, "rsrp", cfg)
+    rp = score_matrix(snap, gm, "rsrp", cfg)
     assert serving.shape == (snap.n_users,)
     for i, b in enumerate(serving):
         assert rp[i, b] == rp[i].max()
@@ -107,20 +104,18 @@ def test_argmax_invariance_under_increasing_transforms(seed):
     def serving(scores):
         return np.argmax(scores, axis=1).tolist()
 
-    scores = score_matrix(snap, gm, "rsrq")
+    scores = score_matrix(snap, gm, "rsrq", cfg)
     base = serving(scores)
     assert serving(3.0 * scores + 7.0) == base
     assert serving(np.log(scores)) == base
-    positive = score_matrix(snap, gm, "rsrp")
+    positive = score_matrix(snap, gm, "rsrp", cfg)
     assert serving(positive) == serving(np.sqrt(positive))
 
 
 def test_tie_break_lowest_bs_id():
-    snap = _downlink_snapshot(
-        [(-10.0, "small", 1.0), (10.0, "small", 1.0)], [(0.0, 0.0)]
-    )
-    gm = build_gain_matrix(snap, SimConfig())
-    assert associate(snap, gm, "rsrp").tolist() == [0]
+    snap = _downlink_snapshot([(-10.0, "small"), (10.0, "small")], [(0.0, 0.0)])
+    gm = build_gain_matrix(snap, TOY)
+    assert associate(snap, gm, "rsrp", TOY).tolist() == [0]
 
 
 def test_mei_equals_rsrq_selection_on_uplink(cfg):
@@ -128,7 +123,7 @@ def test_mei_equals_rsrq_selection_on_uplink(cfg):
     snap = generate_fig2_snapshot(cfg, 3, 6)
     gm = build_gain_matrix(snap, cfg)
     assert np.array_equal(
-        associate(snap, gm, "mei"), associate(snap, gm, "rsrq")
+        associate(snap, gm, "mei", cfg), associate(snap, gm, "rsrq", cfg)
     )
 
 
@@ -139,7 +134,7 @@ def test_cre_small_cell_share_monotone_in_bias(bias_lo, bias_delta):
     snap = generate_fig3_snapshot(cfg, 10, 3)
     gm = build_gain_matrix(snap, cfg)
     def offloaded(bias):
-        serving = associate(snap, gm, "cre", bias_db=bias)
+        serving = associate(snap, gm, "cre", dataclasses.replace(cfg, bias_db=bias))
         return set(np.flatnonzero(snap.bs_small[serving]))
 
     lo = offloaded(bias_lo)
@@ -152,7 +147,7 @@ def test_resource_load_response(cfg):
     # cannot attract a user that did not already prefer it
     snap = generate_fig3_snapshot(cfg, 6, 9)
     gm = build_gain_matrix(snap, cfg)
-    before = score_matrix(snap, gm, "resource")
+    before = score_matrix(snap, gm, "resource", cfg)
     pick_before = np.argmax(before, axis=1)
 
     target_bs = 1
@@ -160,11 +155,10 @@ def test_resource_load_response(cfg):
         snap,
         user_pos=np.vstack((snap.user_pos, snap.bs_pos[target_bs])),
         home=np.append(snap.home, target_bs),
-        p_max=np.append(snap.p_max, 1.0),
-        target_sir=np.append(snap.target_sir, 1.0),
-        opc_eta=np.append(snap.opc_eta, 1e-6),
     )
-    after = score_matrix(heavier, build_gain_matrix(heavier, cfg), "resource")
+    after = score_matrix(
+        heavier, build_gain_matrix(heavier, cfg), "resource", cfg
+    )
     n = snap.n_users
     assert np.all(after[:n, target_bs] < before[:, target_bs])
     pick_after = np.argmax(after[:n], axis=1)
@@ -180,8 +174,8 @@ def test_uplink_and_downlink_maps_can_differ(cfg):
     g_down = build_gain_matrix(down, cfg)
     # uplink mei reacts to equal user budgets, downlink rsrp to the 10 W
     # macro advantage: the tagged maps disagree for some users
-    m_up = associate(up, g_up, "mei")
-    m_down = associate(down, g_down, "rsrp")
+    m_up = associate(up, g_up, "mei", cfg)
+    m_down = associate(down, g_down, "rsrp", cfg)
     assert not np.array_equal(m_up, m_down)
 
 
@@ -189,7 +183,7 @@ def test_score_matrix_shapes(cfg):
     snap = generate_fig3_snapshot(cfg, 5, 2)
     gm = build_gain_matrix(snap, cfg)
     for scheme in SCHEMES:
-        m = score_matrix(snap, gm, scheme)
+        m = score_matrix(snap, gm, scheme, cfg)
         assert m.shape == (snap.n_users, snap.n_bs)
         assert np.all(np.isfinite(m))
 
@@ -202,6 +196,6 @@ def test_home_score_marks_the_home_cell(cfg):
         generate_fig3_snapshot(SimConfig(), 5, 2),
     ):
         gm = build_gain_matrix(snap, cfg)
-        scores = score_matrix(snap, gm, "home")
+        scores = score_matrix(snap, gm, "home", cfg)
         assert np.array_equal(scores.sum(axis=1), np.ones(snap.n_users))
-        assert np.array_equal(associate(snap, gm, "home"), snap.home)
+        assert np.array_equal(associate(snap, gm, "home", cfg), snap.home)

@@ -24,6 +24,7 @@ from hetsim.network import (
     build_gain_matrix,
     generate_fig2_snapshot,
     generate_fig3_snapshot,
+    tier_powers,
 )
 from hetsim.power_control import (
     CochannelSystem,
@@ -63,9 +64,6 @@ def test_outage_ratio_empty_tier_absent(cfg):
         snap,
         user_pos=snap.user_pos[hp],
         home=snap.home[hp],
-        p_max=snap.p_max[hp],
-        target_sir=snap.target_sir[hp],
-        opc_eta=snap.opc_eta[hp],
     )
     assert outage_ratio(_state(np.ones(45, bool)), only_hp.lpue_mask) is None
 
@@ -91,12 +89,12 @@ def _disc_reference(cfg, n_small, seed, schemes):
     incumbents = cell_loads(snapshot)
     incumbents[0] -= 1
     p_access = access_probability(incumbents)
-    bs_powers = snapshot.bs_tx_power
+    bs_powers = tier_powers(cfg, snapshot.bs_small)
     g0 = gains.gains[0]
     total = float(g0 @ bs_powers)
     rows = []
     for scheme in schemes:
-        scores = score_matrix(snapshot, gains, scheme, bias_db=cfg.bias_db)
+        scores = score_matrix(snapshot, gains, scheme, cfg)
         chosen = int(np.argmax(scores[0]))
         signal = float(g0[chosen] * bs_powers[chosen])
         sir = signal / (total - signal + gains.noise[0])
@@ -416,7 +414,9 @@ def test_mei_with_opc_is_permitted_but_does_not_help_throughput(cfg):
         gains = build_gain_matrix(snap, cfg)
         st_mei, st_rsrp = (
             iterate_power_control(
-                cochannel_system(snap, gains, associate(snap, gains, scheme)),
+                cochannel_system(
+                    snap, gains, associate(snap, gains, scheme, cfg), cfg
+                ),
                 algorithm="opc",
             )
             for scheme in ("mei", "rsrp")

@@ -23,6 +23,7 @@ from hetsim.network import (
     generate_fig2_snapshot,
     generate_fig3_snapshot,
     path_gain,
+    tier_powers,
 )
 from hetsim.scheduling import cell_loads
 
@@ -94,9 +95,7 @@ def test_fig2_geometry_invariants():
     snap = generate_fig2_snapshot(cfg, 4, 11)
     # the 9 macro cells come first, then 4 small cells per macro
     assert snap.bs_small.tolist() == [False] * 9 + [True] * 36
-    assert np.array_equal(
-        snap.bs_tx_power, np.where(snap.bs_small, cfg.power_small_w, cfg.power_macro_w)
-    )
+    assert tier_powers(cfg, snap.bs_small).tolist() == [10.0] * 9 + [1.0] * 36
     # every user inside its home cell's square
     side = np.where(snap.bs_small, cfg.small_side_m, cfg.macro_side_m)
     offset = np.abs(snap.user_pos - snap.bs_pos[snap.home]).max(axis=1)
@@ -111,15 +110,23 @@ def test_fig2_geometry_invariants():
 
 def test_snapshot_arrays_are_read_only_and_shape_checked(cfg):
     snap = generate_fig2_snapshot(cfg, 2, 3)
-    for name in ("bs_pos", "bs_small", "home", "p_max", "user_pos"):
+    assert [f.name for f in dataclasses.fields(snap)] == [
+        "bs_pos", "bs_small", "user_pos", "home", "direction"
+    ]
+    for name in ("bs_pos", "bs_small", "home", "user_pos"):
         with pytest.raises(ValueError):
             getattr(snap, name)[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         snap.home = np.zeros(snap.n_users, dtype=int)
-    with pytest.raises(ValueError, match="bs_tx_power"):
-        dataclasses.replace(snap, bs_tx_power=snap.bs_tx_power[:-1])
+    with pytest.raises(ValueError, match="bs_pos"):
+        dataclasses.replace(snap, bs_pos=snap.bs_pos[:-1])
     with pytest.raises(ValueError, match="user_pos"):
         dataclasses.replace(snap, user_pos=snap.user_pos[:, 0])
+    # a direction other than the two link directions is refused, not read
+    # as downlink
+    for direction in ("Uplink", "up", ""):
+        with pytest.raises(ValueError, match="direction"):
+            dataclasses.replace(snap, direction=direction)
     # the snapshot holds copies: writing to the caller's arrays afterwards
     # does not reach it
     user_pos, home = np.array(snap.user_pos), np.array(snap.home)

@@ -76,7 +76,7 @@ def test_round_robin_shares_sum_to_one_per_cell():
     # home, where it joins the other members; shares add up to 1
     cfg = SimConfig()
     snap = generate_fig3_snapshot(cfg, 10, 5)
-    scores = score_matrix(snap, build_gain_matrix(snap, cfg), "resource")
+    scores = score_matrix(snap, build_gain_matrix(snap, cfg), "resource", cfg)
     counts = cell_loads(snap)
     for b, total in enumerate(counts):
         if total == 0:

@@ -1,6 +1,7 @@
 """Smoke tests for the code outside the package that calls it by name:
 ``scripts/calibrate_target_sir.py`` and the perfbench tracer and runner. A
-renamed function breaks them without these checks."""
+renamed function breaks them without these checks. Also the line counter
+``scripts/code_lines.py``, on a sample."""
 
 import argparse
 import importlib
@@ -28,6 +29,40 @@ def test_calibration_script_imports():
     assert callable(module.main)
     outage = module.lpue_outage_n3(DEFAULT_TARGET_SIR_DB, 2)
     assert 0.0 <= outage <= 1.0
+
+
+_SAMPLE = '''"""Module docstring,
+on two lines."""
+
+import os  # a trailing comment leaves a code line
+
+# a comment-only line
+
+
+def f(x):
+    """One-line docstring."""
+    y = (x +
+         1)
+    return y
+
+
+class C:
+    """Class docstring."""
+
+    s = """a string that is
+    not a docstring"""
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks(tmp_path, capsys):
+    # import, def, the two lines of y, return, class and the two of s
+    module = _load("code_lines", SCRIPTS / "code_lines.py")
+    assert module.code_lines(_SAMPLE) == 8
+    (tmp_path / "sample.py").write_text(_SAMPLE, encoding="utf-8")
+    (tmp_path / "empty.py").write_text("# only a comment\n", encoding="utf-8")
+    assert module.main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["0", "empty.py"], ["8", "sample.py"], ["8", "total"]]
 
 
 def test_tracer_wrapped_names_resolve():
