@@ -17,7 +17,9 @@ loads.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -218,7 +220,9 @@ def disc_draws(cfg, n_small, seed):
     macro user and the small-cell sites, then cell by cell its mean load,
     uniform in [lambda_lo, lambda_hi], its Poisson user count and a
     (count, 2) unit block for its users. Returns (site block, counts, user
-    blocks); ``random()`` is uniform(0, 1)'s stream. ``disc_chunk`` replays
+    blocks); ``random()`` is uniform(0, 1)'s stream, and the seed's
+    generator is ``default_rng(seed)``. ``disc_chunk`` makes the same
+    generators a group of seeds at a time (``seeded_generators``), replays
     the same stream from raw doubles and calls this only for the seeds it
     cannot replay."""
     if n_small < 0:
@@ -274,10 +278,91 @@ def _poisson_replay(lam, doubles):
     return counts, used, replayed
 
 
+def _hash_constants(init, mult, count):
+    """The first ``count`` values of a SeedSequence hash constant, which
+    starts at ``init`` and is multiplied by ``mult`` at each use, as uint32
+    (so products with them wrap alike under every NumPy casting rule)."""
+    consts = [init]
+    while len(consts) < count:
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)
+
+
+# NumPy's SeedSequence hash, from numpy/random/bit_generator.pyx: the hash
+# constant of the entropy mix (17 uses for a pool of four words), that of
+# generate_state (9 uses for eight words), the mix multipliers and shift
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _hashmix(value, xor, mult):
+    """SeedSequence's ``hashmix`` of uint32 ``value`` at the hash constant
+    ``xor``, whose next value is ``mult``."""
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _seed_states(seeds):
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed, as
+    rows of one (B, 4) uint64 array. The hash runs on all seeds at once: a
+    seed's entropy is its four little-endian 32-bit words, zero-padded, and
+    the hash constants do not depend on it. Seeds outside [0, 2**128) raise
+    ``ValueError``."""
+    try:
+        raw = b"".join(operator.index(s).to_bytes(16, "little") for s in seeds)
+    except OverflowError:
+        raise ValueError("seeds must be in [0, 2**128)") from None
+    words = np.frombuffer(raw, dtype="<u4").reshape(-1, 4)
+    pool = _hashmix(words, _HASH_A[:4], _HASH_A[1:5])
+    for src in range(4):
+        # mix the source word into the other three, in order; the source
+        # word itself does not change in its round
+        dst = [d for d in range(4) if d != src]
+        k = 4 + 3 * src
+        h = _hashmix(pool[:, src, None], _HASH_A[k : k + 3], _HASH_A[k + 1 : k + 4])
+        mixed = _MIX_L * pool[:, dst] - _MIX_R * h
+        pool[:, dst] = mixed ^ (mixed >> _XSHIFT)
+    # generate_state cycles the pool for its eight 32-bit words
+    state = _hashmix(np.tile(pool, 2), _HASH_B[:8], _HASH_B[1:])
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _state_words_type():
+    """An ``ISeedSequence`` that hands ``PCG64`` precomputed state words.
+    Built on first use: the import would load ``numpy.random``, which
+    NumPy 2 imports lazily, into every ``import hetsim``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
+
+
+def seeded_generators(seeds):
+    """``[np.random.default_rng(seed) for seed in seeds]``, bit for bit,
+    with the seeds' ``SeedSequence`` hash run as one array pass
+    (``_seed_states``). ``default_rng(seed)`` stays the definition of a
+    seed; each ``PCG64`` seeds itself from its seed's state words."""
+    words = _state_words_type()
+    return [
+        np.random.Generator(np.random.PCG64(words(row))) for row in _seed_states(seeds)
+    ]
+
+
 def _disc_group(cfg, n_small, seeds, sites, counts):
     """Fill ``sites`` (B, 2 + 2 n_small) and ``counts`` (B, n_small) with the
     site blocks and cell user counts that ``disc_draws`` makes for
-    ``seeds``, bit for bit, one cell at a time for all the seeds.
+    ``seeds``, bit for bit, one cell at a time for all the seeds, from
+    their generators made by one ``seeded_generators`` call.
 
     Each seed's doubles are read into a window of its stream: the site
     block and ``_DISC_WINDOW`` doubles first, then more as the cells need.
@@ -287,7 +372,7 @@ def _disc_group(cfg, n_small, seeds, sites, counts):
     run past the window. The seeds whose loads cannot be replayed are
     drawn again by ``disc_draws``."""
     lo, span = cfg.lambda_lo, cfg.lambda_hi - cfg.lambda_lo
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = seeded_generators(seeds)
     head = sites.shape[1]
     window = np.empty((len(seeds), head + _DISC_WINDOW))
     for rng, row in zip(rngs, window):

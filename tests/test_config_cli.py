@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -525,3 +527,24 @@ def test_oracle_check_rejects_corrupt_gains():
     bad = np.array([[1.0, -0.2], [0.1, 1.0]])
     with pytest.raises(ValueError, match="finite and non-negative"):
         CochannelSystem(bad, np.array([0.1, 0.1]), np.array([1.0, 1.0]), 1.0)
+
+
+def test_cli_import_leaves_numpy_random_unimported():
+    # NumPy 2 imports numpy.random on first use; the disc's seeding type is
+    # built then, so importing the CLI adds no import time to a run's set-up
+    probe = "import {}, sys; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def imports_numpy_random(module):
+        out = subprocess.run(
+            [sys.executable, "-c", probe.format(module)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return out.stdout.strip()
+
+    if imports_numpy_random("numpy") == "True":
+        pytest.skip("this NumPy imports numpy.random with numpy itself")
+    assert imports_numpy_random("hetsim.cli") == "False"
