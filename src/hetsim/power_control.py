@@ -73,7 +73,8 @@ class PowerState:
     ``fork`` is set when the run was asked to watch for its soft-removal
     twin (see ``iterate_power_control``): ``(twin, k, p)`` with k the first
     sweep where a demand exceeds the twin's removal bound and p the iterate
-    before it, or ``(twin, None, None)`` when no sweep did.
+    before it, or ``(twin, None, None)`` when no sweep did. The result of a
+    stack (``iterate_lockstep``) holds one entry per row in every field.
     """
 
     p: np.ndarray
@@ -130,40 +131,45 @@ def prioritized_caps(snapshot, gains, ith):
 
 
 def _aligned(a):
-    """A copy of the square matrix ``a`` whose rows start on 64-byte
-    boundaries: the ``[:, :n]`` view of a 64-byte-aligned buffer with rows
-    padded to a multiple of 8 entries. A matrix-vector product through it
-    gives the same bits as through ``a``, in fewer cycles."""
-    n = a.shape[0]
+    """A copy of the square matrix ``a`` (or of each matrix of a stack along
+    leading axes) whose rows start on 64-byte boundaries: the ``[..., :n]``
+    view of a 64-byte-aligned buffer with rows padded to a multiple of 8
+    entries. A matrix-vector product through it gives the same bits as
+    through ``a``, in fewer cycles."""
+    n = a.shape[-1]
     ld = -(-n // 8) * 8
-    buf = np.empty(n * ld + 8)
+    rows = math.prod(a.shape[:-1])
+    buf = np.empty(rows * ld + 8)
     start = -buf.ctypes.data % 64 // 8
-    out = buf[start : start + n * ld].reshape(n, ld)[:, :n]
+    out = buf[start : start + rows * ld].reshape(*a.shape[:-1], ld)[..., :n]
     out[...] = a
     return out
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """The feasibility verdict of a system; for a stack, one entry per row
+    in a bool and a float array."""
+
     feasible: bool
     spectral_radius: float
 
 
-def _per_user(value, n, what):
-    """A float copy of ``value`` (a scalar or one value per user) with one
-    entry per user."""
+def _per_user(value, shape, what):
+    """A float copy of ``value`` (a scalar, one value per user, or one per
+    user and row of a stack) with the system's ``shape``."""
     arr = np.asarray(value, dtype=float)
-    if arr.shape not in ((), (n,)):
+    if arr.shape not in ((), shape[-1:], shape):
         raise ValueError(f"{what} must be a scalar or hold one value per user")
-    return np.full(n, arr)
+    return np.full(shape, arr)
 
 
 @dataclass(frozen=True, eq=False)
 class CochannelSystem:
-    """One power-control problem: a square co-channel system (a, noise,
-    targets) with its users' budgets, opportunistic targets, priorities and
-    caps, validated once when built and shared by the kernel and both
-    oracles.
+    """One power-control problem, or a stack of same-size ones: a square
+    co-channel system (a, noise, targets) with its users' budgets,
+    opportunistic targets, priorities and caps, validated once when built
+    and shared by the kernel and both oracles.
 
     ``a[i, j]`` is the gain from user j's transmitter to user i's serving
     receiver, ``noise[i]`` that receiver's noise power and ``targets[i]``
@@ -178,6 +184,15 @@ class CochannelSystem:
     caller's arrays do not reach it; ``a`` itself is not kept. The
     normalized coupling ``coupling`` and the feasibility verdict
     ``feasibility`` are computed on first use and kept.
+
+    A stack of B systems of n users each has a leading batch axis on every
+    per-user array: ``a`` is (B, n, n), ``noise`` and ``targets`` (B, n),
+    and the optional arrays (B, n) too (``p_max`` and ``eta`` may also be
+    a scalar or one value per user for every row). The stack is validated
+    at once, its verdict holds one entry per row (one ``eigvals`` call for
+    the stack), ``iterate_lockstep`` runs the kernel on all rows, and
+    ``system[rows]`` is the stack of the rows an index array selects,
+    sharing this one's validation and whatever it has computed.
     """
 
     a: InitVar[np.ndarray]
@@ -194,20 +209,20 @@ class CochannelSystem:
         a = np.asarray(a, dtype=float)
         noise = np.array(self.noise, dtype=float)
         targets = np.array(self.targets, dtype=float)
-        n = targets.shape[0]
-        if a.shape != (n, n):
+        shape = targets.shape
+        if targets.ndim not in (1, 2) or a.shape != shape + shape[-1:]:
             raise ValueError("gain matrix must be square and match targets")
         # min/max reductions: a NaN fails the first test, an inf the second
         if a.size and not (a.min() >= 0 and np.isfinite(a.max())):
             raise ValueError("gain matrix entries must be finite and non-negative")
-        diag = np.diag(a).copy()
+        diag = np.diagonal(a, axis1=-2, axis2=-1).copy()
         if not (diag > 0).all():
             raise ValueError("serving-link gains (diagonal) must be positive")
-        if noise.shape != (n,) or not ((noise > 0).all() and np.isfinite(noise).all()):
+        if noise.shape != shape or not ((noise > 0).all() and np.isfinite(noise).all()):
             raise ValueError("noise must be positive and finite, one per user")
         if not ((targets > 0).all() and np.isfinite(targets).all()):
             raise ValueError("target SIRs must be positive and finite")
-        p_max = _per_user(self.p_max, n, "power budgets")
+        p_max = _per_user(self.p_max, shape, "power budgets")
         top = float(p_max.max(initial=0.0))
         if not (p_max.min(initial=np.inf) > 0 and top * top < np.inf):
             raise ValueError(
@@ -216,30 +231,52 @@ class CochannelSystem:
             )
         kept = {"noise": noise, "targets": targets, "p_max": p_max}
         if self.eta is not None:
-            kept["eta"] = eta = _per_user(self.eta, n, "eta")
+            kept["eta"] = eta = _per_user(self.eta, shape, "eta")
             if not (eta > 0).all():
                 raise ValueError("eta must be positive")
         if self.lpue_mask is not None:
             kept["lpue_mask"] = mask = np.array(self.lpue_mask, dtype=bool)
-            if mask.shape != (n,):
+            if mask.shape != shape:
                 raise ValueError("lpue_mask must have one flag per user")
         if self.cap is not None:
             kept["cap"] = cap = np.array(self.cap, dtype=float)
-            if cap.shape != (n,) or not (cap >= 0).all():
+            if cap.shape != shape or not (cap >= 0).all():
                 raise ValueError("caps must hold one non-negative cap per user")
         kept["diag"] = diag
         kept["off"] = off = _aligned(a)
-        np.fill_diagonal(off, 0.0)
+        users = np.arange(shape[-1])
+        off[..., users, users] = 0.0
         for name, arr in kept.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    def __getitem__(self, rows):
+        """The stack of the rows of this stack that the index array ``rows``
+        selects, with their kept coupling and verdict; nothing is
+        validated or computed again."""
+        sub = object.__new__(CochannelSystem)
+        kept = ("noise", "targets", "p_max", "eta", "lpue_mask", "cap", "diag", "off")
+        for name in kept:
+            arr = getattr(self, name)
+            if arr is not None:
+                arr = arr[rows]
+                arr.flags.writeable = False
+            object.__setattr__(sub, name, arr)
+        if "coupling" in self.__dict__:
+            sub.__dict__["coupling"] = self.coupling[rows]
+        if "feasibility" in self.__dict__:
+            check = self.feasibility
+            sub.__dict__["feasibility"] = FeasibilityResult(
+                check.feasible[rows], check.spectral_radius[rows]
+            )
+        return sub
 
     @cached_property
     def coupling(self):
         """Normalized interference coupling F with F[i, j] = target_i *
         a[i, j] / a[i, i] off the diagonal and 0 on it; the targets are
         jointly achievable iff the Perron root of F is below one."""
-        f = self.targets[:, None] * self.off / self.diag[:, None]
+        f = self.targets[..., None] * self.off / self.diag[..., None]
         f.flags.writeable = False
         return f
 
@@ -251,7 +288,9 @@ class CochannelSystem:
             eigenvalues = np.linalg.eigvals(self.coupling)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"Perron root not settled: {exc}") from exc
-        rho = float(np.abs(eigenvalues).max())
+        rho = np.abs(eigenvalues).max(axis=-1)
+        if rho.ndim == 0:
+            rho = float(rho)
         return FeasibilityResult(feasible=rho < 1.0, spectral_radius=rho)
 
 
@@ -275,13 +314,20 @@ def cochannel_system(snapshot, gains, serving, cfg, caps=None):
     )
 
 
-def _next_block(steps, threshold):
-    """Sweeps in the block after one whose sweeps moved the iterate by
-    ``steps`` (a list of floats) and all failed the test, the last against
-    ``threshold``: as many as the step needs to fall below it if it keeps
-    shrinking at its mean rate over the block, within [_MIN_BLOCK,
-    _BLOCK]. A step that did not shrink gets a full block. Python floats
-    keep it cheap beside the sweeps of a small system."""
+def _next_block(steps, scale, tol):
+    """Sweeps in the block after one whose sweeps moved the rows of a stack
+    by ``steps`` and all failed the test against ``tol`` times ``scale``
+    (both (sweeps, rows) arrays). The block is sized for the row whose last
+    step lies farthest above its threshold (the only row of a single
+    system): as many sweeps as its step needs to fall below the threshold
+    if it keeps shrinking at its mean rate over the block, within
+    [_MIN_BLOCK, _BLOCK]. A step that did not shrink gets a full block.
+    Python floats keep it cheap beside the sweeps of a small system."""
+    row = 0
+    if steps.shape[1] > 1:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            row = int(np.argmax(steps[-1] / scale[-1]))
+    steps, threshold = steps[:, row].tolist(), tol * scale.item(-1, row)
     first, last = steps[0], steps[-1]
     if len(steps) > 1 and threshold > 0 and 0 < last < first:
         decay = math.log(first / last)
@@ -291,20 +337,12 @@ def _next_block(steps, threshold):
     return _BLOCK
 
 
-def iterate_power_control(
-    system,
-    *,
-    algorithm="tpc",
-    hpue_algorithm=None,
-    max_iters=DEFAULT_MAX_ITERS,
-    tol=DEFAULT_TOL,
-    tol_support=DEFAULT_TOL_SUPPORT,
-    p0=None,
-    twin=None,
-    resume=None,
-):
-    """Synchronous fixed-point iteration of the chosen update map on a
+def iterate_power_control(system, *, p0=None, resume=None, **options):
+    """Synchronous fixed-point iteration of the chosen update map on one
     ``CochannelSystem``, starting from ``p0`` (default: the zero vector).
+    The other keywords are those of ``iterate_lockstep``: ``algorithm``
+    (default ``"tpc"``), ``hpue_algorithm``, ``max_iters``, ``tol``,
+    ``tol_support`` and ``twin``.
 
     The budgets, ``eta``, the low-priority mask and the caps are read off
     the system: ``opc``/``dtpc`` need its ``eta``, and the prioritized
@@ -328,6 +366,9 @@ def iterate_power_control(
     two-sided scalability (2005) covers them: a fixed point, when one
     exists, is unique and the iteration reaches it, but no linear solve
     certifies it.
+
+    The run is the lockstep kernel ``iterate_lockstep`` on a stack of one
+    row, on the system's own arrays.
 
     Sweeps run in blocks into the rows of one buffer, each a pass over
     preallocated buffers with the maps picked per user by masks and one
@@ -357,7 +398,72 @@ def iterate_power_control(
     passed the bound. Either way its powers, iteration count and
     convergence flag are those of a run from the start, bit for bit.
     """
-    n = system.targets.shape[0]
+    if system.targets.ndim != 1:
+        raise ValueError(
+            "iterate_power_control runs one system; iterate_lockstep runs a stack"
+        )
+    if p0 is not None:
+        p0 = np.asarray(p0, dtype=float)[None]
+    if resume is not None and resume.fork is not None:
+        twin, sweep, start = resume.fork
+        rows = (resume.p, resume.sir, resume.supported, resume.iterations,
+                resume.converged)
+        resume = PowerState(*(np.asarray(v)[None] for v in rows),
+                            fork=(twin, [sweep], [start]))
+    state = iterate_lockstep(system, p0=p0, resume=resume, **options)
+    fork = state.fork and (state.fork[0], state.fork[1][0], state.fork[2][0])
+    return PowerState(
+        p=state.p[0],
+        sir=state.sir[0],
+        supported=state.supported[0],
+        iterations=int(state.iterations[0]),
+        converged=bool(state.converged[0]),
+        fork=fork,
+    )
+
+
+def iterate_lockstep(
+    system,
+    *,
+    algorithm="tpc",
+    hpue_algorithm=None,
+    max_iters=DEFAULT_MAX_ITERS,
+    tol=DEFAULT_TOL,
+    tol_support=DEFAULT_TOL_SUPPORT,
+    p0=None,
+    twin=None,
+    resume=None,
+):
+    """The power-control kernel: ``iterate_power_control`` on every row of a
+    stacked ``CochannelSystem`` at once, each row bit for bit as if it ran
+    alone. A single system runs as a stack of one row on its own arrays,
+    uncopied.
+
+    ``p0`` holds one start per row, (B, n). The result is a ``PowerState``
+    with one entry per row in each field: ``p``, ``sir`` and ``supported``
+    are (B, n), ``iterations`` and ``converged`` (B,), and ``fork`` is
+    ``(twin, sweeps, iterates)`` with one sweep (or None) and one iterate
+    (or None) per row in two lists. ``resume`` takes such a state.
+
+    A sweep is one stacked product ``off (B, n, n) @ p (B, n, 1)``, which
+    NumPy runs as one gemv per row and so with the bits of the row's 2-D
+    product, plus the elementwise maps on (B, n, 1) column buffers; a
+    single system keeps its (n,) arrays and the 2-D product, whose calls
+    cost less. Every row keeps its own convergence test, iteration count,
+    ``max_iters`` cut-off, twin watch and start sweep. A block ends for all
+    rows at once; no block runs past the ``max_iters`` of the row furthest
+    along, and the rows that finished in a block leave the stack after it.
+    """
+    single = system.targets.ndim == 1
+
+    def stacked(arr):
+        # a per-user array in the operand shape of the sweep: a stack's
+        # arrays as columns, (B, n, 1), for the stacked product; a single
+        # system's as they are, for its 2-D product
+        return arr if single or arr is None else arr[:, :, None]
+
+    targets = stacked(system.targets)
+    stack, n = (1, *targets.shape) if single else targets.shape[:2]
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown power-control algorithm {algorithm!r}")
     if hpue_algorithm not in (None, "tpc"):
@@ -378,29 +484,31 @@ def iterate_power_control(
     if p0 is not None:
         # iterates then stay non-negative, so max(p) is their inf-norm
         p0 = np.asarray(p0, dtype=float)
-        if p0.shape != (n,) or not (np.isfinite(p0).all() and (p0 >= 0).all()):
+        if p0.shape != (stack, n) or not (np.isfinite(p0).all() and (p0 >= 0).all()):
             raise ValueError("p0 must hold one finite, non-negative power per user")
     # the users on the base map: the low-priority ones when the others track
     # with tpc, else every user; a plain bool when every user is
     users = True
     if system.lpue_mask is not None and (prioritized or hpue_algorithm == "tpc"):
-        users = system.lpue_mask
+        users = stacked(system.lpue_mask)
     opc = users if base_alg == "opc" else False
     dtpc = users if base_alg == "dtpc" else False
 
     # per-user clip of the demand: the budget and the static caps
-    p_max, eta = system.p_max, system.eta
-    cap = system.cap if prioritized else np.inf
+    p_max = stacked(system.p_max)
+    eta = stacked(system.eta) if opportunistic else None
+    cap = stacked(system.cap) if prioritized else np.inf
     clip = np.minimum(p_max, cap)
     # finite: the system checks that every budget has a finite square
     p_max_sq = p_max * p_max
     soft_removal = base_alg == "tpc_gr"
+    soft_above = twin_bound = None
     if soft_removal:
         # tpc_gr users answer demands above their budget with p_max**2 / q,
         # which lies below it, so only their static cap clips
         clip = np.where(users, cap, clip)
         soft_above = np.where(users, p_max, np.inf)
-    fork = None
+    watchers = 0
     if twin is not None:
         if SOFT_REMOVAL_TWINS.get(algorithm) != twin:
             raise ValueError(f"{algorithm!r} cannot share sweeps with {twin!r}")
@@ -408,95 +516,165 @@ def iterate_power_control(
         # demand q at or below this bound alike: up to the budget nothing is
         # removed, and beyond it a cap that binds (cap <= p_max**2 / q)
         # clips both answers to the cap. nextafter keeps the bound at or
-        # below the exact p_max**2 / cap.
+        # below the exact p_max**2 / cap. A row that forks stops watching:
+        # its bound becomes +inf.
         with np.errstate(divide="ignore", invalid="ignore"):
             removal = np.nextafter(p_max_sq / cap, 0.0)
         twin_bound = np.where(users, np.maximum(p_max, removal), np.inf)
-        fork = (twin, None, None)
-    watching = twin is not None
+        # each row's first sweep past the bound, and the iterate before it
+        fork_sweeps, fork_iterates = [None] * stack, [None] * stack
+        watchers = stack
 
-    start = 1
+    # each row's first sweep and the iterate it starts from, and the rows
+    # that sweep, as indices into the stack
+    it = np.ones(stack, dtype=np.intp)
+    start = np.zeros((stack, n)) if p0 is None else p0
+    live = np.arange(stack) if max_iters >= 1 else np.arange(0)
     if resume is not None:
         if resume.fork is None or resume.fork[0] != algorithm:
             raise ValueError(
                 f"resume state was not recorded for twin {algorithm!r}"
             )
-        _, fork_sweep, fork_p = resume.fork
-        if fork_sweep is None:
+        # a row whose base run never passed the bound copies its result
+        _, sweeps, iterates = resume.fork
+        copied = np.array([sweep is None for sweep in sweeps])
+        if copied.all():
             return PowerState(
                 p=resume.p.copy(),
                 sir=resume.sir.copy(),
                 supported=resume.supported.copy(),
-                iterations=resume.iterations,
-                converged=resume.converged,
+                iterations=resume.iterations.copy(),
+                converged=resume.converged.copy(),
             )
-        start, p0 = fork_sweep, fork_p
+        it = np.array([sweep or 1 for sweep in sweeps], dtype=np.intp)
+        start = np.array([np.zeros(n) if q is None else q for q in iterates])
+        live = (~copied & (it <= max_iters)).nonzero()[0]
 
-    noise, targets = system.noise, system.targets
-    diag, off = system.diag, system.off
-    if soft_removal:
-        over_budget = np.empty(n, dtype=bool)
+    noise, diag, off = stacked(system.noise), stacked(system.diag), system.off
+    # a row that never sweeps returns its start
+    p = np.array(start)
+    iterations = np.zeros(stack, dtype=np.intp)
+    converged = np.zeros(stack, dtype=bool)
+    per_row = [off, noise, diag, targets, clip, p_max_sq, eta, opc, dtpc,
+               soft_above, twin_bound, it, p]
+    # a full stack keeps its views
+    keep = live if live.size < stack else None
+    # Buffers for the first stack, in the sweep's operand shape. Row 0 of
+    # a block holds the iterate it starts from and row j + 1 its sweep j;
+    # the tests read them as (sweeps, rows, users). A watched run keeps each
+    # sweep's demand, row j for sweep j.
+    m = live.size
+    shape = (n,) if single else (m, n, 1)
+    columns = np.empty((_BLOCK + 1, *shape))
+    demands = np.empty((_BLOCK if twin is not None else 1, *shape))
+    r, work = np.empty(shape), np.empty(shape)
+    over_budget = np.empty(shape, dtype=bool)
+    size = min(_FIRST_BLOCK, _BLOCK)
+    while live.size:
+        if keep is not None:
+            per_row = [
+                a[keep] if isinstance(a, np.ndarray) and a.ndim else a
+                for a in per_row
+            ]
+        (s_off, s_noise, s_diag, s_targets, s_clip, s_p_max_sq, s_eta, s_opc,
+         s_dtpc, s_soft_above, s_twin_bound, s_it, s_start) = per_row
+        if live.size < m:
+            # a smaller stack uses the buffers' leading rows
+            m = live.size
+            columns, demands = columns[:, :m], demands[:, :m]
+            r, work, over_budget = r[:m], work[:m], over_budget[:m]
+        block = columns.reshape(_BLOCK + 1, m, n)
+        block[0] = s_start
+        sweep_rows = list(columns)
+        qs = list(demands) if twin is not None else [demands[0]] * _BLOCK
 
-    # row 0 holds the iterate a block starts from, row j + 1 its sweep j
-    block = np.zeros((_BLOCK + 1, n))
-    if p0 is not None:
-        block[0] = p0
-    rows = list(block)
-    r, work = np.empty(n), np.empty(n)
-    # a watched run keeps each sweep's demand, row j for sweep j of a block
-    demands = np.empty((_BLOCK if watching else 1, n))
-    qs = list(demands) if watching else [demands[0]] * _BLOCK
+        # sweeps run since the stack formed: a block starts at sweep
+        # s_it + swept of each row
+        swept, it_max = 0, int(s_it.max())
+        while True:
+            k = min(size, max_iters + 1 - it_max - swept)
+            for j in range(k):
+                q = qs[j]
+                np.matmul(s_off, sweep_rows[j], out=r)
+                r += s_noise
+                r /= s_diag
+                # demand q: target * R (tpc family), eta / R (opc), the larger (dtpc)
+                np.multiply(s_targets, r, out=q)
+                if opportunistic:
+                    np.divide(s_eta, r, out=work)
+                    np.maximum(q, work, out=q, where=s_dtpc)
+                    np.copyto(q, work, where=s_opc)
+                if soft_removal:
+                    np.greater(q, s_soft_above, out=over_budget)
+                    np.divide(s_p_max_sq, q, out=q, where=over_budget)
+                np.minimum(q, s_clip, out=sweep_rows[j + 1])
+            if watchers:
+                crossed = np.greater(demands[:k], s_twin_bound)
+                if crossed.any():
+                    # each row's first sweep of the block whose demand
+                    # passes the bound
+                    crossed = crossed.reshape(k, m, n).any(axis=2)
+                    hit = crossed.any(axis=0).nonzero()[0]
+                    firsts = crossed.argmax(axis=0)
+                    for b in hit.tolist():
+                        j = int(firsts[b])
+                        fork_sweeps[live[b]] = int(s_it[b]) + swept + j
+                        fork_iterates[live[b]] = block[j, b].copy()
+                    s_twin_bound.reshape(m, n)[hit] = np.inf
+                    watchers -= hit.size
+            # sweep it + j passes when max |p' - p| < tol * max(max(p), floor);
+            # the initial values also keep n = 0 valid
+            diff = block[1 : k + 1] - block[:k]
+            delta = np.maximum.reduce(np.abs(diff, out=diff), axis=2, initial=0.0)
+            scale = np.maximum.reduce(block[:k], axis=2, initial=_SCALE_FLOOR)
+            passed = delta < tol * scale
+            swept += k
+            # argmax finds a passing sweep at less cost than any()
+            if it_max + swept > max_iters or passed.ravel()[passed.argmax()]:
+                break
+            block[0] = block[k]
+            size = _next_block(delta, scale, tol)
 
-    converged = False
-    iterations = last = 0
-    it, size = start, min(_FIRST_BLOCK, _BLOCK)
-    while it <= max_iters:
-        k = min(size, max_iters + 1 - it)
-        for j in range(k):
-            q = qs[j]
-            np.matmul(off, rows[j], out=r)
-            r += noise
-            r /= diag
-            # demand q: target * R (tpc family), eta / R (opc), the larger (dtpc)
-            np.multiply(targets, r, out=q)
-            if opportunistic:
-                np.divide(eta, r, out=work)
-                np.maximum(q, work, out=q, where=dtpc)
-                np.copyto(q, work, where=opc)
-            if soft_removal:
-                np.greater(q, soft_above, out=over_budget)
-                np.divide(p_max_sq, q, out=q, where=over_budget)
-            np.minimum(q, clip, out=rows[j + 1])
-        if watching:
-            crossed = np.greater(demands[:k], twin_bound)
-            if crossed.any():
-                # the first sweep of the block whose demand passes the bound
-                j = int(crossed.any(axis=1).argmax())
-                fork = (twin, it + j, block[j].copy())
-                watching = False
-        # sweep it + j passes when max |p' - p| < tol * max(max(p), floor);
-        # the initial values also keep n = 0 valid
-        diff = block[1 : k + 1] - block[:k]
-        delta = np.maximum.reduce(np.abs(diff, out=diff), axis=1, initial=0.0)
-        scale = np.maximum.reduce(block[:k], axis=1, initial=_SCALE_FLOOR)
-        passed = delta < tol * scale
-        first = int(passed.argmax())
-        if passed[first]:
-            converged, last = True, first + 1
-            iterations = it + first
-            break
-        block[0] = block[k]
-        iterations = it + k - 1
-        it += k
-        size = _next_block(delta.tolist(), tol * scale.item(k - 1))
-    p = block[last].copy()
-    if fork is not None and fork[1] is not None and fork[1] > iterations:
-        # the demand crossed the bound in a sweep past the returned one
-        fork = (twin, None, None)
+        # Every row takes its result from this block: its first passing
+        # sweep, else the last. A row that goes on overwrites it later.
+        first, index = passed.argmax(axis=0), np.arange(m)
+        done = passed[first, index]
+        last = np.where(done, first + 1, k)
+        p[live] = block[last, index]
+        iterations[live] = s_it + (swept - k - 1) + last
+        converged[live] = done
+        # the rows that finished leave the stack
+        keep = ~done
+        if it_max + swept > max_iters:
+            keep &= s_it + swept <= max_iters
+        live = live[keep]
+        if live.size:
+            s_it += swept
+            per_row[-1] = block[k]
+            size = _next_block(delta[:, keep], scale[:, keep], tol)
+            if twin is not None:
+                watchers = sum(fork_sweeps[b] is None for b in live.tolist())
 
-    r = (off @ p + noise) / diag
-    sir = p / r
-    supported = sir >= targets * (1.0 - tol_support)
+    p_users = stacked(p[0] if single else p)
+    r = (off @ p_users + noise) / diag
+    sir = (p_users / r).reshape(stack, n)
+    supported = sir >= targets.reshape(stack, n) * (1.0 - tol_support)
+    if resume is not None:
+        for arr, kept in (
+            (p, resume.p),
+            (sir, resume.sir),
+            (supported, resume.supported),
+            (iterations, resume.iterations),
+            (converged, resume.converged),
+        ):
+            arr[copied] = kept[copied]
+    fork = None
+    if twin is not None:
+        for b in range(stack):
+            if fork_sweeps[b] is not None and fork_sweeps[b] > iterations[b]:
+                # the demand crossed the bound in a sweep past the returned one
+                fork_sweeps[b] = fork_iterates[b] = None
+        fork = (twin, fork_sweeps, fork_iterates)
     return PowerState(
         p=p,
         sir=sir,
@@ -509,34 +687,37 @@ def iterate_power_control(
 
 def feasibility_check(system):
     """Feasibility verdict of a ``CochannelSystem``: the Perron root of its
-    normalized coupling by dense eigenvalues, computed once per system and
-    kept on it (``CochannelSystem.feasibility``). Raises NumericError when
-    the eigenvalue routine cannot settle it."""
+    normalized coupling by dense eigenvalues, computed once per system (one
+    ``eigvals`` call for a whole stack) and kept on it
+    (``CochannelSystem.feasibility``). Raises NumericError when the
+    eigenvalue routine cannot settle it."""
     return system.feasibility
 
 
 def fixed_point_oracle(system):
     """Exact uncapped target-tracking fixed point of a ``CochannelSystem``
     by direct linear solve of (I - F) p = u with u_i = target_i * noise_i /
-    a[i, i].
+    a[i, i]; for a stack, one ``solve`` call gives every row's.
 
     This is the minimal power vector meeting every target, and the fixed
     point of ``tpc`` (and ``ptpc``) when no budget or cap binds: those maps
     are standard interference functions (Yates 1995). ``tpc_gr``, ``opc``
     and ``dtpc`` are not, and this oracle says nothing of their fixed
     points (see ``iterate_power_control``). Raises OracleError for
-    infeasible targets or a singular system. The verdict is the one
-    ``feasibility_check`` keeps on the system, so no eigenvalues are
-    recomputed.
+    infeasible targets (in any row of a stack) or a singular system. The
+    verdict is the one ``feasibility_check`` keeps on the system, so no
+    eigenvalues are recomputed.
     """
     check = feasibility_check(system)
-    if not check.feasible:
+    if not np.all(check.feasible):
         raise OracleError(
-            f"targets infeasible: spectral radius {check.spectral_radius:.6g} >= 1"
+            "targets infeasible: spectral radius "
+            f"{np.max(check.spectral_radius):.6g} >= 1"
         )
     u = system.targets * system.noise / system.diag
+    n = u.shape[-1]
     try:
-        p = np.linalg.solve(np.eye(len(u)) - system.coupling, u)
+        p = np.linalg.solve(np.eye(n) - system.coupling, u[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"singular co-channel system: {exc}") from exc
     if np.any(p <= 0) or not np.all(np.isfinite(p)):

@@ -495,27 +495,121 @@ def test_oracle_check_reports_replay_seed():
 
 
 def test_oracle_check_prepares_each_instance_once(monkeypatch):
-    # one validated system per instance, whose kept verdict the fixed-point
-    # oracle reuses: one construction and one eigenvalue run per instance
+    # each instance is validated and eigen-decomposed once, as a row of its
+    # size group's stack, whose kept verdict the fixed-point oracle reuses:
+    # the stacked rows add up to the instances
     from hetsim.power_control import CochannelSystem
 
-    built, eigvals_calls = [], []
+    built, eigvals_rows = [], []
     post_init, eigvals = CochannelSystem.__post_init__, np.linalg.eigvals
 
+    def rows(arr):
+        return len(arr) if np.ndim(arr) == 3 else 1
+
     def counting_post_init(self, a):
-        built.append(len(a))
+        built.append(rows(a))
         post_init(self, a)
 
     def counting_eigvals(f):
-        eigvals_calls.append(len(f))
+        eigvals_rows.append(rows(f))
         return eigvals(f)
 
     monkeypatch.setattr(CochannelSystem, "__post_init__", counting_post_init)
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     summary = run_oracle_check(40, 0)
     assert summary.passed == 40
-    assert len(built) == 40
-    assert len(eigvals_calls) == 40
+    assert sum(built) == 40
+    assert sum(eigvals_rows) == 40
+    # one stack per user count (2..8) in the one chunk of 40
+    assert len(built) == len(eigvals_rows) <= 7
+
+
+def _reference_oracle_failures(count, seed):
+    """run_oracle_check one instance at a time: one system, one verdict, one
+    kernel run and one solve per instance, reading the tolerances of
+    ``hetsim.cli`` as it runs."""
+    from hetsim import cli as cli_mod
+    from hetsim.power_control import (
+        feasibility_check,
+        fixed_point_oracle,
+        iterate_power_control,
+        sample_instance,
+    )
+
+    failures = []
+    for k in range(count):
+        system = sample_instance(np.random.default_rng(seed + k)).system
+        check = feasibility_check(system)
+        state = iterate_power_control(
+            system, algorithm="tpc", max_iters=200_000, tol=1e-12
+        )
+        behaved = state.converged and bool(state.supported.all())
+        if check.feasible != behaved:
+            failures.append(
+                (
+                    k,
+                    seed + k,
+                    f"feasibility mismatch: rho={check.spectral_radius:.6g} "
+                    f"converged={state.converged} "
+                    f"supported={int(state.supported.sum())}/{len(state.p)}",
+                )
+            )
+            continue
+        if check.feasible and check.spectral_radius < cli_mod.ORACLE_RHO_MATCH:
+            exact = fixed_point_oracle(system)
+            rel = float(np.abs(state.p - exact).max() / np.abs(exact).max())
+            if rel > cli_mod.ORACLE_REL_TOL:
+                failures.append(
+                    (k, seed + k, f"fixed-point mismatch: rel error {rel:.3e}")
+                )
+    return failures
+
+
+@pytest.mark.parametrize(
+    "chunk,count", [(8, 7), (8, 8), (8, 9), (8, 30), (256, 257)]
+)
+def test_oracle_check_fails_like_one_instance_at_a_time(
+    monkeypatch, capsys, chunk, count
+):
+    # a tolerance below the iterate's error makes most comparisons fail; the
+    # size-grouped chunks report the same failures, text and order as the
+    # instances checked one by one, whether or not the count fills a chunk
+    from hetsim import cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "ORACLE_REL_TOL", 1e-15)
+    monkeypatch.setattr(cli_mod, "ORACLE_CHUNK", chunk)
+    want = _reference_oracle_failures(count, 5)
+    assert len(want) > count // 3
+    assert run_oracle_check(count, 5).failures == want
+    assert main(["oracle-check", "--count", str(count), "--seed", "5"]) == 1
+    printed = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("FAIL")
+    ]
+    assert printed == [
+        f"FAIL instance {k} (seed {s}): {reason}" for k, s, reason in want
+    ]
+
+
+def test_oracle_check_memory_is_bounded_by_its_chunk():
+    # the instances run in chunks, so four chunks' worth of instances peak
+    # at about what one chunk does
+    import tracemalloc
+
+    from hetsim.cli import ORACLE_CHUNK
+
+    peaks = []
+    tracemalloc.start()
+    try:
+        for count in (ORACLE_CHUNK, 4 * ORACLE_CHUNK):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert run_oracle_check(count, 0).passed == count
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    one, four = peaks
+    assert four <= 1.25 * one, peaks
 
 
 def test_oracle_check_rejects_corrupt_gains():

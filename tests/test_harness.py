@@ -12,6 +12,7 @@ from hetsim.harness import (
     FIELDS,
     FIG2_ALGORITHMS,
     FIG3_SCHEMES,
+    _check_safety,
     _disc_results,
     _job,
     _seed_chunks,
@@ -26,9 +27,11 @@ from hetsim.network import (
     generate_fig3_snapshot,
     tier_powers,
 )
+from hetsim.errors import NumericError
 from hetsim.power_control import (
     CochannelSystem,
     PowerState,
+    PrioritizedCapSet,
     cochannel_system,
     iterate_power_control,
 )
@@ -207,6 +210,25 @@ def test_fig2_single_snapshot_protects_hpues(cfg):
     res = _one_snapshot(cfg, 3, 1)
     assert res["hpue_outage"] == 0.0
     assert res["safety_margin_w"] <= 0.0
+
+
+def test_safety_check_allows_only_its_slack():
+    # one low-priority user at unit gain to the one protected receiver: its
+    # power is the aggregate, which may pass the 1 W threshold by 1e-12 of
+    # it (floating-point noise) and no more
+    caps = PrioritizedCapSet(
+        cap=np.array([1.0]), ith=1.0, lpue_index=np.array([0]),
+        gain_block=np.ones((1, 1)),
+    )
+
+    def margin(power):
+        state = dataclasses.replace(_state([True]), p=np.array([power]))
+        return _check_safety(caps, state, seed=7)
+
+    assert margin(1.0 - 0.25) == -0.25
+    assert 0.0 < margin(1.0 + 5e-13) <= 1e-12
+    with pytest.raises(NumericError, match="seed=7"):
+        margin(1.0 + 2e-12)
 
 
 def test_monte_carlo_row_shape(cfg):

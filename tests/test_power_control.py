@@ -29,6 +29,7 @@ from hetsim.power_control import (
     cochannel_system,
     feasibility_check,
     fixed_point_oracle,
+    iterate_lockstep,
     iterate_power_control,
     prioritized_caps,
     sample_feasible_instance,
@@ -1439,3 +1440,204 @@ def test_reordered_sums_move_only_the_last_bits(cfg, n_small):
             worst = max(worst, _ulps(other.p[back], state.p))
     # 9, 42, 22 and 26 ulps at n_small = 3..6 with OpenBLAS 0.3.31
     assert worst <= 64
+
+
+# ------------------------------------------------------- lockstep stacks
+
+
+@pytest.mark.parametrize("n", [*range(10), 225])
+def test_stacked_matmul_matches_per_slice_gemv(n):
+    # the lockstep kernel's sweep is one (B, n, n) @ (B, n, 1) product,
+    # which NumPy runs as one gemv per slice: each slice's bits are those of
+    # the slice's own 2-D product, on an aligned stack and on a stack of
+    # one row alike. A NumPy or BLAS that batches the slices another way
+    # fails here first
+    rng = np.random.default_rng(1000 + n)
+    stack = 5
+    # entries over twelve decades, so any change of summation order shows
+    a = rng.uniform(0.0, 1.0, (stack, n, n)) * 10.0 ** rng.uniform(
+        -12.0, 0.0, (stack, n, n)
+    )
+    x = rng.uniform(0.0, 1.0, (stack, n)) * 10.0 ** rng.uniform(-6.0, 1.0, (stack, n))
+    want = np.array([np.matmul(a[b], x[b]) for b in range(stack)])
+    aligned = _aligned(a)
+    assert n == 0 or (aligned.ctypes.data % 64 == 0 and aligned.strides[1] % 64 == 0)
+    out = np.empty((stack, n, 1))
+    for matrices in (a, aligned):
+        np.matmul(matrices, x[:, :, None], out=out)
+        assert out[:, :, 0].tobytes() == want.tobytes()
+    for b in range(stack):
+        one = _aligned(a[b])[None]
+        assert (one @ x[b, None, :, None])[0, :, 0].tobytes() == want[b].tobytes()
+
+
+def _stacked(systems):
+    """One CochannelSystem stacking ``systems`` (same n) along a leading axis."""
+    def field(name):
+        values = [getattr(s, name) for s in systems]
+        return None if values[0] is None else np.stack(values)
+
+    a = np.stack([s.off + np.diag(s.diag) for s in systems])
+    return CochannelSystem(
+        a, field("noise"), field("targets"), field("p_max"), eta=field("eta"),
+        lpue_mask=field("lpue_mask"), cap=field("cap"),
+    )
+
+
+def _assert_rows_match(stack_state, singles):
+    """Each row of a lockstep result is the single run's, bit for bit."""
+    assert stack_state.p.shape == (len(singles), singles[0].p.shape[0])
+    for b, one in enumerate(singles):
+        for name in ("p", "sir", "supported"):
+            got, want = getattr(stack_state, name)[b], getattr(one, name)
+            assert got.dtype == want.dtype, (b, name)
+            assert got.tobytes() == want.tobytes(), (b, name)
+        assert stack_state.iterations[b] == one.iterations, b
+        assert stack_state.converged[b] == one.converged, b
+        if one.fork is None:
+            assert stack_state.fork is None
+            continue
+        twin, sweeps, iterates = stack_state.fork
+        assert (twin, sweeps[b]) == one.fork[:2], b
+        if sweeps[b] is None:
+            assert iterates[b] is None and one.fork[2] is None
+        else:
+            assert iterates[b].tobytes() == one.fork[2].tobytes(), b
+
+
+def _run_lockstep(systems, *, p0=None, **kwargs):
+    """The lockstep run of ``systems`` stacked and their single runs, checked
+    row by row; then, for a base algorithm with a soft-removal twin, the
+    same with the twin watched and resumed. Returns the lockstep states."""
+    stack = _stacked(systems)
+    rows = [None] * len(systems) if p0 is None else list(p0)
+    states = [iterate_lockstep(stack, p0=p0, **kwargs)]
+    _assert_rows_match(
+        states[0],
+        [iterate_power_control(s, p0=q, **kwargs) for s, q in zip(systems, rows)],
+    )
+    twin = SOFT_REMOVAL_TWINS.get(kwargs["algorithm"])
+    if twin is not None:
+        base = iterate_lockstep(stack, p0=p0, twin=twin, **kwargs)
+        singles = [
+            iterate_power_control(s, p0=q, twin=twin, **kwargs)
+            for s, q in zip(systems, rows)
+        ]
+        _assert_rows_match(base, singles)
+        resumed = {**kwargs, "algorithm": twin}
+        shared = iterate_lockstep(stack, p0=p0, resume=base, **resumed)
+        _assert_rows_match(
+            shared,
+            [
+                iterate_power_control(s, p0=q, resume=one, **resumed)
+                for s, q, one in zip(systems, rows, singles)
+            ],
+        )
+        states += [base, shared]
+    return states
+
+
+@given(
+    rows=st.integers(2, 5),
+    n=st.integers(1, 6),
+    algorithm=st.sampled_from(ALGORITHMS),
+    hpue_algorithm=st.sampled_from([None, "tpc"]),
+    masked=st.booleans(),
+    explicit_p0=st.booleans(),
+    max_iters=st.sampled_from([1, 7, 16, 40, 300]),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-3, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_lockstep_rows_match_single_runs(
+    rows, n, algorithm, hpue_algorithm, masked, explicit_p0, max_iters, tol, seed
+):
+    # B random systems of one size in lockstep: every row's powers, SIRs,
+    # support flags, sweep count, convergence flag and fork equal those of
+    # its system run alone, whatever the algorithm, caps, masks, budgets,
+    # starts and cut-offs
+    rng = np.random.default_rng(seed)
+    masked = masked or algorithm in PRIORITIZED_BASE
+    systems = []
+    for _ in range(rows):
+        inst = sample_instance(rng, n_users=n)
+        p_max = 10.0 ** rng.uniform(-1.5, 1.0, size=n)
+        fields = dict(eta=inst.eta)
+        if masked:
+            mask = rng.random(n) < 0.5
+            fields.update(
+                lpue_mask=mask, cap=_synthetic_caps(rng, inst.a, mask, p_max).cap
+            )
+        systems.append(
+            CochannelSystem(inst.a, inst.noise, inst.targets, p_max, **fields)
+        )
+    p0 = None
+    if explicit_p0:
+        p0 = rng.uniform(0.0, 1.0, (rows, n)) * np.stack([s.p_max for s in systems])
+    _run_lockstep(
+        systems, p0=p0, algorithm=algorithm, hpue_algorithm=hpue_algorithm,
+        max_iters=max_iters, tol=tol,
+    )
+
+
+def test_lockstep_rows_finish_in_different_blocks_and_fork_apart():
+    # chains whose budgets sit between the demands of sweeps t - 1 and t
+    # fork at t and then converge on their budget a few sweeps later, so
+    # the rows leave the stack in different blocks and in an order unlike
+    # the stack's; the last budget is never reached and runs to max_iters
+    a, noise, targets = _chain()
+    budgets = [30.0, 0.2, 2000.0, 5.0, 1e30, 400.0, 1.0]
+    systems = [CochannelSystem(a, noise, targets, b) for b in budgets]
+    state, base, shared = _run_lockstep(systems, algorithm="tpc", max_iters=60)
+    assert base.fork[1] == [9, 2, 15, 6, None, 12, 4]
+    assert state.converged.tolist() == [True] * 4 + [False] + [True] * 2
+    assert state.iterations[4] == 60
+    # first blocks of 16 sweeps, then 2 to 32: finishes in at least three
+    assert len({int(i) // 16 for i in state.iterations}) >= 3
+    # soft removal does not settle on the infeasible chain: the twins resumed
+    # at seven different sweeps end apart, most at max_iters
+    assert shared.iterations.tolist() == [60, 58, 60, 60, 60, 60, 60]
+    # a row resumed from a fork starts past the others and is cut first
+    _run_lockstep(systems, algorithm="tpc", max_iters=12)
+
+
+def test_lockstep_single_system_is_a_stack_of_one():
+    system = CochannelSystem(*_chain(), 10.0)
+    state = iterate_lockstep(system, algorithm="tpc", twin="tpc_gr")
+    one = iterate_power_control(system, algorithm="tpc", twin="tpc_gr")
+    _assert_rows_match(state, [one])
+    assert state.fork == ("tpc_gr", [7], [state.fork[2][0]])
+    with pytest.raises(ValueError, match="iterate_lockstep"):
+        iterate_power_control(_stacked([system, system]))
+    with pytest.raises(ValueError, match="p0"):
+        iterate_lockstep(_stacked([system, system]), p0=np.ones(2))
+
+
+def test_stacked_system_validates_and_checks_every_row():
+    systems = [
+        sample_instance(np.random.default_rng(s), n_users=4).system for s in range(6)
+    ]
+    stack = _stacked(systems)
+    assert stack.off.shape == (6, 4, 4) and stack.off.strides[1] % 64 == 0
+    assert stack.coupling.tobytes() == np.stack([s.coupling for s in systems]).tobytes()
+    check = feasibility_check(stack)
+    assert check.spectral_radius.tolist() == [
+        feasibility_check(s).spectral_radius for s in systems
+    ]
+    assert check.feasible.tolist() == [feasibility_check(s).feasible for s in systems]
+    rows = np.flatnonzero(check.feasible)
+    assert rows.size
+    sub = stack[rows]
+    radius = sub.feasibility.spectral_radius
+    assert radius.tolist() == check.spectral_radius[rows].tolist()
+    exact = fixed_point_oracle(sub)
+    for row, p in zip(rows, exact):
+        assert p.tobytes() == fixed_point_oracle(systems[row]).tobytes()
+    if rows.size < len(systems):
+        with pytest.raises(OracleError, match="infeasible"):
+            fixed_point_oracle(stack)
+    bad = np.stack([np.eye(2), [[1.0, -0.1], [0.1, 1.0]]])
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        CochannelSystem(bad, np.ones((2, 2)), np.ones((2, 2)), 1.0)
+    with pytest.raises(ValueError, match="noise"):
+        CochannelSystem(np.stack([np.eye(2)] * 2), np.ones(2), np.ones((2, 2)), 1.0)
