@@ -130,6 +130,31 @@ MUTANTS = (
         ".reshape(m, n, m)[np.arange(m), :, np.arange(m)][:, :, None]\n",
         ("tests/test_power_control.py::test_lockstep_rows_match_single_runs",),
     ),
+    Mutant(
+        "oracle-unsorted-failures",
+        "oracle-check reports its failures in the order its size stacks run, "
+        "not in instance order",
+        "src/hetsim/cli.py",
+        "    return OracleCheckSummary(total=count, failures=sorted(failures))\n",
+        "    return OracleCheckSummary(total=count, failures=failures)\n",
+        (
+            "tests/test_config_cli.py::"
+            "test_oracle_check_fails_like_one_instance_at_a_time[4-60]",
+        ),
+    ),
+    Mutant(
+        "sweep-subtracts-noise",
+        "a sweep subtracts the receiver noise from the interference where it "
+        "should add it, so iterates from zero step down",
+        "src/hetsim/power_control.py",
+        "                r += s_noise\n",
+        "                r -= s_noise\n",
+        (
+            "tests/test_power_control.py::test_fig2_iterates_from_zero_never_decrease",
+            "tests/test_power_control.py::"
+            "test_lockstep_iterates_from_zero_never_decrease",
+        ),
+    ),
 )
 
 

@@ -32,6 +32,7 @@ from .errors import (
     SimError,
 )
 from .harness import PRESETS, run_experiment, run_preset
+from .network import seeded_generators
 from .power_control import (
     CochannelSystem,
     feasibility_check,
@@ -48,8 +49,8 @@ from .power_control import iterate_power_control  # noqa: F401
 # it applies, and its relative tolerance
 ORACLE_RHO_MATCH = 0.9
 ORACLE_REL_TOL = 1e-8
-# Most instances run_oracle_check samples and checks at once: it bounds the
-# memory of a run whatever --count.
+# Most rows in one stack of run_oracle_check, and the most instances it seeds
+# at once: it bounds the memory of a run whatever --count.
 ORACLE_CHUNK = 256
 
 
@@ -73,26 +74,30 @@ def run_oracle_check(count, seed):
     must match the direct linear-solve fixed point to ``ORACLE_REL_TOL``
     relative error.
 
-    Instance k is drawn from ``default_rng(seed + k)``. The instances run
-    in chunks of ``ORACLE_CHUNK``; within a chunk those with the same user
-    count form one stacked system, which one ``eigvals``, one kernel run
-    (``iterate_lockstep``) and one ``solve`` check at once, each row with
-    the bits it gets alone. Failures are reported in instance order.
+    Instance k is drawn from ``default_rng(seed + k)``, made for
+    ``ORACLE_CHUNK`` seeds at a time by ``seeded_generators``. The instances
+    queue by user count, across those chunks; a queue that holds
+    ``ORACLE_CHUNK`` instances runs as one stacked system, which one
+    ``eigvals``, one kernel run (``iterate_lockstep``) and one ``solve``
+    check at once, each row with the bits it gets alone. The queues still
+    partly full run at the end. So a run holds at most one partly full queue
+    per user count and one running stack. The stacks are made as tall as
+    that bound allows because at these sizes a stacked sweep costs about the
+    same whatever its number of rows, and a stack sweeps until its slowest
+    row converges. Failures are reported in instance order.
     """
-    failures = []
+    failures, queues = [], {}
     for first in range(0, count, ORACLE_CHUNK):
         chunk = range(first, min(first + ORACLE_CHUNK, count))
-        groups = {}
-        for k in chunk:
-            inst = sample_instance(np.random.default_rng(seed + k))
-            groups.setdefault(len(inst.targets), []).append(
-                (k, inst.a, inst.noise, inst.targets)
-            )
-        found = []
-        while groups:
-            found += _check_group(groups.popitem()[1], seed)
-        failures += sorted(found)
-    return OracleCheckSummary(total=count, failures=failures)
+        for k, rng in zip(chunk, seeded_generators([seed + k for k in chunk])):
+            inst = sample_instance(rng)
+            n = len(inst.targets)
+            queues.setdefault(n, []).append((k, inst.a, inst.noise, inst.targets))
+            if len(queues[n]) == ORACLE_CHUNK:
+                failures += _check_group(queues.pop(n), seed)
+    for queue in queues.values():
+        failures += _check_group(queue, seed)
+    return OracleCheckSummary(total=count, failures=sorted(failures))
 
 
 def _check_group(group, seed):

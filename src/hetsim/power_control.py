@@ -727,8 +727,8 @@ def fixed_point_oracle(system):
 
 @dataclass(frozen=True)
 class Instance:
-    """A random square co-channel system for oracle cross-checks: its
-    arrays, and the ``CochannelSystem`` built from them on first use, with
+    """The arrays of a random square co-channel system for oracle
+    cross-checks; ``run_oracle_check`` builds their ``CochannelSystem`` with
     a 1e6 W budget for every user, so that only infeasible targets
     saturate."""
 
@@ -736,10 +736,6 @@ class Instance:
     noise: np.ndarray
     targets: np.ndarray
     eta: np.ndarray
-
-    @cached_property
-    def system(self):
-        return CochannelSystem(self.a, self.noise, self.targets, 1e6)
 
 
 def sample_instance(rng, n_users=None):
@@ -756,11 +752,3 @@ def sample_instance(rng, n_users=None):
         eta=10.0 ** rng.uniform(-3.0, -1.0, size=n),
     )
 
-
-def sample_feasible_instance(rng, n_users=None, rho_max=0.9):
-    """Rejection-sample an instance whose coupling spectral radius stays
-    below ``rho_max``."""
-    while True:
-        inst = sample_instance(rng, n_users)
-        if feasibility_check(inst.system).spectral_radius < rho_max:
-            return inst

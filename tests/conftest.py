@@ -3,6 +3,7 @@ import pytest
 
 from hetsim.config import SimConfig
 from hetsim.network import NetworkSnapshot
+from hetsim.power_control import CochannelSystem, feasibility_check, sample_instance
 
 
 @pytest.fixture
@@ -35,3 +36,36 @@ def make_snapshot(bs, users, direction="downlink"):
         home=[home for _, home in users],
         direction=direction,
     )
+
+
+def instance_system(inst):
+    """The ``CochannelSystem`` that ``run_oracle_check`` builds of a
+    ``sample_instance`` instance: its arrays with a 1e6 W budget for every
+    user, so that only infeasible targets saturate."""
+    return CochannelSystem(inst.a, inst.noise, inst.targets, 1e6)
+
+
+def sample_feasible_instance(rng, n_users=None, rho_max=0.9):
+    """Rejection-sample an instance whose coupling spectral radius stays
+    below ``rho_max``: (instance, its ``instance_system``), the system
+    keeping its verdict."""
+    while True:
+        inst = sample_instance(rng, n_users)
+        system = instance_system(inst)
+        if feasibility_check(system).spectral_radius < rho_max:
+            return inst, system
+
+
+class CountingNumpy:
+    """numpy as ``hetsim.power_control`` sees it, counting ``np.matmul``
+    calls: the kernel makes one per sweep it computes, of a whole stack."""
+
+    def __init__(self):
+        self.matmuls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.matmuls += 1
+        return np.matmul(*args, **kwargs)

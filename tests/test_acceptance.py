@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import instance_system, sample_feasible_instance
 from hetsim.cli import main
 from hetsim.config import SimConfig, fig3_defaults
 from hetsim.harness import (
@@ -25,7 +26,6 @@ from hetsim.power_control import (
     feasibility_check,
     fixed_point_oracle,
     iterate_power_control,
-    sample_feasible_instance,
     sample_instance,
 )
 from hetsim.report import emit_report
@@ -131,11 +131,11 @@ def test_criterion_1_oracle_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
     for k in range(1000):
-        inst = sample_feasible_instance(np.random.default_rng(k), rho_max=0.9)
+        _, system = sample_feasible_instance(np.random.default_rng(k), rho_max=0.9)
         state = iterate_power_control(
-            inst.system, algorithm="tpc", tol=1e-12, max_iters=10_000
+            system, algorithm="tpc", tol=1e-12, max_iters=10_000
         )
-        exact = fixed_point_oracle(inst.system)
+        exact = fixed_point_oracle(system)
         worst = max(worst, float(np.abs(state.p - exact).max() / exact.max()))
     elapsed = time.perf_counter() - t0
     _report(
@@ -149,10 +149,10 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_feasibility_oracle():
     disagreements = []
     for k in range(500):
-        inst = sample_instance(np.random.default_rng(10_000 + k))
-        check = feasibility_check(inst.system)
+        system = instance_system(sample_instance(np.random.default_rng(10_000 + k)))
+        check = feasibility_check(system)
         state = iterate_power_control(
-            inst.system, algorithm="tpc", tol=1e-12, max_iters=200_000
+            system, algorithm="tpc", tol=1e-12, max_iters=200_000
         )
         behaved = state.converged and bool(state.supported.all())
         if check.feasible != behaved:
@@ -297,7 +297,7 @@ def test_criterion_8_dtpc_dominance():
     worst_gap = np.inf
     support_ok = True
     for k in range(200):
-        inst = sample_feasible_instance(
+        inst, _ = sample_feasible_instance(
             np.random.default_rng(20_000 + k), rho_max=0.9
         )
         system = CochannelSystem(

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CountingNumpy, instance_system
 from hetsim.cli import main, run_oracle_check
 from hetsim.config import (
     KNOWN_KEYS,
@@ -520,7 +521,7 @@ def test_oracle_check_prepares_each_instance_once(monkeypatch):
     assert summary.passed == 40
     assert sum(built) == 40
     assert sum(eigvals_rows) == 40
-    # one stack per user count (2..8) in the one chunk of 40
+    # one stack per user count (2..8): no queue of the 40 fills
     assert len(built) == len(eigvals_rows) <= 7
 
 
@@ -538,7 +539,7 @@ def _reference_oracle_failures(count, seed):
 
     failures = []
     for k in range(count):
-        system = sample_instance(np.random.default_rng(seed + k)).system
+        system = instance_system(sample_instance(np.random.default_rng(seed + k)))
         check = feasibility_check(system)
         state = iterate_power_control(
             system, algorithm="tpc", max_iters=200_000, tol=1e-12
@@ -566,14 +567,15 @@ def _reference_oracle_failures(count, seed):
 
 
 @pytest.mark.parametrize(
-    "chunk,count", [(8, 7), (8, 8), (8, 9), (8, 30), (256, 257)]
+    "chunk,count", [(8, 7), (8, 8), (8, 9), (8, 30), (4, 60), (256, 257)]
 )
 def test_oracle_check_fails_like_one_instance_at_a_time(
     monkeypatch, capsys, chunk, count
 ):
     # a tolerance below the iterate's error makes most comparisons fail; the
-    # size-grouped chunks report the same failures, text and order as the
-    # instances checked one by one, whether or not the count fills a chunk
+    # size stacks report the same failures, text and order as the instances
+    # checked one by one, whether or not the count fills a chunk, and when
+    # the queues of the user counts fill and run out of instance order
     from hetsim import cli as cli_mod
 
     monkeypatch.setattr(cli_mod, "ORACLE_REL_TOL", 1e-15)
@@ -591,25 +593,47 @@ def test_oracle_check_fails_like_one_instance_at_a_time(
     ]
 
 
-def test_oracle_check_memory_is_bounded_by_its_chunk():
-    # the instances run in chunks, so four chunks' worth of instances peak
-    # at about what one chunk does
+def test_oracle_check_memory_is_bounded_by_its_chunk(monkeypatch):
+    # a run holds at most one partly full queue per user count and one
+    # running stack of ORACLE_CHUNK rows: once every user count's queue has
+    # filled, four times the instances peak at about what one count does
     import tracemalloc
+    from collections import Counter
 
-    from hetsim.cli import ORACLE_CHUNK
+    from hetsim import cli as cli_mod
+    from hetsim.power_control import sample_instance
 
+    chunk, count = 16, 256
+    monkeypatch.setattr(cli_mod, "ORACLE_CHUNK", chunk)
+    sizes = Counter(
+        len(sample_instance(np.random.default_rng(k)).targets) for k in range(count)
+    )
+    assert len(sizes) == 7 and min(sizes.values()) >= chunk, sizes
     peaks = []
     tracemalloc.start()
     try:
-        for count in (ORACLE_CHUNK, 4 * ORACLE_CHUNK):
+        for total in (count, 4 * count):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            assert run_oracle_check(count, 0).passed == count
+            assert run_oracle_check(total, 0).passed == total
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
     one, four = peaks
     assert four <= 1.25 * one, peaks
+
+
+def test_oracle_check_shares_each_stack_tail_across_chunks(monkeypatch):
+    # the kernel computes one stacked product per sweep of a stack, however
+    # many rows it holds: one stack per user count across the chunks runs
+    # 33,278 of them at --seed 1, where a stack per (chunk of 256, user
+    # count) ran each slow row's tail alone, 49,815 in all
+    from hetsim import power_control
+
+    counting = CountingNumpy()
+    monkeypatch.setattr(power_control, "np", counting)
+    assert run_oracle_check(1000, 1).passed == 1000
+    assert 0 < counting.matmuls <= 33_300
 
 
 def test_oracle_check_rejects_corrupt_gains():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_snapshot, two_user_toy
+from conftest import (
+    CountingNumpy,
+    instance_system,
+    make_snapshot,
+    sample_feasible_instance,
+    two_user_toy,
+)
 from hetsim import harness, power_control
 from hetsim.association import associate
 from hetsim.config import SimConfig, fig2_defaults
@@ -32,7 +38,6 @@ from hetsim.power_control import (
     iterate_lockstep,
     iterate_power_control,
     prioritized_caps,
-    sample_feasible_instance,
     sample_instance,
 )
 
@@ -210,9 +215,9 @@ def test_oracle_rejects_infeasible_and_bad_input():
 def test_oracle_is_componentwise_minimal(seed):
     # any vector meeting all targets (constructed with a margin) dominates it
     rng = np.random.default_rng(seed)
-    inst = sample_feasible_instance(rng)
-    p_star = fixed_point_oracle(inst.system)
-    f = inst.system.coupling
+    inst, system = sample_feasible_instance(rng)
+    p_star = fixed_point_oracle(system)
+    f = system.coupling
     u = inst.targets * inst.noise / np.diag(inst.a)
     slack = rng.uniform(0.0, 1.0, size=len(u))
     other = np.linalg.solve(np.eye(len(u)) - f, u + slack)
@@ -231,16 +236,16 @@ def test_infeasible_toy_saturates_everyone():
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
 def test_tpc_monotone_from_zero_and_matches_oracle(seed):
-    inst = sample_feasible_instance(np.random.default_rng(seed))
+    inst, system = sample_feasible_instance(np.random.default_rng(seed))
     p = np.zeros(len(inst.targets))
     prev = p
     for _ in range(4000):
-        p = iterate_power_control(inst.system, max_iters=1, p0=p).p
+        p = iterate_power_control(system, max_iters=1, p0=p).p
         assert np.all(p >= prev - 1e-15)
         if np.abs(p - prev).max() <= 1e-13 * max(p.max(), 1e-30):
             break
         prev = p
-    exact = fixed_point_oracle(inst.system)
+    exact = fixed_point_oracle(system)
     assert p == pytest.approx(exact, rel=1e-8)
 
 
@@ -279,7 +284,7 @@ def test_opc_fairness_pathology_two_user():
 
 
 def test_dtpc_fixed_point_keeps_supported_users_at_target():
-    inst = sample_feasible_instance(np.random.default_rng(42))
+    inst, _ = sample_feasible_instance(np.random.default_rng(42))
     state = iterate_power_control(
         CochannelSystem(inst.a, inst.noise, inst.targets, 1e3, eta=inst.eta),
         algorithm="dtpc",
@@ -350,8 +355,9 @@ def test_feasibility_within_collatz_wielandt_bracket_and_scales(seed, scale):
     # root lies between the smallest and the largest ratio (F v)_i / v_i
     rng = np.random.default_rng(seed)
     inst = sample_instance(rng)
-    res = feasibility_check(inst.system)
-    f = inst.system.coupling
+    system = instance_system(inst)
+    res = feasibility_check(system)
+    f = system.coupling
     for v in (np.ones(len(f)), rng.uniform(0.1, 10.0, size=len(f))):
         ratios = (f @ v) / v
         assert ratios.min() * (1.0 - 1e-12) <= res.spectral_radius
@@ -370,17 +376,18 @@ def test_feasible_iff_m_matrix_solve_is_positive(seed):
     # rho(F) < 1 iff I - F is a non-singular M-matrix, iff (I - F) p = u has
     # a componentwise positive solution for the oracle's positive u
     inst = sample_instance(np.random.default_rng(seed))
-    check = feasibility_check(inst.system)
+    system = instance_system(inst)
+    check = feasibility_check(system)
     assume(abs(check.spectral_radius - 1.0) >= 1e-9)
-    f = inst.system.coupling
+    f = system.coupling
     u = inst.targets * inst.noise / np.diag(inst.a)
     p = np.linalg.solve(np.eye(len(u)) - f, u)
     assert bool((p > 0).all()) == check.feasible
     if check.feasible:
-        fixed_point_oracle(inst.system)
+        fixed_point_oracle(system)
     else:
         with pytest.raises(OracleError):
-            fixed_point_oracle(inst.system)
+            fixed_point_oracle(system)
 
 
 # --------------------------------------------------------- prioritization
@@ -593,7 +600,7 @@ def test_coupling_keeps_the_full_matrix_bits(seed):
     inst = sample_instance(np.random.default_rng(seed))
     f = inst.targets[:, None] * inst.a / np.diag(inst.a)[:, None]
     np.fill_diagonal(f, 0.0)
-    assert np.array_equal(inst.system.coupling, f)
+    assert np.array_equal(instance_system(inst).coupling, f)
 
 
 def test_verdict_and_coupling_are_computed_once(monkeypatch):
@@ -1103,26 +1110,11 @@ def test_fork_is_the_first_sweep_past_the_bound_on_capped_systems(
     assert any(sweep is not None and sweep > 1 for sweep in forks)
 
 
-class _CountingNumpy:
-    """numpy as ``hetsim.power_control`` sees it, counting ``np.matmul``
-    calls: the kernel makes one per sweep it computes."""
-
-    def __init__(self):
-        self.matmuls = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def matmul(self, *args, **kwargs):
-        self.matmuls += 1
-        return np.matmul(*args, **kwargs)
-
-
 def _fig2_kernel_runs(monkeypatch):
     """A 2-seed fig2 preset run in process: its report, and each kernel run
     in call order as (state, sweeps computed, sweeps needed). A run needs
     its iterations, less those a resumed twin shares with its base run."""
-    counting = _CountingNumpy()
+    counting = CountingNumpy()
     runs = []
 
     def recording(system, **kwargs):
@@ -1188,7 +1180,7 @@ def _capped_system(seed, p_max, algorithm):
     """The system of a feasible instance with the budget ``p_max`` and the
     inputs ``algorithm`` needs: eta, and the prioritized mask and caps."""
     rng = np.random.default_rng(seed)
-    inst = sample_feasible_instance(rng)
+    inst, _ = sample_feasible_instance(rng)
     fields = dict(eta=inst.eta)
     if algorithm in PRIORITIZED_BASE:
         n = len(inst.targets)
@@ -1222,6 +1214,74 @@ def test_iterates_from_zero_never_decrease(algorithm, seed, p_max):
         p = nxt
     else:
         pytest.fail("iterates did not settle within 5000 sweeps")
+
+
+def _assert_cut_runs_never_step_down(run, cuts):
+    """Iterate k of a run from p = 0 is what the run cut at ``max_iters =
+    k`` returns (its converged iterate, if it stops earlier). The iterates
+    at ``cuts`` never step down in any user, bit for bit."""
+    prev = 0.0
+    for k in cuts:
+        p = run(max_iters=k).p
+        assert np.all(p >= prev), k
+        prev = p
+
+
+# The kernel's blocks, stacks and cut-offs keep the order of the sweeps: each
+# iterate it returns from p = 0 is the one before it swept once more
+@pytest.mark.parametrize("algorithm", ["tpc", "ptpc"])
+def test_fig2_iterates_from_zero_never_decrease(cfg, algorithm):
+    # fig2's snapshots as the preset runs them: the caps, high-priority users
+    # on tpc, cfg.tol; every sweep of each run up to its convergence
+    for n_small in (3, 4, 5, 6):
+        snap = generate_fig2_snapshot(cfg, n_small, 1)
+        gm = build_gain_matrix(snap, cfg)
+        serving = associate(snap, gm, cfg.assoc_uplink, cfg)
+        caps = prioritized_caps(snap, gm, ith=cfg.ith_w)
+        system = cochannel_system(snap, gm, serving, cfg, caps)
+
+        def run(max_iters):
+            return iterate_power_control(
+                system, algorithm=algorithm, hpue_algorithm="tpc",
+                max_iters=max_iters, tol=cfg.tol,
+            )
+
+        sweeps = run(cfg.max_iters).iterations
+        assert sweeps > 16, n_small
+        _assert_cut_runs_never_step_down(run, range(1, sweeps + 1))
+
+
+@pytest.mark.parametrize("algorithm", ["tpc", "ptpc"])
+@given(
+    rows=st.integers(1, 5),
+    n=st.integers(2, 8),
+    hpue_algorithm=st.sampled_from([None, "tpc"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_lockstep_iterates_from_zero_never_decrease(
+    algorithm, rows, n, hpue_algorithm, seed
+):
+    # stacks of random systems with per-user budgets, masks and binding
+    # caps: the first 48 sweeps, across the first blocks, and cuts deep in
+    rng = np.random.default_rng(seed)
+    systems = []
+    for _ in range(rows):
+        inst = sample_instance(rng, n_users=n)
+        p_max = 10.0 ** rng.uniform(-1.5, 1.0, size=n)
+        mask = rng.random(n) < 0.5
+        systems.append(CochannelSystem(
+            inst.a, inst.noise, inst.targets, p_max, lpue_mask=mask,
+            cap=_synthetic_caps(rng, inst.a, mask, p_max).cap,
+        ))
+    stack = _stacked(systems)
+    _assert_cut_runs_never_step_down(
+        lambda max_iters: iterate_lockstep(
+            stack, algorithm=algorithm, hpue_algorithm=hpue_algorithm,
+            max_iters=max_iters, tol=1e-12,
+        ),
+        [*range(1, 49), 100, 1000, 10_000],
+    )
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -1615,7 +1675,8 @@ def test_lockstep_single_system_is_a_stack_of_one():
 
 def test_stacked_system_validates_and_checks_every_row():
     systems = [
-        sample_instance(np.random.default_rng(s), n_users=4).system for s in range(6)
+        instance_system(sample_instance(np.random.default_rng(s), n_users=4))
+        for s in range(6)
     ]
     stack = _stacked(systems)
     assert stack.off.shape == (6, 4, 4) and stack.off.strides[1] % 64 == 0
