@@ -89,9 +89,8 @@ MUTANTS = (
         "twin-resumed-one-sweep-late",
         "a soft-removal twin resumes at the sweep after its base run's fork",
         "src/hetsim/power_control.py",
-        "        it = np.array([sweep or 1 for sweep in sweeps], dtype=np.intp)\n",
-        "        it = np.array([sweep + 1 if sweep else 1 for sweep in sweeps],"
-        " dtype=np.intp)\n",
+        "        _, first, p0 = resume.fork\n",
+        "        _, first, p0 = resume.fork\n        first = first and first + 1\n",
         (
             "tests/test_power_control.py::test_twin_forks_mid_run",
             "tests/test_harness.py::test_shared_twin_sweeps_match_separate_runs",

@@ -75,8 +75,10 @@ def run_oracle_check(count, seed):
     relative error.
 
     Instance k is drawn from ``default_rng(seed + k)``, made for
-    ``ORACLE_CHUNK`` seeds at a time by ``seeded_generators``. The instances
-    queue by user count, across those chunks; a queue that holds
+    ``ORACLE_CHUNK`` seeds at a time by ``seeded_generators``. So the runs
+    at ``seed`` and ``seed + 1`` share ``count - 1`` instances; runs meant
+    to check distinct instances need seeds at least ``count`` apart. The
+    instances queue by user count, across those chunks; a queue that holds
     ``ORACLE_CHUNK`` instances runs as one stacked system, which one
     ``eigvals``, one kernel run (``iterate_lockstep``) and one ``solve``
     check at once, each row with the bits it gets alone. The queues still
@@ -180,7 +182,11 @@ def build_parser():
         help="cross-validate power control against exact oracles",
     )
     oc.add_argument("--count", type=int, default=1000, help="instances to run")
-    oc.add_argument("--seed", type=int, default=0, help="base instance seed")
+    oc.add_argument(
+        "--seed", type=int, default=0,
+        help="base instance seed: instance k uses seed + k, so seeds less than "
+        "--count apart share instances",
+    )
     return parser
 
 

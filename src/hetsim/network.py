@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,7 @@ _BS_FIELDS = (("bs_pos", float, (2,)), ("bs_small", bool, ()))
 _USER_FIELDS = (("user_pos", float, (2,)), ("home", int, ()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkSnapshot:
     """One realized topology as read-only arrays, and its link direction.
 
@@ -82,14 +82,6 @@ class NetworkSnapshot:
                     )
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
-
-    def __eq__(self, other):
-        if not isinstance(other, NetworkSnapshot):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in fields(self)
-        )
 
     @property
     def n_bs(self):

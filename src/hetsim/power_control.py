@@ -33,7 +33,7 @@ that sweep lets its twin resume there.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -74,7 +74,8 @@ class PowerState:
     twin (see ``iterate_power_control``): ``(twin, k, p)`` with k the first
     sweep where a demand exceeds the twin's removal bound and p the iterate
     before it, or ``(twin, None, None)`` when no sweep did. The result of a
-    stack (``iterate_lockstep``) holds one entry per row in every field.
+    stack (``iterate_lockstep``) holds one entry per row in every other
+    field; only a stack of one row watches for a twin.
     """
 
     p: np.ndarray
@@ -393,32 +394,36 @@ def iterate_power_control(system, *, p0=None, resume=None, **options):
     demand in a row of a block buffer and tests the whole block against the
     bound at once, so it finds the sweep a test after every sweep would
     find, at one test per block. The twin run, given ``resume=<that base
-    state>`` and otherwise the same arguments, starts at that sweep from the
-    recorded iterate, or returns a copy of the base result when no sweep
-    passed the bound. Either way its powers, iteration count and
-    convergence flag are those of a run from the start, bit for bit.
+    state>`` and otherwise the same arguments, returns a copy of the base
+    result when no sweep passed the bound; otherwise it runs the kernel
+    from the recorded iterate with that sweep as its first. Either way its
+    powers, iteration count and convergence flag are those of a run from
+    the start, bit for bit.
     """
     if system.targets.ndim != 1:
         raise ValueError(
             "iterate_power_control runs one system; iterate_lockstep runs a stack"
         )
+    first = 1
+    if resume is not None:
+        algorithm = options.get("algorithm", "tpc")
+        if resume.fork is None or resume.fork[0] != algorithm:
+            raise ValueError(f"resume state was not recorded for twin {algorithm!r}")
+        _, first, p0 = resume.fork
+        if first is None:
+            # the base run never passed the bound: the twin's run is the same
+            return replace(resume, p=resume.p.copy(), sir=resume.sir.copy(),
+                           supported=resume.supported.copy(), fork=None)
     if p0 is not None:
         p0 = np.asarray(p0, dtype=float)[None]
-    if resume is not None and resume.fork is not None:
-        twin, sweep, start = resume.fork
-        rows = (resume.p, resume.sir, resume.supported, resume.iterations,
-                resume.converged)
-        resume = PowerState(*(np.asarray(v)[None] for v in rows),
-                            fork=(twin, [sweep], [start]))
-    state = iterate_lockstep(system, p0=p0, resume=resume, **options)
-    fork = state.fork and (state.fork[0], state.fork[1][0], state.fork[2][0])
+    state = iterate_lockstep(system, p0=p0, _first_sweep=first, **options)
     return PowerState(
         p=state.p[0],
         sir=state.sir[0],
         supported=state.supported[0],
         iterations=int(state.iterations[0]),
         converged=bool(state.converged[0]),
-        fork=fork,
+        fork=state.fork,
     )
 
 
@@ -432,7 +437,7 @@ def iterate_lockstep(
     tol_support=DEFAULT_TOL_SUPPORT,
     p0=None,
     twin=None,
-    resume=None,
+    _first_sweep=1,
 ):
     """The power-control kernel: ``iterate_power_control`` on every row of a
     stacked ``CochannelSystem`` at once, each row bit for bit as if it ran
@@ -441,18 +446,19 @@ def iterate_lockstep(
 
     ``p0`` holds one start per row, (B, n). The result is a ``PowerState``
     with one entry per row in each field: ``p``, ``sir`` and ``supported``
-    are (B, n), ``iterations`` and ``converged`` (B,), and ``fork`` is
-    ``(twin, sweeps, iterates)`` with one sweep (or None) and one iterate
-    (or None) per row in two lists. ``resume`` takes such a state.
+    are (B, n), and ``iterations`` and ``converged`` (B,). ``twin`` takes a
+    stack of one row only, whose ``fork`` is then the single system's
+    ``(twin, sweep, iterate)``.
 
     A sweep is one stacked product ``off (B, n, n) @ p (B, n, 1)``, which
     NumPy runs as one gemv per row and so with the bits of the row's 2-D
     product, plus the elementwise maps on (B, n, 1) column buffers; a
     single system keeps its (n,) arrays and the 2-D product, whose calls
-    cost less. Every row keeps its own convergence test, iteration count,
-    ``max_iters`` cut-off, twin watch and start sweep. A block ends for all
-    rows at once; no block runs past the ``max_iters`` of the row furthest
-    along, and the rows that finished in a block leave the stack after it.
+    cost less. Every row starts at the same sweep, and one sweep counter
+    serves the stack; each row keeps its own convergence test, iteration
+    count and result. A block ends for all rows at once and never runs
+    past ``max_iters``, and the rows that finished in a block leave the
+    stack after it.
     """
     single = system.targets.ndim == 1
 
@@ -502,63 +508,39 @@ def iterate_lockstep(
     # finite: the system checks that every budget has a finite square
     p_max_sq = p_max * p_max
     soft_removal = base_alg == "tpc_gr"
-    soft_above = twin_bound = None
+    soft_above = twin_bound = fork = None
     if soft_removal:
         # tpc_gr users answer demands above their budget with p_max**2 / q,
         # which lies below it, so only their static cap clips
         clip = np.where(users, cap, clip)
         soft_above = np.where(users, p_max, np.inf)
-    watchers = 0
     if twin is not None:
         if SOFT_REMOVAL_TWINS.get(algorithm) != twin:
             raise ValueError(f"{algorithm!r} cannot share sweeps with {twin!r}")
+        if stack > 1:
+            raise ValueError("a soft-removal twin is watched on one system only")
         # The twin runs soft removal on the same users. Both runs answer a
         # demand q at or below this bound alike: up to the budget nothing is
         # removed, and beyond it a cap that binds (cap <= p_max**2 / q)
         # clips both answers to the cap. nextafter keeps the bound at or
-        # below the exact p_max**2 / cap. A row that forks stops watching:
-        # its bound becomes +inf.
+        # below the exact p_max**2 / cap. The run stops watching once a
+        # sweep passes it.
         with np.errstate(divide="ignore", invalid="ignore"):
             removal = np.nextafter(p_max_sq / cap, 0.0)
         twin_bound = np.where(users, np.maximum(p_max, removal), np.inf)
-        # each row's first sweep past the bound, and the iterate before it
-        fork_sweeps, fork_iterates = [None] * stack, [None] * stack
-        watchers = stack
-
-    # each row's first sweep and the iterate it starts from, and the rows
-    # that sweep, as indices into the stack
-    it = np.ones(stack, dtype=np.intp)
-    start = np.zeros((stack, n)) if p0 is None else p0
-    live = np.arange(stack) if max_iters >= 1 else np.arange(0)
-    if resume is not None:
-        if resume.fork is None or resume.fork[0] != algorithm:
-            raise ValueError(
-                f"resume state was not recorded for twin {algorithm!r}"
-            )
-        # a row whose base run never passed the bound copies its result
-        _, sweeps, iterates = resume.fork
-        copied = np.array([sweep is None for sweep in sweeps])
-        if copied.all():
-            return PowerState(
-                p=resume.p.copy(),
-                sir=resume.sir.copy(),
-                supported=resume.supported.copy(),
-                iterations=resume.iterations.copy(),
-                converged=resume.converged.copy(),
-            )
-        it = np.array([sweep or 1 for sweep in sweeps], dtype=np.intp)
-        start = np.array([np.zeros(n) if q is None else q for q in iterates])
-        live = (~copied & (it <= max_iters)).nonzero()[0]
+        fork = (twin, None, None)
 
     noise, diag, off = stacked(system.noise), stacked(system.diag), system.off
     # a row that never sweeps returns its start
-    p = np.array(start)
+    p = np.zeros((stack, n)) if p0 is None else p0.copy()
     iterations = np.zeros(stack, dtype=np.intp)
     converged = np.zeros(stack, dtype=bool)
+    # the stack's next sweep, and the rows that run it, as indices into the
+    # stack
+    sweep = _first_sweep
+    live = np.arange(stack) if max_iters >= sweep else np.arange(0)
     per_row = [off, noise, diag, targets, clip, p_max_sq, eta, opc, dtpc,
-               soft_above, twin_bound, it, p]
-    # a full stack keeps its views
-    keep = live if live.size < stack else None
+               soft_above, p]
     # Buffers for the first stack, in the sweep's operand shape. Row 0 of
     # a block holds the iterate it starts from and row j + 1 its sweep j;
     # the tests read them as (sweeps, rows, users). A watched run keeps each
@@ -571,28 +553,26 @@ def iterate_lockstep(
     over_budget = np.empty(shape, dtype=bool)
     size = min(_FIRST_BLOCK, _BLOCK)
     while live.size:
-        if keep is not None:
+        if live.size < m:
+            # a smaller stack keeps its rows' arrays and uses the buffers'
+            # leading rows
             per_row = [
                 a[keep] if isinstance(a, np.ndarray) and a.ndim else a
                 for a in per_row
             ]
-        (s_off, s_noise, s_diag, s_targets, s_clip, s_p_max_sq, s_eta, s_opc,
-         s_dtpc, s_soft_above, s_twin_bound, s_it, s_start) = per_row
-        if live.size < m:
-            # a smaller stack uses the buffers' leading rows
             m = live.size
             columns, demands = columns[:, :m], demands[:, :m]
             r, work, over_budget = r[:m], work[:m], over_budget[:m]
+        (s_off, s_noise, s_diag, s_targets, s_clip, s_p_max_sq, s_eta, s_opc,
+         s_dtpc, s_soft_above, s_start) = per_row
         block = columns.reshape(_BLOCK + 1, m, n)
         block[0] = s_start
         sweep_rows = list(columns)
         qs = list(demands) if twin is not None else [demands[0]] * _BLOCK
 
-        # sweeps run since the stack formed: a block starts at sweep
-        # s_it + swept of each row
-        swept, it_max = 0, int(s_it.max())
         while True:
-            k = min(size, max_iters + 1 - it_max - swept)
+            # the block runs sweeps sweep .. sweep + k - 1
+            k = min(size, max_iters + 1 - sweep)
             for j in range(k):
                 q = qs[j]
                 np.matmul(s_off, sweep_rows[j], out=r)
@@ -608,29 +588,23 @@ def iterate_lockstep(
                     np.greater(q, s_soft_above, out=over_budget)
                     np.divide(s_p_max_sq, q, out=q, where=over_budget)
                 np.minimum(q, s_clip, out=sweep_rows[j + 1])
-            if watchers:
-                crossed = np.greater(demands[:k], s_twin_bound)
+            if twin_bound is not None:
+                crossed = np.greater(demands[:k], twin_bound)
                 if crossed.any():
-                    # each row's first sweep of the block whose demand
-                    # passes the bound
-                    crossed = crossed.reshape(k, m, n).any(axis=2)
-                    hit = crossed.any(axis=0).nonzero()[0]
-                    firsts = crossed.argmax(axis=0)
-                    for b in hit.tolist():
-                        j = int(firsts[b])
-                        fork_sweeps[live[b]] = int(s_it[b]) + swept + j
-                        fork_iterates[live[b]] = block[j, b].copy()
-                    s_twin_bound.reshape(m, n)[hit] = np.inf
-                    watchers -= hit.size
-            # sweep it + j passes when max |p' - p| < tol * max(max(p), floor);
+                    # the block's first sweep whose demand passes the bound,
+                    # and the iterate before it
+                    j = int(crossed.reshape(k, n).any(axis=1).argmax())
+                    fork = (twin, sweep + j, block[j, 0].copy())
+                    twin_bound = None
+            # sweep + j passes when max |p' - p| < tol * max(max(p), floor);
             # the initial values also keep n = 0 valid
             diff = block[1 : k + 1] - block[:k]
             delta = np.maximum.reduce(np.abs(diff, out=diff), axis=2, initial=0.0)
             scale = np.maximum.reduce(block[:k], axis=2, initial=_SCALE_FLOOR)
             passed = delta < tol * scale
-            swept += k
+            sweep += k
             # argmax finds a passing sweep at less cost than any()
-            if it_max + swept > max_iters or passed.ravel()[passed.argmax()]:
+            if sweep > max_iters or passed.ravel()[passed.argmax()]:
                 break
             block[0] = block[k]
             size = _next_block(delta, scale, tol)
@@ -641,40 +615,23 @@ def iterate_lockstep(
         done = passed[first, index]
         last = np.where(done, first + 1, k)
         p[live] = block[last, index]
-        iterations[live] = s_it + (swept - k - 1) + last
+        iterations[live] = sweep - 1 - k + last
         converged[live] = done
         # the rows that finished leave the stack
         keep = ~done
-        if it_max + swept > max_iters:
-            keep &= s_it + swept <= max_iters
-        live = live[keep]
+        # and the cut at max_iters ends every row
+        live = live[keep] if sweep <= max_iters else live[:0]
         if live.size:
-            s_it += swept
             per_row[-1] = block[k]
             size = _next_block(delta[:, keep], scale[:, keep], tol)
-            if twin is not None:
-                watchers = sum(fork_sweeps[b] is None for b in live.tolist())
 
     p_users = stacked(p[0] if single else p)
     r = (off @ p_users + noise) / diag
     sir = (p_users / r).reshape(stack, n)
     supported = sir >= targets.reshape(stack, n) * (1.0 - tol_support)
-    if resume is not None:
-        for arr, kept in (
-            (p, resume.p),
-            (sir, resume.sir),
-            (supported, resume.supported),
-            (iterations, resume.iterations),
-            (converged, resume.converged),
-        ):
-            arr[copied] = kept[copied]
-    fork = None
-    if twin is not None:
-        for b in range(stack):
-            if fork_sweeps[b] is not None and fork_sweeps[b] > iterations[b]:
-                # the demand crossed the bound in a sweep past the returned one
-                fork_sweeps[b] = fork_iterates[b] = None
-        fork = (twin, fork_sweeps, fork_iterates)
+    if fork and fork[1] is not None and fork[1] > iterations[0]:
+        # the demand crossed the bound in a sweep past the returned one
+        fork = (twin, None, None)
     return PowerState(
         p=p,
         sir=sir,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,15 @@ def make_snapshot(bs, users, direction="downlink"):
         user_pos=np.reshape([pos for pos, _ in users], (len(users), 2)),
         home=[home for _, home in users],
         direction=direction,
+    )
+
+
+def same_snapshot(one, other):
+    """Whether two ``NetworkSnapshot`` values hold equal arrays and the same
+    direction."""
+    return all(
+        np.array_equal(getattr(one, f.name), getattr(other, f.name))
+        for f in dataclasses.fields(NetworkSnapshot)
     )
 
 

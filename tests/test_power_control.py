@@ -1554,47 +1554,18 @@ def _assert_rows_match(stack_state, singles):
             assert got.tobytes() == want.tobytes(), (b, name)
         assert stack_state.iterations[b] == one.iterations, b
         assert stack_state.converged[b] == one.converged, b
-        if one.fork is None:
-            assert stack_state.fork is None
-            continue
-        twin, sweeps, iterates = stack_state.fork
-        assert (twin, sweeps[b]) == one.fork[:2], b
-        if sweeps[b] is None:
-            assert iterates[b] is None and one.fork[2] is None
-        else:
-            assert iterates[b].tobytes() == one.fork[2].tobytes(), b
 
 
 def _run_lockstep(systems, *, p0=None, **kwargs):
-    """The lockstep run of ``systems`` stacked and their single runs, checked
-    row by row; then, for a base algorithm with a soft-removal twin, the
-    same with the twin watched and resumed. Returns the lockstep states."""
-    stack = _stacked(systems)
+    """The lockstep run of ``systems`` stacked, checked row by row against
+    their single runs. Returns the lockstep state."""
     rows = [None] * len(systems) if p0 is None else list(p0)
-    states = [iterate_lockstep(stack, p0=p0, **kwargs)]
+    state = iterate_lockstep(_stacked(systems), p0=p0, **kwargs)
     _assert_rows_match(
-        states[0],
+        state,
         [iterate_power_control(s, p0=q, **kwargs) for s, q in zip(systems, rows)],
     )
-    twin = SOFT_REMOVAL_TWINS.get(kwargs["algorithm"])
-    if twin is not None:
-        base = iterate_lockstep(stack, p0=p0, twin=twin, **kwargs)
-        singles = [
-            iterate_power_control(s, p0=q, twin=twin, **kwargs)
-            for s, q in zip(systems, rows)
-        ]
-        _assert_rows_match(base, singles)
-        resumed = {**kwargs, "algorithm": twin}
-        shared = iterate_lockstep(stack, p0=p0, resume=base, **resumed)
-        _assert_rows_match(
-            shared,
-            [
-                iterate_power_control(s, p0=q, resume=one, **resumed)
-                for s, q, one in zip(systems, rows, singles)
-            ],
-        )
-        states += [base, shared]
-    return states
+    return state
 
 
 @given(
@@ -1613,7 +1584,7 @@ def test_lockstep_rows_match_single_runs(
     rows, n, algorithm, hpue_algorithm, masked, explicit_p0, max_iters, tol, seed
 ):
     # B random systems of one size in lockstep: every row's powers, SIRs,
-    # support flags, sweep count, convergence flag and fork equal those of
+    # support flags, sweep count and convergence flag equal those of
     # its system run alone, whatever the algorithm, caps, masks, budgets,
     # starts and cut-offs
     rng = np.random.default_rng(seed)
@@ -1648,16 +1619,24 @@ def test_lockstep_rows_finish_in_different_blocks_and_fork_apart():
     a, noise, targets = _chain()
     budgets = [30.0, 0.2, 2000.0, 5.0, 1e30, 400.0, 1.0]
     systems = [CochannelSystem(a, noise, targets, b) for b in budgets]
-    state, base, shared = _run_lockstep(systems, algorithm="tpc", max_iters=60)
-    assert base.fork[1] == [9, 2, 15, 6, None, 12, 4]
+    state = _run_lockstep(systems, algorithm="tpc", max_iters=60)
     assert state.converged.tolist() == [True] * 4 + [False] + [True] * 2
     assert state.iterations[4] == 60
     # first blocks of 16 sweeps, then 2 to 32: finishes in at least three
     assert len({int(i) // 16 for i in state.iterations}) >= 3
-    # soft removal does not settle on the infeasible chain: the twins resumed
-    # at seven different sweeps end apart, most at max_iters
-    assert shared.iterations.tolist() == [60, 58, 60, 60, 60, 60, 60]
-    # a row resumed from a fork starts past the others and is cut first
+    # the twins watched and resumed on each system alone fork at seven
+    # different sweeps; soft removal does not settle on the infeasible
+    # chain, so they end apart, most at max_iters
+    bases = [
+        iterate_power_control(s, twin="tpc_gr", max_iters=60) for s in systems
+    ]
+    assert [base.fork[1] for base in bases] == [9, 2, 15, 6, None, 12, 4]
+    shared = [
+        iterate_power_control(s, algorithm="tpc_gr", max_iters=60, resume=base)
+        for s, base in zip(systems, bases)
+    ]
+    assert [one.iterations for one in shared] == [60, 58, 60, 60, 60, 60, 60]
+    # rows cut at max_iters while others converge in the same block
     _run_lockstep(systems, algorithm="tpc", max_iters=12)
 
 
@@ -1666,11 +1645,18 @@ def test_lockstep_single_system_is_a_stack_of_one():
     state = iterate_lockstep(system, algorithm="tpc", twin="tpc_gr")
     one = iterate_power_control(system, algorithm="tpc", twin="tpc_gr")
     _assert_rows_match(state, [one])
-    assert state.fork == ("tpc_gr", [7], [state.fork[2][0]])
+    twin, sweep, iterate = state.fork
+    assert (twin, sweep) == one.fork[:2] == ("tpc_gr", 7)
+    assert iterate.tobytes() == one.fork[2].tobytes()
+    assert _stacked([system]).targets.shape == (1, 2)
+    assert iterate_lockstep(_stacked([system]), twin="tpc_gr").fork[1] == 7
+    pair = _stacked([system, system])
     with pytest.raises(ValueError, match="iterate_lockstep"):
-        iterate_power_control(_stacked([system, system]))
+        iterate_power_control(pair)
     with pytest.raises(ValueError, match="p0"):
-        iterate_lockstep(_stacked([system, system]), p0=np.ones(2))
+        iterate_lockstep(pair, p0=np.ones(2))
+    with pytest.raises(ValueError, match="one system only"):
+        iterate_lockstep(pair, algorithm="tpc", twin="tpc_gr")
 
 
 def test_stacked_system_validates_and_checks_every_row():

@@ -1,8 +1,9 @@
 """Smoke tests for the code outside the package that calls it by name:
 ``scripts/calibrate_target_sir.py`` and the perfbench tracer and runner. A
 renamed function breaks them without these checks. Also the line counter
-``scripts/code_lines.py``, on a sample, and the defects of
-``scripts/mutants.py``, which must still apply to the source."""
+``scripts/code_lines.py`` and the reach audit ``scripts/reach.py``, on
+samples, and the defects of ``scripts/mutants.py``, which must still apply
+to the source."""
 
 import argparse
 import importlib
@@ -10,7 +11,9 @@ import importlib.util
 from pathlib import Path
 
 from hetsim import cli
+from hetsim.association import SCHEMES
 from hetsim.config import DEFAULT_TARGET_SIR_DB, fig2_defaults
+from hetsim.power_control import ALGORITHMS
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -64,6 +67,52 @@ def test_code_lines_skip_docstrings_comments_and_blanks(tmp_path, capsys):
     assert module.main([str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["0", "empty.py"], ["8", "sample.py"], ["8", "total"]]
+
+
+_TOY = '''"""Toy module."""
+
+
+def pick(x):
+    """Docstring."""
+    if x > 0:
+        return "up"
+    elif x < 0:
+        raise ValueError("negative")
+    y = (x +
+         1)
+    return y
+
+
+@staticmethod
+def never():
+    return 0
+'''
+
+
+def test_reach_lists_unreached_statements_but_not_raises(tmp_path):
+    module = _load("reach", SCRIPTS / "reach.py")
+    (tmp_path / "toy.py").write_text(_TOY, encoding="utf-8")
+
+    def run(*args):
+        toy = _load("toy", tmp_path / "toy.py")
+        for x in args:
+            toy.pick(x)
+
+    # the elif, both lines of y and its return, and never's body; not the
+    # raise, the docstrings or the decorated def
+    assert module.audit(lambda: run(1), tmp_path) == {
+        "toy.py": [(8, "elif x < 0:"), (10, "y = (x +"), (12, "return y"),
+                   (17, "return 0")],
+    }
+    assert module.audit(lambda: run(1, 0), tmp_path) == {
+        "toy.py": [(17, "return 0")],
+    }
+    # the report paths cover every algorithm, scheme and shipped config
+    paths = module.report_paths(tmp_path)
+    assert ["oracle-check"] in paths and ["fig3", "--out", str(tmp_path)] in paths
+    configs = len(list(ROOT.glob("configs/*.cfg")))
+    sweeps = (len(ALGORITHMS) + 1) * len(SCHEMES) + configs
+    assert sum(path[0] == "sweep" for path in paths) == sweeps
 
 
 def test_tracer_wrapped_names_resolve():
