@@ -75,10 +75,11 @@ MUTANTS = (
     ),
     Mutant(
         "out-of-order-merge",
-        "the process pool's job results merged in reverse order",
+        "the job results of a run with a pool merged in reverse order",
         "src/hetsim/harness.py",
-        "        return list(pool.map(_job, payloads, chunksize=chunk))\n",
-        "        return list(pool.map(_job, payloads, chunksize=chunk))[::-1]\n",
+        "        results[head:tail] = [f.result() for f in futures[head:tail]]\n",
+        "        results[head:tail] = [f.result() for f in futures[head:tail]]\n"
+        "        results.reverse()\n",
         (
             "tests/test_harness.py::test_reports_identical_across_job_counts",
             "tests/test_harness.py::"

@@ -159,7 +159,9 @@ def _add_run_options(parser):
         "--jobs",
         type=int,
         default=1,
-        help="parallel snapshot workers (1 to os.cpu_count())",
+        help="processes that run the snapshot jobs (1 to os.cpu_count()): "
+        "this one and N - 1 forked workers; the report is byte-identical at "
+        "every count",
     )
 
 

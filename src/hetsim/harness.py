@@ -11,8 +11,9 @@ and a Monte Carlo experiment averages snapshot metrics over
 algorithm/scheme variant. Jobs are independent, each returning one row of
 ``FIELDS`` per seed and variant: a grid job is one snapshot, a disc job a
 contiguous chunk of one sweep point's seeds, evaluated in one array pass.
-With ``jobs > 1`` they run in a process pool that returns the rows in job
-order, so reports are identical for any job count.
+With ``jobs > 1`` the calling process runs jobs itself beside ``jobs - 1``
+forked pool workers, and the rows are merged in job order, so reports are
+byte-identical at every job count.
 """
 
 from __future__ import annotations
@@ -267,12 +268,38 @@ def _job(payload):
 
 
 def _run_jobs(payloads, jobs):
-    """Each payload's job result, in payload order."""
-    if jobs <= 1:
+    """Each payload's job result, in payload order.
+
+    With ``jobs > 1`` this process is one of the ``jobs`` workers: it forks
+    ``min(jobs, len(payloads)) - 1`` pool workers, which take the payloads
+    from the front, and runs them itself from the back, taking each one it
+    can still cancel in the pool. The two sides meet where a worker holds
+    the next payload, so the balance follows the jobs' costs and this
+    process takes the last (a sweep's heaviest) points. Between its own
+    jobs it collects the workers' finished ones from the front, so a failed
+    job on either side raises within about one job, and the pool's pending
+    jobs are cancelled before it shuts down."""
+    workers = min(jobs, len(payloads)) - 1
+    if workers < 1:
         return [_job(p) for p in payloads]
-    chunk = max(1, len(payloads) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_job, payloads, chunksize=chunk))
+    results = [None] * len(payloads)
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(_job, p) for p in payloads]
+        head, tail = 0, len(payloads)
+        while head < tail:
+            if futures[head].done():
+                results[head] = futures[head].result()
+                head += 1
+            elif futures[tail - 1].cancel():
+                tail -= 1
+                results[tail] = _job(payloads[tail])
+            else:
+                break
+        results[head:tail] = [f.result() for f in futures[head:tail]]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return results
 
 
 def run_experiment(

@@ -338,6 +338,45 @@ def _next_block(steps, scale, tol):
     return _BLOCK
 
 
+def _check_run(
+    system,
+    *,
+    algorithm="tpc",
+    hpue_algorithm=None,
+    max_iters=DEFAULT_MAX_ITERS,
+    twin=None,
+    tol=None,
+    tol_support=None,
+):
+    """The kernel's checks of its options that hold for any stack; returns
+    whether the algorithm is prioritized, its base map, and whether that map
+    is opportunistic. ``tol`` and ``tol_support`` are taken unchecked, so
+    that a resumed twin's options pass here exactly as they pass the
+    kernel."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown power-control algorithm {algorithm!r}")
+    if hpue_algorithm not in (None, "tpc"):
+        raise ValueError(
+            f"unknown base power-control algorithm {hpue_algorithm!r} for the "
+            "high-priority users (None or 'tpc')"
+        )
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be at least 0, got {max_iters}")
+    if twin is not None and SOFT_REMOVAL_TWINS.get(algorithm) != twin:
+        raise ValueError(f"{algorithm!r} cannot share sweeps with {twin!r}")
+    prioritized = algorithm in PRIORITIZED_BASE
+    base_alg = PRIORITIZED_BASE.get(algorithm, algorithm)
+    opportunistic = base_alg in ("opc", "dtpc")
+    if opportunistic and system.eta is None:
+        raise ValueError(f"{algorithm} requires the opportunistic target eta")
+    if prioritized and (system.lpue_mask is None or system.cap is None):
+        raise ValueError(
+            f"{algorithm} needs a system with lpue_mask and caps "
+            "(see prioritized_caps)"
+        )
+    return prioritized, base_alg, opportunistic
+
+
 def iterate_power_control(system, *, p0=None, resume=None, **options):
     """Synchronous fixed-point iteration of the chosen update map on one
     ``CochannelSystem``, starting from ``p0`` (default: the zero vector).
@@ -395,7 +434,8 @@ def iterate_power_control(system, *, p0=None, resume=None, **options):
     bound at once, so it finds the sweep a test after every sweep would
     find, at one test per block. The twin run, given ``resume=<that base
     state>`` and otherwise the same arguments, returns a copy of the base
-    result when no sweep passed the bound; otherwise it runs the kernel
+    result when no sweep passed the bound, once its options pass the
+    kernel's checks (``_check_run``); otherwise it runs the kernel
     from the recorded iterate with that sweep as its first. Either way its
     powers, iteration count and convergence flag are those of a run from
     the start, bit for bit.
@@ -411,7 +451,9 @@ def iterate_power_control(system, *, p0=None, resume=None, **options):
             raise ValueError(f"resume state was not recorded for twin {algorithm!r}")
         _, first, p0 = resume.fork
         if first is None:
-            # the base run never passed the bound: the twin's run is the same
+            # the base run never passed the bound: the twin's run is the
+            # same, once its options pass the kernel's checks
+            _check_run(system, **options)
             return replace(resume, p=resume.p.copy(), sir=resume.sir.copy(),
                            supported=resume.supported.copy(), fork=None)
     if p0 is not None:
@@ -470,23 +512,10 @@ def iterate_lockstep(
 
     targets = stacked(system.targets)
     stack, n = (1, *targets.shape) if single else targets.shape[:2]
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown power-control algorithm {algorithm!r}")
-    if hpue_algorithm not in (None, "tpc"):
-        raise ValueError(
-            f"unknown base power-control algorithm {hpue_algorithm!r} for the "
-            "high-priority users (None or 'tpc')"
-        )
-    prioritized = algorithm in PRIORITIZED_BASE
-    base_alg = PRIORITIZED_BASE.get(algorithm, algorithm)
-    opportunistic = base_alg in ("opc", "dtpc")
-    if opportunistic and system.eta is None:
-        raise ValueError(f"{algorithm} requires the opportunistic target eta")
-    if prioritized and (system.lpue_mask is None or system.cap is None):
-        raise ValueError(
-            f"{algorithm} needs a system with lpue_mask and caps "
-            "(see prioritized_caps)"
-        )
+    prioritized, base_alg, opportunistic = _check_run(
+        system, algorithm=algorithm, hpue_algorithm=hpue_algorithm,
+        max_iters=max_iters, twin=twin,
+    )
     if p0 is not None:
         # iterates then stay non-negative, so max(p) is their inf-norm
         p0 = np.asarray(p0, dtype=float)
@@ -515,8 +544,6 @@ def iterate_lockstep(
         clip = np.where(users, cap, clip)
         soft_above = np.where(users, p_max, np.inf)
     if twin is not None:
-        if SOFT_REMOVAL_TWINS.get(algorithm) != twin:
-            raise ValueError(f"{algorithm!r} cannot share sweeps with {twin!r}")
         if stack > 1:
             raise ValueError("a soft-removal twin is watched on one system only")
         # The twin runs soft removal on the same users. Both runs answer a

@@ -1,4 +1,8 @@
 import dataclasses
+import multiprocessing
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hetsim.harness import (
     _check_safety,
     _disc_results,
     _job,
+    _run_jobs,
     _seed_chunks,
     outage_ratio,
     run_experiment,
@@ -151,7 +156,10 @@ def test_fig3_issues_one_job_per_point_and_chunk(monkeypatch):
     ]
     assert report.raw.shape[-1] == 400
 
-    # the job count changes who runs the jobs, never what they are
+    # the job count changes who runs the jobs, never what they are, on the
+    # disc and on the grid
+    grid = SimConfig(grid_rows=2, snapshots=3, sweep=(3, 5))
+    reports = {"fig3": report, "fig2": run_preset("fig2", grid)}
     layouts = {}
 
     def recording(jobs_payloads, jobs):
@@ -159,9 +167,11 @@ def test_fig3_issues_one_job_per_point_and_chunk(monkeypatch):
         return [_job(p) for p in jobs_payloads]
 
     monkeypatch.setattr("hetsim.harness._run_jobs", recording)
-    for jobs in (1, 2, 3, 5):
-        assert run_preset("fig3", cfg, jobs=jobs).raw.tobytes() == report.raw.tobytes()
-        assert layouts[jobs] == layouts[1]
+    for name, c in (("fig3", cfg), ("fig2", grid)):
+        for jobs in (1, 2, 3, 5):
+            raw = run_preset(name, c, jobs=jobs).raw
+            assert raw.tobytes() == reports[name].raw.tobytes()
+            assert layouts[jobs] == layouts[1]
 
 
 def test_seed_chunks_cover_the_seeds_within_the_entry_bound():
@@ -262,6 +272,78 @@ def test_reports_identical_across_job_counts(cfg):
             d_par = run_preset("fig3", disc, jobs=jobs)
             assert d_seq.rows == d_par.rows
             assert d_seq.raw.tobytes() == d_par.raw.tobytes()
+
+
+# one run count per payload index, in shared memory made before each pool
+# forks, so that the pool's workers count into it
+_RUNS = None
+
+
+def _counted_job(payload):
+    """A stand-in for ``_job`` on ``(index, failing)`` payloads: counts its
+    run, takes a few milliseconds, raises ``NumericError`` on the failing
+    index and returns the index and the process that ran it."""
+    index, failing = payload
+    with _RUNS.get_lock():
+        _RUNS[index] += 1
+    time.sleep(0.005)
+    if index == failing:
+        raise NumericError(f"job {index} failed")
+    return index, os.getpid()
+
+
+def test_parent_runs_jobs_beside_one_worker_fewer(monkeypatch):
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr("hetsim.harness.ProcessPoolExecutor", RecordingPool)
+    with monkeypatch.context() as patched:
+        patched.setattr("hetsim.harness._job", _counted_job)
+        for jobs, count in ((2, 12), (3, 12), (5, 12), (5, 3), (3, 1)):
+            patched.setitem(globals(), "_RUNS", multiprocessing.Array("i", count))
+            sizes.clear()
+            results = _run_jobs([(k, None) for k in range(count)], jobs)
+            assert [index for index, _ in results] == list(range(count))
+            # every payload ran once, and this process ran a suffix of them
+            assert list(_RUNS) == [1] * count
+            assert sizes == ([min(jobs, count) - 1] if count > 1 else [])
+            own = [k for k, pid in results if pid == os.getpid()]
+            assert own == list(range(count - len(own), count))
+            if jobs == 2:
+                # one worker would have to finish ten jobs before this
+                # process cancels the last payload
+                assert own
+    assert multiprocessing.active_children() == []
+
+    # the reports stay byte-identical, and one payload starts no pool
+    cfg = SimConfig(grid_rows=2, snapshots=3, sweep=(3, 5))
+    raw = run_preset("fig2", cfg).raw.tobytes()
+    for jobs in (2, 3, 5):
+        sizes.clear()
+        assert run_preset("fig2", cfg, jobs=jobs).raw.tobytes() == raw
+        assert sizes == [jobs - 1]
+    sizes.clear()
+    single = dataclasses.replace(cfg, snapshots=1, sweep=(3,))
+    assert run_preset("fig2", single, jobs=3).rows == run_preset("fig2", single).rows
+    assert sizes == []
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failing", ["parent", "worker"])
+def test_failed_job_stops_the_pool(monkeypatch, failing):
+    # the parent runs the last payload first, a worker the first one
+    count = 40
+    index = count - 1 if failing == "parent" else 0
+    monkeypatch.setitem(globals(), "_RUNS", multiprocessing.Array("i", count))
+    monkeypatch.setattr("hetsim.harness._job", _counted_job)
+    with pytest.raises(NumericError, match=f"job {index} failed"):
+        _run_jobs([(k, index) for k in range(count)], 2)
+    assert sum(_RUNS) < count
+    assert multiprocessing.active_children() == []
 
 
 def test_shared_twin_sweeps_match_separate_runs(monkeypatch):

@@ -918,6 +918,27 @@ def test_twin_resume_checks_its_source():
             iterate_power_control(system, algorithm=algorithm, twin=twin)
 
 
+def test_twin_copy_checks_the_kernel_options_first():
+    # a base run that never forks hands its twin a copy of its result, but
+    # only for options the kernel would accept
+    a, noise, targets = two_user_toy()
+    system = CochannelSystem(a, noise, targets, 10.0)
+    base = iterate_power_control(system, twin="tpc_gr")
+    assert base.fork == ("tpc_gr", None, None)
+    for resume in (None, base):
+        with pytest.raises(ValueError, match="bogus"):
+            iterate_power_control(
+                system, algorithm="tpc_gr", resume=resume,
+                hpue_algorithm="bogus", max_iters=-5,
+            )
+        with pytest.raises(ValueError, match="max_iters"):
+            iterate_power_control(
+                system, algorithm="tpc_gr", resume=resume, max_iters=-5
+            )
+    with pytest.raises(TypeError):
+        iterate_power_control(system, algorithm="tpc_gr", resume=base, tolerance=1)
+
+
 # ------------------------------ blocked convergence test and matrix layout
 
 
