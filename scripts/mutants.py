@@ -90,8 +90,9 @@ MUTANTS = (
         "twin-resumed-one-sweep-late",
         "a soft-removal twin resumes at the sweep after its base run's fork",
         "src/hetsim/power_control.py",
-        "        _, first, p0 = resume.fork\n",
-        "        _, first, p0 = resume.fork\n        first = first and first + 1\n",
+        "        _, first, p0, shared = resume.fork\n",
+        "        _, first, p0, shared = resume.fork\n"
+        "        first = first and first + 1\n",
         (
             "tests/test_power_control.py::test_twin_forks_mid_run",
             "tests/test_harness.py::test_shared_twin_sweeps_match_separate_runs",
@@ -135,8 +136,8 @@ MUTANTS = (
         "oracle-check reports its failures in the order its size stacks run, "
         "not in instance order",
         "src/hetsim/cli.py",
-        "    return OracleCheckSummary(total=count, failures=sorted(failures))\n",
-        "    return OracleCheckSummary(total=count, failures=failures)\n",
+        "    return sorted(failures)\n",
+        "    return failures\n",
         (
             "tests/test_config_cli.py::"
             "test_oracle_check_fails_like_one_instance_at_a_time[4-60]",

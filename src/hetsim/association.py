@@ -4,8 +4,9 @@ Every scheme is a per-user score over candidate base stations (higher is
 better), and a user's serving cell is its argmax with ties broken toward the
 lowest BS id. Interference-dependent metrics (rsrq, mei) need a
 transmit-power context before powers have settled; they are evaluated at
-reference powers, i.e. full user budgets on the uplink and full BS budgets
-on the downlink.
+reference powers: full user budgets on a grid snapshot's uplink
+(``score_matrix``), the base stations' tier powers on the disc's downlink
+(``link_scores`` on its arrays).
 
 Schemes
 -------
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import UPLINK, tier_powers
 from .scheduling import access_probability, cell_loads
 
 SCHEMES = (
@@ -39,38 +39,31 @@ SCHEMES = (
 
 
 def score_matrix(snapshot, gains, scheme, cfg):
-    """(n_users, n_bs) association scores, higher is better.
+    """(n_users, n_bs) uplink association scores of a snapshot and its
+    ``build_gain_matrix`` gains, higher is better.
 
     Under the resource and hybrid schemes each user is a prospective joiner:
     the incumbents of cell b exclude the user itself (its home score), so
-    its access probability there is p = 1 / (others + 1). The reference
-    powers are ``cfg.pmax_w`` for every user on the uplink and each BS's
-    tier power (``tier_powers``) on the downlink; ``cfg.bias_db`` multiplies
-    the small tier under cre.
+    its access probability there is p = 1 / (others + 1). Every user
+    transmits at the reference power ``cfg.pmax_w``; ``cfg.bias_db``
+    multiplies the small tier under cre.
     """
-    uplink = snapshot.direction == UPLINK
     access = None
     if scheme in ("resource", "hybrid"):
         own = score_matrix(snapshot, gains, "home", cfg)
         access = access_probability(cell_loads(snapshot) - own)
-    # received power at reference powers; users transmit on the uplink and
-    # base stations on the downlink, so the receivers are the other axis;
-    # one power per transmitter, since a scalar times the summed gains would
-    # round otherwise than gains @ powers
-    if uplink:
-        powers = np.full(snapshot.n_users, cfg.pmax_w)
-    else:
-        powers = tier_powers(cfg, snapshot.bs_small)
-    tx, rx = ((-1, 1), (1, -1)) if uplink else ((1, -1), (-1, 1))
-    # total received power at each receiver, for the interference
-    total = (gains.gains @ powers).reshape(rx) if scheme in ("rsrq", "mei") else None
+    # one power per user, since a scalar times the summed gains would round
+    # otherwise than gains @ powers
+    powers = np.full(snapshot.n_users, cfg.pmax_w)
+    # total received power at each base station, for the interference
+    total = gains.gains @ powers if scheme in ("rsrq", "mei") else None
     return link_scores(
         scheme,
         # gain of every user/BS pair; the path loss is reciprocal
-        gains.gains.T if uplink else gains.gains,
-        power=powers.reshape(tx),
+        gains.gains.T,
+        power=powers[:, None],
         total=total,
-        noise=gains.noise.reshape(rx),
+        noise=gains.noise,
         access=access,
         small=snapshot.bs_small,
         home=snapshot.home,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,16 +54,6 @@ ORACLE_REL_TOL = 1e-8
 ORACLE_CHUNK = 256
 
 
-@dataclass
-class OracleCheckSummary:
-    total: int
-    failures: list
-
-    @property
-    def passed(self):
-        return self.total - len(self.failures)
-
-
 def run_oracle_check(count, seed):
     """Cross-validate the iterated tracking algorithm on random instances.
 
@@ -86,7 +76,8 @@ def run_oracle_check(count, seed):
     per user count and one running stack. The stacks are made as tall as
     that bound allows because at these sizes a stacked sweep costs about the
     same whatever its number of rows, and a stack sweeps until its slowest
-    row converges. Failures are reported in instance order.
+    row converges. Returns the failures as (index, seed, reason) tuples in
+    instance order.
     """
     failures, queues = [], {}
     for first in range(0, count, ORACLE_CHUNK):
@@ -99,7 +90,7 @@ def run_oracle_check(count, seed):
                 failures += _check_group(queues.pop(n), seed)
     for queue in queues.values():
         failures += _check_group(queue, seed)
-    return OracleCheckSummary(total=count, failures=sorted(failures))
+    return sorted(failures)
 
 
 def _check_group(group, seed):
@@ -241,16 +232,18 @@ def _run_oracle_check(args):
         raise ConfigError(
             f"--count must be at least 1, got {args.count}", key="--count"
         )
-    if args.seed < 0:
+    # instance k is seeded with seed + k, and seeds are 128-bit
+    if not 0 <= args.seed <= 2**128 - args.count:
         raise ConfigError(
-            f"--seed must be non-negative, got {args.seed}", key="--seed"
+            f"--seed must be in [0, 2**128 - --count], got {args.seed}",
+            key="--seed",
         )
-    summary = run_oracle_check(args.count, args.seed)
-    for index, inst_seed, reason in summary.failures:
+    failures = run_oracle_check(args.count, args.seed)
+    for index, inst_seed, reason in failures:
         print(f"FAIL instance {index} (seed {inst_seed}): {reason}")
-    rate = summary.passed / summary.total
-    print(f"oracle check: {summary.passed}/{summary.total} passed ({rate:.1%})")
-    return EXIT_OK if not summary.failures else EXIT_CHECK_FAILED
+    passed = args.count - len(failures)
+    print(f"oracle check: {passed}/{args.count} passed ({passed / args.count:.1%})")
+    return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
 def main(argv=None):

@@ -27,8 +27,6 @@ from .association import associate, link_scores
 from .config import SimConfig, check_geometry, fig2_defaults, fig3_defaults
 from .errors import NumericError
 from .network import (
-    DOWNLINK,
-    UPLINK,
     build_gain_matrix,
     disc_chunk,
     generate_fig2_snapshot,
@@ -358,7 +356,7 @@ def run_experiment(
                     sweep_value=point,
                     algorithm=algorithm,
                     scheme=scheme,
-                    direction=UPLINK if grid else DOWNLINK,
+                    direction="uplink" if grid else "downlink",
                     seed_count=cfg.snapshots,
                     **means,
                     seeds=seeds,

@@ -7,8 +7,12 @@ Two snapshot geometries are supported:
   cell users low priority.
 * ``disc``: one circular macro cell overlaid with uniformly dropped small
   cells whose user counts follow per-cell Poisson loads with randomized
-  intensities. Downlink scenario with a single tagged macro user (user 0).
+  intensities. Downlink scenario with a single tagged macro user (user 0),
+  run on the arrays of ``disc_chunk``.
 
+A snapshot (``NetworkSnapshot``) is its topology alone. Its gain matrix
+(``build_gain_matrix``) is the uplink's, base stations receiving; the disc's
+downlink gains come from ``link_gains`` on ``disc_chunk``'s positions.
 Propagation is bounded power-law path loss on a single shared channel, so
 every co-direction transmitter interferes at every receiver. There is no
 fading in the gain matrix; the only randomness is in node placement and cell
@@ -25,9 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError, NumericError
-
-UPLINK = "uplink"
-DOWNLINK = "downlink"
 
 # Rejection-sampling budget for packing small cells into one macro cell.
 PLACEMENT_RETRIES = 10_000
@@ -49,29 +50,24 @@ _USER_FIELDS = (("user_pos", float, (2,)), ("home", int, ()))
 
 @dataclass(frozen=True, eq=False)
 class NetworkSnapshot:
-    """One realized topology as read-only arrays, and its link direction.
+    """One realized topology as read-only arrays.
 
     Base station b is row b of ``bs_pos`` (n_bs, 2) and ``bs_small`` (small
     tier, i.e. low priority). User i is row i of ``user_pos`` (n_users, 2)
     and ``home`` (the BS it was generated in). A user's priority is its home
     cell's tier: users of small cells are the low-priority users (LPUEs),
-    and macro base stations are the protected receivers. ``direction`` is
-    ``UPLINK`` or ``DOWNLINK``. Budgets, targets and BS powers are settings,
-    read off the ``SimConfig`` by the code that needs them.
+    and macro base stations are the protected receivers. Budgets, targets
+    and BS powers are settings, read off the ``SimConfig`` by the code that
+    needs them; the link direction is the uplink's wherever a snapshot is
+    read (``build_gain_matrix``).
     """
 
     bs_pos: np.ndarray
     bs_small: np.ndarray
     user_pos: np.ndarray
     home: np.ndarray
-    direction: str
 
     def __post_init__(self):
-        if self.direction not in (UPLINK, DOWNLINK):
-            raise ValueError(
-                f"direction must be {UPLINK!r} or {DOWNLINK!r}, got "
-                f"{self.direction!r}"
-            )
         n_bs, n_users = len(self.bs_small), len(self.home)
         for group, rows in ((_BS_FIELDS, n_bs), (_USER_FIELDS, n_users)):
             for name, dtype, tail in group:
@@ -98,12 +94,9 @@ class NetworkSnapshot:
 
 @dataclass
 class GainMatrix:
-    """Linear power gains, receiver-major: ``gains[r, t]``.
-
-    Uplink: receivers are base stations, transmitters are users.
-    Downlink: receivers are users, transmitters are base stations.
-    ``noise[r]`` is the receiver noise power in watts. A plain holder:
-    ``build_gain_matrix`` checks the numbers it puts in.
+    """Uplink linear power gains, receiver-major: ``gains[b, u]`` from user
+    u to base station b. ``noise[b]`` is the receiver noise power in watts.
+    A plain holder: ``build_gain_matrix`` checks the numbers it puts in.
     """
 
     gains: np.ndarray
@@ -203,7 +196,7 @@ def generate_fig2_snapshot(cfg, n_small, seed):
     half = np.where(bs_small, small, side)[home, None] / 2.0
     center = bs_pos[home]
     user_pos = rng.uniform(center - half, center + half)
-    return NetworkSnapshot(bs_pos, bs_small, user_pos, home, UPLINK)
+    return NetworkSnapshot(bs_pos, bs_small, user_pos, home)
 
 
 def disc_draws(cfg, n_small, seed):
@@ -232,10 +225,11 @@ def disc_draws(cfg, n_small, seed):
 
 
 def generate_fig3_snapshot(cfg, n_small, seed):
-    """Downlink disc snapshot: one central macro cell, ``n_small`` small
-    cells dropped uniformly in the disc, per-cell Poisson user counts whose
-    means are themselves uniform in [lambda_lo, lambda_hi] (non-uniform
-    load). User 0 is the tagged macro user."""
+    """Disc snapshot: one central macro cell, ``n_small`` small cells
+    dropped uniformly in the disc, per-cell Poisson user counts whose means
+    are themselves uniform in [lambda_lo, lambda_hi] (non-uniform load).
+    User 0 is the tagged macro user. The reference that ``disc_chunk`` is
+    pinned against, bit for bit; the reports run ``disc_chunk``."""
     sites, counts, users = disc_draws(cfg, n_small, seed)
     # the tagged user is cell 0's one user
     home = np.repeat(np.arange(1 + n_small), [1, *counts])
@@ -248,7 +242,7 @@ def generate_fig3_snapshot(cfg, n_small, seed):
     users = points[1 + n_small :] + bs_pos[home[1:]]
     bs_small = np.arange(1 + n_small) > 0
     user_pos = np.vstack((points[:1], users))
-    return NetworkSnapshot(bs_pos, bs_small, user_pos, home, DOWNLINK)
+    return NetworkSnapshot(bs_pos, bs_small, user_pos, home)
 
 
 def _poisson_replay(lam, doubles):
@@ -454,12 +448,9 @@ def link_gains(rx, tx, cfg):
 
 
 def build_gain_matrix(snapshot, cfg):
-    """Receiver-major path gains for the snapshot's link direction, every
-    receiver by every transmitter, plus the configured noise floor at every
-    receiver."""
-    if snapshot.direction == UPLINK:
-        rx, tx = snapshot.bs_pos, snapshot.user_pos
-    else:
-        rx, tx = snapshot.user_pos, snapshot.bs_pos
-    noise = np.full(rx.shape[0], cfg.noise_w, dtype=float)
-    return GainMatrix(gains=link_gains(rx, tx, cfg), noise=noise)
+    """The snapshot's uplink path gains, every base station (receiver) by
+    every user (transmitter), plus the configured noise floor at every base
+    station."""
+    gains = link_gains(snapshot.bs_pos, snapshot.user_pos, cfg)
+    noise = np.full(snapshot.n_bs, cfg.noise_w, dtype=float)
+    return GainMatrix(gains=gains, noise=noise)

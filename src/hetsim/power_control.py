@@ -39,7 +39,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, OracleError
-from .network import UPLINK
 
 BASE_ALGORITHMS = ("tpc", "tpc_gr", "opc", "dtpc")
 ALGORITHMS = (*BASE_ALGORITHMS, "ptpc", "ptpc_gr", "popc")
@@ -71,9 +70,11 @@ class PowerState:
     """Result of a power-control run (or one synchronous sweep).
 
     ``fork`` is set when the run was asked to watch for its soft-removal
-    twin (see ``iterate_power_control``): ``(twin, k, p)`` with k the first
-    sweep where a demand exceeds the twin's removal bound and p the iterate
-    before it, or ``(twin, None, None)`` when no sweep did. The result of a
+    twin (see ``iterate_power_control``): ``(twin, k, p, options)`` with k
+    the first sweep where a demand exceeds the twin's removal bound and p
+    the iterate before it, or k and p None when no sweep did; ``options``
+    holds the run's ``hpue_algorithm``, ``max_iters``, ``tol`` and
+    ``tol_support``, which the twin resumes with. The result of a
     stack (``iterate_lockstep``) holds one entry per row in every other
     field; only a stack of one row watches for a twin.
     """
@@ -108,9 +109,8 @@ class PrioritizedCapSet:
 
 
 def prioritized_caps(snapshot, gains, ith):
-    """Equal-share static caps for every low-priority user (uplink only)."""
-    if snapshot.direction != UPLINK:
-        raise ValueError("prioritized caps are defined for uplink snapshots")
+    """Equal-share static caps for every low-priority user, from the
+    snapshot's uplink gains (``build_gain_matrix``)."""
     protected = np.flatnonzero(~snapshot.bs_small)
     lpue_index = np.flatnonzero(snapshot.lpue_mask)
     if not ith > 0:
@@ -302,11 +302,10 @@ def cochannel_system(snapshot, gains, serving, cfg, caps=None):
     ``cfg.opc_eta``), and the static caps of ``caps`` (a
     ``PrioritizedCapSet``) if given.
 
-    Uplink only: ``a[i, j]`` is the gain from user j to user i's serving
-    receiver ``serving[i]``, and ``noise[i]`` is that receiver's noise power.
+    On the uplink gains of ``build_gain_matrix``: ``a[i, j]`` is the gain
+    from user j to user i's serving receiver ``serving[i]``, and
+    ``noise[i]`` is that receiver's noise power.
     """
-    if snapshot.direction != UPLINK:
-        raise ValueError("the iterated power-control system is uplink-only")
     return CochannelSystem(
         gains.gains[serving, :], gains.noise[serving],
         np.full(snapshot.n_users, cfg.target_sir_linear), cfg.pmax_w,
@@ -433,12 +432,13 @@ def iterate_power_control(system, *, p0=None, resume=None, **options):
     demand in a row of a block buffer and tests the whole block against the
     bound at once, so it finds the sweep a test after every sweep would
     find, at one test per block. The twin run, given ``resume=<that base
-    state>`` and otherwise the same arguments, returns a copy of the base
-    result when no sweep passed the bound, once its options pass the
-    kernel's checks (``_check_run``); otherwise it runs the kernel
-    from the recorded iterate with that sweep as its first. Either way its
-    powers, iteration count and convergence flag are those of a run from
-    the start, bit for bit.
+    state>``, takes the base run's ``hpue_algorithm``, ``max_iters``,
+    ``tol`` and ``tol_support`` (recorded in its ``fork``; other values
+    raise ``ValueError``, after the kernel's own checks, ``_check_run``).
+    It returns a copy of the base result when no sweep passed the bound;
+    otherwise it runs the kernel from the recorded iterate with that sweep
+    as its first. Either way its powers, iteration count and convergence
+    flag are those of a run from the start, bit for bit.
     """
     if system.targets.ndim != 1:
         raise ValueError(
@@ -449,11 +449,13 @@ def iterate_power_control(system, *, p0=None, resume=None, **options):
         algorithm = options.get("algorithm", "tpc")
         if resume.fork is None or resume.fork[0] != algorithm:
             raise ValueError(f"resume state was not recorded for twin {algorithm!r}")
-        _, first, p0 = resume.fork
+        _, first, p0, shared = resume.fork
+        options = {**shared, **options}
+        _check_run(system, **options)
+        if any(options[name] != value for name, value in shared.items()):
+            raise ValueError(f"a twin resumes with its base run's {', '.join(shared)}")
         if first is None:
-            # the base run never passed the bound: the twin's run is the
-            # same, once its options pass the kernel's checks
-            _check_run(system, **options)
+            # the base run never passed the bound: the twin's run is the same
             return replace(resume, p=resume.p.copy(), sir=resume.sir.copy(),
                            supported=resume.supported.copy(), fork=None)
     if p0 is not None:
@@ -490,7 +492,7 @@ def iterate_lockstep(
     with one entry per row in each field: ``p``, ``sir`` and ``supported``
     are (B, n), and ``iterations`` and ``converged`` (B,). ``twin`` takes a
     stack of one row only, whose ``fork`` is then the single system's
-    ``(twin, sweep, iterate)``.
+    ``(twin, sweep, iterate, options)``.
 
     A sweep is one stacked product ``off (B, n, n) @ p (B, n, 1)``, which
     NumPy runs as one gemv per row and so with the bits of the row's 2-D
@@ -665,7 +667,9 @@ def iterate_lockstep(
         supported=supported,
         iterations=iterations,
         converged=converged,
-        fork=fork,
+        # with the options a twin must resume with
+        fork=fork and (*fork, dict(hpue_algorithm=hpue_algorithm, max_iters=max_iters,
+                                   tol=tol, tol_support=tol_support)),
     )
 
 

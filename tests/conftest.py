@@ -27,7 +27,7 @@ def two_user_toy():
     return a, noise, targets
 
 
-def make_snapshot(bs, users, direction="downlink"):
+def make_snapshot(bs, users):
     """Hand-built snapshot. ``bs``: (x, small) per base station, all on the
     x axis; ``users``: (position, home) per user. The BS powers, budgets
     and targets are the ``SimConfig`` the snapshot is used with."""
@@ -36,13 +36,11 @@ def make_snapshot(bs, users, direction="downlink"):
         bs_small=[small for _, small in bs],
         user_pos=np.reshape([pos for pos, _ in users], (len(users), 2)),
         home=[home for _, home in users],
-        direction=direction,
     )
 
 
 def same_snapshot(one, other):
-    """Whether two ``NetworkSnapshot`` values hold equal arrays and the same
-    direction."""
+    """Whether two ``NetworkSnapshot`` values hold equal arrays."""
     return all(
         np.array_equal(getattr(one, f.name), getattr(other, f.name))
         for f in dataclasses.fields(NetworkSnapshot)

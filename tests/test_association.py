@@ -7,55 +7,90 @@ from hypothesis import strategies as st
 
 from conftest import make_snapshot
 from hetsim.association import SCHEMES, associate, link_scores, score_matrix
-from hetsim.config import SimConfig
+from hetsim.config import SimConfig, fig3_defaults
 from hetsim.network import (
     GainMatrix,
     build_gain_matrix,
+    disc_chunk,
     generate_fig2_snapshot,
     generate_fig3_snapshot,
+    link_gains,
     tier_powers,
 )
+from hetsim.scheduling import access_probability
 
 # the toys' BS powers: 10 W macro cells, 1 W small cells
 TOY = SimConfig(power_macro_w=10.0, power_small_w=1.0)
+# a macro cell and a small cell
+MACRO_SMALL = np.array([False, True])
 
 
-def _downlink_snapshot(bs_specs, user_positions):
+def _snapshot(bs_specs, user_positions):
     """bs_specs: list of (x, tier); users get home 0."""
     bs = [(x, tier == "small") for x, tier in bs_specs]
     return make_snapshot(bs, [(pos, 0) for pos in user_positions])
 
 
+def _downlink_scores(scheme, gains, small, cfg, **inputs):
+    """The disc's downlink scores of user-major ``gains[..., user, bs]``, as
+    ``_disc_results`` asks for them: every base station at its tier power,
+    each user's interference total at those powers."""
+    power = tier_powers(cfg, small)
+    return link_scores(
+        scheme, gains, power=power, total=(gains @ power)[..., None],
+        noise=cfg.noise_w, small=small, bias_db=cfg.bias_db, **inputs,
+    )
+
+
 def test_rsrp_score_prefers_stronger_received_power():
-    # macro 10 W at gain 1e-9 -> 1e-8; small 1 W at gain 1e-7 -> 1e-7
-    snap = _downlink_snapshot([(0.0, "macro"), (100.0, "small")], [(0.0, 0.0)])
-    gm = GainMatrix(gains=np.array([[1e-9, 1e-7]]), noise=np.array([1e-13]))
-    scores = score_matrix(snap, gm, "rsrp", TOY)
+    # downlink: macro 10 W at gain 1e-9 -> 1e-8; small 1 W at gain 1e-7 -> 1e-7
+    scores = _downlink_scores("rsrp", np.array([[1e-9, 1e-7]]), MACRO_SMALL, TOY)
     assert scores[0] == pytest.approx([1e-8, 1e-7])
-    assert associate(snap, gm, "rsrp", TOY).tolist() == [1]
+    assert np.argmax(scores, axis=1).tolist() == [1]
+    # uplink: every user at the same budget, so the larger gain wins
+    snap = _snapshot([(0.0, "macro"), (100.0, "small")], [(0.0, 0.0)])
+    gm = GainMatrix(gains=np.array([[1e-7], [1e-9]]), noise=np.full(2, 1e-13))
+    assert score_matrix(snap, gm, "rsrp", TOY)[0] == pytest.approx(
+        [1e-7 * TOY.pmax_w, 1e-9 * TOY.pmax_w]
+    )
+    assert associate(snap, gm, "rsrp", TOY).tolist() == [0]
 
 
 def test_cre_bias_flips_the_winner():
-    # macro rsrp 1e-8 vs small 2e-9; 10 dB small-tier bias -> 2e-8 wins
-    snap = _downlink_snapshot([(0.0, "macro"), (100.0, "small")], [(0.0, 0.0)])
-    gm = GainMatrix(gains=np.array([[1e-9, 2e-9]]), noise=np.array([1e-13]))
-    assert associate(snap, gm, "rsrp", TOY).tolist() == [0]
+    # downlink macro rsrp 1e-8 vs small 2e-9; 10 dB small-tier bias -> 2e-8 wins
+    gains = np.array([[1e-9, 2e-9]])
+    rsrp = _downlink_scores("rsrp", gains, MACRO_SMALL, TOY)
+    assert np.argmax(rsrp, axis=1).tolist() == [0]
     biased = dataclasses.replace(TOY, bias_db=10.0)
-    assert score_matrix(snap, gm, "cre", biased)[0, 1] == pytest.approx(2e-8)
-    assert associate(snap, gm, "cre", biased).tolist() == [1]
+    cre = _downlink_scores("cre", gains, MACRO_SMALL, biased)
+    assert cre[0, 1] == pytest.approx(2e-8)
+    assert np.argmax(cre, axis=1).tolist() == [1]
 
 
 def test_hybrid_zero_access_probability_never_selected():
-    snap = _downlink_snapshot([(0.0, "macro"), (1.0, "small")], [(1.0, 0.0)])
     # candidate 1 has far better channel but zero access probability
-    gm = GainMatrix(gains=np.array([[1e-9, 1e-2]]), noise=np.array([1e-13]))
-    access = np.array([0.5, 0.0])
-    power = tier_powers(TOY, snap.bs_small)
-    scores = link_scores(
-        "hybrid", gm.gains, power=power, noise=gm.noise, access=access
+    scores = _downlink_scores(
+        "hybrid", np.array([[1e-9, 1e-2]]), MACRO_SMALL, TOY,
+        access=np.array([0.5, 0.0]),
     )
     assert scores[0, 1] == 0.0
     assert np.argmax(scores, axis=1).tolist() == [0]
+
+
+def test_link_scores_on_disc_chunk_shapes():
+    # every scheme on the disc's (seeds, 1, cells) arrays: one finite score
+    # per seed and cell, whatever the scheme reads
+    cfg, seeds, cells = fig3_defaults(), 3, 5
+    user_pos, bs_pos, loads = disc_chunk(cfg, cells - 1, range(seeds))
+    gains = link_gains(user_pos, bs_pos, cfg)
+    for scheme in SCHEMES:
+        scores = _downlink_scores(
+            scheme, gains, np.arange(cells) > 0, cfg,
+            access=access_probability(loads)[:, None],
+            home=np.zeros((seeds, 1), dtype=int),
+        )
+        assert scores.shape == (seeds, 1, cells), scheme
+        assert np.all(np.isfinite(scores)), scheme
 
 
 def test_resource_scheme_picks_lighter_cell():
@@ -79,10 +114,12 @@ def test_resource_counts_self_out_of_home_cell():
 
 
 def test_unknown_scheme_rejected():
-    snap = _downlink_snapshot([(0.0, "macro")], [(1.0, 0.0)])
+    snap = _snapshot([(0.0, "macro")], [(1.0, 0.0)])
     gm = GainMatrix(gains=np.array([[1e-9]]), noise=np.array([1e-13]))
     with pytest.raises(ValueError):
         score_matrix(snap, gm, "strongest", TOY)
+    with pytest.raises(ValueError):
+        _downlink_scores("strongest", gm.gains, MACRO_SMALL[:1], TOY)
 
 
 def test_rsrp_association_on_grid_snapshot(cfg):
@@ -99,7 +136,7 @@ def test_rsrp_association_on_grid_snapshot(cfg):
 @settings(max_examples=15, deadline=None)
 def test_argmax_invariance_under_increasing_transforms(seed):
     cfg = SimConfig()
-    snap = generate_fig3_snapshot(cfg, 8, seed)
+    snap = generate_fig2_snapshot(cfg, 2, seed)
     gm = build_gain_matrix(snap, cfg)
     def serving(scores):
         return np.argmax(scores, axis=1).tolist()
@@ -113,7 +150,7 @@ def test_argmax_invariance_under_increasing_transforms(seed):
 
 
 def test_tie_break_lowest_bs_id():
-    snap = _downlink_snapshot([(-10.0, "small"), (10.0, "small")], [(0.0, 0.0)])
+    snap = _snapshot([(-10.0, "small"), (10.0, "small")], [(0.0, 0.0)])
     gm = build_gain_matrix(snap, TOY)
     assert associate(snap, gm, "rsrp", TOY).tolist() == [0]
 
@@ -131,7 +168,7 @@ def test_mei_equals_rsrq_selection_on_uplink(cfg):
 @settings(max_examples=20, deadline=None)
 def test_cre_small_cell_share_monotone_in_bias(bias_lo, bias_delta):
     cfg = SimConfig()
-    snap = generate_fig3_snapshot(cfg, 10, 3)
+    snap = generate_fig2_snapshot(cfg, 4, 3)
     gm = build_gain_matrix(snap, cfg)
     def offloaded(bias):
         serving = associate(snap, gm, "cre", dataclasses.replace(cfg, bias_db=bias))
@@ -145,12 +182,12 @@ def test_cre_small_cell_share_monotone_in_bias(bias_lo, bias_delta):
 def test_resource_load_response(cfg):
     # adding one user to a cell lowers its score for everyone else and
     # cannot attract a user that did not already prefer it
-    snap = generate_fig3_snapshot(cfg, 6, 9)
+    snap = generate_fig2_snapshot(cfg, 2, 9)
     gm = build_gain_matrix(snap, cfg)
     before = score_matrix(snap, gm, "resource", cfg)
     pick_before = np.argmax(before, axis=1)
 
-    target_bs = 1
+    target_bs = 9  # a small cell
     heavier = dataclasses.replace(
         snap,
         user_pos=np.vstack((snap.user_pos, snap.bs_pos[target_bs])),
@@ -167,20 +204,8 @@ def test_resource_load_response(cfg):
             assert pick_before[i] == target_bs
 
 
-def test_uplink_and_downlink_maps_can_differ(cfg):
-    up = generate_fig2_snapshot(cfg, 3, 12)
-    down = dataclasses.replace(up, direction="downlink")
-    g_up = build_gain_matrix(up, cfg)
-    g_down = build_gain_matrix(down, cfg)
-    # uplink mei reacts to equal user budgets, downlink rsrp to the 10 W
-    # macro advantage: the tagged maps disagree for some users
-    m_up = associate(up, g_up, "mei", cfg)
-    m_down = associate(down, g_down, "rsrp", cfg)
-    assert not np.array_equal(m_up, m_down)
-
-
 def test_score_matrix_shapes(cfg):
-    snap = generate_fig3_snapshot(cfg, 5, 2)
+    snap = generate_fig2_snapshot(cfg, 2, 2)
     gm = build_gain_matrix(snap, cfg)
     for scheme in SCHEMES:
         m = score_matrix(snap, gm, scheme, cfg)

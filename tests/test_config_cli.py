@@ -470,18 +470,20 @@ def test_cli_oracle_check_bad_flags_are_config_errors(capsys):
         (["--count", "0"], "--count"),
         (["--count", "-5"], "--count"),
         (["--seed", "-1"], "--seed"),
+        # instance k uses seed + k, past the 128-bit seeds at the last one
+        (["--count", "2", "--seed", str(2**128 - 1)], "--seed"),
     ):
         assert main(["oracle-check", *args]) == 2, args
         assert flag in capsys.readouterr().err, args
+    # the last instance may take the last 128-bit seed
+    assert main(["oracle-check", "--count", "1", "--seed", str(2**128 - 1)]) == 0
 
 
 def test_cli_oracle_check_failure_exit_code(monkeypatch, capsys):
     from hetsim import cli as cli_mod
 
     def fake(count, seed):
-        return cli_mod.OracleCheckSummary(
-            total=count, failures=[(0, seed, "synthetic mismatch")]
-        )
+        return [(0, seed, "synthetic mismatch")]
 
     monkeypatch.setattr(cli_mod, "run_oracle_check", fake)
     assert cli_mod.main(["oracle-check", "--count", "5"]) == 1
@@ -489,10 +491,7 @@ def test_cli_oracle_check_failure_exit_code(monkeypatch, capsys):
 
 
 def test_oracle_check_reports_replay_seed():
-    summary = run_oracle_check(10, 11)
-    assert summary.total == 10
-    assert summary.passed == 10
-    assert summary.failures == []
+    assert run_oracle_check(10, 11) == []
 
 
 def test_oracle_check_prepares_each_instance_once(monkeypatch):
@@ -517,8 +516,7 @@ def test_oracle_check_prepares_each_instance_once(monkeypatch):
 
     monkeypatch.setattr(CochannelSystem, "__post_init__", counting_post_init)
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
-    summary = run_oracle_check(40, 0)
-    assert summary.passed == 40
+    assert run_oracle_check(40, 0) == []
     assert sum(built) == 40
     assert sum(eigvals_rows) == 40
     # one stack per user count (2..8): no queue of the 40 fills
@@ -582,7 +580,7 @@ def test_oracle_check_fails_like_one_instance_at_a_time(
     monkeypatch.setattr(cli_mod, "ORACLE_CHUNK", chunk)
     want = _reference_oracle_failures(count, 5)
     assert len(want) > count // 3
-    assert run_oracle_check(count, 5).failures == want
+    assert run_oracle_check(count, 5) == want
     assert main(["oracle-check", "--count", str(count), "--seed", "5"]) == 1
     printed = [
         line for line in capsys.readouterr().out.splitlines()
@@ -615,7 +613,7 @@ def test_oracle_check_memory_is_bounded_by_its_chunk(monkeypatch):
         for total in (count, 4 * count):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            assert run_oracle_check(total, 0).passed == total
+            assert run_oracle_check(total, 0) == []
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
@@ -632,7 +630,7 @@ def test_oracle_check_shares_each_stack_tail_across_chunks(monkeypatch):
 
     counting = CountingNumpy()
     monkeypatch.setattr(power_control, "np", counting)
-    assert run_oracle_check(1000, 1).passed == 1000
+    assert run_oracle_check(1000, 1) == []
     assert 0 < counting.matmuls <= 33_300
 
 

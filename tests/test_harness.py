@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hetsim.association import SCHEMES, associate, score_matrix
+from hetsim.association import SCHEMES, associate, link_scores
 from hetsim.config import MAX_USERS, SimConfig, fig3_defaults
 from hetsim.harness import (
     DISC_CHUNK_ENTRIES,
@@ -30,6 +30,7 @@ from hetsim.network import (
     build_gain_matrix,
     generate_fig2_snapshot,
     generate_fig3_snapshot,
+    link_gains,
     tier_powers,
 )
 from hetsim.errors import NumericError
@@ -40,7 +41,7 @@ from hetsim.power_control import (
     cochannel_system,
     iterate_power_control,
 )
-from hetsim.scheduling import access_probability, cell_loads
+from hetsim.scheduling import cell_loads
 
 
 def _state(supported, sirs=None):
@@ -89,23 +90,28 @@ def _disc_rate_and_se(sir, access):
 
 
 def _disc_reference(cfg, n_small, seed, schemes):
-    # one scheme at a time on the full snapshot: every user's joiner scores,
-    # of which row 0 is the tagged user's; its argmax and float SIR
+    # one scheme at a time on the full snapshot: the tagged user's (user 0,
+    # home cell 0) downlink gains and joiner scores, their argmax and float
+    # SIR
     snapshot = generate_fig3_snapshot(cfg, n_small, seed)
-    gains = build_gain_matrix(snapshot, cfg)
-    # the tagged user (user 0, home cell 0) joins the incumbents of a cell
+    g0 = link_gains(snapshot.user_pos[:1], snapshot.bs_pos, cfg)[0]
+    # the tagged user joins the incumbents of a cell: round robin gives it
+    # 1 / (incumbents + 1)
     incumbents = cell_loads(snapshot)
     incumbents[0] -= 1
-    p_access = access_probability(incumbents)
+    p_access = 1.0 / (incumbents + 1.0)
     bs_powers = tier_powers(cfg, snapshot.bs_small)
-    g0 = gains.gains[0]
     total = float(g0 @ bs_powers)
     rows = []
     for scheme in schemes:
-        scores = score_matrix(snapshot, gains, scheme, cfg)
+        scores = link_scores(
+            scheme, g0[None], power=bs_powers, total=np.array([[total]]),
+            noise=cfg.noise_w, access=p_access, small=snapshot.bs_small,
+            home=np.array([0]), bias_db=cfg.bias_db,
+        )
         chosen = int(np.argmax(scores[0]))
         signal = float(g0[chosen] * bs_powers[chosen])
-        sir = signal / (total - signal + gains.noise[0])
+        sir = signal / (total - signal + cfg.noise_w)
         rate, se = _disc_rate_and_se(sir, p_access[chosen])
         values = dict(
             agg_power_w=bs_powers.sum(),

@@ -24,6 +24,7 @@ from hetsim.network import (
     disc_draws,
     generate_fig2_snapshot,
     generate_fig3_snapshot,
+    link_gains,
     path_gain,
     seeded_generators,
     tier_powers,
@@ -68,7 +69,6 @@ def test_fig2_counts_n3():
     snap = generate_fig2_snapshot(SimConfig(), 3, 7)
     assert ((~snap.bs_small).sum(), snap.bs_small.sum()) == (9, 27)
     assert ((~snap.lpue_mask).sum(), snap.lpue_mask.sum()) == (45, 108)
-    assert snap.direction == "uplink"
 
 
 def test_fig2_counts_n6():
@@ -114,7 +114,7 @@ def test_fig2_geometry_invariants():
 def test_snapshot_arrays_are_read_only_and_shape_checked(cfg):
     snap = generate_fig2_snapshot(cfg, 2, 3)
     assert [f.name for f in dataclasses.fields(snap)] == [
-        "bs_pos", "bs_small", "user_pos", "home", "direction"
+        "bs_pos", "bs_small", "user_pos", "home"
     ]
     for name in ("bs_pos", "bs_small", "home", "user_pos"):
         with pytest.raises(ValueError):
@@ -125,11 +125,6 @@ def test_snapshot_arrays_are_read_only_and_shape_checked(cfg):
         dataclasses.replace(snap, bs_pos=snap.bs_pos[:-1])
     with pytest.raises(ValueError, match="user_pos"):
         dataclasses.replace(snap, user_pos=snap.user_pos[:, 0])
-    # a direction other than the two link directions is refused, not read
-    # as downlink
-    for direction in ("Uplink", "up", ""):
-        with pytest.raises(ValueError, match="direction"):
-            dataclasses.replace(snap, direction=direction)
     # the snapshot holds copies: writing to the caller's arrays afterwards
     # does not reach it
     user_pos, home = np.array(snap.user_pos), np.array(snap.home)
@@ -229,7 +224,6 @@ def test_fig3_empty_overlay():
     assert snap.n_bs == 1
     assert snap.n_users == 1
     assert not snap.lpue_mask[0]
-    assert snap.direction == "downlink"
 
 
 def test_fig3_small_cells_and_poisson_loads():
@@ -597,18 +591,19 @@ def test_gain_matrix_single_link_value():
 
 
 def test_gain_matrix_reciprocity_and_bounds():
+    # the downlink gains, users receiving (the disc's link_gains call), are
+    # the snapshot's uplink matrix transposed, bit for bit
     cfg = SimConfig()
     up = generate_fig2_snapshot(cfg, 2, 9)
-    down = dataclasses.replace(up, direction="downlink")
     g_up = build_gain_matrix(up, cfg)
-    g_down = build_gain_matrix(down, cfg)
-    assert np.array_equal(g_up.gains, g_down.gains.T)
+    g_down = link_gains(up.user_pos, up.bs_pos, cfg)
+    assert np.array_equal(g_up.gains, g_down.T)
     assert np.all(g_up.gains > 0)
     assert np.all(g_up.gains <= cfg.path_k * cfg.path_d_min**-cfg.path_exponent)
 
 
 def _snapshots():
-    # uplink grids and downlink discs, the disc's n = 0 included
+    # grids and discs, the disc's n = 0 included
     cfg = SimConfig()
     return [
         *(generate_fig2_snapshot(cfg, n, s) for n in (1, 4, 6) for s in (1, 2)),
@@ -627,9 +622,8 @@ def test_gain_distances_match_norm_reference(monkeypatch):
     monkeypatch.setattr("hetsim.network.path_gain", spy)
     cfg = SimConfig()
     for snap in _snapshots():
-        rx, tx = snap.user_pos, snap.bs_pos
-        if snap.direction == "uplink":
-            rx, tx = tx, rx
+        # base stations receive
+        rx, tx = snap.bs_pos, snap.user_pos
         gains = build_gain_matrix(snap, cfg).gains
         ref = np.linalg.norm(rx[:, None, :] - tx[None, :, :], axis=-1)
         assert np.array_equal(seen.pop(), ref)

@@ -27,6 +27,7 @@ from hetsim.power_control import (
     ALGORITHMS,
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
+    DEFAULT_TOL_SUPPORT,
     PRIORITIZED_BASE,
     SOFT_REMOVAL_TWINS,
     CochannelSystem,
@@ -397,7 +398,6 @@ def _two_lpue_snapshot():
     return make_snapshot(
         [(0.0, False), (50.0, True)],
         [((50.0, float(i)), 1) for i in range(2)],
-        direction="uplink",
     )
 
 
@@ -463,6 +463,8 @@ def test_prioritized_requires_caps():
 
 
 def test_cochannel_system_is_uplink_only(cfg):
+    # the system reads the uplink gains: user i's row is its serving base
+    # station's
     snap = generate_fig2_snapshot(cfg, 2, 3)
     gm = build_gain_matrix(snap, cfg)
     serving = associate(snap, gm, "home", cfg)
@@ -471,9 +473,6 @@ def test_cochannel_system_is_uplink_only(cfg):
     assert system.off.shape == (n, n)
     assert np.array_equal(system.diag, gm.gains[serving, np.arange(n)])
     assert np.array_equal(system.targets, np.full(n, cfg.target_sir_linear))
-    down = dataclasses.replace(snap, direction="downlink")
-    with pytest.raises(ValueError, match="uplink-only"):
-        cochannel_system(down, gm, serving, cfg)
 
 
 def test_cochannel_system_carries_the_snapshot_and_caps(cfg):
@@ -787,7 +786,7 @@ def _run_twins(
     twin must equal, bit for bit, the twin run from the start and the
     reference loop, and the base must equal the base run alone. Returns the
     base's fork record: (first sweep past the twin's removal bound, iterate
-    before it)."""
+    before it), without the options the twin resumed with."""
     twin = SOFT_REMOVAL_TWINS[base]
     system = CochannelSystem(
         a, noise, targets, p_max, eta=eta, lpue_mask=lpue_mask,
@@ -815,7 +814,7 @@ def _run_twins(
     assert np.array_equal(shared.sir, full.sir)
     assert np.array_equal(shared.supported, full.supported)
     assert watched.fork[0] == twin
-    return watched.fork[1:]
+    return watched.fork[1:3]
 
 
 def _chain():
@@ -924,7 +923,7 @@ def test_twin_copy_checks_the_kernel_options_first():
     a, noise, targets = two_user_toy()
     system = CochannelSystem(a, noise, targets, 10.0)
     base = iterate_power_control(system, twin="tpc_gr")
-    assert base.fork == ("tpc_gr", None, None)
+    assert base.fork[:3] == ("tpc_gr", None, None)
     for resume in (None, base):
         with pytest.raises(ValueError, match="bogus"):
             iterate_power_control(
@@ -937,6 +936,34 @@ def test_twin_copy_checks_the_kernel_options_first():
             )
     with pytest.raises(TypeError):
         iterate_power_control(system, algorithm="tpc_gr", resume=base, tolerance=1)
+
+
+def test_twin_takes_its_base_runs_options():
+    # a twin resumes with the max_iters, tol, tol_support and hpue_algorithm
+    # its base run recorded with its fork, whether or not the base forked:
+    # 10 sweeps without a fork on the toy, and a fork at sweep 7 on the chain
+    a, noise, targets = two_user_toy()
+    for system in (CochannelSystem(a, noise, targets, 10.0),
+                   CochannelSystem(*_chain(), 10.0)):
+        base = iterate_power_control(system, twin="tpc_gr")
+        assert base.fork[3] == dict(hpue_algorithm=None, max_iters=DEFAULT_MAX_ITERS,
+                                    tol=DEFAULT_TOL, tol_support=DEFAULT_TOL_SUPPORT)
+        for other in (dict(max_iters=3), dict(tol=0.1), dict(tol_support=0.5),
+                      dict(hpue_algorithm="tpc")):
+            with pytest.raises(ValueError, match="base run's"):
+                iterate_power_control(
+                    system, algorithm="tpc_gr", resume=base, **other
+                )
+        options = dict(max_iters=3, tol=0.1)
+        base = iterate_power_control(system, twin="tpc_gr", **options)
+        want = iterate_power_control(system, algorithm="tpc_gr", **options)
+        for given in ({}, options):
+            got = iterate_power_control(
+                system, algorithm="tpc_gr", resume=base, **given
+            )
+            assert want.iterations <= 3
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            assert got.p.tobytes() == want.p.tobytes()
 
 
 # ------------------------------ blocked convergence test and matrix layout
@@ -1076,7 +1103,7 @@ def _check_fork(
         ((k, p) for k, (p, q) in enumerate(sweeps, 1) if (q > bound).any()),
         (None, None),
     )
-    sweep, p = state.fork[1:]
+    sweep, p = state.fork[1:3]
     assert sweep == want[0]
     if sweep is not None:
         assert np.array_equal(p, want[1])
@@ -1666,7 +1693,7 @@ def test_lockstep_single_system_is_a_stack_of_one():
     state = iterate_lockstep(system, algorithm="tpc", twin="tpc_gr")
     one = iterate_power_control(system, algorithm="tpc", twin="tpc_gr")
     _assert_rows_match(state, [one])
-    twin, sweep, iterate = state.fork
+    twin, sweep, iterate, _ = state.fork
     assert (twin, sweep) == one.fork[:2] == ("tpc_gr", 7)
     assert iterate.tobytes() == one.fork[2].tobytes()
     assert _stacked([system]).targets.shape == (1, 2)
