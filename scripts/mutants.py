@@ -90,9 +90,9 @@ MUTANTS = (
         "twin-resumed-one-sweep-late",
         "a soft-removal twin resumes at the sweep after its base run's fork",
         "src/hetsim/power_control.py",
-        "        _, first, p0, shared = resume.fork\n",
-        "        _, first, p0, shared = resume.fork\n"
-        "        first = first and first + 1\n",
+        "        _, sweep, p0, recorded = resume.fork\n",
+        "        _, sweep, p0, recorded = resume.fork\n"
+        "        sweep = sweep and sweep + 1\n",
         (
             "tests/test_power_control.py::test_twin_forks_mid_run",
             "tests/test_harness.py::test_shared_twin_sweeps_match_separate_runs",

@@ -31,18 +31,19 @@ from .errors import (
     ConfigError,
     SimError,
 )
+from . import power_control
 from .harness import PRESETS, run_experiment, run_preset
 from .network import seeded_generators
 from .power_control import (
     CochannelSystem,
     feasibility_check,
     fixed_point_oracle,
-    iterate_lockstep,
     sample_instance,
 )
 from .report import emit_report
 
-# Not called here; perfbench's tracer wraps this name in this module.
+# Not called here: perfbench's tracer wraps this name in this module, and
+# oracle-check calls the kernel through ``power_control`` (see _check_group).
 from .power_control import iterate_power_control  # noqa: F401
 
 # fixed-point comparison of run_oracle_check: spectral radius below which
@@ -70,8 +71,9 @@ def run_oracle_check(count, seed):
     to check distinct instances need seeds at least ``count`` apart. The
     instances queue by user count, across those chunks; a queue that holds
     ``ORACLE_CHUNK`` instances runs as one stacked system, which one
-    ``eigvals``, one kernel run (``iterate_lockstep``) and one ``solve``
-    check at once, each row with the bits it gets alone. The queues still
+    ``eigvals``, one kernel run (``iterate_power_control``, whose result
+    holds one entry per row) and one ``solve`` check at once, each row with
+    the bits it gets alone. The queues still
     partly full run at the end. So a run holds at most one partly full queue
     per user count and one running stack. The stacks are made as tall as
     that bound allows because at these sizes a stacked sweep costs about the
@@ -100,7 +102,10 @@ def _check_group(group, seed):
     # one validated stack; its kept verdict is reused by the oracle below
     system = CochannelSystem(*map(np.stack, arrays), 1e6)
     check = feasibility_check(system)
-    state = iterate_lockstep(
+    # through the module, not this module's name: perfbench's tracer wraps
+    # that name and reads bool(result.converged), which a stack's (B,)
+    # flags cannot give
+    state = power_control.iterate_power_control(
         system, algorithm="tpc", max_iters=200_000, tol=1e-12
     )
     behaved = state.converged & state.supported.all(axis=1)

@@ -149,22 +149,19 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
 
     rows = []
     # a run whose soft-removal twin comes later records where the two first
-    # differ, and the twin resumes there (bit-identical to a full run)
+    # differ, and the twin resumes there (bit-identical to a full run), with
+    # the same options as every run
     resume_from = {}
+    options = dict(hpue_algorithm=hpue_algorithm, max_iters=cfg.max_iters,
+                   tol=cfg.tol, tol_support=cfg.tol_support)
     for i, alg in enumerate(algorithms):
         prioritized = alg in PRIORITIZED_BASE
         twin = SOFT_REMOVAL_TWINS.get(alg)
         if twin not in algorithms[i + 1:]:
             twin = None
         state = iterate_power_control(
-            system,
-            algorithm=alg,
-            hpue_algorithm=hpue_algorithm,
-            max_iters=cfg.max_iters,
-            tol=cfg.tol,
-            tol_support=cfg.tol_support,
-            twin=twin,
-            resume=resume_from.pop(alg, None),
+            system, algorithm=alg, twin=twin, resume=resume_from.pop(alg, None),
+            **options,
         )
         if twin is not None:
             resume_from[twin] = state

@@ -28,6 +28,10 @@ each sweep is a pure function of the current iterate, so a twin repeats its
 base run bit for bit up to the first sweep where a demand passes the bound
 past which soft removal can change an answer. A base run asked to watch for
 that sweep lets its twin resume there.
+
+Every map runs in one kernel, ``iterate_power_control``, on a
+``CochannelSystem`` or on a stack of them, with its result in the system's
+own shape.
 """
 
 from __future__ import annotations
@@ -67,16 +71,17 @@ _MIN_BLOCK = 2
 
 @dataclass
 class PowerState:
-    """Result of a power-control run (or one synchronous sweep).
+    """Result of a power-control run (``iterate_power_control``), in the
+    shape of its system: for a single system (n,) arrays, an int
+    ``iterations`` and a bool ``converged``; for a stack one entry per row
+    in every field but ``fork``, (B, n) and (B,) arrays.
 
-    ``fork`` is set when the run was asked to watch for its soft-removal
-    twin (see ``iterate_power_control``): ``(twin, k, p, options)`` with k
-    the first sweep where a demand exceeds the twin's removal bound and p
-    the iterate before it, or k and p None when no sweep did; ``options``
-    holds the run's ``hpue_algorithm``, ``max_iters``, ``tol`` and
-    ``tol_support``, which the twin resumes with. The result of a
-    stack (``iterate_lockstep``) holds one entry per row in every other
-    field; only a stack of one row watches for a twin.
+    ``fork`` is set when a single system's run was asked to watch for its
+    soft-removal twin: ``(twin, k, p, options)`` with k the first sweep
+    where a demand exceeds the twin's removal bound and p the iterate
+    before it, or k and p None when no sweep did; ``options`` holds the
+    run's ``hpue_algorithm``, ``max_iters``, ``tol`` and ``tol_support``,
+    exactly the ones the twin resumes with.
     """
 
     p: np.ndarray
@@ -191,7 +196,9 @@ class CochannelSystem:
     and the optional arrays (B, n) too (``p_max`` and ``eta`` may also be
     a scalar or one value per user for every row). The stack is validated
     at once, its verdict holds one entry per row (one ``eigvals`` call for
-    the stack), ``iterate_lockstep`` runs the kernel on all rows, and
+    the stack), ``iterate_power_control`` runs the kernel on all rows at
+    once with its result in the stack's shape ((B, n) and (B,) arrays), as
+    a single system's is in its own, and
     ``system[rows]`` is the stack of the rows an index array selects,
     sharing this one's validation and whatever it has computed.
     """
@@ -337,51 +344,28 @@ def _next_block(steps, scale, tol):
     return _BLOCK
 
 
-def _check_run(
+def iterate_power_control(
     system,
     *,
     algorithm="tpc",
     hpue_algorithm=None,
     max_iters=DEFAULT_MAX_ITERS,
+    tol=DEFAULT_TOL,
+    tol_support=DEFAULT_TOL_SUPPORT,
+    p0=None,
     twin=None,
-    tol=None,
-    tol_support=None,
+    resume=None,
 ):
-    """The kernel's checks of its options that hold for any stack; returns
-    whether the algorithm is prioritized, its base map, and whether that map
-    is opportunistic. ``tol`` and ``tol_support`` are taken unchecked, so
-    that a resumed twin's options pass here exactly as they pass the
-    kernel."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown power-control algorithm {algorithm!r}")
-    if hpue_algorithm not in (None, "tpc"):
-        raise ValueError(
-            f"unknown base power-control algorithm {hpue_algorithm!r} for the "
-            "high-priority users (None or 'tpc')"
-        )
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be at least 0, got {max_iters}")
-    if twin is not None and SOFT_REMOVAL_TWINS.get(algorithm) != twin:
-        raise ValueError(f"{algorithm!r} cannot share sweeps with {twin!r}")
-    prioritized = algorithm in PRIORITIZED_BASE
-    base_alg = PRIORITIZED_BASE.get(algorithm, algorithm)
-    opportunistic = base_alg in ("opc", "dtpc")
-    if opportunistic and system.eta is None:
-        raise ValueError(f"{algorithm} requires the opportunistic target eta")
-    if prioritized and (system.lpue_mask is None or system.cap is None):
-        raise ValueError(
-            f"{algorithm} needs a system with lpue_mask and caps "
-            "(see prioritized_caps)"
-        )
-    return prioritized, base_alg, opportunistic
+    """The power-control kernel: synchronous fixed-point iteration of the
+    chosen update map on a ``CochannelSystem``, or on every row of a stack
+    at once, each row bit for bit as if it ran alone. ``p0`` is the start,
+    shaped like ``system.targets`` (default: zero).
 
-
-def iterate_power_control(system, *, p0=None, resume=None, **options):
-    """Synchronous fixed-point iteration of the chosen update map on one
-    ``CochannelSystem``, starting from ``p0`` (default: the zero vector).
-    The other keywords are those of ``iterate_lockstep``: ``algorithm``
-    (default ``"tpc"``), ``hpue_algorithm``, ``max_iters``, ``tol``,
-    ``tol_support`` and ``twin``.
+    The result is a ``PowerState`` in the system's own shape, as
+    ``CochannelSystem.feasibility`` is: a single system gets (n,) arrays
+    ``p``, ``sir`` and ``supported``, a Python int ``iterations`` and a
+    Python bool ``converged``; a stack of B systems gets (B, n) arrays and
+    (B,) ``iterations`` and ``converged``.
 
     The budgets, ``eta``, the low-priority mask and the caps are read off
     the system: ``opc``/``dtpc`` need its ``eta``, and the prioritized
@@ -406,9 +390,6 @@ def iterate_power_control(system, *, p0=None, resume=None, **options):
     exists, is unique and the iteration reaches it, but no linear solve
     certifies it.
 
-    The run is the lockstep kernel ``iterate_lockstep`` on a stack of one
-    row, on the system's own arrays.
-
     Sweeps run in blocks into the rows of one buffer, each a pass over
     preallocated buffers with the maps picked per user by masks and one
     per-user clip, both built once. The convergence test then checks every
@@ -425,84 +406,31 @@ def iterate_power_control(system, *, p0=None, resume=None, **options):
     matrix with 64-byte-aligned rows, so several runs on one system (as
     fig2's four algorithms on one snapshot) validate and copy it once.
 
-    Sweep sharing between ``tpc``/``ptpc`` and their soft-removal twins
-    (``SOFT_REMOVAL_TWINS``): a base run given ``twin=<its twin>`` records
-    in ``fork`` the first sweep where a demand exceeds the twin's removal
-    bound, at or below which both runs answer alike. It keeps each sweep's
-    demand in a row of a block buffer and tests the whole block against the
-    bound at once, so it finds the sweep a test after every sweep would
-    find, at one test per block. The twin run, given ``resume=<that base
-    state>``, takes the base run's ``hpue_algorithm``, ``max_iters``,
-    ``tol`` and ``tol_support`` (recorded in its ``fork``; other values
-    raise ``ValueError``, after the kernel's own checks, ``_check_run``).
-    It returns a copy of the base result when no sweep passed the bound;
-    otherwise it runs the kernel from the recorded iterate with that sweep
-    as its first. Either way its powers, iteration count and convergence
-    flag are those of a run from the start, bit for bit.
-    """
-    if system.targets.ndim != 1:
-        raise ValueError(
-            "iterate_power_control runs one system; iterate_lockstep runs a stack"
-        )
-    first = 1
-    if resume is not None:
-        algorithm = options.get("algorithm", "tpc")
-        if resume.fork is None or resume.fork[0] != algorithm:
-            raise ValueError(f"resume state was not recorded for twin {algorithm!r}")
-        _, first, p0, shared = resume.fork
-        options = {**shared, **options}
-        _check_run(system, **options)
-        if any(options[name] != value for name, value in shared.items()):
-            raise ValueError(f"a twin resumes with its base run's {', '.join(shared)}")
-        if first is None:
-            # the base run never passed the bound: the twin's run is the same
-            return replace(resume, p=resume.p.copy(), sir=resume.sir.copy(),
-                           supported=resume.supported.copy(), fork=None)
-    if p0 is not None:
-        p0 = np.asarray(p0, dtype=float)[None]
-    state = iterate_lockstep(system, p0=p0, _first_sweep=first, **options)
-    return PowerState(
-        p=state.p[0],
-        sir=state.sir[0],
-        supported=state.supported[0],
-        iterations=int(state.iterations[0]),
-        converged=bool(state.converged[0]),
-        fork=state.fork,
-    )
-
-
-def iterate_lockstep(
-    system,
-    *,
-    algorithm="tpc",
-    hpue_algorithm=None,
-    max_iters=DEFAULT_MAX_ITERS,
-    tol=DEFAULT_TOL,
-    tol_support=DEFAULT_TOL_SUPPORT,
-    p0=None,
-    twin=None,
-    _first_sweep=1,
-):
-    """The power-control kernel: ``iterate_power_control`` on every row of a
-    stacked ``CochannelSystem`` at once, each row bit for bit as if it ran
-    alone. A single system runs as a stack of one row on its own arrays,
-    uncopied.
-
-    ``p0`` holds one start per row, (B, n). The result is a ``PowerState``
-    with one entry per row in each field: ``p``, ``sir`` and ``supported``
-    are (B, n), and ``iterations`` and ``converged`` (B,). ``twin`` takes a
-    stack of one row only, whose ``fork`` is then the single system's
-    ``(twin, sweep, iterate, options)``.
-
-    A sweep is one stacked product ``off (B, n, n) @ p (B, n, 1)``, which
-    NumPy runs as one gemv per row and so with the bits of the row's 2-D
-    product, plus the elementwise maps on (B, n, 1) column buffers; a
+    A stack's sweep is one stacked product ``off (B, n, n) @ p (B, n, 1)``,
+    which NumPy runs as one gemv per row and so with the bits of the row's
+    2-D product, plus the elementwise maps on (B, n, 1) column buffers; a
     single system keeps its (n,) arrays and the 2-D product, whose calls
     cost less. Every row starts at the same sweep, and one sweep counter
     serves the stack; each row keeps its own convergence test, iteration
     count and result. A block ends for all rows at once and never runs
     past ``max_iters``, and the rows that finished in a block leave the
     stack after it.
+
+    Sweep sharing between ``tpc``/``ptpc`` and their soft-removal twins
+    (``SOFT_REMOVAL_TWINS``), on single systems only: a base run given
+    ``twin=<its twin>`` records in ``fork`` the first sweep where a demand
+    exceeds the twin's removal bound, at or below which both runs answer
+    alike. It keeps each sweep's demand in a row of a block buffer and
+    tests the whole block against the bound at once, so it finds the sweep
+    a test after every sweep would find, at one test per block. The twin
+    run, given ``resume=<that base state>``, starts where its base run
+    started, so it takes no ``p0``, and it runs with exactly the base run's
+    ``hpue_algorithm``, ``max_iters``, ``tol`` and ``tol_support`` as
+    recorded in the ``fork`` (defaults count; other values raise
+    ``ValueError``). It returns a copy of the base result when no sweep
+    passed the bound; otherwise it runs from the recorded iterate with that
+    sweep as its first. Either way its powers, iteration count and
+    convergence flag are those of a run from the start, bit for bit.
     """
     single = system.targets.ndim == 1
 
@@ -514,14 +442,55 @@ def iterate_lockstep(
 
     targets = stacked(system.targets)
     stack, n = (1, *targets.shape) if single else targets.shape[:2]
-    prioritized, base_alg, opportunistic = _check_run(
-        system, algorithm=algorithm, hpue_algorithm=hpue_algorithm,
-        max_iters=max_iters, twin=twin,
-    )
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown power-control algorithm {algorithm!r}")
+    if hpue_algorithm not in (None, "tpc"):
+        raise ValueError(
+            f"unknown base power-control algorithm {hpue_algorithm!r} for the "
+            "high-priority users (None or 'tpc')"
+        )
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be at least 0, got {max_iters}")
+    if twin is not None and SOFT_REMOVAL_TWINS.get(algorithm) != twin:
+        raise ValueError(f"{algorithm!r} cannot share sweeps with {twin!r}")
+    prioritized = algorithm in PRIORITIZED_BASE
+    base_alg = PRIORITIZED_BASE.get(algorithm, algorithm)
+    opportunistic = base_alg in ("opc", "dtpc")
+    if opportunistic and system.eta is None:
+        raise ValueError(f"{algorithm} requires the opportunistic target eta")
+    if prioritized and (system.lpue_mask is None or system.cap is None):
+        raise ValueError(
+            f"{algorithm} needs a system with lpue_mask and caps "
+            "(see prioritized_caps)"
+        )
+    # the options a base run records with its fork, and its twin resumes with
+    options = dict(hpue_algorithm=hpue_algorithm, max_iters=max_iters, tol=tol,
+                   tol_support=tol_support)
+    # the stack's next sweep
+    sweep = 1
+    if not single and (twin is not None or resume is not None):
+        raise ValueError("a soft-removal twin is watched and resumed on one "
+                         "system only")
+    if resume is not None:
+        if resume.fork is None or resume.fork[0] != algorithm:
+            raise ValueError(f"resume state was not recorded for twin {algorithm!r}")
+        if p0 is not None:
+            raise ValueError("a twin starts where its base run started: it takes no p0")
+        _, sweep, p0, recorded = resume.fork
+        if recorded != options:
+            raise ValueError(
+                f"a twin resumes with its base run's {', '.join(recorded)}"
+            )
+        if sweep is None:
+            # the base run never passed the bound: the twin's run is the same
+            return replace(resume, p=resume.p.copy(), sir=resume.sir.copy(),
+                           supported=resume.supported.copy(), fork=None)
     if p0 is not None:
         # iterates then stay non-negative, so max(p) is their inf-norm
         p0 = np.asarray(p0, dtype=float)
-        if p0.shape != (stack, n) or not (np.isfinite(p0).all() and (p0 >= 0).all()):
+        if p0.shape != system.targets.shape or not (
+            np.isfinite(p0).all() and (p0 >= 0).all()
+        ):
             raise ValueError("p0 must hold one finite, non-negative power per user")
     # the users on the base map: the low-priority ones when the others track
     # with tpc, else every user; a plain bool when every user is
@@ -546,8 +515,6 @@ def iterate_lockstep(
         clip = np.where(users, cap, clip)
         soft_above = np.where(users, p_max, np.inf)
     if twin is not None:
-        if stack > 1:
-            raise ValueError("a soft-removal twin is watched on one system only")
         # The twin runs soft removal on the same users. Both runs answer a
         # demand q at or below this bound alike: up to the budget nothing is
         # removed, and beyond it a cap that binds (cap <= p_max**2 / q)
@@ -561,12 +528,10 @@ def iterate_lockstep(
 
     noise, diag, off = stacked(system.noise), stacked(system.diag), system.off
     # a row that never sweeps returns its start
-    p = np.zeros((stack, n)) if p0 is None else p0.copy()
+    p = np.zeros((stack, n)) if p0 is None else np.array(p0, ndmin=2)
     iterations = np.zeros(stack, dtype=np.intp)
     converged = np.zeros(stack, dtype=bool)
-    # the stack's next sweep, and the rows that run it, as indices into the
-    # stack
-    sweep = _first_sweep
+    # the rows that run the stack's next sweep, as indices into the stack
     live = np.arange(stack) if max_iters >= sweep else np.arange(0)
     per_row = [off, noise, diag, targets, clip, p_max_sq, eta, opc, dtpc,
                soft_above, p]
@@ -622,7 +587,7 @@ def iterate_lockstep(
                 if crossed.any():
                     # the block's first sweep whose demand passes the bound,
                     # and the iterate before it
-                    j = int(crossed.reshape(k, n).any(axis=1).argmax())
+                    j = int(crossed.any(axis=1).argmax())
                     fork = (twin, sweep + j, block[j, 0].copy())
                     twin_bound = None
             # sweep + j passes when max |p' - p| < tol * max(max(p), floor);
@@ -656,20 +621,20 @@ def iterate_lockstep(
 
     p_users = stacked(p[0] if single else p)
     r = (off @ p_users + noise) / diag
-    sir = (p_users / r).reshape(stack, n)
-    supported = sir >= targets.reshape(stack, n) * (1.0 - tol_support)
+    sir = (p_users / r).reshape(system.targets.shape)
+    supported = sir >= system.targets * (1.0 - tol_support)
     if fork and fork[1] is not None and fork[1] > iterations[0]:
         # the demand crossed the bound in a sweep past the returned one
         fork = (twin, None, None)
+    if single:
+        p, iterations, converged = p_users, int(iterations[0]), bool(converged[0])
     return PowerState(
         p=p,
         sir=sir,
         supported=supported,
         iterations=iterations,
         converged=converged,
-        # with the options a twin must resume with
-        fork=fork and (*fork, dict(hpue_algorithm=hpue_algorithm, max_iters=max_iters,
-                                   tol=tol, tol_support=tol_support)),
+        fork=fork and (*fork, options),
     )
 
 

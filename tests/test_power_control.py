@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from hetsim.power_control import (
     cochannel_system,
     feasibility_check,
     fixed_point_oracle,
-    iterate_lockstep,
     iterate_power_control,
     prioritized_caps,
     sample_instance,
@@ -780,30 +780,31 @@ def test_kernel_matches_reference_loop(algorithm, hpue_algorithm):
 
 def _run_twins(
     a, noise, targets, p_max, base, *, eta=None, lpue_mask=None, caps=None,
-    **kwargs,
+    p0=None, **kwargs,
 ):
-    """Run ``base`` watching its twin, then the twin resumed from it. The
-    twin must equal, bit for bit, the twin run from the start and the
-    reference loop, and the base must equal the base run alone. Returns the
-    base's fork record: (first sweep past the twin's removal bound, iterate
-    before it), without the options the twin resumed with."""
+    """Run ``base`` from ``p0`` watching its twin, then the twin resumed
+    from it, which starts where its base run started and so takes no
+    ``p0``. The twin must equal, bit for bit, the twin run from ``p0`` and
+    the reference loop, and the base must equal the base run alone.
+    Returns the base's fork record: (first sweep past the twin's removal
+    bound, iterate before it), without the options the twin resumed with."""
     twin = SOFT_REMOVAL_TWINS[base]
     system = CochannelSystem(
         a, noise, targets, p_max, eta=eta, lpue_mask=lpue_mask,
         cap=None if caps is None else caps.cap,
     )
-    watched = iterate_power_control(system, algorithm=base, twin=twin, **kwargs)
-    alone = iterate_power_control(system, algorithm=base, **kwargs)
+    watched = iterate_power_control(
+        system, algorithm=base, twin=twin, p0=p0, **kwargs
+    )
+    alone = iterate_power_control(system, algorithm=base, p0=p0, **kwargs)
     shared = iterate_power_control(
         system, algorithm=twin, resume=watched, **kwargs
     )
-    full = iterate_power_control(system, algorithm=twin, **kwargs)
-    defaults = dict(
-        hpue_algorithm=None, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, p0=None,
-    )
+    full = iterate_power_control(system, algorithm=twin, p0=p0, **kwargs)
+    defaults = dict(hpue_algorithm=None, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL)
     p, iterations, converged = _reference_iterate(
         a, noise, targets, p_max, algorithm=twin, eta=eta, lpue_mask=lpue_mask,
-        caps=caps, **{**defaults, **kwargs}
+        caps=caps, p0=p0, **{**defaults, **kwargs}
     )
     for got, want in ((watched, alone), (shared, full)):
         assert np.array_equal(got.p, want.p)
@@ -854,6 +855,24 @@ def test_twin_resumes_from_explicit_p0():
     a, noise, targets = _chain()
     sweep, _ = _run_twins(a, noise, targets, 10.0, "tpc", p0=np.ones(2))
     assert sweep == 4
+
+
+def test_twin_starts_where_its_base_run_started():
+    # from p0 = 9 the first demands, 18.1, pass the 10 W budget: the base
+    # run forks at sweep 1, and its twin resumes from the base run's start
+    system = CochannelSystem(*_chain(), 10.0)
+    start = np.full(2, 9.0)
+    base = iterate_power_control(system, twin="tpc_gr", p0=start)
+    assert base.fork[:2] == ("tpc_gr", 1)
+    for p0 in (start, np.zeros(2)):
+        with pytest.raises(ValueError, match="p0"):
+            iterate_power_control(system, algorithm="tpc_gr", resume=base, p0=p0)
+    with pytest.raises(ValueError, match="base run's"):
+        iterate_power_control(system, algorithm="tpc_gr", resume=base, tol=1e-6)
+    got = iterate_power_control(system, algorithm="tpc_gr", resume=base)
+    want = iterate_power_control(system, algorithm="tpc_gr", p0=start)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert got.p.tobytes() == want.p.tobytes()
 
 
 def test_prioritized_twin_forks_only_past_removal_bound():
@@ -957,13 +976,16 @@ def test_twin_takes_its_base_runs_options():
         options = dict(max_iters=3, tol=0.1)
         base = iterate_power_control(system, twin="tpc_gr", **options)
         want = iterate_power_control(system, algorithm="tpc_gr", **options)
-        for given in ({}, options):
-            got = iterate_power_control(
-                system, algorithm="tpc_gr", resume=base, **given
-            )
-            assert want.iterations <= 3
-            assert (got.iterations, got.converged) == (want.iterations, want.converged)
-            assert got.p.tobytes() == want.p.tobytes()
+        # the defaults count: a resume that leaves the options out asks for
+        # other values than the base run's
+        with pytest.raises(ValueError, match="base run's"):
+            iterate_power_control(system, algorithm="tpc_gr", resume=base)
+        got = iterate_power_control(
+            system, algorithm="tpc_gr", resume=base, **options
+        )
+        assert want.iterations <= 3
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert got.p.tobytes() == want.p.tobytes()
 
 
 # ------------------------------ blocked convergence test and matrix layout
@@ -1324,7 +1346,7 @@ def test_lockstep_iterates_from_zero_never_decrease(
         ))
     stack = _stacked(systems)
     _assert_cut_runs_never_step_down(
-        lambda max_iters: iterate_lockstep(
+        lambda max_iters: iterate_power_control(
             stack, algorithm=algorithm, hpue_algorithm=hpue_algorithm,
             max_iters=max_iters, tol=1e-12,
         ),
@@ -1593,9 +1615,15 @@ def _stacked(systems):
 
 
 def _assert_rows_match(stack_state, singles):
-    """Each row of a lockstep result is the single run's, bit for bit."""
-    assert stack_state.p.shape == (len(singles), singles[0].p.shape[0])
+    """Each row of a stack's result, in the stack's shape, is the single
+    run's, in the single system's shape, bit for bit."""
+    rows, n = len(singles), singles[0].p.shape[0]
+    for name in ("p", "sir", "supported"):
+        assert getattr(stack_state, name).shape == (rows, n), name
+    assert stack_state.iterations.shape == stack_state.converged.shape == (rows,)
+    assert stack_state.converged.dtype == bool
     for b, one in enumerate(singles):
+        assert type(one.iterations) is int and type(one.converged) is bool, b
         for name in ("p", "sir", "supported"):
             got, want = getattr(stack_state, name)[b], getattr(one, name)
             assert got.dtype == want.dtype, (b, name)
@@ -1608,7 +1636,7 @@ def _run_lockstep(systems, *, p0=None, **kwargs):
     """The lockstep run of ``systems`` stacked, checked row by row against
     their single runs. Returns the lockstep state."""
     rows = [None] * len(systems) if p0 is None else list(p0)
-    state = iterate_lockstep(_stacked(systems), p0=p0, **kwargs)
+    state = iterate_power_control(_stacked(systems), p0=p0, **kwargs)
     _assert_rows_match(
         state,
         [iterate_power_control(s, p0=q, **kwargs) for s, q in zip(systems, rows)],
@@ -1689,22 +1717,39 @@ def test_lockstep_rows_finish_in_different_blocks_and_fork_apart():
 
 
 def test_lockstep_single_system_is_a_stack_of_one():
+    # a single system's (n,) arrays and Python scalars are row 0 of the
+    # stack of one; only a single system watches for its twin and resumes
     system = CochannelSystem(*_chain(), 10.0)
-    state = iterate_lockstep(system, algorithm="tpc", twin="tpc_gr")
     one = iterate_power_control(system, algorithm="tpc", twin="tpc_gr")
+    assert one.fork[:2] == ("tpc_gr", 7)
+    stack = _stacked([system])
+    assert stack.targets.shape == (1, 2)
+    state = iterate_power_control(stack, algorithm="tpc")
     _assert_rows_match(state, [one])
-    twin, sweep, iterate, _ = state.fork
-    assert (twin, sweep) == one.fork[:2] == ("tpc_gr", 7)
-    assert iterate.tobytes() == one.fork[2].tobytes()
-    assert _stacked([system]).targets.shape == (1, 2)
-    assert iterate_lockstep(_stacked([system]), twin="tpc_gr").fork[1] == 7
+    assert state.fork is None
     pair = _stacked([system, system])
-    with pytest.raises(ValueError, match="iterate_lockstep"):
-        iterate_power_control(pair)
     with pytest.raises(ValueError, match="p0"):
-        iterate_lockstep(pair, p0=np.ones(2))
-    with pytest.raises(ValueError, match="one system only"):
-        iterate_lockstep(pair, algorithm="tpc", twin="tpc_gr")
+        iterate_power_control(pair, p0=np.ones(2))
+    for stacked in (stack, pair):
+        for options in (dict(twin="tpc_gr"), dict(algorithm="tpc_gr", resume=one)):
+            with pytest.raises(ValueError, match="one system only"):
+                iterate_power_control(stacked, **options)
+
+
+def test_single_system_results_take_its_shape():
+    # (n,) arrays, and Python scalars that a JSON encoder (as perfbench's
+    # tracer, which records a run's sweeps) takes as they are; p0 has the
+    # shape of the system's targets
+    system = CochannelSystem(*_chain(), 10.0)
+    base = iterate_power_control(system, max_iters=5, twin="tpc_gr")
+    for state in (base, iterate_power_control(system, algorithm="tpc_gr",
+                                              max_iters=5, resume=base)):
+        for name in ("p", "sir", "supported"):
+            assert getattr(state, name).shape == (2,), name
+        assert type(state.iterations) is int and type(state.converged) is bool
+        assert json.dumps([state.iterations, state.converged]) == "[5, false]"
+    with pytest.raises(ValueError, match="p0"):
+        iterate_power_control(system, p0=np.zeros((1, 2)))
 
 
 def test_stacked_system_validates_and_checks_every_row():

@@ -149,8 +149,9 @@ def test_traced_runs_report_the_power_control_layers(monkeypatch, tmp_path):
         monkeypatch, tmp_path, ["oracle-check", "--count", "20"]
     )
     metrics = tracer.layer_metrics([spans])
-    # oracle-check runs its size groups through iterate_lockstep, which the
-    # tracer does not wrap: its kernel spans read 0 (fig2's below do not)
+    # oracle-check runs its size groups through
+    # power_control.iterate_power_control, not the cli name the tracer
+    # wraps: its kernel spans read 0 (fig2's below do not)
     assert sum(span[0] == "power_control.iterate" for span in spans) == 0
     assert metrics["power_control.feasibility_s"][0] > 0
     assert metrics["power_control.oracle_solve_s"][0] > 0
