@@ -35,7 +35,6 @@ from .network import (
 )
 from .power_control import (
     PRIORITIZED_BASE,
-    SOFT_REMOVAL_TWINS,
     cochannel_system,
     iterate_power_control,
     prioritized_caps,
@@ -47,6 +46,9 @@ from .association import score_matrix  # noqa: F401
 from .network import generate_fig3_snapshot  # noqa: F401
 from .scheduling import cell_loads  # noqa: F401
 
+# Each base algorithm comes before its soft-removal twin, which then
+# resumes from the base run's fork record on the snapshot's system; the
+# other order gives the same rows, with more sweeps.
 FIG2_ALGORITHMS = ("tpc", "tpc_gr", "ptpc", "ptpc_gr")
 FIG3_SCHEMES = ("distance", "resource", "hybrid")
 
@@ -136,7 +138,10 @@ def _check_safety(caps, state, seed):
 
 def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
     """One grid snapshot evaluated under several power-control algorithms
-    (shared topology, gains, and association): one FIELDS row each."""
+    (shared topology, gains, and association): one FIELDS row each. Every
+    run takes the same options on one system, so a soft-removal twin that
+    follows its base algorithm resumes from the base run's fork record
+    there (``iterate_power_control``)."""
     snapshot = generate_fig2_snapshot(cfg, n_small, seed)
     gains = build_gain_matrix(snapshot, cfg)
     serving = associate(snapshot, gains, cfg.assoc_uplink, cfg)
@@ -145,30 +150,17 @@ def _grid_snapshot_results(cfg, n_small, seed, algorithms, hpue_algorithm=None):
         caps = prioritized_caps(snapshot, gains, cfg.ith_w)
     # one validated system, caps included, shared by every run of the snapshot
     system = cochannel_system(snapshot, gains, serving, cfg, caps)
-    lpue_mask = snapshot.lpue_mask
 
     rows = []
-    # a run whose soft-removal twin comes later records where the two first
-    # differ, and the twin resumes there (bit-identical to a full run), with
-    # the same options as every run
-    resume_from = {}
-    options = dict(hpue_algorithm=hpue_algorithm, max_iters=cfg.max_iters,
-                   tol=cfg.tol, tol_support=cfg.tol_support)
-    for i, alg in enumerate(algorithms):
-        prioritized = alg in PRIORITIZED_BASE
-        twin = SOFT_REMOVAL_TWINS.get(alg)
-        if twin not in algorithms[i + 1:]:
-            twin = None
+    for alg in algorithms:
         state = iterate_power_control(
-            system, algorithm=alg, twin=twin, resume=resume_from.pop(alg, None),
-            **options,
+            system, algorithm=alg, hpue_algorithm=hpue_algorithm,
+            max_iters=cfg.max_iters, tol=cfg.tol, tol_support=cfg.tol_support,
         )
-        if twin is not None:
-            resume_from[twin] = state
-        margin = _check_safety(caps, state, seed) if prioritized else None
+        margin = _check_safety(caps, state, seed) if alg in PRIORITIZED_BASE else None
         rows.append((
-            outage_ratio(state, ~lpue_mask),
-            outage_ratio(state, lpue_mask),
+            outage_ratio(state, ~snapshot.lpue_mask),
+            outage_ratio(state, snapshot.lpue_mask),
             state.p.sum(),
             throughput_metrics(state.sir),
             None,

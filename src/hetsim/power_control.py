@@ -26,8 +26,9 @@ high-priority users run plain tpc.
 ``tpc_gr`` and ``ptpc_gr`` are the soft-removal twins of ``tpc`` and ``ptpc``:
 each sweep is a pure function of the current iterate, so a twin repeats its
 base run bit for bit up to the first sweep where a demand passes the bound
-past which soft removal can change an answer. A base run asked to watch for
-that sweep lets its twin resume there.
+past which soft removal can change an answer. A base run on a single system
+from zero keeps that sweep on the system, and a later run of its twin with
+the same options there resumes from it.
 
 Every map runs in one kernel, ``iterate_power_control``, on a
 ``CochannelSystem`` or on a stack of them, with its result in the system's
@@ -73,23 +74,14 @@ _MIN_BLOCK = 2
 class PowerState:
     """Result of a power-control run (``iterate_power_control``), in the
     shape of its system: for a single system (n,) arrays, an int
-    ``iterations`` and a bool ``converged``; for a stack one entry per row
-    in every field but ``fork``, (B, n) and (B,) arrays.
-
-    ``fork`` is set when a single system's run was asked to watch for its
-    soft-removal twin: ``(twin, k, p, options)`` with k the first sweep
-    where a demand exceeds the twin's removal bound and p the iterate
-    before it, or k and p None when no sweep did; ``options`` holds the
-    run's ``hpue_algorithm``, ``max_iters``, ``tol`` and ``tol_support``,
-    exactly the ones the twin resumes with.
-    """
+    ``iterations`` and a bool ``converged``; for a stack one entry per row,
+    (B, n) and (B,) arrays."""
 
     p: np.ndarray
     sir: np.ndarray
     supported: np.ndarray
     iterations: int
     converged: bool
-    fork: tuple | None = None
 
 
 @dataclass
@@ -189,7 +181,9 @@ class CochannelSystem:
     ``off`` with 64-byte-aligned rows (``_aligned``), so later writes to the
     caller's arrays do not reach it; ``a`` itself is not kept. The
     normalized coupling ``coupling`` and the feasibility verdict
-    ``feasibility`` are computed on first use and kept.
+    ``feasibility`` are computed on first use and kept, and so are the fork
+    records of a single system's ``tpc``/``ptpc`` runs from zero, which
+    their soft-removal twins resume from (``iterate_power_control``).
 
     A stack of B systems of n users each has a leading batch axis on every
     per-user array: ``a`` is (B, n, n), ``noise`` and ``targets`` (B, n),
@@ -200,7 +194,8 @@ class CochannelSystem:
     once with its result in the stack's shape ((B, n) and (B,) arrays), as
     a single system's is in its own, and
     ``system[rows]`` is the stack of the rows an index array selects,
-    sharing this one's validation and whatever it has computed.
+    sharing this one's validation, coupling and verdict; a stack holds no
+    fork records.
     """
 
     a: InitVar[np.ndarray]
@@ -301,6 +296,12 @@ class CochannelSystem:
             rho = float(rho)
         return FeasibilityResult(feasible=rho < 1.0, spectral_radius=rho)
 
+    @cached_property
+    def _forks(self):
+        """The fork records of this system's base runs, by twin and
+        options (see ``iterate_power_control``)."""
+        return {}
+
 
 def cochannel_system(snapshot, gains, serving, cfg, caps=None):
     """The square per-user system of (gains, serving cells), with the
@@ -353,8 +354,6 @@ def iterate_power_control(
     tol=DEFAULT_TOL,
     tol_support=DEFAULT_TOL_SUPPORT,
     p0=None,
-    twin=None,
-    resume=None,
 ):
     """The power-control kernel: synchronous fixed-point iteration of the
     chosen update map on a ``CochannelSystem``, or on every row of a stack
@@ -399,7 +398,7 @@ def iterate_power_control(
     later one the sweeps the step needs to pass the test at the rate it
     shrank over the block before (``_next_block``, within ``_MIN_BLOCK``
     and ``_BLOCK``). Sweeps computed past the returned one are never
-    reported, nor is a fork recorded in them. On the 25-seed fig2 input the
+    reported, nor is a fork kept from them. On the 25-seed fig2 input the
     runs compute 36,658 sweeps for the 36,558 they need (46,183 logical
     ones, counting the sweeps a twin shares) in 1,459 blocks, where fixed
     blocks of 16 computed 38,864 in 2,629. The system holds the coupling
@@ -417,20 +416,21 @@ def iterate_power_control(
     stack after it.
 
     Sweep sharing between ``tpc``/``ptpc`` and their soft-removal twins
-    (``SOFT_REMOVAL_TWINS``), on single systems only: a base run given
-    ``twin=<its twin>`` records in ``fork`` the first sweep where a demand
-    exceeds the twin's removal bound, at or below which both runs answer
-    alike. It keeps each sweep's demand in a row of a block buffer and
-    tests the whole block against the bound at once, so it finds the sweep
-    a test after every sweep would find, at one test per block. The twin
-    run, given ``resume=<that base state>``, starts where its base run
-    started, so it takes no ``p0``, and it runs with exactly the base run's
-    ``hpue_algorithm``, ``max_iters``, ``tol`` and ``tol_support`` as
-    recorded in the ``fork`` (defaults count; other values raise
-    ``ValueError``). It returns a copy of the base result when no sweep
-    passed the bound; otherwise it runs from the recorded iterate with that
-    sweep as its first. Either way its powers, iteration count and
-    convergence flag are those of a run from the start, bit for bit.
+    (``SOFT_REMOVAL_TWINS``), on runs of a single system from zero
+    (``p0=None``) only. Such a base run watches for the first sweep where a
+    demand exceeds its twin's removal bound, at or below which both runs
+    answer alike. It keeps each sweep's demand in a row of a block buffer
+    and tests the whole block against the bound at once, so it finds the
+    sweep a test after every sweep would find, at one test per block. It
+    keeps ``(sweep, iterate before it, result)`` on the system, or ``(None,
+    None, result)`` when no sweep passed the bound, keyed by the twin and
+    its ``hpue_algorithm``, ``max_iters``, ``tol`` and ``tol_support``. A
+    later twin run from zero with the same options takes a copy of the base
+    result when no sweep passed the bound, and otherwise runs from the
+    recorded iterate with that sweep as its first. Either way its powers,
+    iteration count and convergence flag are those of a run from zero, bit
+    for bit. Every other run (other options, a ``p0``, a stack) neither
+    reads nor keeps a record.
     """
     single = system.targets.ndim == 1
 
@@ -451,8 +451,6 @@ def iterate_power_control(
         )
     if max_iters < 0:
         raise ValueError(f"max_iters must be at least 0, got {max_iters}")
-    if twin is not None and SOFT_REMOVAL_TWINS.get(algorithm) != twin:
-        raise ValueError(f"{algorithm!r} cannot share sweeps with {twin!r}")
     prioritized = algorithm in PRIORITIZED_BASE
     base_alg = PRIORITIZED_BASE.get(algorithm, algorithm)
     opportunistic = base_alg in ("opc", "dtpc")
@@ -463,28 +461,21 @@ def iterate_power_control(
             f"{algorithm} needs a system with lpue_mask and caps "
             "(see prioritized_caps)"
         )
-    # the options a base run records with its fork, and its twin resumes with
-    options = dict(hpue_algorithm=hpue_algorithm, max_iters=max_iters, tol=tol,
-                   tol_support=tol_support)
     # the stack's next sweep
     sweep = 1
-    if not single and (twin is not None or resume is not None):
-        raise ValueError("a soft-removal twin is watched and resumed on one "
-                         "system only")
-    if resume is not None:
-        if resume.fork is None or resume.fork[0] != algorithm:
-            raise ValueError(f"resume state was not recorded for twin {algorithm!r}")
-        if p0 is not None:
-            raise ValueError("a twin starts where its base run started: it takes no p0")
-        _, sweep, p0, recorded = resume.fork
-        if recorded != options:
-            raise ValueError(
-                f"a twin resumes with its base run's {', '.join(recorded)}"
-            )
+    # a single system's runs from zero share sweeps through its fork
+    # records, keyed by the twin and the options its sweeps depend on
+    twin = record = None
+    if single and p0 is None:
+        options = (hpue_algorithm, max_iters, tol, tol_support)
+        twin = SOFT_REMOVAL_TWINS.get(algorithm)
+        record = system._forks.get((algorithm, *options))
+    if record is not None:
+        sweep, p0, base = record
         if sweep is None:
             # the base run never passed the bound: the twin's run is the same
-            return replace(resume, p=resume.p.copy(), sir=resume.sir.copy(),
-                           supported=resume.supported.copy(), fork=None)
+            return replace(base, p=base.p.copy(), sir=base.sir.copy(),
+                           supported=base.supported.copy())
     if p0 is not None:
         # iterates then stay non-negative, so max(p) is their inf-norm
         p0 = np.asarray(p0, dtype=float)
@@ -508,7 +499,7 @@ def iterate_power_control(
     # finite: the system checks that every budget has a finite square
     p_max_sq = p_max * p_max
     soft_removal = base_alg == "tpc_gr"
-    soft_above = twin_bound = fork = None
+    soft_above = twin_bound = None
     if soft_removal:
         # tpc_gr users answer demands above their budget with p_max**2 / q,
         # which lies below it, so only their static cap clips
@@ -524,7 +515,7 @@ def iterate_power_control(
         with np.errstate(divide="ignore", invalid="ignore"):
             removal = np.nextafter(p_max_sq / cap, 0.0)
         twin_bound = np.where(users, np.maximum(p_max, removal), np.inf)
-        fork = (twin, None, None)
+    fork = (None, None)
 
     noise, diag, off = stacked(system.noise), stacked(system.diag), system.off
     # a row that never sweeps returns its start
@@ -588,7 +579,7 @@ def iterate_power_control(
                     # the block's first sweep whose demand passes the bound,
                     # and the iterate before it
                     j = int(crossed.any(axis=1).argmax())
-                    fork = (twin, sweep + j, block[j, 0].copy())
+                    fork = (sweep + j, block[j, 0].copy())
                     twin_bound = None
             # sweep + j passes when max |p' - p| < tol * max(max(p), floor);
             # the initial values also keep n = 0 valid
@@ -623,19 +614,15 @@ def iterate_power_control(
     r = (off @ p_users + noise) / diag
     sir = (p_users / r).reshape(system.targets.shape)
     supported = sir >= system.targets * (1.0 - tol_support)
-    if fork and fork[1] is not None and fork[1] > iterations[0]:
-        # the demand crossed the bound in a sweep past the returned one
-        fork = (twin, None, None)
     if single:
         p, iterations, converged = p_users, int(iterations[0]), bool(converged[0])
-    return PowerState(
-        p=p,
-        sir=sir,
-        supported=supported,
-        iterations=iterations,
-        converged=converged,
-        fork=fork and (*fork, options),
-    )
+    state = PowerState(p, sir, supported, iterations, converged)
+    if twin is not None:
+        if fork[0] is not None and fork[0] > iterations:
+            # the demand crossed the bound in a sweep past the returned one
+            fork = (None, None)
+        system._forks[(twin, *options)] = (*fork, state)
+    return state
 
 
 def feasibility_check(system):

@@ -24,25 +24,6 @@ def access_probability(counts):
     return 1.0 / (counts + 1.0)
 
 
-def greedy_access_prob_mc(n_users, trials, seed):
-    """Monte Carlo estimate of the greedy admission probability.
-
-    Draws n + 1 i.i.d. unit-mean exponential fading gains per trial and
-    returns the fraction of trials in which the joiner's gain is the strict
-    maximum. Converges to 1 / (n + 1) for any continuous i.i.d. fading law.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if n_users < 0:
-        raise ValueError(f"n_users must be non-negative, got {n_users}")
-    if n_users == 0:
-        return 1.0
-    rng = np.random.default_rng(seed)
-    g = rng.exponential(1.0, size=(int(trials), n_users + 1))
-    wins = g[:, 0] > g[:, 1:].max(axis=1)
-    return float(wins.mean())
-
-
 def cell_loads(snapshot):
     """User count per base station: how many users each cell is home to."""
     return np.bincount(snapshot.home, minlength=snapshot.n_bs)

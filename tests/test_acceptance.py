@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import instance_system, sample_feasible_instance
+from conftest import greedy_access_prob_mc, instance_system, sample_feasible_instance
 from hetsim.cli import main
 from hetsim.config import SimConfig, fig3_defaults
 from hetsim.harness import (
@@ -29,7 +29,6 @@ from hetsim.power_control import (
     sample_instance,
 )
 from hetsim.report import emit_report
-from hetsim.scheduling import greedy_access_prob_mc
 
 JOBS = 2
 

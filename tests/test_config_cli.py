@@ -634,6 +634,24 @@ def test_oracle_check_shares_each_stack_tail_across_chunks(monkeypatch):
     assert 0 < counting.matmuls <= 33_300
 
 
+def test_oracle_check_counts_its_fixed_point_rows(monkeypatch, capsys):
+    # every comfortably feasible instance (spectral radius below
+    # ORACLE_RHO_MATCH) is checked against the exact fixed point, one
+    # oracle call per user count: 875 of 1,000 at --seed 0, where a
+    # threshold of 0.5 would check 782
+    from hetsim import cli as cli_mod
+
+    oracle, rows = cli_mod.fixed_point_oracle, []
+
+    def counting(system):
+        rows.append(len(system.targets))
+        return oracle(system)
+
+    monkeypatch.setattr(cli_mod, "fixed_point_oracle", counting)
+    assert main(["oracle-check", "--count", "1000", "--seed", "0"]) == 0
+    assert (sum(rows), len(rows)) == (875, 7)
+
+
 def test_oracle_check_rejects_corrupt_gains():
     import numpy as np
 

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import CountingNumpy
+from hetsim import power_control
 from hetsim.association import SCHEMES, associate, link_scores
 from hetsim.config import MAX_USERS, SimConfig, fig3_defaults
 from hetsim.harness import (
@@ -353,20 +355,38 @@ def test_failed_job_stops_the_pool(monkeypatch, failing):
 
 
 def test_shared_twin_sweeps_match_separate_runs(monkeypatch):
-    # fig2 resumes tpc_gr / ptpc_gr from the tpc / ptpc runs; each twin run
-    # alone must give the same rows and per-seed results
+    # fig2 runs tpc_gr / ptpc_gr after tpc / ptpc on each snapshot's system,
+    # and every twin run resumes from its base run's fork record there: a
+    # copy of the base result, which computes no sweep, or a run from the
+    # fork, which computes fewer sweeps than it returns. Each twin run alone
+    # must give the same rows and per-seed results
     cfg = SimConfig(grid_rows=2, snapshots=3, sweep=(3, 5))
-    forks = []
+    counting = CountingNumpy()
+    resumed = []
 
-    def recording(*args, **kwargs):
-        if kwargs["resume"] is not None:
-            forks.append(kwargs["resume"].fork[1])
-        return iterate_power_control(*args, **kwargs)
+    def recording(system, *, algorithm, **kwargs):
+        key = (algorithm, kwargs["hpue_algorithm"], kwargs["max_iters"],
+               kwargs["tol"], kwargs["tol_support"])
+        record = system._forks.get(key)
+        before = counting.matmuls
+        state = iterate_power_control(system, algorithm=algorithm, **kwargs)
+        if algorithm in ("tpc_gr", "ptpc_gr"):
+            resumed.append((record and record[0], counting.matmuls - before,
+                            state.iterations, record is not None))
+        return state
 
-    monkeypatch.setattr("hetsim.harness.iterate_power_control", recording)
-    shared = run_preset("fig2", cfg)
-    assert len(forks) == 2 * len(cfg.sweep) * cfg.snapshots
-    assert None in forks and set(forks) != {None}
+    with monkeypatch.context() as patch:
+        patch.setattr("hetsim.harness.iterate_power_control", recording)
+        patch.setattr(power_control, "np", counting)
+        shared = run_preset("fig2", cfg)
+    assert len(resumed) == 2 * len(cfg.sweep) * cfg.snapshots
+    assert all(found for *_, found in resumed)
+    copies = [computed for fork, computed, _, _ in resumed if fork is None]
+    forks = [(computed, iterations) for fork, computed, iterations, _ in resumed
+             if fork is not None]
+    assert copies and forks
+    assert set(copies) == {0}
+    assert all(computed < iterations for computed, iterations in forks)
     rows = {(r.sweep_value, r.algorithm): r for r in shared.rows}
     for alg in ("tpc_gr", "ptpc_gr"):
         alone = run_experiment(

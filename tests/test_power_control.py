@@ -778,44 +778,56 @@ def test_kernel_matches_reference_loop(algorithm, hpue_algorithm):
 # ------------------------------------------------ soft-removal twin sweeps
 
 
+def _fork_record(system):
+    """The one fork record a base run from zero kept on ``system``: (first
+    sweep past its twin's removal bound, iterate before it, base result),
+    the sweep and iterate None when no sweep passed the bound."""
+    (record,) = system._forks.values()
+    return record
+
+
 def _run_twins(
     a, noise, targets, p_max, base, *, eta=None, lpue_mask=None, caps=None,
-    p0=None, **kwargs,
+    **kwargs,
 ):
-    """Run ``base`` from ``p0`` watching its twin, then the twin resumed
-    from it, which starts where its base run started and so takes no
-    ``p0``. The twin must equal, bit for bit, the twin run from ``p0`` and
-    the reference loop, and the base must equal the base run alone.
-    Returns the base's fork record: (first sweep past the twin's removal
-    bound, iterate before it), without the options the twin resumed with."""
+    """Run ``base`` from zero, which keeps its fork record on the system,
+    then its twin from zero there, which resumes from that record. The twin
+    must equal, bit for bit, the twin run on a fresh system and the
+    reference loop, and the base must equal the base run from an explicit
+    zero start, which neither keeps nor reads a record. Returns the
+    record's (first sweep past the twin's removal bound, iterate before
+    it)."""
     twin = SOFT_REMOVAL_TWINS[base]
-    system = CochannelSystem(
-        a, noise, targets, p_max, eta=eta, lpue_mask=lpue_mask,
-        cap=None if caps is None else caps.cap,
+
+    def fresh():
+        return CochannelSystem(
+            a, noise, targets, p_max, eta=eta, lpue_mask=lpue_mask,
+            cap=None if caps is None else caps.cap,
+        )
+
+    system = fresh()
+    watched = iterate_power_control(system, algorithm=base, **kwargs)
+    sweep, p, kept = _fork_record(system)
+    assert kept is watched
+    shared = iterate_power_control(system, algorithm=twin, **kwargs)
+    alone = iterate_power_control(
+        fresh(), algorithm=base, p0=np.zeros(len(targets)), **kwargs
     )
-    watched = iterate_power_control(
-        system, algorithm=base, twin=twin, p0=p0, **kwargs
-    )
-    alone = iterate_power_control(system, algorithm=base, p0=p0, **kwargs)
-    shared = iterate_power_control(
-        system, algorithm=twin, resume=watched, **kwargs
-    )
-    full = iterate_power_control(system, algorithm=twin, p0=p0, **kwargs)
+    full = iterate_power_control(fresh(), algorithm=twin, **kwargs)
     defaults = dict(hpue_algorithm=None, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL)
-    p, iterations, converged = _reference_iterate(
+    want = _reference_iterate(
         a, noise, targets, p_max, algorithm=twin, eta=eta, lpue_mask=lpue_mask,
-        caps=caps, p0=p0, **{**defaults, **kwargs}
+        caps=caps, p0=None, **{**defaults, **kwargs}
     )
-    for got, want in ((watched, alone), (shared, full)):
-        assert np.array_equal(got.p, want.p)
-        assert got.iterations == want.iterations
-        assert got.converged == want.converged
-    assert np.array_equal(shared.p, p)
-    assert (shared.iterations, shared.converged) == (iterations, converged)
+    for got, same in ((watched, alone), (shared, full)):
+        assert np.array_equal(got.p, same.p)
+        assert got.iterations == same.iterations
+        assert got.converged == same.converged
+    assert np.array_equal(shared.p, want[0])
+    assert (shared.iterations, shared.converged) == want[1:]
     assert np.array_equal(shared.sir, full.sir)
     assert np.array_equal(shared.supported, full.supported)
-    assert watched.fork[0] == twin
-    return watched.fork[1:3]
+    return sweep, p
 
 
 def _chain():
@@ -841,38 +853,14 @@ def test_twin_never_forks_and_copies_the_base_result():
     a, noise, targets = two_user_toy()
     assert _run_twins(a, noise, targets, 10.0, "tpc") == (None, None)
     system = CochannelSystem(a, noise, targets, 10.0)
-    base = iterate_power_control(system, twin="tpc_gr")
-    shared = iterate_power_control(system, algorithm="tpc_gr", resume=base)
+    base = iterate_power_control(system)
+    shared = iterate_power_control(system, algorithm="tpc_gr")
     assert shared.p is not base.p and shared.sir is not base.sir
+    assert shared.supported is not base.supported
 
 
 def test_twin_max_iters_reached_before_fork():
     assert _run_twins(*_chain(), 10.0, "tpc", max_iters=4) == (None, None)
-
-
-def test_twin_resumes_from_explicit_p0():
-    # from p0 = 1 the demands run 2.1, 4.3, 8.7, 17.5
-    a, noise, targets = _chain()
-    sweep, _ = _run_twins(a, noise, targets, 10.0, "tpc", p0=np.ones(2))
-    assert sweep == 4
-
-
-def test_twin_starts_where_its_base_run_started():
-    # from p0 = 9 the first demands, 18.1, pass the 10 W budget: the base
-    # run forks at sweep 1, and its twin resumes from the base run's start
-    system = CochannelSystem(*_chain(), 10.0)
-    start = np.full(2, 9.0)
-    base = iterate_power_control(system, twin="tpc_gr", p0=start)
-    assert base.fork[:2] == ("tpc_gr", 1)
-    for p0 in (start, np.zeros(2)):
-        with pytest.raises(ValueError, match="p0"):
-            iterate_power_control(system, algorithm="tpc_gr", resume=base, p0=p0)
-    with pytest.raises(ValueError, match="base run's"):
-        iterate_power_control(system, algorithm="tpc_gr", resume=base, tol=1e-6)
-    got = iterate_power_control(system, algorithm="tpc_gr", resume=base)
-    want = iterate_power_control(system, algorithm="tpc_gr", p0=start)
-    assert (got.iterations, got.converged) == (want.iterations, want.converged)
-    assert got.p.tobytes() == want.p.tobytes()
 
 
 def test_prioritized_twin_forks_only_past_removal_bound():
@@ -898,94 +886,103 @@ def test_prioritized_twin_forks_only_past_removal_bound():
 @pytest.mark.parametrize("hpue_algorithm", [None, "tpc"])
 def test_twin_sweeps_match_reference_loop(base, hpue_algorithm):
     forks = set()
-    for k, (a, noise, targets, p_max, eta, lpue_mask, caps) in enumerate(
-        _equivalence_systems()
-    ):
-        explicit = np.random.default_rng(k).uniform(0.0, 1.0, size=len(targets))
+    for a, noise, targets, p_max, eta, lpue_mask, caps in _equivalence_systems():
         # a tenth of the budget pushes demands past it, and past the removal
         # bound p_max**2 / cap of the prioritized runs
-        for budget, p0, tol in itertools.product(
-            (p_max, 0.1 * p_max), (None, explicit), (1e-9, 0.05)
-        ):
+        for budget, tol in itertools.product((p_max, 0.1 * p_max), (1e-9, 0.05)):
             sweep, _ = _run_twins(
                 a, noise, targets, budget, base,
                 eta=eta, lpue_mask=lpue_mask,
                 caps=caps if base in PRIORITIZED_BASE else None,
                 hpue_algorithm=hpue_algorithm, max_iters=300, tol=tol,
-                p0=None if p0 is None else p0 * budget,
             )
             forks.add(sweep is None)
     # the systems cover both a fork and a run without one
     assert forks == {True, False}
 
 
-def test_twin_resume_checks_its_source():
-    system = CochannelSystem(
-        *_chain(), 10.0, eta=0.1,
-        lpue_mask=np.array([False, True]), cap=np.array([np.inf, 5.0]),
-    )
-    base = iterate_power_control(system, twin="tpc_gr")
-    plain = iterate_power_control(system)
-    for resume in (base, plain):
-        with pytest.raises(ValueError, match="resume"):
-            iterate_power_control(system, algorithm="ptpc_gr", resume=resume)
-    with pytest.raises(ValueError, match="resume"):
-        iterate_power_control(system, algorithm="tpc_gr", resume=plain)
-    for algorithm, twin in (("tpc", "ptpc_gr"), ("tpc_gr", "tpc"), ("opc", "tpc_gr")):
-        with pytest.raises(ValueError, match="share"):
-            iterate_power_control(system, algorithm=algorithm, twin=twin)
-
-
 def test_twin_copy_checks_the_kernel_options_first():
-    # a base run that never forks hands its twin a copy of its result, but
-    # only for options the kernel would accept
-    a, noise, targets = two_user_toy()
-    system = CochannelSystem(a, noise, targets, 10.0)
-    base = iterate_power_control(system, twin="tpc_gr")
-    assert base.fork[:3] == ("tpc_gr", None, None)
-    for resume in (None, base):
-        with pytest.raises(ValueError, match="bogus"):
-            iterate_power_control(
-                system, algorithm="tpc_gr", resume=resume,
-                hpue_algorithm="bogus", max_iters=-5,
-            )
-        with pytest.raises(ValueError, match="max_iters"):
-            iterate_power_control(
-                system, algorithm="tpc_gr", resume=resume, max_iters=-5
-            )
+    # a base run that never forks keeps its result for its twin to copy,
+    # but the twin checks its options before it reads a record
+    system = CochannelSystem(*two_user_toy(), 10.0)
+    iterate_power_control(system)
+    assert _fork_record(system)[:2] == (None, None)
+    with pytest.raises(ValueError, match="bogus"):
+        iterate_power_control(
+            system, algorithm="tpc_gr", hpue_algorithm="bogus", max_iters=-5
+        )
+    with pytest.raises(ValueError, match="max_iters"):
+        iterate_power_control(system, algorithm="tpc_gr", max_iters=-5)
     with pytest.raises(TypeError):
-        iterate_power_control(system, algorithm="tpc_gr", resume=base, tolerance=1)
+        iterate_power_control(system, algorithm="tpc_gr", tolerance=1)
 
 
-def test_twin_takes_its_base_runs_options():
-    # a twin resumes with the max_iters, tol, tol_support and hpue_algorithm
-    # its base run recorded with its fork, whether or not the base forked:
-    # 10 sweeps without a fork on the toy, and a fork at sweep 7 on the chain
-    a, noise, targets = two_user_toy()
-    for system in (CochannelSystem(a, noise, targets, 10.0),
-                   CochannelSystem(*_chain(), 10.0)):
-        base = iterate_power_control(system, twin="tpc_gr")
-        assert base.fork[3] == dict(hpue_algorithm=None, max_iters=DEFAULT_MAX_ITERS,
-                                    tol=DEFAULT_TOL, tol_support=DEFAULT_TOL_SUPPORT)
-        for other in (dict(max_iters=3), dict(tol=0.1), dict(tol_support=0.5),
-                      dict(hpue_algorithm="tpc")):
-            with pytest.raises(ValueError, match="base run's"):
-                iterate_power_control(
-                    system, algorithm="tpc_gr", resume=base, **other
-                )
-        options = dict(max_iters=3, tol=0.1)
-        base = iterate_power_control(system, twin="tpc_gr", **options)
-        want = iterate_power_control(system, algorithm="tpc_gr", **options)
-        # the defaults count: a resume that leaves the options out asks for
-        # other values than the base run's
-        with pytest.raises(ValueError, match="base run's"):
-            iterate_power_control(system, algorithm="tpc_gr", resume=base)
-        got = iterate_power_control(
-            system, algorithm="tpc_gr", resume=base, **options
+def test_twin_takes_its_base_runs_options(monkeypatch):
+    # a base run keeps its record under its twin and its hpue_algorithm,
+    # max_iters, tol and tol_support, the defaults included, and a twin run
+    # with exactly those resumes from it: 10 sweeps without a fork on the
+    # toy, a fork at sweep 7 on the chain, and neither within 3 sweeps
+    defaults = (None, DEFAULT_MAX_ITERS, DEFAULT_TOL, DEFAULT_TOL_SUPPORT)
+    for arrays, forks in ((two_user_toy(), None), (_chain(), 7)):
+        system = CochannelSystem(*arrays, 10.0)
+        iterate_power_control(system)
+        iterate_power_control(system, max_iters=3, tol=0.1)
+        assert list(system._forks) == [
+            ("tpc_gr", *defaults), ("tpc_gr", None, 3, 0.1, DEFAULT_TOL_SUPPORT)
+        ]
+        assert system._forks[("tpc_gr", *defaults)][0] == forks
+        counting = CountingNumpy()
+        with monkeypatch.context() as patch:
+            patch.setattr(power_control, "np", counting)
+            got = iterate_power_control(
+                system, algorithm="tpc_gr", max_iters=3, tol=0.1
+            )
+        # no sweep passed the bound, so the twin copies the base result
+        assert counting.matmuls == 0
+        want = iterate_power_control(
+            CochannelSystem(*arrays, 10.0), algorithm="tpc_gr", max_iters=3, tol=0.1
         )
         assert want.iterations <= 3
         assert (got.iterations, got.converged) == (want.iterations, want.converged)
         assert got.p.tobytes() == want.p.tobytes()
+
+
+def test_fork_records_do_not_leak():
+    # The chain keeps two records: the defaults' (a fork at sweep 7) and
+    # that of tol = 1.5 and tol_support = 0.6 (converged at sweep 3 with no
+    # fork, every user supported). A twin run with other options or from a
+    # p0 equals the twin run on a fresh system, bit for bit. Read from the
+    # wrong record, max_iters = 5 would return the sweep-6 iterate after no
+    # sweep, p0 = 9 would start at sweep 7, and tol = 1.5 would copy the
+    # other tol_support's flags.
+    def fresh():
+        return CochannelSystem(*_chain(), 10.0)
+
+    system = fresh()
+    iterate_power_control(system)
+    iterate_power_control(system, tol=1.5, tol_support=0.6)
+    for options in (
+        dict(max_iters=5), dict(tol=1e-6), dict(tol_support=0.5),
+        dict(hpue_algorithm="tpc"), dict(tol=1.5), dict(tol_support=0.6),
+        dict(p0=np.full(2, 9.0)), dict(p0=np.zeros(2)),
+    ):
+        got = iterate_power_control(system, algorithm="tpc_gr", **options)
+        want = iterate_power_control(fresh(), algorithm="tpc_gr", **options)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        for name in ("p", "sir", "supported"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    # a base run from a p0 keeps no record
+    iterate_power_control(system, p0=np.full(2, 9.0), max_iters=40)
+    assert len(system._forks) == 2
+    # nor does a stack, nor a stack of its rows; their twins run from zero
+    stack = _stacked([system, CochannelSystem(*_chain(), 20.0)])
+    iterate_power_control(stack)
+    sub = stack[np.array([1])]
+    assert "_forks" not in stack.__dict__ and "_forks" not in sub.__dict__
+    _assert_rows_match(
+        iterate_power_control(sub, algorithm="tpc_gr"),
+        [iterate_power_control(CochannelSystem(*_chain(), 20.0), algorithm="tpc_gr")],
+    )
 
 
 # ------------------------------ blocked convergence test and matrix layout
@@ -1078,10 +1075,10 @@ def test_single_user_twins():
 def test_twin_fork_past_the_converged_sweep_is_dropped():
     # tol = 1.5 passes at sweep 3 (0.4 < 1.5 * 0.3), but the block runs on
     # to sweep 7, whose demand of 12.7 W first exceeds the 10 W budget
-    state = iterate_power_control(
-        CochannelSystem(*_chain(), 10.0), twin="tpc_gr", tol=1.5
-    )
+    system = CochannelSystem(*_chain(), 10.0)
+    state = iterate_power_control(system, tol=1.5)
     assert (state.iterations, state.converged) == (3, True)
+    assert _fork_record(system)[:2] == (None, None)
     assert _run_twins(*_chain(), 10.0, "tpc", tol=1.5) == (None, None)
     # the reference loop stops at sweep 3 too, and finds sweep 7 only when
     # it runs on
@@ -1091,9 +1088,9 @@ def test_twin_fork_past_the_converged_sweep_is_dropped():
 
 def _check_fork(
     a, noise, targets, p_max, base, *, lpue_mask=None, caps=None,
-    hpue_algorithm=None, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, p0=None,
+    hpue_algorithm=None, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL,
 ):
-    """Run ``base`` watching its twin and check its fork record against the
+    """Run ``base`` from zero and check its fork record against the
     reference loop's sweeps: the first sweep, up to the one the run
     returns, whose demand exceeds the removal bound max(p_max,
     nextafter(p_max**2 / cap, 0)) on a user of the base map, with the
@@ -1106,9 +1103,9 @@ def _check_fork(
     )
     kwargs = dict(
         algorithm=base, hpue_algorithm=hpue_algorithm, max_iters=max_iters,
-        tol=tol, p0=p0,
+        tol=tol, p0=None,
     )
-    state = iterate_power_control(system, twin=SOFT_REMOVAL_TWINS[base], **kwargs)
+    state = iterate_power_control(system, **kwargs)
     sweeps = []
     _, iterations, _ = _reference_iterate(
         a, noise, targets, p_max, eta=None, lpue_mask=lpue_mask,
@@ -1125,7 +1122,7 @@ def _check_fork(
         ((k, p) for k, (p, q) in enumerate(sweeps, 1) if (q > bound).any()),
         (None, None),
     )
-    sweep, p = state.fork[1:3]
+    sweep, p, _ = _fork_record(system)
     assert sweep == want[0]
     if sweep is not None:
         assert np.array_equal(p, want[1])
@@ -1182,18 +1179,22 @@ def test_fork_is_the_first_sweep_past_the_bound_on_capped_systems(
 
 def _fig2_kernel_runs(monkeypatch):
     """A 2-seed fig2 preset run in process: its report, and each kernel run
-    in call order as (state, sweeps computed, sweeps needed). A run needs
-    its iterations, less those a resumed twin shares with its base run."""
+    in call order as (state, sweeps computed, sweeps needed, the fork
+    record it kept or None). A run needs its iterations, less those a twin
+    shares with its base run through the record it resumes from."""
     counting = CountingNumpy()
     runs = []
 
-    def recording(system, **kwargs):
+    def recording(system, *, algorithm, **kwargs):
+        options = (kwargs["hpue_algorithm"], kwargs["max_iters"], kwargs["tol"],
+                   kwargs["tol_support"])
+        resumed = system._forks.get((algorithm, *options))
         before = counting.matmuls
-        state = iterate_power_control(system, **kwargs)
-        resume = kwargs.get("resume")
-        start = 1 if resume is None else resume.fork[1]
+        state = iterate_power_control(system, algorithm=algorithm, **kwargs)
+        start = 1 if resumed is None else resumed[0]
         needed = 0 if start is None else state.iterations - start + 1
-        runs.append((state, counting.matmuls - before, needed))
+        kept = system._forks.get((SOFT_REMOVAL_TWINS.get(algorithm), *options))
+        runs.append((state, counting.matmuls - before, needed, kept))
         return state
 
     with monkeypatch.context() as patch:
@@ -1207,8 +1208,11 @@ def _fig2_kernel_runs(monkeypatch):
 
 def test_fig2_computes_few_sweeps_past_the_needed_ones(monkeypatch):
     report, runs = _fig2_kernel_runs(monkeypatch)
-    over = [computed - needed for _, computed, needed in runs]
-    working = sum(needed > 0 for _, _, needed in runs)
+    over = [computed - needed for _, computed, needed, _ in runs]
+    working = sum(needed > 0 for _, _, needed, _ in runs)
+    # the base runs keep a record each, and their twins share sweeps
+    assert sum(kept is not None for *_, kept in runs) == len(runs) // 2
+    assert sum(needed for _, _, needed, _ in runs) < sum(s.iterations for s, *_ in runs)
     assert working > 0 and min(over) >= 0
     # fixed blocks of 16 sweeps computed 192 sweeps too many here, up to 15
     # in one run
@@ -1217,14 +1221,16 @@ def test_fig2_computes_few_sweeps_past_the_needed_ones(monkeypatch):
     monkeypatch.setattr(power_control, "_BLOCK", 1)
     single, single_runs = _fig2_kernel_runs(monkeypatch)
     assert single.raw.tobytes() == report.raw.tobytes()
-    for (want, _, needed), (got, computed, _) in zip(runs, single_runs, strict=True):
+    for (want, _, needed, fork), (got, computed, _, kept) in zip(
+        runs, single_runs, strict=True
+    ):
         assert computed == needed
         assert np.array_equal(got.p, want.p)
         assert (got.iterations, got.converged) == (want.iterations, want.converged)
-        assert (got.fork is None) == (want.fork is None)
-        if got.fork is not None:
-            assert got.fork[:2] == want.fork[:2]
-            assert np.array_equal(got.fork[2], want.fork[2])
+        assert (kept is None) == (fork is None)
+        if kept is not None:
+            assert kept[0] == fork[0]
+            assert np.array_equal(kept[1], fork[1])
 
 
 @pytest.mark.parametrize("n", [*range(1, 10), 153, 189, 225, 261])
@@ -1700,16 +1706,12 @@ def test_lockstep_rows_finish_in_different_blocks_and_fork_apart():
     assert state.iterations[4] == 60
     # first blocks of 16 sweeps, then 2 to 32: finishes in at least three
     assert len({int(i) // 16 for i in state.iterations}) >= 3
-    # the twins watched and resumed on each system alone fork at seven
-    # different sweeps; soft removal does not settle on the infeasible
-    # chain, so they end apart, most at max_iters
-    bases = [
-        iterate_power_control(s, twin="tpc_gr", max_iters=60) for s in systems
-    ]
-    assert [base.fork[1] for base in bases] == [9, 2, 15, 6, None, 12, 4]
+    # the single runs kept fork records at seven different sweeps, which
+    # their twins resume from; soft removal does not settle on the
+    # infeasible chain, so they end apart, most at max_iters
+    assert [_fork_record(s)[0] for s in systems] == [9, 2, 15, 6, None, 12, 4]
     shared = [
-        iterate_power_control(s, algorithm="tpc_gr", max_iters=60, resume=base)
-        for s, base in zip(systems, bases)
+        iterate_power_control(s, algorithm="tpc_gr", max_iters=60) for s in systems
     ]
     assert [one.iterations for one in shared] == [60, 58, 60, 60, 60, 60, 60]
     # rows cut at max_iters while others converge in the same block
@@ -1718,22 +1720,21 @@ def test_lockstep_rows_finish_in_different_blocks_and_fork_apart():
 
 def test_lockstep_single_system_is_a_stack_of_one():
     # a single system's (n,) arrays and Python scalars are row 0 of the
-    # stack of one; only a single system watches for its twin and resumes
+    # stack of one; only the single system keeps a fork record
     system = CochannelSystem(*_chain(), 10.0)
-    one = iterate_power_control(system, algorithm="tpc", twin="tpc_gr")
-    assert one.fork[:2] == ("tpc_gr", 7)
+    one = iterate_power_control(system, algorithm="tpc")
+    assert _fork_record(system)[0] == 7
     stack = _stacked([system])
     assert stack.targets.shape == (1, 2)
-    state = iterate_power_control(stack, algorithm="tpc")
-    _assert_rows_match(state, [one])
-    assert state.fork is None
+    _assert_rows_match(iterate_power_control(stack, algorithm="tpc"), [one])
+    _assert_rows_match(
+        iterate_power_control(stack, algorithm="tpc_gr"),
+        [iterate_power_control(system, algorithm="tpc_gr")],
+    )
+    assert "_forks" not in stack.__dict__
     pair = _stacked([system, system])
     with pytest.raises(ValueError, match="p0"):
         iterate_power_control(pair, p0=np.ones(2))
-    for stacked in (stack, pair):
-        for options in (dict(twin="tpc_gr"), dict(algorithm="tpc_gr", resume=one)):
-            with pytest.raises(ValueError, match="one system only"):
-                iterate_power_control(stacked, **options)
 
 
 def test_single_system_results_take_its_shape():
@@ -1741,9 +1742,10 @@ def test_single_system_results_take_its_shape():
     # tracer, which records a run's sweeps) takes as they are; p0 has the
     # shape of the system's targets
     system = CochannelSystem(*_chain(), 10.0)
-    base = iterate_power_control(system, max_iters=5, twin="tpc_gr")
+    base = iterate_power_control(system, max_iters=5)
+    # the twin copies the base result: the chain forks at sweep 7
     for state in (base, iterate_power_control(system, algorithm="tpc_gr",
-                                              max_iters=5, resume=base)):
+                                              max_iters=5)):
         for name in ("p", "sir", "supported"):
             assert getattr(state, name).shape == (2,), name
         assert type(state.iterations) is int and type(state.converged) is bool

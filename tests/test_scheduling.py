@@ -9,11 +9,8 @@ from hetsim.association import score_matrix
 from hetsim.config import SimConfig, fig3_defaults
 from hetsim.harness import run_preset
 from hetsim.network import build_gain_matrix, generate_fig3_snapshot
-from hetsim.scheduling import (
-    access_probability,
-    cell_loads,
-    greedy_access_prob_mc,
-)
+from conftest import greedy_access_prob_mc
+from hetsim.scheduling import access_probability, cell_loads
 
 
 def test_empty_cell_admits_certainly():
