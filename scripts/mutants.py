@@ -88,14 +88,22 @@ MUTANTS = (
         "out-of-order-merge",
         "the job results of a run with a pool merged in reverse order",
         "src/hetsim/harness.py",
-        "        results[head:tail] = [f.result() for f in futures[head:tail]]\n",
-        "        results[head:tail] = [f.result() for f in futures[head:tail]]\n"
-        "        results.reverse()\n",
+        "    return results\n",
+        "    results.reverse()\n    return results\n",
         (
             "tests/test_harness.py::test_reports_identical_across_job_counts",
             "tests/test_harness.py::"
             "test_raw_identical_across_job_counts_and_nan_where_absent",
         ),
+    ),
+    Mutant(
+        "claims-overlap",
+        "a claim may still take an index when the front and the back have "
+        "met, so two processes run the same payload",
+        "src/hetsim/harness.py",
+        "            if stopped or head >= tail:\n",
+        "            if stopped or head > tail:\n",
+        ("tests/test_harness.py::test_parent_runs_jobs_beside_one_worker_fewer",),
     ),
     Mutant(
         "twin-resumed-one-sweep-late",

@@ -69,7 +69,9 @@ def run_oracle_check(count, seed):
     ``ORACLE_CHUNK`` seeds at a time by ``seeded_generators``. So the runs
     at ``seed`` and ``seed + 1`` share ``count - 1`` instances; runs meant
     to check distinct instances need seeds at least ``count`` apart. The
-    instances queue by user count, across those chunks; a queue that holds
+    instances queue by user count, across those chunks, each written into
+    its count's ``(ORACLE_CHUNK, n, n)`` gains and ``(ORACLE_CHUNK, n)``
+    noise and target buffers, made on first use; a queue that holds
     ``ORACLE_CHUNK`` instances runs as one stacked system, which one
     ``eigvals``, one kernel run (``iterate_power_control``, whose result
     holds one entry per row) and one ``solve`` check at once, each row with
@@ -87,20 +89,31 @@ def run_oracle_check(count, seed):
         for k, rng in zip(chunk, seeded_generators([seed + k for k in chunk])):
             inst = sample_instance(rng)
             n = len(inst.targets)
-            queues.setdefault(n, []).append((k, inst.a, inst.noise, inst.targets))
-            if len(queues[n]) == ORACLE_CHUNK:
-                failures += _check_group(queues.pop(n), seed)
+            if n not in queues:
+                queues[n] = (
+                    [],
+                    np.empty((ORACLE_CHUNK, n, n)),
+                    np.empty((ORACLE_CHUNK, n)),
+                    np.empty((ORACLE_CHUNK, n)),
+                )
+            index, *buffers = queues[n]
+            for buffer, values in zip(buffers, (inst.a, inst.noise, inst.targets)):
+                buffer[len(index)] = values
+            index.append(k)
+            if len(index) == ORACLE_CHUNK:
+                failures += _check_group(*queues.pop(n), seed)
     for queue in queues.values():
-        failures += _check_group(queue, seed)
+        failures += _check_group(*queue, seed)
     return sorted(failures)
 
 
-def _check_group(group, seed):
-    """run_oracle_check's failures among ``group``, a list of (index, a,
-    noise, targets) tuples of instances with the same user count."""
-    index, *arrays = zip(*group)
+def _check_group(index, a, noise, targets, seed):
+    """run_oracle_check's failures among the instances of one queue: their
+    indices, and their gains, noise and targets in the first ``len(index)``
+    rows of the buffers."""
+    rows = len(index)
     # one validated stack; its kept verdict is reused by the oracle below
-    system = CochannelSystem(*map(np.stack, arrays), 1e6)
+    system = CochannelSystem(a[:rows], noise[:rows], targets[:rows], 1e6)
     check = feasibility_check(system)
     # through the module, not this module's name: perfbench's tracer wraps
     # that name and reads bool(result.converged), which a stack's (B,)

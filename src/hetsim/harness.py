@@ -12,20 +12,24 @@ algorithm/scheme variant. Jobs are independent, each returning one row of
 ``FIELDS`` per seed and variant: a grid job is one snapshot, a disc job a
 contiguous chunk of one sweep point's seeds, evaluated in one array pass.
 With ``jobs > 1`` the calling process runs jobs itself beside ``jobs - 1``
-forked pool workers, and the rows are merged in job order, so reports are
-byte-identical at every job count.
+workers made by ``os.fork``, and the rows are merged in job order, so
+reports are byte-identical at every job count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import fcntl
+import mmap
+import os
+import pickle
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .association import associate, link_scores
 from .config import SimConfig, check_geometry, fig2_defaults, fig3_defaults
-from .errors import NumericError
+from .errors import NumericError, SimError
 from .network import (
     build_gain_matrix,
     disc_chunk,
@@ -254,38 +258,146 @@ def _job(payload):
     return _disc_results(cfg, n_small, seeds, variants)
 
 
+class _Claims:
+    """The payload indices no process has taken yet, ``head:tail``, and a
+    stop flag, in a memory file the forked workers share. Workers take
+    indices from the front and the caller from the back. Every claim holds
+    the file's ``lockf`` lock, which the kernel releases when its holder
+    exits or dies, so a dead worker never blocks the others."""
+
+    def __init__(self, count):
+        self.fd = os.memfd_create("hetsim-claims")
+        os.ftruncate(self.fd, 24)
+        self.map = mmap.mmap(self.fd, 24)
+        # (head, tail, stopped)
+        self.record = memoryview(self.map).cast("q")
+        self.record[1] = count
+
+    def take(self, last=False):
+        """The front index, or the back one if ``last``; None once the
+        indices ran out or the run stopped."""
+        fcntl.lockf(self.fd, fcntl.LOCK_EX)
+        try:
+            head, tail, stopped = self.record
+            if stopped or head >= tail:
+                return None
+            if last:
+                self.record[1] = tail - 1
+                return tail - 1
+            self.record[0] = head + 1
+            return head
+        finally:
+            fcntl.lockf(self.fd, fcntl.LOCK_UN)
+
+    def stop(self):
+        """No process takes another index. The flag only ever goes from 0
+        to 1, so it needs no lock."""
+        self.record[2] = 1
+
+    def close(self):
+        self.record.release()
+        self.map.close()
+        os.close(self.fd)
+
+
+def _worker(payloads, claims, pipe, inherited):
+    """A forked worker: runs the payloads it can take from the front until
+    none is left or the run stops, then sends ``(done, error)`` pickled
+    through ``pipe``: its ``(index, result)`` pairs and the exception of a
+    failed job (which stops the run), or None. Never returns: it exits 0
+    once the message is written and 1 otherwise."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        done, error = [], None
+        try:
+            while (index := claims.take()) is not None:
+                done.append((index, _job(payloads[index])))
+        except Exception as exc:
+            claims.stop()
+            error = exc
+        message = pickle.dumps((done, error), pickle.HIGHEST_PROTOCOL)
+        with open(pipe, "wb") as out:
+            out.write(message)
+        code = 0
+    finally:
+        # Leave as a multiprocessing child does: run the exit finalizers
+        # registered in this process (perfbench's tracer writes a worker's
+        # spans from one), but none of the caller's atexit handlers.
+        util = sys.modules.get("multiprocessing.util")
+        if util is not None:
+            util._run_finalizers()
+        os._exit(code)
+
+
+def _reap(pipes):
+    """Each worker's ``(exit code, message)``, in ``pipes`` order (worker
+    pid -> read end of its pipe). A pipe is read to its end before its
+    worker is waited for, so that no message is too large to be sent. If
+    reading is cut short, the unread pipes are closed, which fails their
+    workers' writes, and every worker is still waited for."""
+    messages = {}
+    try:
+        for pid, fd in pipes.items():
+            with open(fd, "rb", closefd=False) as pipe:
+                messages[pid] = pipe.read()
+    finally:
+        codes = {}
+        for pid, fd in pipes.items():
+            os.close(fd)
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return [(pid, codes[pid], messages[pid]) for pid in pipes]
+
+
 def _run_jobs(payloads, jobs):
     """Each payload's job result, in payload order.
 
     With ``jobs > 1`` this process is one of the ``jobs`` workers: it forks
-    ``min(jobs, len(payloads)) - 1`` pool workers, which take the payloads
-    from the front, and runs them itself from the back, taking each one it
-    can still cancel in the pool. The two sides meet where a worker holds
-    the next payload, so the balance follows the jobs' costs and this
-    process takes the last (a sweep's heaviest) points. Between its own
-    jobs it collects the workers' finished ones from the front, so a failed
-    job on either side raises within about one job, and the pool's pending
-    jobs are cancelled before it shuts down."""
+    ``min(jobs, len(payloads)) - 1`` workers, which take the payloads from
+    the front, and runs them itself from the back (``_Claims``). The two
+    sides meet where the payloads run out, so the balance follows the
+    jobs' costs and this process takes the last (a sweep's heaviest)
+    points. A failed job on either side stops every process from taking
+    another payload, so the run raises within about one job. Each worker
+    sends its results, or its exception, through its own pipe, which this
+    process reads before it reaps the worker; a worker that dies raises a
+    ``SimError`` naming its exit status. No worker is left running when
+    this returns or raises."""
     workers = min(jobs, len(payloads)) - 1
     if workers < 1:
         return [_job(p) for p in payloads]
     results = [None] * len(payloads)
-    pool = ProcessPoolExecutor(max_workers=workers)
+    claims = _Claims(len(payloads))
+    pipes = {}
     try:
-        futures = [pool.submit(_job, p) for p in payloads]
-        head, tail = 0, len(payloads)
-        while head < tail:
-            if futures[head].done():
-                results[head] = futures[head].result()
-                head += 1
-            elif futures[tail - 1].cancel():
-                tail -= 1
-                results[tail] = _job(payloads[tail])
-            else:
-                break
-        results[head:tail] = [f.result() for f in futures[head:tail]]
+        try:
+            for _ in range(workers):
+                read, write = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    os.close(read)
+                    _worker(payloads, claims, write, pipes.values())
+                os.close(write)
+                pipes[pid] = read
+            while (index := claims.take(last=True)) is not None:
+                results[index] = _job(payloads[index])
+        except BaseException:
+            claims.stop()
+            raise
+        finally:
+            reports = _reap(pipes)
     finally:
-        pool.shutdown(cancel_futures=True)
+        claims.close()
+    for pid, code, message in reports:
+        if code != 0:
+            how = f"exit status {code}" if code > 0 else f"signal {-code}"
+            raise SimError(f"job worker {pid} died with {how}")
+        done, error = pickle.loads(message)
+        if error is not None:
+            raise error
+        for index, result in done:
+            results[index] = result
     return results
 
 

@@ -393,10 +393,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 def test_cli_jobs_above_cpu_count_is_a_config_error(
     tmp_path, capsys, monkeypatch
 ):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+    def no_fork():
+        raise AssertionError("a job worker was forked")
 
-    monkeypatch.setattr("hetsim.harness.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     jobs = str((os.cpu_count() or 1) + 1)
     for command in ("fig2", "fig3", "sweep"):
         out = tmp_path / command
@@ -682,3 +682,20 @@ def test_cli_import_leaves_numpy_random_unimported():
     if imports_numpy_random("numpy") == "True":
         pytest.skip("this NumPy imports numpy.random with numpy itself")
     assert imports_numpy_random("hetsim.cli") == "False"
+
+
+def test_cli_import_loads_no_process_pool_machinery():
+    # the job runner forks its workers itself, so a run's set-up loads
+    # neither an executor nor what one brings along
+    probe = (
+        "import sys, hetsim.cli; print(sorted(m for m in ({}) if m in sys.modules))"
+    )
+    heavy = ("concurrent.futures", "multiprocessing", "logging", "subprocess")
+    out = subprocess.run(
+        [sys.executable, "-c", probe.format(", ".join(map(repr, heavy)))],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

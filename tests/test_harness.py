@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
+import fcntl
 import multiprocessing
 import os
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CountingNumpy
-from hetsim import power_control
+from hetsim import harness, power_control
 from hetsim.association import SCHEMES, associate, link_scores
+from hetsim.cli import main
 from hetsim.config import MAX_USERS, SimConfig, fig3_defaults
 from hetsim.harness import (
     DISC_CHUNK_ENTRIES,
@@ -35,7 +38,7 @@ from hetsim.network import (
     link_gains,
     tier_powers,
 )
-from hetsim.errors import NumericError
+from hetsim.errors import NumericError, SimError
 from hetsim.power_control import (
     CochannelSystem,
     PowerState,
@@ -282,63 +285,103 @@ def test_reports_identical_across_job_counts(cfg):
             assert d_seq.raw.tobytes() == d_par.raw.tobytes()
 
 
-# one run count per payload index, in shared memory made before each pool
-# forks, so that the pool's workers count into it
+# one run count per payload index, in shared memory made before each run
+# forks its workers, so that they count into it
 _RUNS = None
+# how a worker dies on the failing payload: None (it raises), "exit" or "kill"
+_DEATH = None
+# the process that runs the tests, which never dies
+_CALLER = os.getpid()
 
 
 def _counted_job(payload):
     """A stand-in for ``_job`` on ``(index, failing)`` payloads: counts its
-    run, takes a few milliseconds, raises ``NumericError`` on the failing
-    index and returns the index and the process that ran it."""
+    run, takes a few milliseconds, and returns the index and the process
+    that ran it. On the failing index it raises ``NumericError``, or, in a
+    worker, dies as ``_DEATH`` says: by ``os._exit(7)`` or by SIGKILL."""
     index, failing = payload
     with _RUNS.get_lock():
         _RUNS[index] += 1
     time.sleep(0.005)
     if index == failing:
+        if _DEATH == "exit" and os.getpid() != _CALLER:
+            os._exit(7)
+        if _DEATH == "kill" and os.getpid() != _CALLER:
+            os.kill(os.getpid(), signal.SIGKILL)
         raise NumericError(f"job {index} failed")
     return index, os.getpid()
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fails the test with TimeoutError if its body takes longer than
+    ``seconds``, so that a hang fails instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _counting_forks(monkeypatch):
+    """The pids of the workers forked from here on, as a list that grows."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 def test_parent_runs_jobs_beside_one_worker_fewer(monkeypatch):
-    sizes = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr("hetsim.harness.ProcessPoolExecutor", RecordingPool)
+    forks = _counting_forks(monkeypatch)
     with monkeypatch.context() as patched:
         patched.setattr("hetsim.harness._job", _counted_job)
         for jobs, count in ((2, 12), (3, 12), (5, 12), (5, 3), (3, 1)):
             patched.setitem(globals(), "_RUNS", multiprocessing.Array("i", count))
-            sizes.clear()
+            forks.clear()
             results = _run_jobs([(k, None) for k in range(count)], jobs)
             assert [index for index, _ in results] == list(range(count))
             # every payload ran once, and this process ran a suffix of them
             assert list(_RUNS) == [1] * count
-            assert sizes == ([min(jobs, count) - 1] if count > 1 else [])
+            assert len(forks) == min(jobs, count) - 1
             own = [k for k, pid in results if pid == os.getpid()]
             assert own == list(range(count - len(own), count))
+            assert {pid for _, pid in results} <= {os.getpid(), *forks}
             if jobs == 2:
                 # one worker would have to finish ten jobs before this
-                # process cancels the last payload
+                # process takes the last payload
                 assert own
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
-    # the reports stay byte-identical, and one payload starts no pool
+    # the reports stay byte-identical, and one payload forks nothing
     cfg = SimConfig(grid_rows=2, snapshots=3, sweep=(3, 5))
     raw = run_preset("fig2", cfg).raw.tobytes()
     for jobs in (2, 3, 5):
-        sizes.clear()
+        forks.clear()
         assert run_preset("fig2", cfg, jobs=jobs).raw.tobytes() == raw
-        assert sizes == [jobs - 1]
-    sizes.clear()
+        assert len(forks) == jobs - 1
+    forks.clear()
     single = dataclasses.replace(cfg, snapshots=1, sweep=(3,))
     assert run_preset("fig2", single, jobs=3).rows == run_preset("fig2", single).rows
-    assert sizes == []
-    assert multiprocessing.active_children() == []
+    assert forks == []
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("failing", ["parent", "worker"])
@@ -351,7 +394,81 @@ def test_failed_job_stops_the_pool(monkeypatch, failing):
     with pytest.raises(NumericError, match=f"job {index} failed"):
         _run_jobs([(k, index) for k in range(count)], 2)
     assert sum(_RUNS) < count
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "death, status", [("exit", "exit status 7"), ("kill", "signal 9")]
+)
+def test_dead_worker_raises(monkeypatch, death, status):
+    # a worker takes payload 0 first and dies in it; the caller runs the
+    # rest, then reports the death instead of a result with a hole
+    count = 20
+    monkeypatch.setitem(globals(), "_RUNS", multiprocessing.Array("i", count))
+    monkeypatch.setitem(globals(), "_DEATH", death)
+    monkeypatch.setattr("hetsim.harness._job", _counted_job)
+    with _deadline(30), pytest.raises(SimError, match=status):
+        _run_jobs([(k, 0) for k in range(count)], 2)
+    assert list(_RUNS) == [1] * count
+    _assert_no_child_left()
+
+
+def test_worker_dying_with_the_claim_lock_held(monkeypatch):
+    # the worker kills itself right after it locks the shared record for
+    # its second claim; the kernel frees the lock, so the caller goes on
+    count = 20
+    monkeypatch.setitem(globals(), "_RUNS", multiprocessing.Array("i", count))
+    monkeypatch.setattr("hetsim.harness._job", _counted_job)
+    lockf = fcntl.lockf
+    locks = []
+
+    def dying_lockf(fd, cmd, *args):
+        lockf(fd, cmd, *args)
+        if cmd == fcntl.LOCK_EX and os.getpid() != _CALLER:
+            locks.append(fd)
+            if len(locks) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(fcntl, "lockf", dying_lockf)
+    with _deadline(30), pytest.raises(SimError, match="signal 9"):
+        _run_jobs([(k, None) for k in range(count)], 2)
+    # the worker ran payload 0 only; the caller ran the others
+    assert list(_RUNS) == [1] * count
+    _assert_no_child_left()
+
+
+def test_cli_exits_3_when_a_worker_dies(tmp_path, capsys, monkeypatch):
+    job = harness._job
+
+    def dying(payload):
+        if os.getpid() != _CALLER:
+            os._exit(5)
+        return job(payload)
+
+    monkeypatch.setattr("hetsim.harness._job", dying)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out = tmp_path / "out"
+    args = ["fig3", "--set", "mc.snapshots=3", "--set", "mc.sweep=2,3"]
+    with _deadline(60):
+        code = main([*args, "--out", str(out), "--jobs", "2"])
+    assert code == 3
+    assert "exit status 5" in capsys.readouterr().err
+    assert not out.exists()
+    _assert_no_child_left()
+
+
+def _large_job(payload):
+    # about 1 MB, well past a pipe's buffer
+    return np.full(2**17, float(payload))
+
+
+def test_large_worker_results_arrive_intact(monkeypatch):
+    monkeypatch.setattr("hetsim.harness._job", _large_job)
+    with _deadline(60):
+        results = _run_jobs(list(range(6)), 2)
+    for k, result in enumerate(results):
+        assert result.tobytes() == _large_job(k).tobytes()
+    _assert_no_child_left()
 
 
 def test_shared_twin_sweeps_match_separate_runs(monkeypatch):
