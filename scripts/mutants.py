@@ -106,6 +106,24 @@ MUTANTS = (
         ("tests/test_harness.py::test_parent_runs_jobs_beside_one_worker_fewer",),
     ),
     Mutant(
+        "claims-unlocked",
+        "the workers read and advance the shared claim record without its "
+        "lock, so two of them can take the same index",
+        "src/hetsim/harness.py",
+        "        fcntl.lockf(self.fd, fcntl.LOCK_EX)\n",
+        "        pass\n",
+        ("tests/test_harness.py::test_claims_hold_under_contention",),
+    ),
+    Mutant(
+        "worker-skips-finalizers",
+        "a forked worker exits without running the exit finalizers "
+        "registered in it, so perfbench's tracer loses the worker's spans",
+        "src/hetsim/harness.py",
+        "            util._run_finalizers()\n",
+        "            pass\n",
+        ("tests/test_harness.py::test_workers_run_their_exit_finalizers",),
+    ),
+    Mutant(
         "twin-resumed-one-sweep-late",
         "a soft-removal twin resumes at the sweep after its base run's fork",
         "src/hetsim/power_control.py",

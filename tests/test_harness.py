@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import fcntl
 import multiprocessing
+import multiprocessing.util
 import os
 import signal
 import time
@@ -468,6 +469,47 @@ def test_large_worker_results_arrive_intact(monkeypatch):
         results = _run_jobs(list(range(6)), 2)
     for k, result in enumerate(results):
         assert result.tobytes() == _large_job(k).tobytes()
+    _assert_no_child_left()
+
+
+def _mark_finalized():
+    _RUNS[0] = os.getpid()
+
+
+def _finalizing_job(payload):
+    # registers an exit finalizer in the worker that runs it, as perfbench's
+    # tracer does to write a forked worker's spans
+    if os.getpid() != _CALLER:
+        multiprocessing.util.Finalize(None, _mark_finalized, exitpriority=10)
+    time.sleep(0.005)
+    return payload
+
+
+def test_workers_run_their_exit_finalizers(monkeypatch):
+    monkeypatch.setitem(globals(), "_RUNS", multiprocessing.Array("i", 1))
+    monkeypatch.setattr("hetsim.harness._job", _finalizing_job)
+    with _deadline(30):
+        assert _run_jobs(list(range(20)), 2) == list(range(20))
+    assert _RUNS[0] not in (0, os.getpid())
+    _assert_no_child_left()
+
+
+def _tallied_job(payload):
+    with _RUNS.get_lock():
+        _RUNS[payload] += 1
+    return payload
+
+
+def test_claims_hold_under_contention(monkeypatch):
+    # more processes than cores race for thousands of near-empty jobs; a
+    # claim lost or taken twice leaves a count other than 1 or a hole
+    count = 3000
+    monkeypatch.setitem(globals(), "_RUNS", multiprocessing.Array("i", count))
+    monkeypatch.setattr("hetsim.harness._job", _tallied_job)
+    with _deadline(60):
+        results = _run_jobs(list(range(count)), min(os.cpu_count() or 1, 8) + 2)
+    assert results == list(range(count))
+    assert list(_RUNS) == [1] * count
     _assert_no_child_left()
 
 
