@@ -97,12 +97,21 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "claims-overlap",
-        "a claim may still take an index when the front and the back have "
-        "met, so two processes run the same payload",
+        "claims-count-not-taken",
+        "a claim returns the count of indices left, not the index it takes, "
+        "so the first claim is past the end and index 0 never runs",
         "src/hetsim/harness.py",
-        "            if stopped or head >= tail:\n",
-        "            if stopped or head > tail:\n",
+        "            return left - 1\n",
+        "            return left\n",
+        ("tests/test_harness.py::test_parent_runs_jobs_beside_one_worker_fewer",),
+    ),
+    Mutant(
+        "results-read-unrewound",
+        "the caller reads a worker's results file from where the worker's "
+        "write left the shared offset, not from its start",
+        "src/hetsim/harness.py",
+        "            os.lseek(out, 0, os.SEEK_SET)\n",
+        "            pass\n",
         ("tests/test_harness.py::test_parent_runs_jobs_beside_one_worker_fewer",),
     ),
     Mutant(
@@ -133,6 +142,58 @@ MUTANTS = (
         (
             "tests/test_power_control.py::test_twin_forks_mid_run",
             "tests/test_harness.py::test_shared_twin_sweeps_match_separate_runs",
+        ),
+    ),
+    Mutant(
+        "twin-record-keeps-returned-state",
+        "a base run's fork record keeps the state it returns, so a caller "
+        "that writes into that state changes what the twin copies",
+        "src/hetsim/power_control.py",
+        "        system._forks[(twin, *options)] = (*fork, kept)\n",
+        "        system._forks[(twin, *options)] = (*fork, state)\n",
+        ("tests/test_power_control.py::test_twin_ignores_writes_into_the_base_result",),
+    ),
+    Mutant(
+        "outage-tiers-swapped",
+        "a grid snapshot reports the low-priority tier's outage as the "
+        "high-priority one's and the other way round",
+        "src/hetsim/harness.py",
+        "            outage_ratio(state, ~snapshot.lpue_mask),\n"
+        "            outage_ratio(state, snapshot.lpue_mask),\n",
+        "            outage_ratio(state, snapshot.lpue_mask),\n"
+        "            outage_ratio(state, ~snapshot.lpue_mask),\n",
+        ("tests/test_harness.py::test_fig2_single_snapshot_protects_hpues",),
+    ),
+    Mutant(
+        "cap-share-over-all-users",
+        "the equal share of the interference threshold is taken over every "
+        "user, not over the low-priority ones",
+        "src/hetsim/power_control.py",
+        "            share = ith / (lpue_index.size * gain_block)\n",
+        "            share = ith / (snapshot.n_users * gain_block)\n",
+        (
+            "tests/test_power_control.py::"
+            "test_prioritized_caps_share_among_low_priority_users_only",
+        ),
+    ),
+    Mutant(
+        "grid-seed-off-by-one",
+        "a grid job draws the snapshot of the seed after its own",
+        "src/hetsim/harness.py",
+        "        (seed,) = seeds\n",
+        "        seed = seeds[0] + 1\n",
+        ("tests/test_acceptance.py::test_default_reports_match_golden_digest[fig2]",),
+    ),
+    Mutant(
+        "metric-mean-with-nans",
+        "a reported metric averages every seed's value, the absent (NaN) "
+        "ones included",
+        "src/hetsim/harness.py",
+        "                present = values[~np.isnan(values)]\n",
+        "                present = values\n",
+        (
+            "tests/test_report.py::test_absent_metrics_are_empty_cells_not_zero",
+            "tests/test_harness.py::test_monte_carlo_row_shape",
         ),
     ),
     Mutant(

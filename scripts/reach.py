@@ -8,9 +8,12 @@ CPUs or more), ``oracle-check``, ``sweep`` for every power-control
 algorithm and every uplink association scheme on the grid and every
 downlink scheme on the disc, and a ``sweep`` of each shipped
 ``configs/*.cfg``. The sweeps and the pooled run use two snapshots per
-point: what they reach does not grow with the count. Worker processes are
-not traced; the same jobs run in process at ``--jobs 1``. Reports go to a
-temporary directory and the runs' stdout is discarded.
+point: what they reach does not grow with the count. The trace follows
+the forked workers of the pooled run: a child forked during a traced run
+keeps the trace and, just before it exits by ``os._exit``, writes the
+lines it saw to a file that the traced process reads once the run is
+over. Reports go to a temporary directory and the runs' stdout is
+discarded.
 
 It then prints each statement of the package that never ran and is not a
 ``raise``, as ``path:line: text``, and the count. Error paths stay,
@@ -27,6 +30,7 @@ import ast
 import contextlib
 import io
 import os
+import pickle
 import sys
 import tempfile
 from pathlib import Path
@@ -69,9 +73,41 @@ def report_paths(out):
     ]
 
 
+# (lines seen, directory) of the traced run in progress, empty between
+# runs: a child forked during a run hands its lines over through the
+# directory. A fork hook cannot be unregistered, and tests trace in their
+# own process, so the hook does nothing while this is empty.
+_TRACED = []
+
+
+def _follow_fork():
+    """In a child forked during a traced run: wrap ``os._exit`` so that the
+    child writes the lines it saw (its own copy of the run's set) to the
+    run's directory before it exits. The line event of the exit call
+    itself comes before the call, so every line the child ran is
+    written."""
+    if not _TRACED:
+        return
+    seen, out = _TRACED
+    exit_now = os._exit
+
+    def hand_off(code):
+        try:
+            with open(os.path.join(out, f"{os.getpid()}.pickle"), "wb") as file:
+                pickle.dump(seen, file)
+        finally:
+            exit_now(code)
+
+    os._exit = hand_off
+
+
+os.register_at_fork(after_in_child=_follow_fork)
+
+
 def trace_lines(run, root):
     """Call ``run()`` under a line trace; the (real path, line) pairs it
-    executed in the files under the directory ``root``."""
+    executed in the files under the directory ``root``, in this process
+    and in the children it forked that exited by ``os._exit``."""
     root = os.path.realpath(root) + os.sep
     inside, seen = {}, set()
 
@@ -87,11 +123,16 @@ def trace_lines(run, root):
         return lines if inside[name] else None
 
     previous = sys.gettrace()
-    sys.settrace(calls)
-    try:
-        run()
-    finally:
-        sys.settrace(previous)
+    with tempfile.TemporaryDirectory(prefix="hetsim-reach-") as out:
+        _TRACED[:] = [seen, out]
+        sys.settrace(calls)
+        try:
+            run()
+        finally:
+            sys.settrace(previous)
+            _TRACED.clear()
+        for path in Path(out).iterdir():
+            seen |= pickle.loads(path.read_bytes())
     return {(os.path.realpath(name), line) for name, line in seen}
 
 

@@ -78,10 +78,11 @@ def run_oracle_check(count, seed):
     the bits it gets alone. The queues still
     partly full run at the end. So a run holds at most one partly full queue
     per user count and one running stack. The stacks are made as tall as
-    that bound allows because at these sizes a stacked sweep costs about the
-    same whatever its number of rows, and a stack sweeps until its slowest
-    row converges. Returns the failures as (index, seed, reason) tuples in
-    instance order.
+    that bound allows because at these sizes a stacked sweep costs a few
+    microseconds plus about 0.2 µs per row, so a 256-row stack sweeps for
+    roughly a twentieth of the cost of 256 single-row sweeps; a stack
+    sweeps until its slowest row converges. Returns the failures as
+    (index, seed, reason) tuples in instance order.
     """
     failures, queues = [], {}
     for first in range(0, count, ORACLE_CHUNK):

@@ -12,16 +12,17 @@ algorithm/scheme variant. Jobs are independent, each returning one row of
 ``FIELDS`` per seed and variant: a grid job is one snapshot, a disc job a
 contiguous chunk of one sweep point's seeds, evaluated in one array pass.
 With ``jobs > 1`` the calling process runs jobs itself beside ``jobs - 1``
-workers made by ``os.fork``, and the rows are merged in job order, so
-reports are byte-identical at every job count.
+workers made by ``os.fork``, every process taking the highest job index
+left, and the rows are merged in job order, so reports are byte-identical
+at every job count.
 """
 
 from __future__ import annotations
 
 import fcntl
-import mmap
 import os
 import pickle
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -259,57 +260,46 @@ def _job(payload):
 
 
 class _Claims:
-    """The payload indices no process has taken yet, ``head:tail``, and a
-    stop flag, in a memory file the forked workers share. Workers take
-    indices from the front and the caller from the back. Every claim holds
-    the file's ``lockf`` lock, which the kernel releases when its holder
-    exits or dies, so a dead worker never blocks the others."""
+    """The count of payload indices no process has taken yet and a stop
+    flag, ``(left, stopped)``, in a memory file the forked workers share.
+    Each claim takes the highest index left, so a sweep's heaviest points
+    go first. A claim reads and writes the count under the file's ``lockf``
+    lock, which the kernel releases when its holder exits or dies, so a
+    dead worker never blocks the others."""
 
     def __init__(self, count):
         self.fd = os.memfd_create("hetsim-claims")
-        os.ftruncate(self.fd, 24)
-        self.map = mmap.mmap(self.fd, 24)
-        # (head, tail, stopped)
-        self.record = memoryview(self.map).cast("q")
-        self.record[1] = count
+        os.pwrite(self.fd, struct.pack("qq", count, 0), 0)
 
-    def take(self, last=False):
-        """The front index, or the back one if ``last``; None once the
-        indices ran out or the run stopped."""
+    def take(self):
+        """The highest index left, or None once none is left or the run
+        stopped."""
         fcntl.lockf(self.fd, fcntl.LOCK_EX)
         try:
-            head, tail, stopped = self.record
-            if stopped or head >= tail:
+            left, stopped = struct.unpack("qq", os.pread(self.fd, 16, 0))
+            if stopped or left == 0:
                 return None
-            if last:
-                self.record[1] = tail - 1
-                return tail - 1
-            self.record[0] = head + 1
-            return head
+            os.pwrite(self.fd, struct.pack("q", left - 1), 0)
+            return left - 1
         finally:
             fcntl.lockf(self.fd, fcntl.LOCK_UN)
 
     def stop(self):
-        """No process takes another index. The flag only ever goes from 0
-        to 1, so it needs no lock."""
-        self.record[2] = 1
-
-    def close(self):
-        self.record.release()
-        self.map.close()
-        os.close(self.fd)
+        """No process takes another index. The flag has bytes of its own
+        and only ever goes from 0 to 1, so it needs no lock."""
+        os.pwrite(self.fd, struct.pack("q", 1), 8)
 
 
-def _worker(payloads, claims, pipe, inherited):
-    """A forked worker: runs the payloads it can take from the front until
-    none is left or the run stops, then sends ``(done, error)`` pickled
-    through ``pipe``: its ``(index, result)`` pairs and the exception of a
-    failed job (which stops the run), or None. Never returns: it exits 0
-    once the message is written and 1 otherwise."""
+def _worker(payloads, claims, out):
+    """A forked worker: runs the payloads it can take until none is left
+    or the run stops, then writes ``(done, error)`` pickled to the memory
+    file ``out``: its ``(index, result)`` pairs and the exception of a
+    failed job (which stops the run), or None. It writes through a
+    buffered file, as one ``os.write`` may write only part of a message.
+    Never returns: it exits 0 once the message is written and 1
+    otherwise."""
     code = 1
     try:
-        for fd in inherited:
-            os.close(fd)
         done, error = [], None
         try:
             while (index := claims.take()) is not None:
@@ -317,9 +307,8 @@ def _worker(payloads, claims, pipe, inherited):
         except Exception as exc:
             claims.stop()
             error = exc
-        message = pickle.dumps((done, error), pickle.HIGHEST_PROTOCOL)
-        with open(pipe, "wb") as out:
-            out.write(message)
+        with open(out, "wb") as file:
+            pickle.dump((done, error), file, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         # Leave as a multiprocessing child does: run the exit finalizers
@@ -331,73 +320,56 @@ def _worker(payloads, claims, pipe, inherited):
         os._exit(code)
 
 
-def _reap(pipes):
-    """Each worker's ``(exit code, message)``, in ``pipes`` order (worker
-    pid -> read end of its pipe). A pipe is read to its end before its
-    worker is waited for, so that no message is too large to be sent. If
-    reading is cut short, the unread pipes are closed, which fails their
-    workers' writes, and every worker is still waited for."""
-    messages = {}
-    try:
-        for pid, fd in pipes.items():
-            with open(fd, "rb", closefd=False) as pipe:
-                messages[pid] = pipe.read()
-    finally:
-        codes = {}
-        for pid, fd in pipes.items():
-            os.close(fd)
-            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return [(pid, codes[pid], messages[pid]) for pid in pipes]
-
-
 def _run_jobs(payloads, jobs):
     """Each payload's job result, in payload order.
 
     With ``jobs > 1`` this process is one of the ``jobs`` workers: it forks
-    ``min(jobs, len(payloads)) - 1`` workers, which take the payloads from
-    the front, and runs them itself from the back (``_Claims``). The two
-    sides meet where the payloads run out, so the balance follows the
-    jobs' costs and this process takes the last (a sweep's heaviest)
-    points. A failed job on either side stops every process from taking
-    another payload, so the run raises within about one job. Each worker
-    sends its results, or its exception, through its own pipe, which this
-    process reads before it reaps the worker; a worker that dies raises a
-    ``SimError`` naming its exit status. No worker is left running when
-    this returns or raises."""
+    ``min(jobs, len(payloads)) - 1`` workers and runs payloads beside them.
+    Every process takes the highest index left (``_Claims``), so the
+    balance follows the jobs' costs and a sweep's heaviest points go first.
+    A failed job in any process stops every process from taking another
+    payload, so the run raises within about one job. Each worker writes
+    its results, or its exception, to a memory file made for it before the
+    fork; this process reads the file from its start once the worker has
+    exited (the fork shares the file's offset, which the write moved). A
+    worker that dies raises a ``SimError`` naming its exit status or
+    signal. No worker is left running, and no file open, when this
+    returns or raises."""
     workers = min(jobs, len(payloads)) - 1
     if workers < 1:
         return [_job(p) for p in payloads]
     results = [None] * len(payloads)
     claims = _Claims(len(payloads))
-    pipes = {}
+    files, pids = [], []
     try:
         try:
             for _ in range(workers):
-                read, write = os.pipe()
+                files.append(os.memfd_create("hetsim-results"))
                 pid = os.fork()
                 if pid == 0:
-                    os.close(read)
-                    _worker(payloads, claims, write, pipes.values())
-                os.close(write)
-                pipes[pid] = read
-            while (index := claims.take(last=True)) is not None:
+                    _worker(payloads, claims, files[-1])
+                pids.append(pid)
+            while (index := claims.take()) is not None:
                 results[index] = _job(payloads[index])
         except BaseException:
             claims.stop()
             raise
         finally:
-            reports = _reap(pipes)
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        for pid, code, out in zip(pids, codes, files):
+            if code != 0:
+                how = f"exit status {code}" if code > 0 else f"signal {-code}"
+                raise SimError(f"job worker {pid} died with {how}")
+            os.lseek(out, 0, os.SEEK_SET)
+            with open(out, "rb", closefd=False) as file:
+                done, error = pickle.load(file)
+            if error is not None:
+                raise error
+            for index, result in done:
+                results[index] = result
     finally:
-        claims.close()
-    for pid, code, message in reports:
-        if code != 0:
-            how = f"exit status {code}" if code > 0 else f"signal {-code}"
-            raise SimError(f"job worker {pid} died with {how}")
-        done, error = pickle.loads(message)
-        if error is not None:
-            raise error
-        for index, result in done:
-            results[index] = result
+        for fd in (claims.fd, *files):
+            os.close(fd)
     return results
 
 

@@ -424,7 +424,9 @@ def iterate_power_control(
     sweep a test after every sweep would find, at one test per block. It
     keeps ``(sweep, iterate before it, result)`` on the system, or ``(None,
     None, result)`` when no sweep passed the bound, keyed by the twin and
-    its ``hpue_algorithm``, ``max_iters``, ``tol`` and ``tol_support``. A
+    its ``hpue_algorithm``, ``max_iters``, ``tol`` and ``tol_support``; the
+    result is a read-only copy, so a caller that writes into the returned
+    state does not change what the twin takes. A
     later twin run from zero with the same options takes a copy of the base
     result when no sweep passed the bound, and otherwise runs from the
     recorded iterate with that sweep as its first. Either way its powers,
@@ -621,7 +623,10 @@ def iterate_power_control(
         if fork[0] is not None and fork[0] > iterations:
             # the demand crossed the bound in a sweep past the returned one
             fork = (None, None)
-        system._forks[(twin, *options)] = (*fork, state)
+        kept = replace(state, p=p.copy(), sir=sir.copy(), supported=supported.copy())
+        for arr in (kept.p, kept.sir, kept.supported):
+            arr.flags.writeable = False
+        system._forks[(twin, *options)] = (*fork, kept)
     return state
 
 

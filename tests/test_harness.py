@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import fcntl
+import itertools
 import multiprocessing
 import multiprocessing.util
 import os
@@ -289,28 +290,35 @@ def test_reports_identical_across_job_counts(cfg):
 # one run count per payload index, in shared memory made before each run
 # forks its workers, so that they count into it
 _RUNS = None
-# how a worker dies on the failing payload: None (it raises), "exit" or "kill"
+# how a failing worker dies: None (its job raises), "exit" or "kill"
 _DEATH = None
 # the process that runs the tests, which never dies
 _CALLER = os.getpid()
+# the jobs each process started so far; a worker's copy goes on from the
+# caller's count at the fork
+_STARTED = itertools.count()
 
 
 def _counted_job(payload):
     """A stand-in for ``_job`` on ``(index, failing)`` payloads: counts its
-    run, takes a few milliseconds, and returns the index and the process
-    that ran it. On the failing index it raises ``NumericError``, or, in a
-    worker, dies as ``_DEATH`` says: by ``os._exit(7)`` or by SIGKILL."""
+    run, takes a few milliseconds, and returns the index, the process that
+    ran it and the job's place among that process's jobs. A job fails when
+    ``failing`` names the kind of process that runs it, "parent" or
+    "worker": it raises ``NumericError``, or, in a worker, dies as
+    ``_DEATH`` says: by ``os._exit(7)`` or by SIGKILL."""
     index, failing = payload
     with _RUNS.get_lock():
         _RUNS[index] += 1
+    started = next(_STARTED)
     time.sleep(0.005)
-    if index == failing:
-        if _DEATH == "exit" and os.getpid() != _CALLER:
+    kind = "parent" if os.getpid() == _CALLER else "worker"
+    if failing == kind:
+        if kind == "worker" and _DEATH == "exit":
             os._exit(7)
-        if _DEATH == "kill" and os.getpid() != _CALLER:
+        if kind == "worker" and _DEATH == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
-        raise NumericError(f"job {index} failed")
-    return index, os.getpid()
+        raise NumericError(f"job {index} failed in the {kind}")
+    return index, os.getpid(), started
 
 
 def _assert_no_child_left():
@@ -358,17 +366,20 @@ def test_parent_runs_jobs_beside_one_worker_fewer(monkeypatch):
             patched.setitem(globals(), "_RUNS", multiprocessing.Array("i", count))
             forks.clear()
             results = _run_jobs([(k, None) for k in range(count)], jobs)
-            assert [index for index, _ in results] == list(range(count))
-            # every payload ran once, and this process ran a suffix of them
+            assert [index for index, *_ in results] == list(range(count))
             assert list(_RUNS) == [1] * count
             assert len(forks) == min(jobs, count) - 1
-            own = [k for k, pid in results if pid == os.getpid()]
-            assert own == list(range(count - len(own), count))
-            assert {pid for _, pid in results} <= {os.getpid(), *forks}
+            # each process ran its payloads from the highest index down
+            ran = {}
+            for index, pid, _ in sorted(results, key=lambda result: result[2]):
+                ran.setdefault(pid, []).append(index)
+            assert set(ran) <= {os.getpid(), *forks}
+            for indices in ran.values():
+                assert indices == sorted(indices, reverse=True)
             if jobs == 2:
-                # one worker would have to finish ten jobs before this
-                # process takes the last payload
-                assert own
+                # one worker would have to finish twelve jobs before this
+                # process takes its first payload
+                assert os.getpid() in ran
     _assert_no_child_left()
 
     # the reports stay byte-identical, and one payload forks nothing
@@ -387,13 +398,13 @@ def test_parent_runs_jobs_beside_one_worker_fewer(monkeypatch):
 
 @pytest.mark.parametrize("failing", ["parent", "worker"])
 def test_failed_job_stops_the_pool(monkeypatch, failing):
-    # the parent runs the last payload first, a worker the first one
+    # every job of the failing process raises, so its first one stops the
+    # pool and the other process takes about one payload more
     count = 40
-    index = count - 1 if failing == "parent" else 0
     monkeypatch.setitem(globals(), "_RUNS", multiprocessing.Array("i", count))
     monkeypatch.setattr("hetsim.harness._job", _counted_job)
-    with pytest.raises(NumericError, match=f"job {index} failed"):
-        _run_jobs([(k, index) for k in range(count)], 2)
+    with _deadline(30), pytest.raises(NumericError, match=f"failed in the {failing}"):
+        _run_jobs([(k, failing) for k in range(count)], 2)
     assert sum(_RUNS) < count
     _assert_no_child_left()
 
@@ -402,14 +413,14 @@ def test_failed_job_stops_the_pool(monkeypatch, failing):
     "death, status", [("exit", "exit status 7"), ("kill", "signal 9")]
 )
 def test_dead_worker_raises(monkeypatch, death, status):
-    # a worker takes payload 0 first and dies in it; the caller runs the
-    # rest, then reports the death instead of a result with a hole
+    # the worker dies in its first job; the caller runs the rest, then
+    # reports the death instead of a result with a hole
     count = 20
     monkeypatch.setitem(globals(), "_RUNS", multiprocessing.Array("i", count))
     monkeypatch.setitem(globals(), "_DEATH", death)
     monkeypatch.setattr("hetsim.harness._job", _counted_job)
     with _deadline(30), pytest.raises(SimError, match=status):
-        _run_jobs([(k, 0) for k in range(count)], 2)
+        _run_jobs([(k, "worker") for k in range(count)], 2)
     assert list(_RUNS) == [1] * count
     _assert_no_child_left()
 
@@ -433,9 +444,49 @@ def test_worker_dying_with_the_claim_lock_held(monkeypatch):
     monkeypatch.setattr(fcntl, "lockf", dying_lockf)
     with _deadline(30), pytest.raises(SimError, match="signal 9"):
         _run_jobs([(k, None) for k in range(count)], 2)
-    # the worker ran payload 0 only; the caller ran the others
+    # the worker ran one payload; the caller ran the others
     assert list(_RUNS) == [1] * count
     _assert_no_child_left()
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_runs_leave_no_file_descriptor_open(monkeypatch):
+    # a run opens a claims file and one results file per worker, and closes
+    # them all whether it succeeds, a job raises, a worker dies, or a fork
+    # fails after the first worker
+    count = 12
+    monkeypatch.setattr("hetsim.harness._job", _counted_job)
+    fork = os.fork
+
+    def second_fork_fails():
+        if forked:
+            raise OSError("no second fork")
+        forked.append(True)
+        return fork()
+
+    cases = [
+        (None, None, None),
+        ("parent", None, NumericError),
+        ("worker", "exit", SimError),
+        (None, None, OSError),
+    ]
+    for failing, death, error in cases:
+        monkeypatch.setitem(globals(), "_RUNS", multiprocessing.Array("i", count))
+        monkeypatch.setitem(globals(), "_DEATH", death)
+        forked = []
+        before = _open_fds()
+        with monkeypatch.context() as patched, _deadline(30):
+            if error is OSError:
+                patched.setattr(os, "fork", second_fork_fails)
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                _run_jobs([(k, failing) for k in range(count)], 3)
+        assert _open_fds() == before, (failing, error)
+        _assert_no_child_left()
+    # the last run forked its first worker
+    assert forked == [True]
 
 
 def test_cli_exits_3_when_a_worker_dies(tmp_path, capsys, monkeypatch):
@@ -459,16 +510,20 @@ def test_cli_exits_3_when_a_worker_dies(tmp_path, capsys, monkeypatch):
 
 
 def _large_job(payload):
-    # about 1 MB, well past a pipe's buffer
-    return np.full(2**17, float(payload))
+    # about 1 MB each, far more than one write need take; the caller's
+    # jobs are slow, so that the worker runs most of them
+    if os.getpid() == _CALLER:
+        time.sleep(0.05)
+    return np.full(2**17, float(payload)), os.getpid()
 
 
 def test_large_worker_results_arrive_intact(monkeypatch):
     monkeypatch.setattr("hetsim.harness._job", _large_job)
     with _deadline(60):
         results = _run_jobs(list(range(6)), 2)
-    for k, result in enumerate(results):
-        assert result.tobytes() == _large_job(k).tobytes()
+    for k, (result, _) in enumerate(results):
+        assert result.tobytes() == np.full(2**17, float(k)).tobytes()
+    assert {pid for _, pid in results} - {os.getpid()}
     _assert_no_child_left()
 
 

@@ -411,6 +411,22 @@ def test_prioritized_caps_equal_share_value():
     assert caps.cap[:2] == pytest.approx([5.0, 5.0])
 
 
+def test_prioritized_caps_share_among_low_priority_users_only():
+    # a high-priority user of the macro cell takes no share of the
+    # threshold: the two low-priority users still get 5 W each, and the
+    # high-priority user no cap
+    snap = make_snapshot(
+        [(0.0, False), (50.0, True)],
+        [((0.0, 1.0), 0), ((50.0, 0.0), 1), ((50.0, 1.0), 1)],
+    )
+    gains = np.array([[1e-2, 1e-4, 1e-4], [1e-6, 1e-2, 1e-2]])
+    gm = GainMatrix(gains=gains, noise=np.full(3, 1e-13))
+    caps = prioritized_caps(snap, gm, ith=1e-3)
+    assert list(snap.lpue_mask) == [False, True, True]
+    assert caps.cap[1:] == pytest.approx([5.0, 5.0])
+    assert caps.cap[0] == np.inf
+
+
 def test_prioritized_caps_equality_at_cap():
     # transmit exactly at cap: aggregate equals the threshold
     snap = _two_lpue_snapshot()
@@ -808,7 +824,11 @@ def _run_twins(
     system = fresh()
     watched = iterate_power_control(system, algorithm=base, **kwargs)
     sweep, p, kept = _fork_record(system)
-    assert kept is watched
+    # the record keeps read-only copies of the base result
+    for name in ("p", "sir", "supported"):
+        arr = getattr(kept, name)
+        assert arr is not getattr(watched, name) and not arr.flags.writeable
+        assert np.array_equal(arr, getattr(watched, name))
     shared = iterate_power_control(system, algorithm=twin, **kwargs)
     alone = iterate_power_control(
         fresh(), algorithm=base, p0=np.zeros(len(targets)), **kwargs
@@ -857,6 +877,36 @@ def test_twin_never_forks_and_copies_the_base_result():
     shared = iterate_power_control(system, algorithm="tpc_gr")
     assert shared.p is not base.p and shared.sir is not base.sir
     assert shared.supported is not base.supported
+
+
+def test_twin_ignores_writes_into_the_base_result():
+    # a caller writes into each base run's result before the twin runs on
+    # the same fig2 system; the twin must equal, bit for bit, its run on a
+    # fresh system. ptpc_gr copies the ptpc result (its run never forks)
+    cfg = fig2_defaults()
+    snap = generate_fig2_snapshot(cfg, 3, 1)
+    gm = build_gain_matrix(snap, cfg)
+    serving = associate(snap, gm, cfg.assoc_uplink, cfg)
+    caps = prioritized_caps(snap, gm, cfg.ith_w)
+    system = cochannel_system(snap, gm, serving, cfg, caps)
+    for base in ("tpc", "ptpc"):
+        twin = SOFT_REMOVAL_TWINS[base]
+        state = iterate_power_control(system, algorithm=base, hpue_algorithm="tpc")
+        state.p[:] = 0.0
+        state.sir[:] = 0.0
+        state.supported[:] = False
+        shared = iterate_power_control(system, algorithm=twin, hpue_algorithm="tpc")
+        alone = iterate_power_control(
+            cochannel_system(snap, gm, serving, cfg, caps),
+            algorithm=twin, hpue_algorithm="tpc",
+        )
+        for name in ("p", "sir", "supported"):
+            assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes()
+        assert (shared.iterations, shared.converged) == (
+            alone.iterations, alone.converged
+        )
+    options = ("tpc", DEFAULT_MAX_ITERS, DEFAULT_TOL, DEFAULT_TOL_SUPPORT)
+    assert system._forks[("ptpc_gr", *options)][0] is None
 
 
 def test_twin_max_iters_reached_before_fork():

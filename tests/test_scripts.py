@@ -8,9 +8,10 @@ to the source."""
 import argparse
 import importlib
 import importlib.util
+import os
 from pathlib import Path
 
-from hetsim import cli
+from hetsim import cli, harness
 from hetsim.association import SCHEMES
 from hetsim.config import DEFAULT_TARGET_SIR_DB, fig2_defaults
 from hetsim.power_control import ALGORITHMS
@@ -115,6 +116,28 @@ def test_reach_lists_unreached_statements_but_not_raises(tmp_path):
     assert sum(path[0] == "sweep" for path in paths) == sweeps
 
 
+def test_reach_follows_forked_workers(monkeypatch):
+    # the workers of a pooled run keep the trace and hand their lines over
+    # as they exit, down to the exit call itself; the fork hook is disarmed
+    # after the run, and a pooled run after it still returns its results
+    module = _load("reach", SCRIPTS / "reach.py")
+    monkeypatch.setattr(harness, "_job", lambda payload: payload)
+    package = Path(harness.__file__).parent
+    seen = module.trace_lines(
+        lambda: harness._run_jobs(list(range(8)), 3), package
+    )
+    assert module._TRACED == []
+    path = os.path.realpath(harness.__file__)
+    source = Path(path).read_text(encoding="utf-8").splitlines()
+    worker_only = [
+        k + 1 for k, text in enumerate(source)
+        if text.strip() in ("code = 0", "os._exit(code)")
+    ]
+    assert len(worker_only) == 2
+    assert {(path, line) for line in worker_only} <= seen
+    assert harness._run_jobs(list(range(8)), 3) == list(range(8))
+
+
 def test_tracer_wrapped_names_resolve():
     # the tracer swaps each (module, attribute) for a timing wrapper at run
     # time; every one must name a callable of the package
@@ -183,7 +206,7 @@ def test_every_mutant_still_applies():
     # the test suite (python3 scripts/mutants.py)
     module = _load("mutants", SCRIPTS / "mutants.py")
     names = [m.name for m in module.MUTANTS]
-    assert len(names) == len(set(names)) == 14
+    assert len(names) == len(set(names)) == 20
     for mutant in module.MUTANTS:
         assert module.stale(mutant) is None, (mutant.name, module.stale(mutant))
         assert mutant.new != mutant.old, mutant.name
